@@ -1,4 +1,4 @@
-// Ablations of the design choices DESIGN.md calls out:
+// Ablations of the repair pipeline's design choices:
 //  (a) cost model: Pan-et-al-weighted costs vs uniform costs -- where does
 //      the ground-truth repair rank in the candidate list?
 //  (b) KS significance level: how many candidates survive at alpha = 0.20,

@@ -40,8 +40,9 @@ void ScenarioRun::set_tag_mode(eval::TagMask active) {
   net_->set_tag_mode(true, active);
 }
 
-void ScenarioRun::replay(const std::vector<sdn::Injection>& workload) {
-  sdn::replay(*net_, workload);
+void ScenarioRun::replay(const std::vector<sdn::Injection>& workload,
+                         bool record) {
+  sdn::replay(*net_, workload, record);
 }
 
 ScenarioHarness::ScenarioHarness(const Scenario& s) : scenario_(s) {
@@ -109,7 +110,7 @@ backtest::ReplayOutcome ScenarioHarness::replay(
   } else {
     run.insert_config(inserts);
   }
-  run.replay(workload_);
+  run.replay(workload_, /*record=*/false);
 
   out = backtest::outcome_from_stats(run.net().stats());
   const backtest::ReplayOutcome base = replay_baseline();
@@ -151,7 +152,7 @@ std::vector<backtest::ReplayOutcome> ScenarioHarness::replay_joint(
   }
   // Bypass the untagged config path: insert everything explicitly.
   run.engine().insert_batch(inserts);
-  run.replay(workload_);
+  run.replay(workload_, /*record=*/false);
 
   const backtest::ReplayOutcome base = replay_baseline();
   const double elapsed = timer.seconds();

@@ -24,7 +24,9 @@ class ScenarioRun {
   void set_rule_restrictions(
       const std::map<std::string, eval::TagMask>& restrict);
   void set_tag_mode(eval::TagMask active);
-  void replay(const std::vector<sdn::Injection>& workload);
+  // Replays `workload`; `record` keeps the network's ingress log, which
+  // only the recorded incident needs.
+  void replay(const std::vector<sdn::Injection>& workload, bool record = true);
 
   sdn::Network& net() { return *net_; }
   eval::Engine& engine() { return *engine_; }

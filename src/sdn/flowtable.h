@@ -1,10 +1,17 @@
 // Flow tables with wildcard matching, priorities and candidate-tag masks.
 // A match on a field whose value is the wildcard "*" is skipped -- this is
 // how the Q5 MAC-learning bug (too-coarse entries) is modelled.
+//
+// `FlowEntry` is the install-time form. `FlowTable::add` compiles it into a
+// `FlowRule` and classifies by tuple-space search: one exact-match hash
+// table per match shape (the set of fields a rule matches), with the rules
+// that share a shape and key chained in rank order. A lookup hashes the
+// packet once per shape and sweeps the hits in rank order. See
+// src/sdn/README.md for the contract and the memory layout.
 #pragma once
 
-#include <functional>
-#include <optional>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "eval/tuple.h"
@@ -41,28 +48,90 @@ struct FlowEntry {
   std::string to_string() const;
 };
 
+// An installed entry as the table keeps it. Its exact-match values live in
+// the owning table's arena, one int64 per bit of `fields`, in Field order.
+struct FlowRule {
+  eval::TagMask tags = eval::kAllTags;
+  Action action;
+  int priority = 0;
+  uint32_t values = 0;  // arena offset of the match values
+  uint32_t next = 0;    // next rule of the same shape and key, in rank order
+  uint16_t fields = 0;  // bit f set: exact match on Field(f)
+  bool never = false;   // a non-int or conflicting field: matches nothing
+};
+
 class FlowTable {
  public:
-  void add(FlowEntry entry);
-  // Highest-priority matching entry visible under `tag_bit`; ties resolve
-  // to the earliest-installed entry (switch-like behaviour).
-  const FlowEntry* lookup(const Packet& p, int64_t in_port,
-                          eval::TagMask tag_bit = eval::kAllTags) const;
-  // Partition `tags` by best matching entry: invokes cb(entry, submask)
-  // once per distinct winning entry and returns the mask of tags with no
-  // matching entry. This is what lets multi-query backtesting walk one
+  void add(const FlowEntry& entry);
+  // Highest-priority matching rule visible under `tag_bit`; ties resolve
+  // to the earliest-installed rule (switch-like behaviour).
+  const FlowRule* lookup(const Packet& p, int64_t in_port,
+                         eval::TagMask tag_bit = eval::kAllTags) const;
+  // Partition `tags` by best matching rule: invokes cb(rule, submask)
+  // once per distinct winning rule and returns the mask of tags with no
+  // matching rule. This is what lets multi-query backtesting walk one
   // shared path for all candidates that agree (Section 4.4).
-  eval::TagMask partition(
-      const Packet& p, int64_t in_port, eval::TagMask tags,
-      const std::function<void(const FlowEntry&, eval::TagMask)>& cb) const;
-  void clear() { entries_.clear(); }
-  size_t size() const { return entries_.size(); }
-  const std::vector<FlowEntry>& entries() const { return entries_; }
+  template <class Fn>
+  eval::TagMask partition(const Packet& p, int64_t in_port, eval::TagMask tags,
+                          Fn&& cb) const;
+  // Drops every reactive rule (priority >= 0) and re-indexes the static
+  // ones (priority < 0) in their install order; used between backtests.
+  void reset_dynamic_state();
+  size_t size() const { return rules_.size(); }
 
  private:
-  const std::vector<size_t>& ordered() const;  // priority-desc, then age
-  std::vector<FlowEntry> entries_;
-  mutable std::vector<size_t> ordered_;  // lazily rebuilt after add()
+  static constexpr uint32_t kNone = ~uint32_t{0};
+  static constexpr size_t kMaxShapes = size_t{1} << kFieldCount;
+
+  // Open-addressed index of one match shape: each slot holds the head of
+  // a same-key rule chain, or kNone.
+  struct Shape {
+    uint16_t fields = 0;
+    uint32_t keys = 0;
+    std::vector<uint32_t> slots;
+  };
+
+  void index(uint32_t rule);
+  void grow(Shape& shape);
+  // The slot holding the chain for `key` (len values, in Field order), or
+  // the empty slot where that chain would start.
+  size_t slot_of(const Shape& shape, const int64_t* key, size_t len) const;
+  // Fills `heads` with the chain head of every shape the packet's key
+  // hits and returns how many there are.
+  size_t hits(const Packet& p, int64_t in_port, uint32_t* heads) const;
+  // Rank order: priority descending, then install order.
+  bool outranks(uint32_t a, uint32_t b) const {
+    return rules_[a].priority != rules_[b].priority
+               ? rules_[a].priority > rules_[b].priority
+               : a < b;
+  }
+
+  std::vector<FlowRule> rules_;  // install order
+  std::vector<int64_t> values_;  // match-value arena
+  std::vector<Shape> shapes_;
 };
+
+template <class Fn>
+eval::TagMask FlowTable::partition(const Packet& p, int64_t in_port,
+                                   eval::TagMask tags, Fn&& cb) const {
+  uint32_t heads[kMaxShapes];
+  const size_t n = hits(p, in_port, heads);
+  eval::TagMask remaining = tags;
+  while (remaining != 0) {
+    size_t best = n;
+    for (size_t i = 0; i < n; ++i) {
+      if (heads[i] != kNone && (best == n || outranks(heads[i], heads[best])))
+        best = i;
+    }
+    if (best == n) break;
+    const FlowRule& r = rules_[heads[best]];
+    heads[best] = r.next;
+    const eval::TagMask sub = remaining & r.tags;
+    if (sub == 0) continue;
+    cb(r, sub);
+    remaining &= ~sub;
+  }
+  return remaining;
+}
 
 }  // namespace mp::sdn

@@ -11,9 +11,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sdn/recorder.h"
@@ -62,6 +62,7 @@ class Network {
   const Host* host_by_id(int64_t id) const;
   const std::vector<Host>& hosts() const { return hosts_; }
   size_t switch_count() const { return switches_.size(); }
+  std::vector<int64_t> switch_ids() const;  // ascending
 
   // Bidirectional switch-to-switch link.
   void link(int64_t sw_a, int64_t port_a, int64_t sw_b, int64_t port_b);
@@ -69,10 +70,7 @@ class Network {
   void external(int64_t sw, int64_t port);
 
   void set_controller(ControllerIface* c) { controller_ = c; }
-  void set_tag_mode(bool on, eval::TagMask active = eval::kAllTags) {
-    tag_mode_ = on;
-    active_tags_ = active;
-  }
+  void set_tag_mode(bool on, eval::TagMask active = eval::kAllTags);
 
   // Control-plane operations (called by the controller).
   void install(int64_t sw, FlowEntry entry);
@@ -95,8 +93,9 @@ class Network {
   void inject_batch(const std::vector<Injection>& work, bool record = true,
                     bool preserve_stamped_times = false);
 
-  DeliveryStats& stats() { return stats_; }
-  const DeliveryStats& stats() const { return stats_; }
+  // Delivery tallies are kept as integers per interned (host, dpt) key and
+  // folded into the CountDistributions when the stats are read.
+  const DeliveryStats& stats() const;
   // Per-candidate statistics in tag mode (tag_index = bit position).
   const DeliveryStats& tag_stats(size_t tag_index) const;
   Recorder& recorder() { return recorder_; }
@@ -108,14 +107,36 @@ class Network {
   void reset_dynamic_state();
 
  private:
-  void forward_one(int64_t sw, int64_t in_port, const Packet& p,
-                   eval::TagMask tags);
+  // A delivered (host id, dpt) pair with the stats keys it folds into,
+  // built once when the pair is first delivered.
+  struct DeliveryKey {
+    std::string host;       // per_host key
+    std::string host_port;  // per_host_port key ("host:dpt")
+  };
+  struct PairHash {
+    size_t operator()(const std::pair<int64_t, int64_t>& k) const {
+      return std::hash<uint64_t>()(static_cast<uint64_t>(k.first) * 1000003 ^
+                                   static_cast<uint64_t>(k.second));
+    }
+  };
+
+  // Terminal outcomes for every world in `tags`.
+  void deliver(int64_t host, int64_t dpt, eval::TagMask tags);
+  void count(size_t DeliveryStats::*counter, eval::TagMask tags);
+  // Moves the per-key tallies in `pending` into `st`.
+  void fold(std::vector<uint64_t>& pending, DeliveryStats& st) const;
 
   std::map<int64_t, Switch> switches_;
   std::vector<Host> hosts_;
   ControllerIface* controller_ = nullptr;
-  DeliveryStats stats_;
-  std::map<size_t, DeliveryStats> tag_stats_;
+  std::vector<DeliveryKey> keys_;
+  std::unordered_map<std::pair<int64_t, int64_t>, uint32_t, PairHash> key_ids_;
+  // Deliveries per key not yet folded: the aggregate, and in tag mode one
+  // tally vector per active tag (indexed [tag][key]).
+  mutable std::vector<uint64_t> pending_;
+  mutable std::vector<std::vector<uint64_t>> pending_tags_;
+  mutable DeliveryStats stats_;
+  mutable std::vector<DeliveryStats> tag_stats_;  // kMaxTags in tag mode
   Recorder recorder_;
   uint64_t clock_ = 0;
   bool tag_mode_ = false;

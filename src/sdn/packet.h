@@ -1,7 +1,8 @@
 // Packets and header fields for the simulated network. The simulator is
-// the stand-in for Mininet + OpenFlow switches (see DESIGN.md): the repair
-// pipeline only observes control-plane messages (PacketIn / FlowMod /
-// PacketOut) and per-host delivery counts, which this model produces.
+// the stand-in for Mininet + OpenFlow switches (see src/sdn/README.md):
+// the repair pipeline only observes control-plane messages (PacketIn /
+// FlowMod / PacketOut) and per-host delivery counts, which this model
+// produces.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +39,7 @@ enum class Field : uint8_t {
   Proto,
   Bucket,
 };
+inline constexpr size_t kFieldCount = static_cast<size_t>(Field::Bucket) + 1;
 
 const char* to_string(Field f);
 

@@ -1,7 +1,8 @@
 #include "sdn/topology.h"
 
+#include <algorithm>
+#include <limits>
 #include <map>
-#include <queue>
 
 #include "util/rng.h"
 
@@ -21,44 +22,52 @@ class Ports {
   std::map<int64_t, int64_t> next_;
 };
 
-std::vector<int64_t> all_switch_ids(const Network& net) {
-  std::vector<int64_t> out;
-  // Switch ids are the map keys; walk via hosts+links is not enough, so we
-  // conservatively probe the contiguous id ranges used by the builder.
-  for (int64_t id = 1; id < 4096; ++id) {
-    if (net.find_switch(id) != nullptr) out.push_back(id);
-  }
-  return out;
-}
+// The switch graph in dense form: switch i is ids[i], and adj[i] lists its
+// switch-facing (port, neighbour index) pairs in port order.
+struct SwitchGraph {
+  std::vector<int64_t> ids;  // ascending
+  std::vector<std::vector<std::pair<int64_t, size_t>>> adj;
 
-// next_hop[s] = egress port at s toward `dest_sw`, via BFS.
-std::map<int64_t, int64_t> bfs_ports_toward(const Network& net,
-                                            int64_t dest_sw) {
-  std::map<int64_t, int64_t> next_hop;
-  std::map<int64_t, int64_t> toward;  // sw -> neighbour switch on path
-  std::queue<int64_t> q;
-  std::map<int64_t, bool> seen;
-  q.push(dest_sw);
-  seen[dest_sw] = true;
-  while (!q.empty()) {
-    const int64_t cur = q.front();
-    q.pop();
-    const Switch* s = net.find_switch(cur);
-    if (s == nullptr) continue;
-    for (const auto& [port, peer] : s->ports()) {
-      if (peer.kind != PortPeer::Kind::Switch) continue;
-      if (seen.count(peer.peer)) continue;
-      seen[peer.peer] = true;
-      toward[peer.peer] = cur;
-      q.push(peer.peer);
+  explicit SwitchGraph(const Network& net) : ids(net.switch_ids()) {
+    adj.resize(ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      for (const auto& [port, peer] : net.find_switch(ids[i])->ports()) {
+        if (peer.kind != PortPeer::Kind::Switch) continue;
+        const size_t j = index_of(peer.peer);
+        if (j != ids.size()) adj[i].emplace_back(port, j);
+      }
     }
   }
-  for (const auto& [sw, via] : toward) {
-    const Switch* s = net.find_switch(sw);
-    if (s == nullptr) continue;
-    for (const auto& [port, peer] : s->ports()) {
-      if (peer.kind == PortPeer::Kind::Switch && peer.peer == via) {
-        next_hop[sw] = port;
+  size_t index_of(int64_t id) const {
+    auto it = std::lower_bound(ids.begin(), ids.end(), id);
+    return it != ids.end() && *it == id ? size_t(it - ids.begin()) : ids.size();
+  }
+};
+
+constexpr int64_t kNoRoute = std::numeric_limits<int64_t>::min();
+
+// next_hop[i] = egress port at switch i toward switch `dest` on a BFS
+// shortest path (the first port, in port order, facing the BFS parent),
+// or kNoRoute when i is `dest` or cannot reach it.
+std::vector<int64_t> bfs_ports_toward(const SwitchGraph& g, size_t dest) {
+  constexpr size_t kUnseen = ~size_t{0};
+  std::vector<size_t> toward(g.ids.size(), kUnseen);
+  std::vector<size_t> queue{dest};
+  toward[dest] = dest;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const size_t cur = queue[head];
+    for (const auto& [port, next] : g.adj[cur]) {
+      if (toward[next] != kUnseen) continue;
+      toward[next] = cur;
+      queue.push_back(next);
+    }
+  }
+  std::vector<int64_t> next_hop(g.ids.size(), kNoRoute);
+  for (size_t i = 0; i < g.ids.size(); ++i) {
+    if (i == dest || toward[i] == kUnseen) continue;
+    for (const auto& [port, next] : g.adj[i]) {
+      if (next == toward[i]) {
+        next_hop[i] = port;
         break;
       }
     }
@@ -71,33 +80,32 @@ std::map<int64_t, int64_t> bfs_ports_toward(const Network& net,
 size_t install_host_routes(Network& net, const std::vector<int64_t>& ips,
                            const std::vector<int64_t>& exclude) {
   size_t installed = 0;
-  const std::vector<int64_t> switches = all_switch_ids(net);
-  auto excluded = [&](int64_t sw) {
-    for (int64_t e : exclude)
-      if (e == sw) return true;
-    return false;
-  };
+  const SwitchGraph g(net);
+  std::vector<Switch*> switches;
+  for (int64_t id : g.ids) {
+    const bool excluded =
+        std::find(exclude.begin(), exclude.end(), id) != exclude.end();
+    switches.push_back(excluded ? nullptr : net.find_switch(id));
+  }
+  // One BFS per destination switch, shared by the hosts behind it.
+  std::vector<std::vector<int64_t>> routes(g.ids.size());
   for (int64_t ip : ips) {
     const Host* h = net.host_by_ip(ip);
     if (h == nullptr) continue;
-    const auto next_hop = bfs_ports_toward(net, h->sw);
-    for (int64_t sw : switches) {
-      if (excluded(sw)) continue;
-      FlowEntry e;
-      e.match.push_back({Field::Dip, Value(h->ip)});
-      e.priority = -1;  // static / proactive
-      if (sw == h->sw) {
-        e.action = Action::output(h->port);
-      } else {
-        auto it = next_hop.find(sw);
-        if (it == next_hop.end()) continue;
-        e.action = Action::output(it->second);
-      }
-      Switch* s = net.find_switch(sw);
-      if (s != nullptr) {
-        s->table().add(std::move(e));
-        ++installed;
-      }
+    const size_t dest = g.index_of(h->sw);
+    if (dest == g.ids.size()) continue;
+    if (routes[dest].empty()) routes[dest] = bfs_ports_toward(g, dest);
+    const std::vector<int64_t>& next_hop = routes[dest];
+    FlowEntry e;
+    e.match.push_back({Field::Dip, Value(h->ip)});
+    e.priority = -1;  // static / proactive
+    for (size_t i = 0; i < g.ids.size(); ++i) {
+      if (switches[i] == nullptr) continue;
+      const int64_t port = i == dest ? h->port : next_hop[i];
+      if (port == kNoRoute) continue;
+      e.action = Action::output(port);
+      switches[i]->table().add(e);
+      ++installed;
     }
   }
   return installed;

@@ -27,7 +27,7 @@ TEST(FlowTable, WildcardAndPriority) {
   Packet p;
   p.dpt = 80;
   p.sip = 7;
-  const FlowEntry* hit = ft.lookup(p, 0);
+  const FlowRule* hit = ft.lookup(p, 0);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->action.port, 2);  // higher priority wins
   p.sip = 9;
@@ -158,6 +158,135 @@ TEST(Network, ResetKeepsStaticEntriesOnly) {
   net.reset_dynamic_state();
   EXPECT_EQ(net.find_switch(1)->table().size(), 1u);
   EXPECT_EQ(net.stats().delivered, 0u);
+}
+
+namespace {
+// Releases every buffered packet one switch further down a chain (port 2
+// leads to the next switch, port 3 of the last switch to the host) and
+// never installs an entry, so each hop costs a controller round trip.
+class ReleaseOnlyController : public ControllerIface {
+ public:
+  ReleaseOnlyController(Network& net, int64_t last)
+      : net_(&net), last_(last) {}
+  void on_packet_in(int64_t sw, int64_t, const Packet&,
+                    eval::TagMask tags) override {
+    net_->packet_out(sw, sw == last_ ? 3 : 2, tags);
+  }
+  Network* net_;
+  int64_t last_;
+};
+
+void expect_conserved(const DeliveryStats& st, size_t injected) {
+  EXPECT_EQ(st.delivered + st.dropped + st.external, injected);
+}
+}  // namespace
+
+TEST(Network, WaveCapAccountsInFlightTagsAsDropped) {
+  for (bool tag_mode : {false, true}) {
+    SCOPED_TRACE(tag_mode ? "tag mode" : "plain mode");
+    constexpr int64_t kSwitches = 12;
+    Network net;
+    for (int64_t s = 1; s < kSwitches; ++s) net.link(s, 2, s + 1, 1);
+    net.add_host({1, "H", 42, 0, kSwitches, 3});
+    ReleaseOnlyController ctrl(net, kSwitches);
+    net.set_controller(&ctrl);
+    const eval::TagMask active = 0b111;
+    if (tag_mode) net.set_tag_mode(true, active);
+    Packet p;
+    p.dip = 42;
+    // From switch 1 the packet needs 12 controller waves, more than the
+    // cap; from switch 8 it needs 5 and reaches the host.
+    for (int i = 0; i < 3; ++i) net.inject(1, 1, p);
+    for (int i = 0; i < 2; ++i) net.inject(8, 1, p);
+    const size_t tags = tag_mode ? 3 : 1;
+    expect_conserved(net.stats(), 5 * tags);
+    EXPECT_EQ(net.stats().dropped, 3 * tags);
+    EXPECT_EQ(net.stats().delivered, 2 * tags);
+    if (tag_mode) {
+      for (size_t b = 0; b < 3; ++b) {
+        expect_conserved(net.tag_stats(b), 5);
+        EXPECT_EQ(net.tag_stats(b).dropped, 3u);
+      }
+    }
+  }
+}
+
+namespace {
+// A campus replay in tag mode whose candidate worlds diverge: tag 1 drops
+// traffic to a few hosts and tag 2 sends it out of the wrong port.
+struct TaggedCampus {
+  Network net;
+  std::vector<Injection> work;
+  TaggedCampus() {
+    CampusOptions opt;
+    opt.total_switches = 20;
+    opt.core_count = 6;
+    opt.hosts_per_edge = 3;
+    build_campus(net, opt);
+    const auto& hosts = net.hosts();
+    for (size_t i = 0; i < hosts.size(); i += 4) {
+      FlowEntry dropper;
+      dropper.match = {{Field::Dip, Value(hosts[i].ip)}};
+      dropper.priority = 5;
+      dropper.tags = 0b010;
+      dropper.action = Action::drop();
+      net.find_switch(hosts[i].sw)->table().add(dropper);
+      FlowEntry misroute = dropper;
+      misroute.match.push_back({Field::Dpt, Value(80)});
+      misroute.tags = 0b100;
+      misroute.action = Action::output(hosts[i].port + 100);
+      net.find_switch(hosts[i].sw)->table().add(misroute);
+    }
+    net.set_tag_mode(true, 0b111);
+    work = background_traffic(net, 600, 5);
+  }
+};
+
+void expect_same_stats(const DeliveryStats& a, const DeliveryStats& b) {
+  EXPECT_EQ(a.per_host.counts(), b.per_host.counts());
+  EXPECT_EQ(a.per_host_port.counts(), b.per_host_port.counts());
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.dropped, b.dropped);
+  EXPECT_EQ(a.external, b.external);
+  EXPECT_EQ(a.packet_ins, b.packet_ins);
+  EXPECT_EQ(a.hops, b.hops);
+}
+}  // namespace
+
+TEST(Network, StatsFoldOnReadIsIdempotent) {
+  TaggedCampus once, often;
+  replay(once.net, once.work);
+  for (size_t i = 0; i < often.work.size(); ++i) {
+    const Injection& inj = often.work[i];
+    often.net.inject(inj.sw, inj.port, inj.packet);
+    if (i % 97 == 0) {
+      often.net.stats();
+      for (size_t b = 0; b < 3; ++b) often.net.tag_stats(b);
+    }
+  }
+  const DeliveryStats& agg = once.net.stats();
+  EXPECT_GT(agg.delivered, 0u);
+  EXPECT_GT(agg.dropped, 0u);
+  expect_same_stats(agg, often.net.stats());
+  CountDistribution hosts, ports;
+  size_t delivered = 0, dropped = 0, external = 0;
+  for (size_t b = 0; b < 3; ++b) {
+    const DeliveryStats& st = once.net.tag_stats(b);
+    expect_same_stats(st, often.net.tag_stats(b));
+    for (const auto& [k, v] : st.per_host.counts()) hosts.add(k, v);
+    for (const auto& [k, v] : st.per_host_port.counts()) ports.add(k, v);
+    delivered += st.delivered;
+    dropped += st.dropped;
+    external += st.external;
+  }
+  // The aggregate is the sum over the candidate worlds.
+  EXPECT_EQ(agg.per_host.counts(), hosts.counts());
+  EXPECT_EQ(agg.per_host_port.counts(), ports.counts());
+  EXPECT_EQ(agg.delivered, delivered);
+  EXPECT_EQ(agg.dropped, dropped);
+  EXPECT_EQ(agg.external, external);
+  EXPECT_NE(once.net.tag_stats(0).per_host.counts(),
+            once.net.tag_stats(1).per_host.counts());
 }
 
 TEST(Topology, BuildsRequestedSize) {
@@ -341,64 +470,139 @@ TEST(Backtester, AcceptsQuietEffectiveRejectsLoudAndDud) {
 }  // namespace
 }  // namespace mp::sdn
 
-// --- property: tag-group partition == per-tag lookup ---------------------
+// --- property: compiled classifier == linear scan ------------------------
 
 #include "util/rng.h"
 
 namespace mp::sdn {
 namespace {
 
+// Reference classifier: a linear scan over the installed entries in rank
+// order (priority descending, then install order) using FlowEntry::matches.
+// Each entry outputs to its own port, which names it in the results.
+struct LinearOracle {
+  std::vector<FlowEntry> entries;  // install order
+
+  std::vector<const FlowEntry*> ranked() const {
+    std::vector<const FlowEntry*> out;
+    for (const FlowEntry& e : entries) out.push_back(&e);
+    std::stable_sort(out.begin(), out.end(),
+                     [](const FlowEntry* a, const FlowEntry* b) {
+                       return a->priority > b->priority;
+                     });
+    return out;
+  }
+  const FlowEntry* lookup(const Packet& p, int64_t in_port,
+                          eval::TagMask bit) const {
+    for (const FlowEntry* e : ranked()) {
+      if ((e->tags & bit) != 0 && e->matches(p, in_port)) return e;
+    }
+    return nullptr;
+  }
+  eval::TagMask partition(const Packet& p, int64_t in_port, eval::TagMask tags,
+                          std::map<int64_t, eval::TagMask>& groups) const {
+    for (const FlowEntry* e : ranked()) {
+      const eval::TagMask sub = tags & e->tags;
+      if (sub == 0 || !e->matches(p, in_port)) continue;
+      groups[e->action.port] |= sub;
+      tags &= ~sub;
+    }
+    return tags;
+  }
+};
+
+// A random entry over a few fields with small value ranges, so that keys
+// collide, shapes differ and equal priorities tie across shapes. Fields
+// may be wildcards, non-int strings (never match) or repeated with an
+// equal or a conflicting value (the latter never matches).
+FlowEntry random_entry(Rng& rng, int64_t port, bool wide) {
+  const Field fields[] = {Field::Dpt, Field::Sip, Field::Dip, Field::InPort};
+  const auto value = [&](Field f) {
+    if (f == Field::Dpt) return static_cast<int64_t>(rng.below(3) * 27 + 26);
+    return static_cast<int64_t>(rng.below(wide ? 24 : 3));
+  };
+  FlowEntry e;
+  for (Field f : fields) {
+    if (!rng.chance(0.5)) continue;
+    if (rng.chance(0.15)) {
+      e.match.push_back({f, Value::wildcard()});
+    } else if (rng.chance(0.04)) {
+      e.match.push_back({f, Value::str("x")});
+    } else {
+      const int64_t v = value(f);
+      e.match.push_back({f, Value(v)});
+      if (rng.chance(0.1)) e.match.push_back({f, Value(v)});
+      if (rng.chance(0.04)) e.match.push_back({f, Value(v + 1)});
+    }
+  }
+  if (e.match.size() > 1)
+    std::swap(e.match.front(), e.match[rng.below(e.match.size())]);
+  e.priority = static_cast<int>(rng.below(4)) - 2;
+  e.tags = rng.chance(0.2) ? eval::kAllTags : (rng.next() | 1);
+  e.action = Action::output(port);
+  return e;
+}
+
 class PartitionProperty : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(PartitionProperty, MatchesPerTagLookup) {
+TEST_P(PartitionProperty, MatchesLinearScan) {
   Rng rng(GetParam());
+  const bool wide = rng.chance(0.3);
   FlowTable ft;
-  const size_t n_entries = 3 + rng.below(12);
-  for (size_t i = 0; i < n_entries; ++i) {
-    FlowEntry e;
-    if (rng.chance(0.7)) {
-      e.match.push_back({Field::Dpt, Value(static_cast<int64_t>(rng.below(3) * 27 + 26))});
+  LinearOracle oracle;
+  int64_t port = 0;
+  auto install = [&](size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      oracle.entries.push_back(random_entry(rng, port++, wide));
+      ft.add(oracle.entries.back());
     }
-    if (rng.chance(0.4)) {
-      e.match.push_back({Field::Sip, Value(static_cast<int64_t>(rng.below(4)))});
-    }
-    e.priority = static_cast<int>(rng.below(4)) - 1;
-    e.tags = rng.next() | 1;  // non-empty mask
-    e.action = rng.chance(0.2) ? Action::drop()
-                               : Action::output(static_cast<int64_t>(rng.below(5)));
-    ft.add(e);
-  }
-  for (int trial = 0; trial < 16; ++trial) {
-    Packet p;
-    p.dpt = static_cast<int64_t>(rng.below(3) * 27 + 26);
-    p.sip = static_cast<int64_t>(rng.below(4));
-    const eval::TagMask tags = rng.next();
-    // Partition the tag set by winning entry.
-    std::map<const FlowEntry*, eval::TagMask> groups;
-    const eval::TagMask missing =
-        ft.partition(p, 0, tags, [&](const FlowEntry& e, eval::TagMask sub) {
-          groups[&e] |= sub;
-        });
-    // Every tag must land exactly where a per-tag lookup puts it.
-    eval::TagMask covered = missing;
-    for (const auto& [entry, sub] : groups) {
-      EXPECT_EQ(covered & sub, 0u) << "groups must be disjoint";
-      covered |= sub;
+  };
+  auto check = [&] {
+    ASSERT_EQ(ft.size(), oracle.entries.size());
+    for (int trial = 0; trial < 32; ++trial) {
+      Packet p;
+      p.dpt = static_cast<int64_t>(rng.below(3) * 27 + 26);
+      p.sip = static_cast<int64_t>(rng.below(wide ? 24 : 3));
+      p.dip = static_cast<int64_t>(rng.below(wide ? 24 : 3));
+      const int64_t in_port = static_cast<int64_t>(rng.below(wide ? 24 : 3));
+      const eval::TagMask tags = rng.chance(0.2) ? eval::kAllTags : rng.next();
+      std::map<int64_t, eval::TagMask> want;
+      const eval::TagMask want_missing =
+          oracle.partition(p, in_port, tags, want);
+      std::map<int64_t, eval::TagMask> got;
+      const eval::TagMask missing = ft.partition(
+          p, in_port, tags, [&](const FlowRule& r, eval::TagMask sub) {
+            EXPECT_EQ(got.count(r.action.port), 0u)
+                << "one callback per winning rule";
+            got[r.action.port] |= sub;
+          });
+      EXPECT_EQ(missing, want_missing);
+      EXPECT_EQ(got, want);
       for (size_t b = 0; b < eval::kMaxTags; ++b) {
         const eval::TagMask bit = eval::TagMask{1} << b;
-        if (sub & bit) EXPECT_EQ(ft.lookup(p, 0, bit), entry);
+        const FlowEntry* e = oracle.lookup(p, in_port, bit);
+        const FlowRule* r = ft.lookup(p, in_port, bit);
+        ASSERT_EQ(r == nullptr, e == nullptr) << "tag " << b;
+        if (r != nullptr) {
+          EXPECT_EQ(r->action.port, e->action.port);
+        }
       }
     }
-    EXPECT_EQ(covered, tags) << "partition must cover the whole tag set";
-    for (size_t b = 0; b < eval::kMaxTags; ++b) {
-      const eval::TagMask bit = eval::TagMask{1} << b;
-      if (missing & bit) EXPECT_EQ(ft.lookup(p, 0, bit), nullptr);
-    }
-  }
+  };
+  install(3 + rng.below(wide ? 60 : 14));
+  check();
+  // Static rules (priority < 0) survive a reset in install order; rules
+  // added afterwards rank behind them on ties.
+  ft.reset_dynamic_state();
+  std::erase_if(oracle.entries,
+                [](const FlowEntry& e) { return e.priority >= 0; });
+  check();
+  install(1 + rng.below(10));
+  check();
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTables, PartitionProperty,
-                         ::testing::Range<uint64_t>(1, 13));
+                         ::testing::Range<uint64_t>(1, 101));
 
 }  // namespace
 }  // namespace mp::sdn

@@ -24,6 +24,11 @@
 # (parseable, core eval.engine.* counters and repair latency histograms
 # present and non-zero, per-scenario delta sane) — so the bench floor is
 # always measured with observability enabled.
+# After the bench smoke, the e2e smoke runs the end-to-end benchmark's
+# quick suite (e2ebench/run_e2e.py --quick: two pipeline rounds per
+# workload plus one traced round, ~15 s once bench_e2e is built). It
+# checks every golden fingerprint in e2ebench/goldens.json, so the repair
+# output must stay byte-identical. Skip it with CHECK_E2E=0.
 # With CHECK_CRASH=1 the script additionally runs the exhaustive
 # crash-recovery sweep (every truncation offset of the newest segment,
 # all scenarios) from storage_test:
@@ -134,6 +139,11 @@ for name in ("BM_PacketInProcessing/1", "BM_PacketInBatchedArrival/1"):
         sys.exit(f"bench smoke FAILED: {name} serialized footprint "
                  f"{bpe:.1f} bytes/event exceeds ceiling {ceiling:.0f}")
 EOF
+fi
+
+if [[ "${CHECK_E2E:-1}" == "1" ]]; then
+  echo "--- e2e smoke (repair-output goldens) ---"
+  python3 "$REPO_ROOT/e2ebench/run_e2e.py" --quick
 fi
 
 if [[ "${CHECK_CRASH:-0}" == "1" ]]; then
