@@ -4,7 +4,7 @@
 // lines. The shape: turnaround grows ~linearly; the number of accepted
 // repairs stays stable because costly trees are pruned early.
 #include "bench/bench_util.h"
-#include "ndlog/parser.h"
+#include "e2ebench/workloads.h"
 #include "scenarios/pipeline.h"
 
 int main() {
@@ -14,21 +14,7 @@ int main() {
               "solving(s)", "total(s)", "cands", "accepted");
   for (size_t lines : {100u, 300u, 500u, 700u, 900u}) {
     auto s = scenario::q1_copy_paste({});
-    // Pad with operational-zone policies: rules that react to PacketIn on
-    // other switches and feed auxiliary tables (evaluated but orthogonal).
-    std::string extra;
-    size_t added = 0;
-    for (size_t i = 0; s.program.line_count() + added < lines; ++i) {
-      extra += "table Zone" + std::to_string(i) + "/4.\n";
-      extra += "z" + std::to_string(i) + " Zone" + std::to_string(i) +
-               "(@Swi,Hdr,Src,Prt) :- PacketIn(@C,Swi,Hdr,Src), Swi == " +
-               std::to_string(100 + i % 50) + ", Hdr == " +
-               std::to_string(1000 + i) + ", Prt := " +
-               std::to_string(i % 8) + ".\n";
-      added += 2;
-    }
-    auto padded = ndlog::parse_program(s.program.to_string() + extra);
-    s.program = std::move(padded);
+    e2e::pad_program(s, lines);
     scenario::PipelineOptions opt;
     opt.multiquery = true;
     auto r = scenario::run_pipeline(s, opt);

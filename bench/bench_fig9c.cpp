@@ -3,6 +3,7 @@
 // The shape to check: turnaround grows roughly linearly with network
 // size, dominated by history lookups and replay.
 #include "bench/bench_util.h"
+#include "e2ebench/workloads.h"
 #include "scenarios/pipeline.h"
 
 int main() {
@@ -11,11 +12,7 @@ int main() {
   std::printf("%-10s %8s %12s %12s %12s %12s\n", "switches", "hosts",
               "history(s)", "solving(s)", "replay(s)", "total(s)");
   for (size_t switches : {19u, 49u, 79u, 109u, 139u, 169u}) {
-    sdn::CampusOptions campus;
-    campus.total_switches = switches;
-    campus.core_count = 8;
-    campus.hosts_per_edge = 5;
-    auto s = scenario::q1_copy_paste(campus);
+    auto s = scenario::q1_copy_paste(e2e::fig9c_campus(switches));
     scenario::PipelineOptions opt;
     opt.multiquery = true;
     opt.max_backtested = 8;

@@ -37,7 +37,19 @@ BacktestReport Backtester::run(
 
   std::vector<ReplayOutcome> outcomes;
   if (cfg_.use_multiquery) {
-    outcomes = harness.replay_joint(candidates);
+    // One joint replay per slice of at most kMaxTags candidates: a joint
+    // world carries one tag bit per candidate.
+    outcomes.reserve(candidates.size());
+    for (size_t lo = 0; lo < candidates.size(); lo += eval::kMaxTags) {
+      const size_t hi = std::min(candidates.size(), lo + eval::kMaxTags);
+      std::vector<ReplayOutcome> part =
+          lo == 0 && hi == candidates.size()
+              ? harness.replay_joint(candidates)
+              : harness.replay_joint(
+                    {candidates.begin() + static_cast<long>(lo),
+                     candidates.begin() + static_cast<long>(hi)});
+      for (ReplayOutcome& o : part) outcomes.push_back(std::move(o));
+    }
   } else if (cfg_.shards > 1 && candidates.size() > 1 &&
              harness.concurrent_replays()) {
     // Candidate replays on the worker pool: each replay is independent

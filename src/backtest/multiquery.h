@@ -31,7 +31,11 @@ struct CombinedProgram {
   eval::TagMask config_mask(const eval::Tuple& t) const;
 };
 
-// Builds the combined program for up to 64 candidates.
+// Builds the combined program for the first eval::kMaxTags (64) candidates
+// (Backtester::run replays longer lists in slices). The base is validated
+// once; each candidate is applied as a delta (repair::CandidateChecker)
+// and only the rules it touches are diffed against the base, so the cost
+// is one base copy plus time proportional to the touched rules.
 CombinedProgram build_backtest_program(
     const ndlog::Program& base,
     const std::vector<repair::RepairCandidate>& candidates);

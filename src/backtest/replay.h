@@ -52,7 +52,9 @@ class ReplayHarness {
 
   // Joint replay of many candidates; default falls back to a sequential
   // loop. The scenario pipeline overrides this with tag-mode multi-query
-  // evaluation (Section 4.4).
+  // evaluation (Section 4.4), one tag bit per candidate, so it serves at
+  // most eval::kMaxTags candidates per call; Backtester::run slices
+  // longer lists.
   virtual std::vector<ReplayOutcome> replay_joint(
       const std::vector<repair::RepairCandidate>& cands);
 };

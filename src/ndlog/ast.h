@@ -3,8 +3,9 @@
 // body atoms, comparison selections, := assignments, integer and string
 // constants, and simple arithmetic in expressions.
 //
-// Expressions use shared immutable subtrees so that Program is cheap to
-// copy; the repair engine produces candidate programs by copy-and-mutate.
+// Expressions use shared immutable subtrees so that Rule is cheap to copy;
+// the repair engine builds a candidate by copying and mutating only the
+// rules its changes touch (src/repair/README.md).
 #pragma once
 
 #include <memory>

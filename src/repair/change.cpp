@@ -1,6 +1,6 @@
 #include "repair/change.h"
 
-#include "ndlog/validate.h"
+#include <algorithm>
 
 namespace mp::repair {
 
@@ -29,6 +29,90 @@ ExprPtr replace_const(const ExprPtr& e, const Value& v, bool& done) {
 }
 
 std::string operand_desc(const ndlog::Selection& sel) { return sel.to_string(); }
+
+bool retargets_head(ChangeKind k) {
+  return k == ChangeKind::ChangeHeadTable || k == ChangeKind::CopyRuleRetarget;
+}
+
+// The in-rule part of a change, shared by Change::apply and the delta
+// checker: edits `r` for the selection, assignment, body-atom and head
+// kinds (CopyRuleRetarget retargets the head of its copy). `head_decl`
+// declares new_head_table (nullptr if undeclared). Returns false if the
+// change does not fit the rule.
+bool edit_rule(const Change& c, ndlog::Rule& r,
+               const ndlog::TableDecl* head_decl) {
+  switch (c.kind) {
+    case ChangeKind::ChangeSelConst:
+    case ChangeKind::ChangeSelVar: {
+      if (c.index >= r.sels.size()) return false;
+      ndlog::Selection& sel = r.sels[c.index];
+      ExprPtr& slot = c.side == 0 ? sel.lhs : sel.rhs;
+      if (c.kind == ChangeKind::ChangeSelVar) {
+        if (!c.new_value.is_str()) return false;
+        slot = Expr::var(c.new_value.as_str());
+      } else {
+        bool done = false;
+        ExprPtr next = replace_const(slot, c.new_value, done);
+        if (!done) return false;  // no constant at this site
+        slot = std::move(next);
+      }
+      return true;
+    }
+    case ChangeKind::ChangeSelOp: {
+      if (c.index >= r.sels.size()) return false;
+      r.sels[c.index].op = c.new_op;
+      return true;
+    }
+    case ChangeKind::DeleteSel: {
+      if (c.index >= r.sels.size()) return false;
+      r.sels.erase(r.sels.begin() + static_cast<long>(c.index));
+      return true;
+    }
+    case ChangeKind::ChangeAssignConst: {
+      if (c.index >= r.assigns.size()) return false;
+      bool done = false;
+      ExprPtr next = replace_const(r.assigns[c.index].expr, c.new_value, done);
+      if (!done) return false;
+      r.assigns[c.index].expr = std::move(next);
+      return true;
+    }
+    case ChangeKind::ChangeAssignVar: {
+      if (c.index >= r.assigns.size()) return false;
+      if (!c.new_value.is_str()) return false;
+      r.assigns[c.index].expr = Expr::var(c.new_value.as_str());
+      return true;
+    }
+    case ChangeKind::DeleteBodyAtom: {
+      if (c.index >= r.body.size()) return false;
+      if (r.body.size() <= 1) return false;  // a rule needs a body
+      r.body.erase(r.body.begin() + static_cast<long>(c.index));
+      return true;
+    }
+    case ChangeKind::ChangeHeadTable:
+    case ChangeKind::CopyRuleRetarget: {
+      if (head_decl == nullptr) return false;
+      ndlog::Atom head;
+      head.table = c.new_head_table;
+      if (c.head_perm.empty()) {
+        if (head_decl->arity != r.head.args.size()) return false;
+        head.args = r.head.args;
+      } else {
+        if (c.head_perm.size() != head_decl->arity) return false;
+        for (size_t src : c.head_perm) {
+          if (src >= r.head.args.size()) return false;
+          head.args.push_back(r.head.args[src]);
+        }
+      }
+      r.head = std::move(head);
+      return true;
+    }
+    case ChangeKind::DeleteRule:
+    case ChangeKind::InsertBaseTuple:
+    case ChangeKind::DeleteBaseTuple:
+      return false;  // not in-rule edits
+  }
+  return false;
+}
 
 }  // namespace
 
@@ -123,104 +207,15 @@ std::string Change::describe(const ndlog::Program& p) const {
   return "?";
 }
 
+std::string Change::copied_name() const {
+  return copy_name.empty() ? rule + "'" : copy_name;
+}
+
 bool Change::apply(ndlog::Program& p) const {
   switch (kind) {
-    case ChangeKind::ChangeSelConst:
-    case ChangeKind::ChangeSelVar: {
-      ndlog::Rule* r = p.find_rule(rule);
-      if (r == nullptr || index >= r->sels.size()) return false;
-      ndlog::Selection& sel = r->sels[index];
-      ExprPtr& slot = side == 0 ? sel.lhs : sel.rhs;
-      if (kind == ChangeKind::ChangeSelVar) {
-        if (!new_value.is_str()) return false;
-        slot = Expr::var(new_value.as_str());
-      } else {
-        bool done = false;
-        ExprPtr next = replace_const(slot, new_value, done);
-        if (!done) return false;  // no constant at this site
-        slot = std::move(next);
-      }
-      return true;
-    }
-    case ChangeKind::ChangeSelOp: {
-      ndlog::Rule* r = p.find_rule(rule);
-      if (r == nullptr || index >= r->sels.size()) return false;
-      r->sels[index].op = new_op;
-      return true;
-    }
-    case ChangeKind::DeleteSel: {
-      ndlog::Rule* r = p.find_rule(rule);
-      if (r == nullptr || index >= r->sels.size()) return false;
-      r->sels.erase(r->sels.begin() + static_cast<long>(index));
-      return true;
-    }
-    case ChangeKind::ChangeAssignConst: {
-      ndlog::Rule* r = p.find_rule(rule);
-      if (r == nullptr || index >= r->assigns.size()) return false;
-      bool done = false;
-      ExprPtr next = replace_const(r->assigns[index].expr, new_value, done);
-      if (!done) return false;
-      r->assigns[index].expr = std::move(next);
-      return true;
-    }
-    case ChangeKind::ChangeAssignVar: {
-      ndlog::Rule* r = p.find_rule(rule);
-      if (r == nullptr || index >= r->assigns.size()) return false;
-      if (!new_value.is_str()) return false;
-      r->assigns[index].expr = Expr::var(new_value.as_str());
-      return true;
-    }
-    case ChangeKind::DeleteBodyAtom: {
-      ndlog::Rule* r = p.find_rule(rule);
-      if (r == nullptr || index >= r->body.size()) return false;
-      if (r->body.size() <= 1) return false;  // a rule needs a body
-      r->body.erase(r->body.begin() + static_cast<long>(index));
-      return true;
-    }
-    case ChangeKind::ChangeHeadTable: {
-      ndlog::Rule* r = p.find_rule(rule);
-      if (r == nullptr) return false;
-      const ndlog::TableDecl* decl = p.find_table(new_head_table);
-      if (decl == nullptr) return false;
-      ndlog::Atom head;
-      head.table = new_head_table;
-      if (head_perm.empty()) {
-        if (decl->arity != r->head.args.size()) return false;
-        head.args = r->head.args;
-      } else {
-        if (head_perm.size() != decl->arity) return false;
-        for (size_t src : head_perm) {
-          if (src >= r->head.args.size()) return false;
-          head.args.push_back(r->head.args[src]);
-        }
-      }
-      r->head = std::move(head);
-      return true;
-    }
-    case ChangeKind::CopyRuleRetarget: {
-      const ndlog::Rule* r = p.find_rule(rule);
-      if (r == nullptr) return false;
-      ndlog::Rule copy = *r;
-      copy.name = copy_name.empty() ? rule + "'" : copy_name;
-      if (p.find_rule(copy.name) != nullptr) return false;
-      const ndlog::TableDecl* decl = p.find_table(new_head_table);
-      if (decl == nullptr) return false;
-      ndlog::Atom head;
-      head.table = new_head_table;
-      if (head_perm.empty()) {
-        if (decl->arity != r->head.args.size()) return false;
-        head.args = r->head.args;
-      } else {
-        if (head_perm.size() != decl->arity) return false;
-        for (size_t src : head_perm) {
-          if (src >= r->head.args.size()) return false;
-          head.args.push_back(r->head.args[src]);
-        }
-      }
-      copy.head = std::move(head);
-      p.rules.push_back(std::move(copy));
-      return true;
-    }
+    case ChangeKind::InsertBaseTuple:
+    case ChangeKind::DeleteBaseTuple:
+      return true;  // applied by the replay harness, not the program
     case ChangeKind::DeleteRule: {
       for (size_t i = 0; i < p.rules.size(); ++i) {
         if (p.rules[i].name == rule) {
@@ -230,11 +225,24 @@ bool Change::apply(ndlog::Program& p) const {
       }
       return false;
     }
-    case ChangeKind::InsertBaseTuple:
-    case ChangeKind::DeleteBaseTuple:
-      return true;  // applied by the replay harness, not the program
+    case ChangeKind::CopyRuleRetarget: {
+      const ndlog::Rule* r = p.find_rule(rule);
+      if (r == nullptr) return false;
+      ndlog::Rule copy = *r;
+      copy.name = copied_name();
+      if (p.find_rule(copy.name) != nullptr) return false;
+      if (!edit_rule(*this, copy, p.find_table(new_head_table))) return false;
+      p.rules.push_back(std::move(copy));
+      return true;
+    }
+    default: {
+      ndlog::Rule* r = p.find_rule(rule);
+      if (r == nullptr) return false;
+      return edit_rule(*this, *r,
+                       retargets_head(kind) ? p.find_table(new_head_table)
+                                            : nullptr);
+    }
   }
-  return false;
 }
 
 std::string RepairCandidate::describe(const ndlog::Program& p) const {
@@ -247,14 +255,176 @@ std::string RepairCandidate::describe(const ndlog::Program& p) const {
   return out;
 }
 
+CandidateChecker::CandidateChecker(const ndlog::Program& base)
+    : base_(base), tables_(base.tables) {
+  std::vector<std::string> errors;
+  ndlog::validate_tables(base, errors);
+  tables_ok_ = errors.empty();
+  const size_t n = base.rules.size();
+  first_rule_.reserve(n);
+  next_same_name_.assign(n, kNone);
+  rule_ok_.assign(n, true);
+  // Tail of each name's chain, so duplicates chain in base order.
+  std::unordered_map<std::string_view, uint32_t> last;
+  for (uint32_t i = 0; i < n; ++i) {
+    const ndlog::Rule& r = base.rules[i];
+    const auto [it, fresh] = first_rule_.emplace(r.name, i);
+    if (!fresh) {
+      auto [tail, first_dup] = last.try_emplace(r.name, it->second);
+      if (first_dup) ++shared_names_;
+      next_same_name_[tail->second] = i;
+      tail->second = i;
+    }
+    errors.clear();
+    ndlog::validate_rule(r, tables_, errors);
+    if (!errors.empty()) {
+      rule_ok_[i] = false;
+      ++invalid_rules_;
+    }
+  }
+}
+
+const ndlog::Rule* CandidateChecker::base_rule(std::string_view name) const {
+  const auto it = first_rule_.find(name);
+  return it == first_rule_.end() ? nullptr : &base_.rules[it->second];
+}
+
+std::optional<ProgramDelta> CandidateChecker::delta(
+    const RepairCandidate& cand) const {
+  ProgramDelta d;
+  auto touched = [&](size_t i) -> ProgramDelta::Touched* {
+    for (auto& t : d.touched) {
+      if (t.index == i) return &t;
+    }
+    return nullptr;
+  };
+  // Where `name` resolves in the candidate program so far, in
+  // Program::find_rule order: surviving base rules, then copies.
+  enum class Where { None, Base, Added };
+  auto locate = [&](std::string_view name) -> std::pair<Where, size_t> {
+    if (const auto it = first_rule_.find(name); it != first_rule_.end()) {
+      for (uint32_t j = it->second; j != kNone; j = next_same_name_[j]) {
+        const ProgramDelta::Touched* t = touched(j);
+        if (t == nullptr || t->rule) return {Where::Base, j};
+      }
+    }
+    for (size_t k = 0; k < d.added.size(); ++k) {
+      if (d.added[k].name == name) return {Where::Added, k};
+    }
+    return {Where::None, 0};
+  };
+  auto current = [&](Where where, size_t i) -> const ndlog::Rule& {
+    if (where == Where::Added) return d.added[i];
+    const ProgramDelta::Touched* t = touched(i);
+    return t != nullptr ? *t->rule : base_.rules[i];
+  };
+  // The located rule, copied into the delta first if it is a base rule.
+  // Rules sharing a name are copied together, so the duplicate-name check
+  // below sees all of them.
+  auto edit = [&](Where where, size_t i) -> ndlog::Rule& {
+    if (where == Where::Added) return d.added[i];
+    if (touched(i) == nullptr) {
+      const uint32_t first = first_rule_.find(base_.rules[i].name)->second;
+      for (uint32_t j = first; j != kNone; j = next_same_name_[j]) {
+        d.touched.push_back({j, base_.rules[j]});
+      }
+    }
+    return *touched(i)->rule;
+  };
+
+  for (const Change& c : cand.changes) {
+    if (c.kind == ChangeKind::InsertBaseTuple ||
+        c.kind == ChangeKind::DeleteBaseTuple) {
+      continue;  // applied by the replay harness, not the program
+    }
+    const auto [where, i] = locate(c.rule);
+    if (where == Where::None) return std::nullopt;
+    if (c.kind == ChangeKind::DeleteRule) {
+      if (where == Where::Added) {
+        d.added.erase(d.added.begin() + static_cast<long>(i));
+      } else {
+        edit(where, i);
+        touched(i)->rule.reset();
+      }
+    } else if (c.kind == ChangeKind::CopyRuleRetarget) {
+      ndlog::Rule copy = current(where, i);
+      copy.name = c.copied_name();
+      if (locate(copy.name).first != Where::None) return std::nullopt;
+      if (!edit_rule(c, copy, tables_.find(c.new_head_table))) {
+        return std::nullopt;
+      }
+      d.added.push_back(std::move(copy));
+    } else {
+      const ndlog::TableDecl* head_decl =
+          retargets_head(c.kind) ? tables_.find(c.new_head_table) : nullptr;
+      if (!edit_rule(c, edit(where, i), head_decl)) return std::nullopt;
+    }
+  }
+
+  // The candidate program validates iff the tables do, every rule passes
+  // the per-rule check and no two rules share a name. Untouched rules keep
+  // their base verdict; touched and added rules are checked afresh.
+  if (!tables_ok_) return std::nullopt;
+  size_t invalid_untouched = invalid_rules_;
+  for (const auto& t : d.touched) {
+    if (!rule_ok_[t.index]) --invalid_untouched;
+  }
+  if (invalid_untouched != 0) return std::nullopt;
+  if (shared_names_ != 0) {
+    // Each shared base name must be touched (which copies all its rules)
+    // and keep at most one of them; copies never reuse a live name.
+    size_t shared_touched = 0;
+    for (const auto& t : d.touched) {
+      if (first_rule_.find(base_.rules[t.index].name)->second != t.index ||
+          next_same_name_[t.index] == kNone) {
+        continue;
+      }
+      ++shared_touched;
+      size_t live = 0;
+      for (uint32_t j = t.index; j != kNone; j = next_same_name_[j]) {
+        if (touched(j)->rule) ++live;
+      }
+      if (live > 1) return std::nullopt;
+    }
+    if (shared_touched != shared_names_) return std::nullopt;
+  }
+  std::vector<std::string> errors;
+  for (const auto& t : d.touched) {
+    if (t.rule) ndlog::validate_rule(*t.rule, tables_, errors);
+  }
+  for (const auto& r : d.added) ndlog::validate_rule(r, tables_, errors);
+  if (!errors.empty()) return std::nullopt;
+
+  std::sort(d.touched.begin(), d.touched.end(),
+            [](const ProgramDelta::Touched& a, const ProgramDelta::Touched& b) {
+              return a.index < b.index;
+            });
+  return d;
+}
+
+ndlog::Program CandidateChecker::splice(ProgramDelta d) const {
+  ndlog::Program p;
+  p.tables = base_.tables;
+  p.rules.reserve(base_.rules.size() + d.added.size());
+  auto next = d.touched.begin();
+  for (size_t i = 0; i < base_.rules.size(); ++i) {
+    if (next != d.touched.end() && next->index == i) {
+      if (next->rule) p.rules.push_back(std::move(*next->rule));
+      ++next;
+    } else {
+      p.rules.push_back(base_.rules[i]);
+    }
+  }
+  for (ndlog::Rule& r : d.added) p.rules.push_back(std::move(r));
+  return p;
+}
+
 std::optional<ndlog::Program> apply_candidate(const ndlog::Program& base,
                                               const RepairCandidate& cand) {
-  ndlog::Program p = base;
-  for (const Change& c : cand.changes) {
-    if (!c.apply(p)) return std::nullopt;
-  }
-  if (!ndlog::is_valid(p)) return std::nullopt;
-  return p;
+  const CandidateChecker checker(base);
+  std::optional<ProgramDelta> d = checker.delta(cand);
+  if (!d) return std::nullopt;
+  return checker.splice(std::move(*d));
 }
 
 std::vector<eval::Tuple> candidate_insertions(const RepairCandidate& cand) {

@@ -1,10 +1,10 @@
 #include "repair/forest.h"
 
 #include <algorithm>
+#include <optional>
 #include <queue>
 #include <set>
 
-#include "ndlog/validate.h"
 #include "obs/obs.h"
 #include "obs/span.h"
 
@@ -125,6 +125,9 @@ std::vector<RepairCandidate> ForestExplorer::explore(const Symptom& symptom,
   std::vector<RepairCandidate> out;
   std::set<std::string> seen;
   size_t expansions = 0;
+  // Validates completed trees as deltas over the engine's program; built
+  // (one full validation) when the first program-touching tree completes.
+  std::optional<CandidateChecker> checker;
 
   while (!queue.empty() && expansions < cfg_.max_expansions &&
          out.size() < cfg_.max_candidates) {
@@ -151,7 +154,8 @@ std::vector<RepairCandidate> ForestExplorer::explore(const Symptom& symptom,
           }
         }
         if (touches_program) {
-          valid = apply_candidate(engine_.program(), cand).has_value();
+          if (!checker) checker.emplace(engine_.program());
+          valid = checker->valid(cand);
         }
       }
       if (phases_ != nullptr) phases_->add(kPhasePatch, patch_timer.seconds());

@@ -131,6 +131,41 @@ TEST(Validate, CatchesSelectionOnUnbound) {
   EXPECT_FALSE(validate(p).empty());
 }
 
+// The full diagnostic list, text and order, for a program that trips every
+// check: table checks first, then each rule's checks in rule order.
+TEST(Validate, DiagnosticsTextAndOrder) {
+  Program p = parse_program(
+      "table A/2.\ntable A/3.\ntable K/2 keys(5).\n"
+      "r1 A(@X,P) :- B(@X,P), P == 1.\n"
+      "r1 A(@X,P,Q) :- A(@X,P), Q := W + 1.\n"
+      "r3 A(@X,P) :- A(@X,Q), R == 2.");
+  p.tables.push_back(TableDecl{"Z", 0, {}, TableKind::Materialized});
+  Rule bare;
+  bare.name = "r4";
+  bare.head.table = "A";
+  bare.head.args = {Expr::var("X"),
+                    Expr::binary(ArithOp::Add, Expr::var("Y"),
+                                 Expr::constant(Value(1)))};
+  p.rules.push_back(bare);
+  const std::vector<std::string> want = {
+      "duplicate table declaration: A",
+      "table K: key column 5 out of range",
+      "table Z must have arity >= 1 (location)",
+      "r1: undeclared table B in body",
+      "duplicate rule name: r1",
+      "r1: A arity mismatch (3 vs declared 2)",
+      "r1: assignment uses unbound variable W",
+      "r3: selection 'R == 2' uses unbound variable R",
+      "r3: head uses unbound variable P",
+      "r4: rule has no body atoms",
+      "r4: head argument must be a variable or constant, found expression "
+      "'Y + 1'",
+      "r4: head uses unbound variable X",
+      "r4: head uses unbound variable Y",
+  };
+  EXPECT_EQ(validate(p), want);
+}
+
 TEST(Ast, CmpEval) {
   EXPECT_TRUE(cmp_eval(CmpOp::Eq, Value(3), Value(3)));
   EXPECT_TRUE(cmp_eval(CmpOp::Ne, Value(3), Value(4)));

@@ -3,6 +3,7 @@
 // through the full pipeline (generation + multi-query backtesting).
 #include <gtest/gtest.h>
 
+#include "e2ebench/workloads.h"
 #include "langs/imp/imp.h"
 #include "langs/netcore/netcore.h"
 #include "ndlog/parser.h"
@@ -367,6 +368,367 @@ TEST(Scenario, SequentialAndJointBacktestsAgree) {
   EXPECT_EQ(seq.dropped, joint[0].dropped);
   EXPECT_EQ(seq.symptom_fixed, joint[0].symptom_fixed);
   EXPECT_EQ(seq.per_host.counts(), joint[0].per_host.counts());
+}
+
+// --- delta candidate programs ----------------------------------------------
+//
+// CandidateChecker applies candidates as deltas over a once-validated base.
+// The oracles below are the brute-force algorithms it replaced: copy the
+// whole program, apply every change, validate everything, and (for the
+// combined tag-mode program) print and diff every rule.
+
+std::optional<ndlog::Program> brute_apply(const ndlog::Program& base,
+                                          const RepairCandidate& cand) {
+  ndlog::Program p = base;
+  for (const Change& c : cand.changes) {
+    if (!c.apply(p)) return std::nullopt;
+  }
+  if (!ndlog::is_valid(p)) return std::nullopt;
+  return p;
+}
+
+backtest::CombinedProgram brute_combine(
+    const ndlog::Program& base, const std::vector<RepairCandidate>& cands) {
+  backtest::CombinedProgram out;
+  out.program = base;
+  out.candidate_count = std::min(cands.size(), eval::kMaxTags);
+  const eval::TagMask all =
+      out.candidate_count >= eval::kMaxTags
+          ? eval::kAllTags
+          : (eval::TagMask{1} << out.candidate_count) - 1;
+  for (const auto& rule : base.rules) out.rule_restrict[rule.name] = all;
+  for (size_t i = 0; i < out.candidate_count; ++i) {
+    const eval::TagMask bit = eval::TagMask{1} << i;
+    auto prog = brute_apply(base, cands[i]);
+    if (!prog) {
+      out.invalid.push_back(i);
+      continue;
+    }
+    for (const auto& rule : prog->rules) {
+      const ndlog::Rule* orig = base.find_rule(rule.name);
+      if (orig != nullptr && orig->to_string() == rule.to_string()) continue;
+      ndlog::Rule copy = rule;
+      copy.name = rule.name + "#" + std::to_string(i);
+      out.program.rules.push_back(copy);
+      out.rule_restrict[copy.name] = bit;
+      if (orig != nullptr) out.rule_restrict[orig->name] &= ~bit;
+    }
+    for (const auto& rule : base.rules) {
+      if (prog->find_rule(rule.name) == nullptr) {
+        out.rule_restrict[rule.name] &= ~bit;
+      }
+    }
+    for (const eval::Tuple& t : repair::candidate_insertions(cands[i])) {
+      out.insertions.emplace_back(t, bit);
+    }
+    for (const eval::Tuple& t : repair::candidate_deletions(cands[i])) {
+      out.deletions.emplace_back(t, bit);
+    }
+  }
+  return out;
+}
+
+bool touches_program(const RepairCandidate& c) {
+  for (const Change& ch : c.changes) {
+    if (ch.kind != ChangeKind::InsertBaseTuple &&
+        ch.kind != ChangeKind::DeleteBaseTuple) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Checks every candidate's delta verdict and program against brute_apply,
+// and the combined program (in slices of kMaxTags) against brute_combine.
+// Returns how many candidates were valid.
+size_t expect_matches_oracle(const ndlog::Program& base,
+                             const std::vector<RepairCandidate>& cands,
+                             const std::string& what) {
+  const repair::CandidateChecker checker(base);
+  size_t valid = 0;
+  for (const RepairCandidate& c : cands) {
+    const auto brute = brute_apply(base, c);
+    const std::string desc = what + ": " + c.describe(base);
+    EXPECT_EQ(checker.valid(c), brute.has_value()) << desc;
+    const auto spliced = repair::apply_candidate(base, c);
+    EXPECT_EQ(spliced.has_value(), brute.has_value()) << desc;
+    if (spliced && brute) {
+      ++valid;
+      EXPECT_EQ(spliced->to_string(), brute->to_string()) << desc;
+    }
+  }
+  for (size_t lo = 0; lo < cands.size(); lo += eval::kMaxTags) {
+    const std::vector<RepairCandidate> slice(
+        cands.begin() + static_cast<long>(lo),
+        cands.begin() +
+            static_cast<long>(std::min(cands.size(), lo + eval::kMaxTags)));
+    const auto got = backtest::build_backtest_program(base, slice);
+    const auto want = brute_combine(base, slice);
+    EXPECT_EQ(got.program.to_string(), want.program.to_string()) << what;
+    EXPECT_EQ(got.rule_restrict, want.rule_restrict) << what;
+    EXPECT_EQ(got.insertions, want.insertions) << what;
+    EXPECT_EQ(got.deletions, want.deletions) << what;
+    EXPECT_EQ(got.invalid, want.invalid) << what;
+    EXPECT_EQ(got.candidate_count, want.candidate_count) << what;
+  }
+  return valid;
+}
+
+std::vector<RepairCandidate> generated_candidates(const scenario::Scenario& s) {
+  scenario::ScenarioHarness harness(s);
+  repair::RepairGenerator gen(harness.buggy_run().engine(), s.space);
+  std::vector<RepairCandidate> out;
+  for (const auto& symptom : s.symptoms) {
+    for (auto& c : gen.generate(symptom).candidates) out.push_back(std::move(c));
+  }
+  return out;
+}
+
+// Every candidate the generator produces, plus variants: each candidate
+// applied twice (a second copy onto the same name, a second deletion at a
+// shifted index) and after deleting the rule it names, and the pairwise
+// concatenations of the first dozen (edits stacked on one rule, a copy
+// and a deletion of its source, ...).
+std::vector<RepairCandidate> with_variants(std::vector<RepairCandidate> cands) {
+  const size_t n = cands.size();
+  for (size_t a = 0; a < n; ++a) {
+    RepairCandidate twice;
+    twice.changes = cands[a].changes;
+    twice.changes.insert(twice.changes.end(), cands[a].changes.begin(),
+                         cands[a].changes.end());
+    cands.push_back(std::move(twice));
+    for (const Change& c : cands[a].changes) {
+      if (c.rule.empty()) continue;
+      RepairCandidate after_delete;
+      Change del;
+      del.kind = ChangeKind::DeleteRule;
+      del.rule = c.rule;
+      after_delete.changes.push_back(del);
+      after_delete.changes.insert(after_delete.changes.end(),
+                                  cands[a].changes.begin(),
+                                  cands[a].changes.end());
+      cands.push_back(std::move(after_delete));
+      break;
+    }
+  }
+  const size_t k = std::min<size_t>(n, 12);
+  for (size_t a = 0; a < k; ++a) {
+    for (size_t b = 0; b < k; ++b) {
+      if (a == b) continue;
+      RepairCandidate c;
+      c.changes = cands[a].changes;
+      c.changes.insert(c.changes.end(), cands[b].changes.begin(),
+                       cands[b].changes.end());
+      cands.push_back(std::move(c));
+    }
+  }
+  return cands;
+}
+
+TEST(DeltaOracle, GeneratedCandidatesMatchFullCopy) {
+  std::vector<scenario::Scenario> all = scenario::all_scenarios();
+  scenario::Scenario padded = scenario::q1_copy_paste({});
+  e2e::pad_program(padded, 900);
+  ASSERT_GE(padded.program.line_count(), 900u);
+  padded.id = "Q1/900";
+  all.push_back(std::move(padded));
+  for (const scenario::Scenario& s : all) {
+    const std::vector<RepairCandidate> generated = generated_candidates(s);
+    ASSERT_FALSE(generated.empty()) << s.id;
+    const std::vector<RepairCandidate> cands = with_variants(generated);
+    const size_t valid = expect_matches_oracle(s.program, cands, s.id);
+    // The generator only emits valid candidates; the variants mix in
+    // invalid ones, so both verdicts are exercised.
+    EXPECT_GE(valid, generated.size()) << s.id;
+    EXPECT_LT(valid, cands.size()) << s.id;
+  }
+}
+
+Change sel_const(const std::string& rule, size_t index, size_t side,
+                 Value v) {
+  Change c;
+  c.kind = ChangeKind::ChangeSelConst;
+  c.rule = rule;
+  c.index = index;
+  c.side = side;
+  c.new_value = std::move(v);
+  return c;
+}
+
+Change kind_on(ChangeKind kind, const std::string& rule) {
+  Change c;
+  c.kind = kind;
+  c.rule = rule;
+  return c;
+}
+
+RepairCandidate cand_of(std::vector<Change> changes) {
+  RepairCandidate c;
+  c.changes = std::move(changes);
+  return c;
+}
+
+ndlog::Program delta_base() {
+  return ndlog::parse_program(
+      "table A/3.\ntable T/3.\ntable W/2.\nevent B/3.\n"
+      "r1 A(@X,P,Q) :- B(@X,P,V), P == 2, V != 3, Q := 7.\n"
+      "r2 T(@X,P,V) :- B(@X,P,V), P > 0.\n"
+      "r3 W(@X,U) :- B(@X,P,V), T(@X,P,U), V == 1.");
+}
+
+TEST(DeltaOracle, HandWrittenCases) {
+  const ndlog::Program base = delta_base();
+  Change copy = kind_on(ChangeKind::CopyRuleRetarget, "r2");
+  copy.new_head_table = "A";
+  Change copy_onto_r3 = copy;
+  copy_onto_r3.copy_name = "r3";
+  Change head_undeclared = kind_on(ChangeKind::ChangeHeadTable, "r1");
+  head_undeclared.new_head_table = "Nope";
+  Change head_arity = kind_on(ChangeKind::ChangeHeadTable, "r1");
+  head_arity.new_head_table = "W";  // W/2, no permutation
+  Change head_perm = head_arity;
+  head_perm.head_perm = {0, 2};
+  Change unbind_sel = kind_on(ChangeKind::ChangeSelVar, "r2");
+  unbind_sel.new_value = Value::str("Zz");
+  Change unbind_head = kind_on(ChangeKind::DeleteBodyAtom, "r3");
+  unbind_head.index = 1;  // T binds the head's U
+  Change unbind_assign = kind_on(ChangeKind::ChangeAssignVar, "r1");
+  unbind_assign.new_value = Value::str("Zz");
+  Change insert;
+  insert.kind = ChangeKind::InsertBaseTuple;
+  insert.tuple = eval::Tuple{"B", {Value(1), Value(2), Value(3)}};
+  Change remove = insert;
+  remove.kind = ChangeKind::DeleteBaseTuple;
+  Change edit_copy = sel_const("r2'", 0, 1, Value(5));
+
+  const std::vector<RepairCandidate> cases = {
+      // A copy onto an existing rule name is refused...
+      cand_of({copy_onto_r3}),
+      // ...unless that rule was deleted first.
+      cand_of({kind_on(ChangeKind::DeleteRule, "r3"), copy_onto_r3}),
+      // Delete-then-edit of the same rule: the edit finds no rule.
+      cand_of({kind_on(ChangeKind::DeleteRule, "r1"), sel_const("r1", 0, 1,
+                                                                Value(4))}),
+      // Edit-then-delete is fine.
+      cand_of({sel_const("r1", 0, 1, Value(4)),
+               kind_on(ChangeKind::DeleteRule, "r1")}),
+      // Head retargets: undeclared table, wrong arity, a fitting permutation.
+      cand_of({head_undeclared}),
+      cand_of({head_arity}),
+      cand_of({head_perm}),
+      // Edits that unbind a selection, head or assignment variable.
+      cand_of({unbind_sel}),
+      cand_of({unbind_head}),
+      cand_of({unbind_assign}),
+      // Byte-identical edit (P == 2 -> P == 2): valid, no tagged copy.
+      cand_of({sel_const("r1", 0, 1, Value(2))}),
+      // Copies: edited, copied again, deleted, and the copy's name reused.
+      cand_of({copy, edit_copy}),
+      cand_of({copy, kind_on(ChangeKind::DeleteRule, "r2'")}),
+      cand_of({copy, kind_on(ChangeKind::DeleteRule, "r2'"), copy}),
+      cand_of({copy, copy}),
+      // Copy a rule, then delete its source.
+      cand_of({copy, kind_on(ChangeKind::DeleteRule, "r2")}),
+      // Stale index, missing rule, base tuples only.
+      cand_of({sel_const("r1", 9, 1, Value(4))}),
+      cand_of({sel_const("missing", 0, 1, Value(4))}),
+      cand_of({insert, remove}),
+      cand_of({insert, sel_const("r2", 0, 1, Value(1))}),
+  };
+  const std::vector<bool> expect_valid = {
+      false, true, false, true, false, false, true, false, false, false,
+      true,  true, true,  true, false, true, false, false, true,  true};
+  ASSERT_EQ(cases.size(), expect_valid.size());
+  const repair::CandidateChecker checker(base);
+  for (size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(checker.valid(cases[i]), expect_valid[i]) << "case " << i;
+  }
+  expect_matches_oracle(base, cases, "hand-written");
+
+  const auto same = backtest::build_backtest_program(base, {cases[10]});
+  EXPECT_EQ(same.program.rules.size(), base.rules.size())
+      << "a byte-identical edit needs no tagged copy";
+  EXPECT_EQ(same.rule_restrict.at("r1"), eval::TagMask{1});
+}
+
+TEST(DeltaOracle, InvalidBaseRejectsEveryProgramCandidate) {
+  // r3's head table is undeclared: the base does not validate, and no
+  // candidate that leaves r3 alone can make it.
+  const ndlog::Program base = ndlog::parse_program(
+      "table A/3.\ntable T/3.\nevent B/3.\n"
+      "r1 A(@X,P,Q) :- B(@X,P,V), P == 2, V != 3, Q := 7.\n"
+      "r2 T(@X,P,V) :- B(@X,P,V), P > 0.\n"
+      "r3 W(@X,V) :- B(@X,P,V), V == 1.");
+  ASSERT_FALSE(ndlog::is_valid(base));
+  std::vector<RepairCandidate> cands;
+  for (const std::string rule : {"r1", "r2", "r3"}) {
+    cands.push_back(cand_of({sel_const(rule, 0, 1, Value(1))}));
+    cands.push_back(cand_of({kind_on(ChangeKind::DeleteSel, rule)}));
+  }
+  Change copy = kind_on(ChangeKind::CopyRuleRetarget, "r2");
+  copy.new_head_table = "A";
+  cands.push_back(cand_of({copy}));
+  cands.push_back(cand_of({kind_on(ChangeKind::DeleteRule, "r1")}));
+  const repair::CandidateChecker checker(base);
+  for (const RepairCandidate& c : cands) {
+    ASSERT_TRUE(touches_program(c));
+    EXPECT_FALSE(checker.valid(c)) << c.describe(base);
+  }
+  EXPECT_EQ(expect_matches_oracle(base, cands, "invalid base"), 0u);
+  // Deleting the invalid rule is the one way out, as with a full copy.
+  EXPECT_EQ(expect_matches_oracle(
+                base, {cand_of({kind_on(ChangeKind::DeleteRule, "r3")})},
+                "invalid base, r3 deleted"),
+            1u);
+}
+
+TEST(DeltaOracle, DuplicateRuleNamesResolveLikeFindRule) {
+  // Two rules named r1 (an invalid base): changes hit the first surviving
+  // one, and the result validates only once one of them is gone.
+  const ndlog::Program base = ndlog::parse_program(
+      "table A/2.\nevent B/2.\n"
+      "r1 A(@X,Q) :- B(@X,Q), Q == 2.\n"
+      "r2 A(@X,Q) :- B(@X,Q), Q == 3.\n"
+      "r1 A(@X,Q) :- B(@X,Q), Q == 4.");
+  ASSERT_FALSE(ndlog::is_valid(base));
+  const Change del = kind_on(ChangeKind::DeleteRule, "r1");
+  const Change edit = sel_const("r1", 0, 1, Value(9));
+  const std::vector<RepairCandidate> cands = {
+      cand_of({edit}),      cand_of({del}),       cand_of({del, edit}),
+      cand_of({edit, del}), cand_of({del, del}),  cand_of({del, del, edit}),
+      cand_of({sel_const("r2", 0, 1, Value(9))}),
+  };
+  EXPECT_EQ(expect_matches_oracle(base, cands, "duplicate names"), 4u);
+}
+
+// Joint backtests replay one tag bit per candidate; Backtester::run must
+// slice longer lists instead of dropping everything past the 64th.
+TEST(Scenario, JointBacktestCoversCandidatesPast64) {
+  const scenario::Scenario s = scenario::q1_copy_paste({});
+  std::vector<RepairCandidate> cands;
+  for (int64_t i = 0; i < 70; ++i) {
+    // Candidate 66 is the ground-truth fix (r7: Swi == 2 -> Swi == 3);
+    // candidate 68 is stale and must be reported invalid.
+    cands.push_back(cand_of({sel_const(
+        "r7", i == 68 ? 9 : 0, 1, Value(i == 66 ? int64_t{3} : 1000 + i))}));
+    cands.back().description = "candidate " + std::to_string(i);
+  }
+  backtest::BacktestConfig joint_cfg;
+  joint_cfg.use_multiquery = true;
+  scenario::ScenarioHarness joint_harness(s);
+  const auto joint = backtest::Backtester(joint_cfg).run(joint_harness, cands);
+  scenario::ScenarioHarness seq_harness(s);
+  const auto seq = backtest::Backtester().run(seq_harness, cands);
+  ASSERT_EQ(joint.entries.size(), cands.size());
+  ASSERT_EQ(seq.entries.size(), cands.size());
+  for (size_t i = 0; i < cands.size(); ++i) {
+    EXPECT_EQ(joint.entries[i].effective, seq.entries[i].effective) << i;
+    EXPECT_EQ(joint.entries[i].accepted, seq.entries[i].accepted) << i;
+    EXPECT_EQ(joint.entries[i].outcome.valid, seq.entries[i].outcome.valid)
+        << i;
+  }
+  EXPECT_TRUE(seq.entries[66].effective);
+  EXPECT_FALSE(seq.entries[68].outcome.valid);
 }
 
 }  // namespace

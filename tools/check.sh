@@ -38,6 +38,12 @@
 # `concurrency`-labelled suites (the sharded runtime) under
 # ThreadSanitizer:
 #   CHECK_TSAN=1 tools/check.sh
+# With CHECK_ASAN=1 the script additionally configures a side build
+# directory with -fsanitize=address,undefined (CMake option MP_ASAN) and
+# runs the whole tier-1 gate under AddressSanitizer and UBSan (candidate
+# programs splice rule copies that share the base program's names and
+# expression trees; parsers and segment decoders read outside input):
+#   CHECK_ASAN=1 tools/check.sh
 # With CHECK_FAULTS=1 the script additionally configures a side build
 # directory with -DMP_FAULTS=ON (failpoints compiled in, src/fault) and
 # runs the `fault`-labelled suites — the deterministic fault-injection
@@ -158,6 +164,15 @@ if [[ "${CHECK_TSAN:-0}" == "1" ]]; then
   cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DMP_TSAN=ON
   cmake --build "$TSAN_DIR" --target runtime_test -j
   (cd "$TSAN_DIR" && ctest -L concurrency --output-on-failure)
+fi
+
+if [[ "${CHECK_ASAN:-0}" == "1" ]]; then
+  echo "--- AddressSanitizer + UBSan (tier-1 suites) ---"
+  ASAN_DIR="${BUILD_DIR}-asan"
+  cmake -B "$ASAN_DIR" -S "$REPO_ROOT" -DMP_ASAN=ON
+  cmake --build "$ASAN_DIR" -j
+  (cd "$ASAN_DIR" && UBSAN_OPTIONS=print_stacktrace=1 \
+     ctest -L tier1 --output-on-failure -j)
 fi
 
 if [[ "${CHECK_FAULTS:-0}" == "1" ]]; then
