@@ -105,13 +105,12 @@ void BM_PacketInProcessing(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketInProcessing)->Arg(0)->Arg(1);
 
-// The same workload arriving in bursts through insert_batch: a run of
-// same-table PacketIn tuples forms an entry lane (Engine::try_insert_lane)
-// and the trigger plans match columnar over the whole run instead of
-// re-dispatching per tuple. This is the arrival model the batched entry
-// point exists for — a switch delivers packet-in messages in batches, not
-// one syscall each — measured on the identical program and tuple stream
-// as BM_PacketInProcessing so the two rows are directly comparable.
+// The same workload arriving in bursts through insert_batch, which
+// amortizes secondary-index maintenance and table interning across each
+// burst. This is the arrival model the batched entry point exists for — a
+// switch delivers packet-in messages in batches, not one syscall each —
+// measured on the identical program and tuple stream as
+// BM_PacketInProcessing so the two rows are directly comparable.
 // range(0) toggles provenance recording.
 void BM_PacketInBatchedArrival(benchmark::State& state) {
   constexpr size_t kBurst = 64;
@@ -142,27 +141,17 @@ void BM_PacketInBatchedArrival(benchmark::State& state) {
         static_cast<double>(engine.log().byte_estimate()) /
         static_cast<double>(engine.log().size());
   }
-  state.counters["entry_lanes"] =
-      static_cast<double>(engine.entry_lanes());  // must be > 0: lanes formed
   state.SetLabel(opt.record_provenance ? "provenance ON" : "provenance OFF");
 }
 BENCHMARK(BM_PacketInBatchedArrival)->Arg(0)->Arg(1);
 
-// Columnar batched rule firing over cascade fan-out: every PacketIn fires
-// eight stat rules whose heads all land in one table, so the derived
-// appearances form an 8-tuple lane at the front of the work queue — the
-// shape Engine::run_batch_lane accelerates. The Stat lane then meets
-// eight selective Tally rules (each keyed to one stat id), the columnar
-// sweet spot: the scalar path pays a frame reset + unification per
-// (tuple, plan) pair — 64 per lane — where the plan-major pass filters
-// each plan's match vector with one constant-compare sweep and the flat
-// finish builds the single surviving head row straight from the trigger
-// columns. range(0) toggles EngineOptions::batch_firing; both paths are
-// byte-identical on the event log (tests/differential_test.cpp), so the
-// delta is pure constant factor. range(1) toggles provenance recording
-// (ON is the paper's operating point; OFF isolates the evaluation path
-// from log-append cost). tools/run_bench.sh records the rows in
-// BENCH_engine.json (columnar_firing).
+// Rule firing over cascade fan-out: every PacketIn fires eight stat rules
+// whose heads all land in one table, and each of those eight Stat
+// appearances meets eight selective Tally rules (each keyed to one stat
+// id) — a frame reset + unification per (tuple, plan) pair, 64 per
+// PacketIn, of which one per Stat tuple derives. range(0) toggles
+// provenance recording (ON is the paper's operating point; OFF isolates
+// the evaluation path from log-append cost).
 void BM_CascadeFanout(benchmark::State& state) {
   std::string prog = "table Stat/3.\ntable Tally/3.\nevent PacketIn/3.\n";
   for (int k = 1; k <= 8; ++k) {
@@ -172,8 +161,7 @@ void BM_CascadeFanout(benchmark::State& state) {
             ",H) :- Stat(@S,H,K), K == " + std::to_string(k) + ".\n";
   }
   eval::EngineOptions opt;
-  opt.batch_firing = state.range(0) != 0;
-  opt.record_provenance = state.range(1) != 0;
+  opt.record_provenance = state.range(0) != 0;
   opt.max_steps = ~size_t{0} >> 1;
   eval::Engine engine(ndlog::parse_program(prog), opt);
   int64_t h = 0;
@@ -187,18 +175,9 @@ void BM_CascadeFanout(benchmark::State& state) {
   const auto sample = perf.stop();
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   report_perf(state, sample);
-  state.counters["batched_lanes"] =
-      static_cast<double>(engine.batched_lanes());
-  state.SetLabel(std::string(opt.batch_firing ? "columnar batched firing"
-                                              : "tuple-at-a-time") +
-                 (opt.record_provenance ? ", provenance ON"
-                                        : ", provenance OFF"));
+  state.SetLabel(opt.record_provenance ? "provenance ON" : "provenance OFF");
 }
-BENCHMARK(BM_CascadeFanout)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({0, 1})
-    ->Args({1, 1});
+BENCHMARK(BM_CascadeFanout)->Arg(0)->Arg(1);
 
 // Join-heavy rule firing: a trigger event joined against two materialized
 // tables of `range(0)` rows each, with the join columns bound by the

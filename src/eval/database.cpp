@@ -75,7 +75,6 @@ Entry& TableStore::insert_ref(TupleRef ref) {
   entries_[slot].ref = ref;
   map_put(ref, slot);
   ++live_;
-  if (soa_cols_ != nullptr) write_soa(slot);
   if (index_specs_ != nullptr) {
     if (deferred_) {
       index_backlog_.push_back(slot);
@@ -100,21 +99,6 @@ void TableStore::erase_ref(TupleRef ref) {
   slot_refs_[slot] = kNoTupleRef;
   free_slots_.push_back(slot);
   --live_;
-  if (soa_cols_ != nullptr) {
-    // Drop the mirror's Value payloads with the row (strings would
-    // otherwise stay pinned until the slot is reused).
-    for (auto& col : soa_) col[slot] = Value();
-  }
-}
-
-void TableStore::write_soa(uint32_t slot) {
-  const Row& row = pool_->row(slot_refs_[slot]);
-  for (size_t k = 0; k < soa_cols_->size(); ++k) {
-    auto& col = soa_[k];
-    if (slot >= col.size()) col.resize(slot + 1);
-    const uint32_t c = (*soa_cols_)[k];
-    col[slot] = c < row.size() ? row[c] : Value();
-  }
 }
 
 void TableStore::set_deferred_indexing(bool on) {
@@ -164,9 +148,6 @@ TableStore& Database::store(TableId id) {
     slot = std::make_unique<TableStore>();
     slot->attach(pool_, id);
     if (specs_ != nullptr) slot->configure_indexes(specs_->for_table(id));
-    if (soa_ != nullptr && id < soa_->size() && !(*soa_)[id].empty()) {
-      slot->configure_soa(&(*soa_)[id]);
-    }
   }
   return *slot;
 }

@@ -30,12 +30,6 @@
 
 namespace mp::eval {
 
-// Per-table hot-column sets for the struct-of-arrays mirror (sorted,
-// indexed by TableId; empty = no mirror for that table). Computed once at
-// engine construction from the columnar plans' predicate columns — see
-// Engine's constructor — and shared by every node's TableStore.
-using SoaSpecs = std::vector<std::vector<uint32_t>>;
-
 struct Entry {
   int support = 0;        // number of live derivations (base insert counts 1)
   TagMask tags = 0;       // candidate worlds in which the row exists
@@ -66,25 +60,6 @@ class TableStore {
   void configure_indexes(const std::vector<std::vector<uint32_t>>* specs) {
     index_specs_ = specs;
     if (specs != nullptr) indexes_.resize(specs->size());
-  }
-
-  // Wires up the struct-of-arrays hot-column mirror: `cols` (owned by the
-  // engine, sorted ascending) lists the row columns this store keeps in
-  // per-column Value vectors alongside the row storage. The mirror is
-  // written on insert and read slot-indexed by the columnar batched-firing
-  // pass (Engine::columnar_fire), which filters a lane predicate-major:
-  // one column's values are contiguous instead of a pointer chase through
-  // each row's heap vector. Must be called before rows are inserted.
-  void configure_soa(const std::vector<uint32_t>* cols) {
-    soa_cols_ = cols;
-    if (cols != nullptr) soa_.resize(cols->size());
-  }
-  bool has_soa() const { return soa_cols_ != nullptr; }
-  // Value of hot column k (dense position in the configured column set)
-  // for the row in `slot`. Only meaningful for live slots whose row covers
-  // the column — the columnar pass checks arity before reading.
-  const Value& soa_at(size_t k, uint32_t slot) const {
-    return soa_[k][slot];
   }
 
   // --- ref-keyed hot path ----------------------------------------------
@@ -123,12 +98,6 @@ class TableStore {
   const Row& row_at(uint32_t slot) const { return pool_->row(slot_refs_[slot]); }
   const Entry& entry_at(uint32_t slot) const { return entries_[slot]; }
   Entry& entry_at(uint32_t slot) { return entries_[slot]; }
-  // Slot of an entry reference obtained from insert_ref()/find_ref(); valid
-  // until that entry is erased (slots survive entries_ reallocation, the
-  // reference itself does not).
-  uint32_t slot_of(const Entry& e) const {
-    return static_cast<uint32_t>(&e - entries_.data());
-  }
   size_t size() const { return live_; }
 
   // Deferred index maintenance (Engine::insert_batch): while on, insert()
@@ -163,7 +132,6 @@ class TableStore {
  private:
   void add_to_indexes(uint32_t slot) const;
   void remove_from_indexes(uint32_t slot);
-  void write_soa(uint32_t slot);
 
   // Open-addressed ref -> slot map, following the TuplePool bucket idiom:
   // buckets hold (ref + 1, slot) with 0 = empty, power-of-two capacity,
@@ -186,14 +154,6 @@ class TableStore {
   size_t map_mask_ = 0;  // map_.size() - 1 (power of two), 0 when empty
   size_t map_count_ = 0;
 
-  // Struct-of-arrays mirror of the hot columns: soa_[k][slot] == row[c]
-  // for the k-th column c of *soa_cols_ (a default Value when the row is
-  // too short to have the column — unreadable, because every columnar
-  // read is behind an arity check). Erase clears the slot's mirror values
-  // so a freed row's heap payloads are not pinned by the mirror.
-  const std::vector<uint32_t>* soa_cols_ = nullptr;
-  std::vector<std::vector<Value>> soa_;
-
   const std::vector<std::vector<uint32_t>>* index_specs_ = nullptr;
   // The secondary indexes are a cache over the slots: mutable so the lazy
   // backlog flush can run from const probes.
@@ -211,14 +171,12 @@ class Database {
  public:
   // Called by the engine when the node first appears. The catalog maps
   // names to ids; the specs say which secondary indexes each new store
-  // must maintain; `soa` lists each table's hot columns for the
-  // struct-of-arrays mirror (nullptr = no mirrors); the pool interns
-  // every stored row. All outlive the database.
+  // must maintain; the pool interns every stored row. All outlive the
+  // database.
   void init(const ndlog::Catalog* catalog, const IndexSpecs* specs,
-            const SoaSpecs* soa, TuplePool* pool) {
+            TuplePool* pool) {
     catalog_ = catalog;
     specs_ = specs;
-    soa_ = soa;
     pool_ = pool;
   }
 
@@ -250,7 +208,6 @@ class Database {
  private:
   const ndlog::Catalog* catalog_ = nullptr;
   const IndexSpecs* specs_ = nullptr;
-  const SoaSpecs* soa_ = nullptr;
   TuplePool* pool_ = nullptr;
   std::vector<std::unique_ptr<TableStore>> stores_;
 };

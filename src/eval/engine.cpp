@@ -1,6 +1,5 @@
 #include "eval/engine.h"
 
-#include <algorithm>
 #include <iterator>
 
 #include "obs/obs.h"
@@ -65,39 +64,6 @@ Engine::Engine(ndlog::Program program, EngineOptions opt)
                                            static_cast<uint32_t>(b));
     }
   }
-  // Struct-of-arrays hot columns: for every stored table whose trigger
-  // plans are all pure (the precondition for columnar lanes), the sorted
-  // union of the plans' flattened predicate columns. Tables interned
-  // after construction (external-only tables) have no rules, so sizing to
-  // the post-compile catalog covers every table a lane can fire.
-  if (opt_.batch_firing && opt_.soa_columns) {
-    soa_specs_.resize(catalog_.size());
-    for (TableId tid = 0; tid < soa_specs_.size(); ++tid) {
-      if (catalog_.is_event(tid)) continue;
-      std::vector<uint32_t>& cols = soa_specs_[tid];
-      bool all_pure = true;
-      for (const auto& [rule_idx, body_idx] : triggers_by_table_[tid]) {
-        const TriggerPlan& tp = compiled_[rule_idx].triggers[body_idx];
-        if (tp.dead) continue;
-        if (!tp.columnar.pure) {
-          all_pure = false;
-          break;
-        }
-        for (const ColumnarGroup& grp : tp.columnar.groups) {
-          for (const ColumnarPred& pr : grp.preds) {
-            cols.push_back(pr.col);
-            if (pr.kind == ColumnarPred::Kind::ColEq) cols.push_back(pr.col2);
-          }
-        }
-      }
-      if (!all_pure) {
-        cols.clear();  // the lane never runs columnar for this table
-        continue;
-      }
-      std::sort(cols.begin(), cols.end());
-      cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-    }
-  }
 }
 
 Engine::~Engine() { publish_obs(); }
@@ -113,14 +79,10 @@ void Engine::publish_obs() {
       &reg.counter("eval.engine.rule_firings"),
       &reg.counter("eval.engine.index_probes"),
       &reg.counter("eval.engine.full_scans"),
-      &reg.counter("eval.engine.batched_lanes"),
-      &reg.counter("eval.engine.batched_tuples"),
-      &reg.counter("eval.engine.entry_lanes"),
       &reg.counter("eval.engine.log_events_appended"),
   };
   const size_t current[] = {
-      steps_,          firings_,        index_probes_, full_scans_,
-      batched_lanes_,  batched_tuples_, entry_lanes_,  log_.size(),
+      steps_, firings_, index_probes_, full_scans_, log_.size(),
   };
   static_assert(std::size(current) ==
                 sizeof(obs_published_) / sizeof(obs_published_[0]));
@@ -145,8 +107,7 @@ Database& Engine::node_db(const Value& node) {
   }
   auto [it, inserted] = nodes_.try_emplace(node);
   if (inserted) {
-    it->second.init(&catalog_, &index_specs_,
-                    soa_specs_.empty() ? nullptr : &soa_specs_, &log_.pool());
+    it->second.init(&catalog_, &index_specs_, &log_.pool());
   }
   // Safe to cache: nodes_ is a std::map (node-stable) and never erased.
   node_cache_key2_ = node_cache_key_;
@@ -277,23 +238,6 @@ void Engine::receive_unsupport(const Tuple& head) {
   if (e->support <= 0) retract(head.location(), tid, e->ref);
 }
 
-void Engine::stage_insert(const Tuple& t, TagMask tags,
-                          const std::string*& last_name, TableId& last_id) {
-  if (last_name == nullptr || t.table != *last_name) {
-    last_id = catalog_.intern(t.table);
-    last_name = &t.table;
-  }
-  EventId cause = kNoEvent;
-  TupleRef ref = kNoTupleRef;
-  NodeRef nref = kNoNode;
-  if (opt_.record_provenance) {
-    ref = log_.pool().intern(last_id, t.row);
-    nref = log_.intern_node(t.location());
-    cause = log_.append(EventKind::Insert, nref, ref, tags);
-  }
-  dispatch_external(t, last_id, tags, cause, ref, nref);
-}
-
 // Closes the bulk bracket on unwind so an exception thrown mid-batch (a
 // callback, a shard hook, an injected fault) cannot leak bulk_depth_ and
 // leave stores in deferred-indexing mode forever.
@@ -303,49 +247,21 @@ struct Engine::BulkBracket {
   ~BulkBracket() { e.end_bulk(); }
 };
 
+// Both overloads stage through insert(): inside the bulk bracket its
+// maybe_autocompact() is a no-op, so compaction runs once, after the
+// bracket closes (it needs bulk_depth_ 0).
 void Engine::insert_batch(std::span<const Tuple> batch, TagMask tags) {
-  if (!opt_.tag_mode) tags = kAllTags;
   {
-  BulkBracket bulk(*this);
-  const std::string* last_name = nullptr;
-  TableId last_id = 0;
-  size_t i = 0;
-  while (i < batch.size()) {
-    // Lane formation at the entry point: a maximal run of >=2 consecutive
-    // same-table tuples goes through the columnar path in one pass when
-    // the engine is quiescent (top-level call, drained queue) and the
-    // table qualifies — see try_insert_lane. Shard-hooked engines stay
-    // scalar: forwarded tuples re-enter mid-run.
-    if (opt_.batch_firing && !running_ && queue_.empty() && !diverged_ &&
-        !hooks_.is_local && i + 1 < batch.size() &&
-        batch[i + 1].table == batch[i].table) {
-      size_t j = i + 2;
-      while (j < batch.size() && batch[j].table == batch[i].table) ++j;
-      const TableId tid = intern_extern_table(batch[i].table);
-      if (try_insert_lane(batch.subspan(i, j - i), tid, tags)) {
-        i = j;
-        continue;
-      }
-      // Ineligible table: stage the whole run scalar so the run scan is
-      // not repeated per tuple.
-      for (; i < j; ++i) stage_insert(batch[i], tags, last_name, last_id);
-      continue;
-    }
-    stage_insert(batch[i], tags, last_name, last_id);
-    ++i;
+    BulkBracket bulk(*this);
+    for (const Tuple& t : batch) insert(t, tags);
   }
-  }  // close the bulk bracket before compaction (it needs bulk_depth_ 0)
   maybe_autocompact();
 }
 
 void Engine::insert_batch(std::span<const std::pair<Tuple, TagMask>> batch) {
   {
     BulkBracket bulk(*this);
-    const std::string* last_name = nullptr;
-    TableId last_id = 0;
-    for (const auto& [t, tags] : batch) {
-      stage_insert(t, opt_.tag_mode ? tags : kAllTags, last_name, last_id);
-    }
+    for (const auto& [t, tags] : batch) insert(t, tags);
   }
   maybe_autocompact();
 }
@@ -469,10 +385,6 @@ void Engine::on_appear(const std::string& table,
   const TableId tid = catalog_.intern(table);
   if (tid >= callbacks_.size()) callbacks_.resize(tid + 1);
   callbacks_[tid].push_back(std::move(cb));
-  // A callback makes the table ineligible for columnar batched firing
-  // (the callback must observe each appearance mid-lane).
-  if (tid < batch_eligible_.size()) batch_eligible_[tid] = BatchEligible::No;
-  if (tid < entry_eligible_.size()) entry_eligible_[tid] = BatchEligible::No;
 }
 
 void Engine::run_callbacks(TableId tid, const Tuple& t, TagMask tags) {
@@ -510,13 +422,6 @@ void Engine::run_queue() {
 
 void Engine::run_queue_body() {
   while (!queue_.empty()) {
-    // Columnar lane: two or more consecutive same-table entries at the
-    // front (a cascade fan-out). The two-compare guard keeps the singleton
-    // case — by far the common one — on the scalar path with no analysis.
-    if (opt_.batch_firing && queue_.size() > 1 &&
-        queue_[1].table_id == queue_.front().table_id && run_batch_lane()) {
-      continue;
-    }
     if (++steps_ > opt_.max_steps) {
       diverged_ = true;
       queue_.clear();
@@ -527,567 +432,6 @@ void Engine::run_queue_body() {
     handle_appear(p.tuple, p.table_id, p.tags, p.cause, p.ref, p.node_ref);
     release_row(std::move(p.tuple.row));
   }
-}
-
-// --- columnar batched firing --------------------------------------------
-//
-// A lane — consecutive queue entries for one table — is executed in three
-// phases instead of tuple-at-a-time:
-//   1. store pass:    support/tag bookkeeping for every lane tuple, in
-//                     order, deciding which tuples actually appear;
-//   2. columnar fire: each trigger plan runs ONCE over the lane. The
-//                     plan's flattened row-local predicates filter a match
-//                     vector column-major (plan constants, ops and
-//                     branch-history stay hot across the whole lane);
-//                     survivors evaluate assignments / selections / head
-//                     args into a staging buffer of head rows;
-//   3. emission:      a tuple-major walk in the exact scalar order —
-//                     Appear event, then that tuple's staged firings in
-//                     plan order (Derive/Send/Receive events, derivation
-//                     records, head enqueue). Event bytes, derivation
-//                     records, step counts and queue order are identical
-//                     to the tuple-at-a-time path, which the differential
-//                     harness pins.
-// Anything the fast path cannot prove equivalent falls back to scalar:
-// impure plans (a join step reads stores phase 1 is still mutating), key
-// replacement (retracts mid-lane interleave events), registered callbacks
-// (they observe appearances mid-lane and may insert re-entrantly), and
-// lanes that could exhaust the step budget mid-batch.
-bool Engine::ensure_batch_eligible(TableId tid) {
-  if (tid >= batch_eligible_.size()) {
-    batch_eligible_.resize(tid + 1, BatchEligible::Unknown);
-    batch_step_cost_.resize(tid + 1, 0);
-  }
-  if (batch_eligible_[tid] != BatchEligible::Unknown) {
-    return batch_eligible_[tid] == BatchEligible::Yes;
-  }
-  batch_eligible_[tid] = BatchEligible::No;  // until proven otherwise
-  if (tid < callbacks_.size() && !callbacks_[tid].empty()) return false;
-  const ndlog::TableDecl& decl = catalog_.decl(tid);
-  if (!catalog_.is_event(tid) && !decl.keys.empty() &&
-      decl.keys.size() < decl.arity) {
-    return false;
-  }
-  size_t per_tuple = 1;  // the queue pop
-  if (tid < triggers_by_table_.size()) {
-    for (const auto& [rule_idx, body_idx] : triggers_by_table_[tid]) {
-      const TriggerPlan& tp = compiled_[rule_idx].triggers[body_idx];
-      if (tp.dead) continue;
-      if (!tp.columnar.pure) return false;
-      per_tuple += 1 + tp.steps.size();
-    }
-  }
-  batch_step_cost_[tid] = per_tuple;
-  batch_eligible_[tid] = BatchEligible::Yes;
-  return true;
-}
-
-bool Engine::ensure_entry_eligible(TableId tid) {
-  if (tid >= entry_eligible_.size()) {
-    entry_eligible_.resize(tid + 1, BatchEligible::Unknown);
-  }
-  if (entry_eligible_[tid] != BatchEligible::Unknown) {
-    return entry_eligible_[tid] == BatchEligible::Yes;
-  }
-  entry_eligible_[tid] = BatchEligible::No;  // until proven otherwise
-  if (!ensure_batch_eligible(tid)) return false;
-  if (!catalog_.is_event(tid)) {
-    // A stored run is store-passed up front, before any tuple's cascade
-    // runs; that is only equivalent to the interleaved scalar order if no
-    // cascade can read or write this table's store. No rule may derive
-    // into it (a cascade insert would race the pre-stored run's support
-    // and appearance accounting), and no live plan may join against it (a
-    // cascade firing would see later run tuples the scalar order had not
-    // stored yet). Events need neither check: they are never stored.
-    for (const CompiledRule& cr : compiled_) {
-      if (cr.head_table == tid) return false;
-      for (const TriggerPlan& tp : cr.triggers) {
-        if (tp.dead) continue;
-        for (const AtomStep& st : tp.steps) {
-          if (st.table == tid && st.access != AtomStep::Access::TriggerSelf) {
-            return false;
-          }
-        }
-      }
-    }
-  }
-  entry_eligible_[tid] = BatchEligible::Yes;
-  return true;
-}
-
-template <typename RowAt, typename TagsAt>
-void Engine::columnar_fire(const LaneView& lv, RowAt row_at, TagsAt in_tags,
-                           std::vector<std::vector<StagedFiring>>& firings) {
-  const size_t nplans =
-      lv.tid < triggers_by_table_.size() ? triggers_by_table_[lv.tid].size()
-                                         : 0;
-  if (firings.size() < nplans) firings.resize(nplans);
-  for (size_t p = 0; p < nplans; ++p) firings[p].clear();
-  if (nplans == 0) return;
-  // Struct-of-arrays predicate reads: when the lane's rows are stored and
-  // the table has a hot-column mirror, each predicate's column values are
-  // read slot-indexed from the per-column vectors instead of through each
-  // row's heap vector. The mirror holds exactly the union of predicate
-  // columns (computed at construction), so every predicate column
-  // resolves; reads stay behind the same arity checks as the row path.
-  const std::vector<uint32_t>* soa = nullptr;
-  if (lv.stores != nullptr && lv.tid < soa_specs_.size() &&
-      !soa_specs_[lv.tid].empty()) {
-    soa = &soa_specs_[lv.tid];
-  }
-  auto soa_k = [&](uint32_t col) {
-    return static_cast<size_t>(
-        std::lower_bound(soa->begin(), soa->end(), col) - soa->begin());
-  };
-  // Filters match_ by one flattened predicate, column-major.
-  auto filter_pred = [&](const ColumnarPred& pr) {
-    size_t w = 0;
-    if (soa != nullptr) {
-      const size_t k1 = soa_k(pr.col);
-      if (pr.kind == ColumnarPred::Kind::ConstEq) {
-        for (uint32_t i : match_) {
-          if (pr.cval == lv.stores[i]->soa_at(k1, lv.slots[i])) {
-            match_[w++] = i;
-          }
-        }
-      } else {
-        const size_t k2 = soa_k(pr.col2);
-        for (uint32_t i : match_) {
-          const TableStore* s = lv.stores[i];
-          if (s->soa_at(k1, lv.slots[i]) == s->soa_at(k2, lv.slots[i])) {
-            match_[w++] = i;
-          }
-        }
-      }
-    } else {
-      for (uint32_t i : match_) {
-        const Row& row = row_at(i);
-        const bool ok = pr.kind == ColumnarPred::Kind::ConstEq
-                            ? pr.cval == row[pr.col]
-                            : row[pr.col] == row[pr.col2];
-        if (ok) match_[w++] = i;
-      }
-    }
-    match_.resize(w);
-  };
-  size_t ord = 0;
-  for (const auto& [rule_idx, body_idx] : triggers_by_table_[lv.tid]) {
-    const size_t my_ord = ord++;
-    const CompiledRule& cr = compiled_[rule_idx];
-    const TriggerPlan& tp = cr.triggers[body_idx];
-    if (tp.dead) continue;
-    const ColumnarPlan& cp = tp.columnar;
-    const bool pushdown = opt_.pushdown_selections;
-    // Rebuilds the frame for one lane row: every slot a pure plan binds
-    // comes from the trigger row. The col guard mirrors the scalar
-    // path: a step whose arity check has not yet passed for this row
-    // cannot have bound its slots either, and no selection evaluated
-    // before that point may read them.
-    auto bind_frame = [&](const Row& row) {
-      frame_.reset(cr.nslots);
-      for (const auto& [slot, col] : cp.slot_cols) {
-        if (col < row.size()) frame_.bind(slot, row[col]);
-      }
-    };
-    auto filter_sels = [&](const std::vector<uint32_t>& sels) {
-      size_t w = 0;
-      for (uint32_t i : match_) {
-        bind_frame(row_at(i));
-        if (eval_pushed_sels(cr, sels)) match_[w++] = i;
-      }
-      match_.resize(w);
-    };
-    // Group 0 — the trigger atom. Failures here are charge-free, exactly
-    // like fire_rules' pre-exec_step filtering.
-    match_.clear();
-    for (size_t i = 0; i < lv.n; ++i) {
-      if (!lv.appears[i]) continue;
-      if (opt_.tag_mode && (in_tags(i) & rule_restrict_[rule_idx]) == 0) {
-        continue;
-      }
-      if (row_at(i).size() != tp.arity) continue;
-      match_.push_back(static_cast<uint32_t>(i));
-    }
-    for (const ColumnarPred& pr : cp.groups[0].preds) filter_pred(pr);
-    if (pushdown && !cp.groups[0].sels.empty()) {
-      filter_sels(cp.groups[0].sels);
-    }
-    // Groups 1..n — the TriggerSelf steps, one step charge per surviving
-    // row at each boundary (the exec_step calls the scalar path makes).
-    // Entry lanes divert the charges into a per-row counter so emission
-    // can charge each tuple exactly where the scalar order would.
-    for (size_t g = 0;; ++g) {
-      if (lv.charges != nullptr) {
-        for (uint32_t i : match_) ++lv.charges[i];
-      } else {
-        steps_ += match_.size();
-      }
-      if (g + 1 == cp.groups.size()) break;
-      const ColumnarGroup& grp = cp.groups[g + 1];
-      size_t w = 0;
-      for (uint32_t i : match_) {
-        if (row_at(i).size() == grp.arity) match_[w++] = i;
-      }
-      match_.resize(w);
-      for (const ColumnarPred& pr : grp.preds) filter_pred(pr);
-      if (pushdown && !grp.sels.empty()) filter_sels(grp.sels);
-    }
-    // Finish the survivors. Flat plans (no assignments, all selections
-    // pushed, bare-variable/constant head args) build head rows straight
-    // from the trigger columns — no Frame anywhere on the columnar path.
-    if (pushdown && cp.flat_finish) {
-      for (uint32_t i : match_) {
-        const Row& row = row_at(i);
-        StagedFiring sf;
-        sf.row = i;
-        sf.mask = opt_.tag_mode ? (in_tags(i) & rule_restrict_[rule_idx])
-                                : in_tags(i);
-        sf.head = acquire_row();
-        sf.head.reserve(cp.head_cols.size());
-        for (const ColumnarPlan::HeadCol& hc : cp.head_cols) {
-          sf.head.push_back(hc.is_const ? hc.cval : row[hc.col]);
-        }
-        firings[my_ord].push_back(std::move(sf));
-      }
-      continue;
-    }
-    // General finish: assignments, unpushed selections, head args —
-    // finish_rule's body over the rebuilt frame.
-    const uint64_t pushed = pushdown ? tp.pushed_mask : 0;
-    for (uint32_t i : match_) {
-      bind_frame(row_at(i));
-      bool ok = true;
-      for (const CompiledAssign& asg : cr.assigns) {
-        Value v;
-        if (!asg.expr.eval(frame_, v)) {
-          ok = false;
-          break;
-        }
-        frame_.rebind(asg.slot, std::move(v));
-      }
-      for (size_t si = 0; ok && si < cr.sels.size(); ++si) {
-        if (si < 64 && ((pushed >> si) & 1)) continue;
-        const CompiledSelection& sel = cr.sels[si];
-        Value sa, sb;
-        const Value* a = sel.lhs.eval_ref(frame_, sa);
-        const Value* b = sel.rhs.eval_ref(frame_, sb);
-        if (a == nullptr || b == nullptr || !ndlog::cmp_eval(sel.op, *a, *b)) {
-          ok = false;
-        }
-      }
-      if (!ok) continue;
-      StagedFiring sf;
-      sf.row = i;
-      sf.mask = opt_.tag_mode ? (in_tags(i) & rule_restrict_[rule_idx])
-                              : in_tags(i);
-      sf.head = acquire_row();
-      sf.head.reserve(cr.head_args.size());
-      for (const SlotExpr& arg : cr.head_args) {
-        Value v;
-        if (!arg.eval(frame_, v)) {
-          ok = false;
-          break;
-        }
-        sf.head.push_back(std::move(v));
-      }
-      if (!ok) {
-        release_row(std::move(sf.head));
-        continue;
-      }
-      firings[my_ord].push_back(std::move(sf));
-    }
-  }
-}
-
-bool Engine::run_batch_lane() {
-  const TableId tid = queue_.front().table_id;
-  if (!ensure_batch_eligible(tid)) return false;
-
-  size_t lane = 2;  // caller verified the first two entries share tid
-  while (lane < queue_.size() && queue_[lane].table_id == tid) ++lane;
-  // Step headroom: with the worst case pre-charged, no divergence can hit
-  // mid-batch (the scalar path charges at most the same, so it would not
-  // have diverged on this lane either).
-  if (steps_ + lane * batch_step_cost_[tid] > opt_.max_steps) return false;
-
-  lane_.clear();
-  for (size_t i = 0; i < lane; ++i) {
-    lane_.push_back(std::move(queue_.front()));
-    queue_.pop_front();
-  }
-  steps_ += lane;  // the scalar loop's per-pop charge
-  ++batched_lanes_;
-  batched_tuples_ += lane;
-
-  // Phase 1: store pass. Sequential per tuple — a duplicate row later in
-  // the lane must see the support its predecessor added.
-  const bool is_event = catalog_.is_event(tid);
-  lane_appears_.assign(lane, 1);
-  lane_tags_.assign(lane, 0);
-  lane_slots_.assign(lane, 0);
-  lane_stores_.assign(lane, nullptr);
-  for (size_t i = 0; i < lane; ++i) {
-    PendingAppear& p = lane_[i];
-    if (p.ref == kNoTupleRef && (!is_event || opt_.record_provenance)) {
-      p.ref = log_.pool().intern(tid, p.tuple.row);
-    }
-    if (is_event) {
-      lane_tags_[i] = p.tags;
-      continue;
-    }
-    TableStore& store = node_db(p.tuple.location()).store(tid);
-    if (bulk_depth_ > 0 && !store.deferred_indexing()) {
-      store.set_deferred_indexing(true);
-      bulk_stores_.push_back(&store);
-    }
-    Entry& e = store.insert_ref(p.ref);
-    lane_slots_[i] = store.slot_of(e);
-    lane_stores_[i] = &store;
-    const bool was_present = e.support > 0;
-    const TagMask new_tags = opt_.tag_mode ? (e.tags | p.tags) : kAllTags;
-    e.support += 1;
-    const TagMask added = opt_.tag_mode ? (new_tags & ~e.tags) : kAllTags;
-    e.tags = new_tags;
-    if (was_present && (!opt_.tag_mode || added == 0)) lane_appears_[i] = 0;
-    lane_tags_[i] = new_tags;
-  }
-
-  // Phase 2: plan-major columnar firing into the staging buffer.
-  const size_t nplans =
-      tid < triggers_by_table_.size() ? triggers_by_table_[tid].size() : 0;
-  LaneView lv;
-  lv.tid = tid;
-  lv.n = lane;
-  lv.appears = lane_appears_.data();
-  lv.stores = is_event ? nullptr : lane_stores_.data();
-  lv.slots = lane_slots_.data();
-  columnar_fire(
-      lv, [this](size_t i) -> const Row& { return lane_[i].tuple.row; },
-      [this](size_t i) { return lane_[i].tags; }, lane_firings_);
-
-  // Phase 3: tuple-major emission in the scalar order.
-  lane_cursor_.assign(nplans, 0);
-  for (size_t i = 0; i < lane; ++i) {
-    PendingAppear& p = lane_[i];
-    if (!lane_appears_[i]) {
-      release_row(std::move(p.tuple.row));
-      continue;
-    }
-    const Value& node = p.tuple.location();
-    NodeRef nref = p.node_ref;
-    EventId appear_ev = p.cause;
-    if (opt_.record_provenance) {
-      if (nref == kNoNode) nref = log_.intern_node(node);
-      appear_ev = log_.append(EventKind::Appear, nref, p.ref, lane_tags_[i],
-                              p.cause == kNoEvent
-                                  ? std::span<const EventId>{}
-                                  : std::span<const EventId>{&p.cause, 1});
-      history_.record(tid, p.ref);
-    }
-    if (!is_event) {
-      // Via the slot recorded in phase 1: Entry pointers were invalidated
-      // by the later inserts, but slots are stable (nothing is erased
-      // between the phases), so this skips the ref->slot hash probe.
-      node_db(node).store(tid).entry_at(lane_slots_[i]).appear_event =
-          appear_ev;
-    }
-    size_t ord3 = 0;
-    if (nplans > 0) {
-      for (const auto& [rule_idx, body_idx] : triggers_by_table_[tid]) {
-        const size_t my_ord = ord3++;
-        std::vector<StagedFiring>& staged = lane_firings_[my_ord];
-        size_t& cur = lane_cursor_[my_ord];
-        while (cur < staged.size() && staged[cur].row == i) {
-          const CompiledRule& cr = compiled_[rule_idx];
-          const TriggerPlan& tp = cr.triggers[body_idx];
-          const ndlog::Rule& rule = program_.rules[rule_idx];
-          if (opt_.record_provenance) {
-            cause_scratch_.assign(rule.body.size(), kNoEvent);
-            body_scratch_.assign(rule.body.size(), kNoTupleRef);
-            for (uint32_t pos : tp.columnar.body_positions) {
-              cause_scratch_[pos] = appear_ev;
-              body_scratch_[pos] = p.ref;
-            }
-          }
-          Tuple head;
-          head.table = rule.head.table;
-          head.row = std::move(staged[cur].head);
-          if (opt_.record_provenance) {
-            derive(cr, rule, node, nref, std::move(head), staged[cur].mask,
-                   cause_scratch_, body_scratch_);
-          } else {
-            derive(cr, rule, node, nref, std::move(head), staged[cur].mask, {},
-                   {});
-          }
-          ++firings_;
-          ++cur;
-        }
-      }
-    }
-    release_row(std::move(p.tuple.row));
-  }
-  return true;
-}
-
-bool Engine::try_insert_lane(std::span<const Tuple> run, TableId tid,
-                             TagMask tags) {
-  if (!ensure_entry_eligible(tid)) return false;
-  const size_t n = run.size();
-  const bool is_event = catalog_.is_event(tid);
-  ++batched_lanes_;
-  ++entry_lanes_;
-  batched_tuples_ += n;
-
-  // Phase 1: store pass (stored tables only) — sequential support/tag
-  // bookkeeping, exactly the scalar handle_appear updates, with the
-  // pre-image stashed so a mid-lane divergence can unwind rows whose
-  // scalar turn never came. Event tables skip it entirely; their refs are
-  // interned at emission so pool handles are assigned in the scalar
-  // order (interleaved with the cascades' head tuples).
-  entry_appears_.assign(n, 1);
-  entry_tags_.assign(n, 0);
-  entry_slots_.assign(n, 0);
-  entry_stores_.assign(n, nullptr);
-  entry_refs_.assign(n, kNoTupleRef);
-  entry_charge_.assign(n, 0);
-  entry_prev_support_.assign(n, 0);
-  entry_prev_tags_.assign(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    if (is_event) {
-      entry_tags_[i] = tags;
-      continue;
-    }
-    const TupleRef ref = log_.pool().intern(tid, run[i].row);
-    entry_refs_[i] = ref;
-    TableStore& store = node_db(run[i].location()).store(tid);
-    if (bulk_depth_ > 0 && !store.deferred_indexing()) {
-      store.set_deferred_indexing(true);
-      bulk_stores_.push_back(&store);
-    }
-    Entry& e = store.insert_ref(ref);
-    entry_slots_[i] = store.slot_of(e);
-    entry_stores_[i] = &store;
-    entry_prev_support_[i] = e.support;
-    entry_prev_tags_[i] = e.tags;
-    const bool was_present = e.support > 0;
-    const TagMask new_tags = opt_.tag_mode ? (e.tags | tags) : kAllTags;
-    e.support += 1;
-    const TagMask added = opt_.tag_mode ? (new_tags & ~e.tags) : kAllTags;
-    e.tags = new_tags;
-    if (was_present && (!opt_.tag_mode || added == 0)) entry_appears_[i] = 0;
-    entry_tags_[i] = new_tags;
-  }
-
-  // Phase 2: plan-major columnar matching. Step charges go into the
-  // per-row counter so phase 3 can charge each tuple at its scalar
-  // position (the cascades in between move steps_ too).
-  LaneView lv;
-  lv.tid = tid;
-  lv.n = n;
-  lv.appears = entry_appears_.data();
-  lv.stores = is_event ? nullptr : entry_stores_.data();
-  lv.slots = entry_slots_.data();
-  lv.charges = entry_charge_.data();
-  columnar_fire(
-      lv, [run](size_t i) -> const Row& { return run[i].row; },
-      [tags](size_t) { return tags; }, entry_firings_);
-
-  const size_t nplans =
-      tid < triggers_by_table_.size() ? triggers_by_table_[tid].size() : 0;
-  entry_cursor_.assign(nplans, 0);
-
-  // Phase 3: per-tuple emission in the exact scalar order — Insert,
-  // Appear, this tuple's firings, then its cascade run to fixpoint —
-  // before the next tuple is touched.
-  for (size_t i = 0; i < n; ++i) {
-    if (diverged_ || steps_ + 1 + entry_charge_[i] > opt_.max_steps) {
-      // The scalar path could diverge inside this tuple's own firing (or
-      // already has, in a cascade): unwind what phase 1 pre-did for the
-      // unemitted rows and replay them through the scalar entry point,
-      // which reproduces the divergence bookkeeping exactly. The undo
-      // runs in reverse so stacked duplicate-row deltas peel correctly;
-      // a row whose pre-image was support 0 leaves a shell entry behind,
-      // which every consumer already skips (support > 0 filters).
-      for (size_t j = n; j-- > i;) {
-        if (entry_stores_[j] == nullptr) continue;
-        Entry& e = entry_stores_[j]->entry_at(entry_slots_[j]);
-        e.support = entry_prev_support_[j];
-        e.tags = entry_prev_tags_[j];
-      }
-      for (size_t p = 0; p < nplans; ++p) {
-        std::vector<StagedFiring>& staged = entry_firings_[p];
-        for (size_t cur = entry_cursor_[p]; cur < staged.size(); ++cur) {
-          release_row(std::move(staged[cur].head));
-        }
-      }
-      const std::string* last_name = nullptr;
-      TableId last_id = 0;
-      for (size_t j = i; j < n; ++j) {
-        stage_insert(run[j], tags, last_name, last_id);
-      }
-      return true;
-    }
-
-    const Tuple& t = run[i];
-    const Value& node = t.location();
-    TupleRef ref = entry_refs_[i];
-    NodeRef nref = kNoNode;
-    EventId cause = kNoEvent;
-    if (opt_.record_provenance) {
-      if (ref == kNoTupleRef) ref = log_.pool().intern(tid, t.row);
-      nref = log_.intern_node(node);
-      cause = log_.append(EventKind::Insert, nref, ref, tags);
-    }
-    steps_ += 1 + entry_charge_[i];
-    if (!entry_appears_[i]) continue;  // extra support: no new appearance
-
-    EventId appear_ev = cause;
-    if (opt_.record_provenance) {
-      appear_ev = log_.append(EventKind::Appear, nref, ref, entry_tags_[i],
-                              cause == kNoEvent
-                                  ? std::span<const EventId>{}
-                                  : std::span<const EventId>{&cause, 1});
-      history_.record(tid, ref);
-    }
-    if (!is_event) {
-      entry_stores_[i]->entry_at(entry_slots_[i]).appear_event = appear_ev;
-    }
-    if (nplans > 0) {
-      size_t ord = 0;
-      for (const auto& [rule_idx, body_idx] : triggers_by_table_[tid]) {
-        const size_t my_ord = ord++;
-        std::vector<StagedFiring>& staged = entry_firings_[my_ord];
-        size_t& cur = entry_cursor_[my_ord];
-        while (cur < staged.size() && staged[cur].row == i) {
-          const CompiledRule& cr = compiled_[rule_idx];
-          const TriggerPlan& tp = cr.triggers[body_idx];
-          const ndlog::Rule& rule = program_.rules[rule_idx];
-          if (opt_.record_provenance) {
-            cause_scratch_.assign(rule.body.size(), kNoEvent);
-            body_scratch_.assign(rule.body.size(), kNoTupleRef);
-            for (uint32_t pos : tp.columnar.body_positions) {
-              cause_scratch_[pos] = appear_ev;
-              body_scratch_[pos] = ref;
-            }
-          }
-          Tuple head;
-          head.table = rule.head.table;
-          head.row = std::move(staged[cur].head);
-          if (opt_.record_provenance) {
-            derive(cr, rule, node, nref, std::move(head), staged[cur].mask,
-                   cause_scratch_, body_scratch_);
-          } else {
-            derive(cr, rule, node, nref, std::move(head), staged[cur].mask, {},
-                   {});
-          }
-          ++firings_;
-          ++cur;
-        }
-      }
-    }
-    run_queue();  // this tuple's cascade, to fixpoint, before the next
-  }
-  return true;
 }
 
 void Engine::handle_appear(const Tuple& tuple, TableId table_id, TagMask tags,

@@ -24,6 +24,10 @@
 //   restriction mask; derived tuples accumulate tags. This implements the
 //   paper's multi-query backtesting ("one tag per repair candidate").
 // - All activity is recorded in the EventLog for provenance and replay.
+// - One firing path: every appearance, external or derived, is handled
+//   tuple-at-a-time (handle_appear -> fire_rules -> exec_step ->
+//   finish_rule). insert_batch amortizes index maintenance and table
+//   interning around that path; it never changes the evaluation order.
 #pragma once
 
 #include <deque>
@@ -65,24 +69,6 @@ struct EngineOptions {
   // fixpoint, event log and derivations are identical either way (pinned
   // by tests/differential_test.cpp).
   bool pushdown_selections = true;
-  // Columnar batched firing: when consecutive work-queue entries target
-  // the same table (a cascade fan-out) and every trigger plan for that
-  // table is pure (TriggerSelf-only), the lane is executed in three
-  // phases — store pass, plan-major columnar matching into a staging
-  // buffer, then tuple-major emission in the exact scalar order. Off:
-  // tuple-at-a-time dispatch (differential cross-check mode); the event
-  // log, derivations, step counts and fixpoint are identical either way
-  // (pinned by tests/differential_test.cpp).
-  bool batch_firing = true;
-  // Struct-of-arrays hot columns: every TableStore of a columnar-eligible
-  // table keeps the columns its plans' flattened predicates read in
-  // per-column Value vectors (written on insert), and the batched firing
-  // pass filters lanes through those contiguous columns instead of
-  // chasing each row's heap vector. Off: the columnar pass reads rows
-  // (differential cross-check mode); results are identical either way
-  // (pinned by tests/differential_test.cpp). No effect unless
-  // batch_firing is on.
-  bool soa_columns = true;
   size_t max_steps = 1'000'000;   // guard against runaway candidate programs
   // Auto-compaction policy (the ROADMAP's "mechanism only, no policy"
   // item): after a top-level insert/remove reaches fixpoint, if the log's
@@ -229,13 +215,6 @@ class Engine {
   // scans executed by atom steps (the trigger atom itself is neither).
   size_t index_probes() const { return index_probes_; }
   size_t full_scans() const { return full_scans_; }
-  // Columnar batched-firing statistics: lanes taken and tuples they
-  // absorbed (tests assert the fast path actually engaged).
-  size_t batched_lanes() const { return batched_lanes_; }
-  size_t batched_tuples() const { return batched_tuples_; }
-  // Lanes formed at the insert_batch entry point (try_insert_lane); they
-  // count toward batched_lanes()/batched_tuples() as well.
-  size_t entry_lanes() const { return entry_lanes_; }
 
   // --- observability (src/obs) -----------------------------------------
   // The per-engine counters above are the exact, test-pinned numbers for
@@ -265,20 +244,14 @@ class Engine {
   TableId intern_extern_table(const std::string& name);
   Row acquire_row();
   void release_row(Row&& row);
-  // Shared external-tuple dispatch (insert / receive_remote /
-  // stage_insert): handle_appear in place at a true top level — no queue
-  // round trip or Tuple copy — falling back to the queue when re-entrant.
+  // Shared external-tuple dispatch (insert / receive_remote; insert_batch
+  // stages through insert): handle_appear in place at a true top level —
+  // no queue round trip or Tuple copy — falling back to the queue when
+  // re-entrant.
   void dispatch_external(const Tuple& t, TableId tid, TagMask tags,
                          EventId cause, TupleRef ref, NodeRef nref);
   void enqueue_appear(Tuple t, TableId tid, TagMask tags, EventId cause,
                       TupleRef ref, NodeRef nref);
-  // One insert_batch element: logs the Insert event, then dispatches the
-  // appearance directly into handle_appear (no queue round trip) and runs
-  // its derived closure to fixpoint; falls back to the queue when called
-  // re-entrantly. `last_name`/`last_id` cache the previous table interning
-  // so homogeneous batches hash each table name once.
-  void stage_insert(const Tuple& t, TagMask tags, const std::string*& last_name,
-                    TableId& last_id);
   void remove_one(const Tuple& t);
   // Bulk (deferred-index) mode brackets for insert_batch; nestable so
   // re-entrant batches from callbacks flush once, at the outermost end.
@@ -287,58 +260,12 @@ class Engine {
   // Applies the EngineOptions auto-compaction policy; called when a
   // top-level mutation (never a nested or mid-fixpoint one) completes.
   void maybe_autocompact();
-  // One staged columnar firing: the lane row it came from and the head
-  // row it derived (mask = the firing's tag mask).
-  struct StagedFiring {
-    uint32_t row = 0;  // index into the lane
-    TagMask mask = 0;
-    Row head;
-  };
   struct BulkBracket;  // RAII begin_bulk/end_bulk (defined in engine.cpp)
   void run_queue();
   // The drain loop proper; run_queue wraps it in the running_ bracket and
   // an unwind path (reset + queue discard) for exceptions thrown by
   // foreign code — callbacks, shard hooks, injected faults.
   void run_queue_body();
-  // Columnar batched firing over a lane of consecutive same-table queue
-  // entries (see the comment at the definition). Returns true when it
-  // consumed the lane; false = not eligible, caller runs the scalar pop.
-  bool run_batch_lane();
-  // Computes (and caches) whether `tid` is eligible for columnar batched
-  // firing, filling batch_step_cost_[tid] on the first Yes.
-  bool ensure_batch_eligible(TableId tid);
-  // Entry-lane eligibility (insert_batch lanes): batch-eligible AND safe
-  // to pre-store a whole run before any tuple's cascade runs — see
-  // try_insert_lane.
-  bool ensure_entry_eligible(TableId tid);
-  // Columnar lane formation at the insert_batch entry point: a run of >=2
-  // consecutive same-table batch tuples is store-passed, matched plan-
-  // major (shared columnar_fire), then emitted per tuple in the exact
-  // scalar order with each tuple's cascade run to fixpoint before the
-  // next. Returns true when it consumed the run; false = not eligible,
-  // caller stages the run tuple-at-a-time.
-  bool try_insert_lane(std::span<const Tuple> run, TableId tid, TagMask tags);
-  // One row of lane input for columnar_fire, plus where its side outputs
-  // go. `stores`/`slots` are per-row (stored lanes; nullptr for event
-  // lanes) and feed the SoA predicate reads; `charges` non-null redirects
-  // the per-group step charges into a per-row counter (entry lanes charge
-  // at emission to keep the scalar steps_ trajectory) instead of steps_.
-  struct LaneView {
-    TableId tid = 0;
-    size_t n = 0;
-    const uint8_t* appears = nullptr;
-    TableStore* const* stores = nullptr;
-    const uint32_t* slots = nullptr;
-    uint32_t* charges = nullptr;
-  };
-  // Plan-major columnar matching over a lane: runs every trigger plan of
-  // lv.tid once across the lane's rows (row_at(i) -> const Row&,
-  // in_tags(i) -> incoming TagMask), staging surviving head rows into
-  // `firings` (one vector per plan, rows ascending). Shared by
-  // run_batch_lane (queue lanes) and try_insert_lane (entry lanes).
-  template <typename RowAt, typename TagsAt>
-  void columnar_fire(const LaneView& lv, RowAt row_at, TagsAt in_tags,
-                     std::vector<std::vector<StagedFiring>>& firings);
   void handle_appear(const Tuple& tuple, TableId table_id, TagMask tags,
                      EventId cause, TupleRef ref, NodeRef nref = kNoNode);
   void fire_rules(const Value& node, NodeRef nref, const Tuple& trigger,
@@ -413,7 +340,8 @@ class Engine {
   // derive -> enqueue -> dispatch round trip does not malloc per firing.
   std::vector<Row> row_pool_;
   // One-entry table-interning cache for the external insert/receive entry
-  // points (homogeneous streams hash the table name once, not per tuple).
+  // points, insert_batch included (homogeneous streams hash the table name
+  // once, not per tuple).
   std::string extern_name_cache_;
   TableId extern_id_cache_ = 0;
   bool extern_cache_valid_ = false;
@@ -421,52 +349,14 @@ class Engine {
   // insert_batch (flushed when the outermost batch finishes).
   int bulk_depth_ = 0;
   std::vector<TableStore*> bulk_stores_;
-  // Columnar batched-firing state (run_batch_lane). The eligibility of a
-  // table is static apart from callback registration, so it is computed
-  // once per table and cached; on_appear() invalidates the slot.
-  enum class BatchEligible : uint8_t { Unknown, No, Yes };
-  std::vector<BatchEligible> batch_eligible_;
-  std::vector<size_t> batch_step_cost_;  // worst-case step charge per tuple
-  std::vector<BatchEligible> entry_eligible_;  // insert_batch lanes
-  // Per-table hot columns for the TableStore struct-of-arrays mirrors
-  // (EngineOptions::soa_columns): the sorted union of every columnar
-  // predicate column across a table's (all-pure) trigger plans. Fixed at
-  // construction, shared by every node's stores via Database::init.
-  SoaSpecs soa_specs_;
-  // Lane scratch, reused across lanes (the batched path is not re-entrant:
-  // eligible lanes have no callbacks, and derivations only enqueue).
-  std::vector<PendingAppear> lane_;
-  std::vector<uint8_t> lane_appears_;
-  std::vector<TagMask> lane_tags_;  // post-merge tags the Appear records
-  std::vector<uint32_t> lane_slots_;   // store slot per stored lane tuple
-  std::vector<TableStore*> lane_stores_;  // store per stored lane tuple
-  std::vector<uint32_t> match_;     // surviving lane indices, per plan
-  std::vector<std::vector<StagedFiring>> lane_firings_;  // per plan
-  std::vector<size_t> lane_cursor_;  // per-plan emission cursor
-  // Entry-lane scratch (try_insert_lane). Separate from the queue-lane
-  // arrays above: an entry lane's per-tuple cascades call run_queue,
-  // whose own lanes clobber the lane_* scratch mid-emission.
-  std::vector<uint8_t> entry_appears_;
-  std::vector<TagMask> entry_tags_;      // post-merge tags per row
-  std::vector<uint32_t> entry_slots_;
-  std::vector<TableStore*> entry_stores_;
-  std::vector<TupleRef> entry_refs_;
-  std::vector<uint32_t> entry_charge_;   // per-row step charge (matching)
-  std::vector<int> entry_prev_support_;  // store-pass undo (bail path)
-  std::vector<TagMask> entry_prev_tags_;
-  std::vector<std::vector<StagedFiring>> entry_firings_;
-  std::vector<size_t> entry_cursor_;
   bool diverged_ = false;
   size_t steps_ = 0;
   size_t firings_ = 0;
   size_t index_probes_ = 0;
   size_t full_scans_ = 0;
-  size_t batched_lanes_ = 0;
-  size_t batched_tuples_ = 0;
-  size_t entry_lanes_ = 0;
   // Counter values as of the last publish_obs() (same order as the
   // publication table in engine.cpp).
-  size_t obs_published_[8] = {};
+  size_t obs_published_[5] = {};
   bool running_ = false;
 };
 

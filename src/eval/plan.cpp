@@ -306,90 +306,6 @@ void fold_const_trigger_sels(const CompiledRule& cr, TriggerPlan& tp) {
   }
 }
 
-// Flattens a pure plan (every step TriggerSelf) into the row-local
-// predicate groups the engine's columnar batched-firing path consumes.
-// Leaves columnar.pure false — scalar fallback — on anything surprising
-// (a Check against a slot no trigger column bound, a re-bind).
-void build_columnar_plan(const CompiledRule& cr, TriggerPlan& tp,
-                         uint32_t trigger_body_pos) {
-  tp.columnar = ColumnarPlan{};
-  if (tp.dead) return;
-  for (const AtomStep& st : tp.steps) {
-    if (st.access != AtomStep::Access::TriggerSelf) return;
-  }
-  ColumnarPlan cp;
-  std::vector<int64_t> src;  // slot -> trigger column that bound it
-  auto flatten = [&](const std::vector<ArgOp>& ops, ColumnarGroup& g) {
-    for (const ArgOp& op : ops) {
-      switch (op.kind) {
-        case ArgOp::Kind::Const: {
-          ColumnarPred p;
-          p.kind = ColumnarPred::Kind::ConstEq;
-          p.col = op.col;
-          p.cval = op.cval;
-          g.preds.push_back(std::move(p));
-          break;
-        }
-        case ArgOp::Kind::Bind:
-          if (op.slot >= src.size()) src.resize(op.slot + 1, -1);
-          if (src[op.slot] >= 0) return false;
-          src[op.slot] = op.col;
-          cp.slot_cols.emplace_back(op.slot, op.col);
-          break;
-        case ArgOp::Kind::Check: {
-          if (op.slot >= src.size() || src[op.slot] < 0) return false;
-          ColumnarPred p;
-          p.kind = ColumnarPred::Kind::ColEq;
-          p.col = op.col;
-          p.col2 = static_cast<uint32_t>(src[op.slot]);
-          g.preds.push_back(std::move(p));
-          break;
-        }
-      }
-    }
-    return true;
-  };
-  cp.groups.resize(tp.steps.size() + 1);
-  cp.groups[0].arity = tp.arity;
-  cp.groups[0].sels = tp.trigger_sels;
-  if (!flatten(tp.trigger_ops, cp.groups[0])) return;
-  cp.body_positions.push_back(trigger_body_pos);
-  for (size_t j = 0; j < tp.steps.size(); ++j) {
-    ColumnarGroup& g = cp.groups[j + 1];
-    g.arity = tp.steps[j].arity;
-    g.sels = tp.steps[j].sels;
-    if (!flatten(tp.steps[j].full_ops, g)) return;
-    cp.body_positions.push_back(tp.steps[j].body_pos);
-  }
-  cp.pure = true;
-  // Flat finish: everything the finish evaluates must be expressible
-  // straight off the trigger row.
-  if (cr.assigns.empty() && cr.sels.size() <= 64 &&
-      (cr.sels.empty() ||
-       (tp.pushed_mask & ((~uint64_t{0}) >> (64 - cr.sels.size()))) ==
-           ((~uint64_t{0}) >> (64 - cr.sels.size())))) {
-    bool flat = true;
-    for (const SlotExpr& arg : cr.head_args) {
-      const SlotExpr::Node* n = single_node(arg);
-      ColumnarPlan::HeadCol hc;
-      if (n != nullptr && n->kind == ndlog::Expr::Kind::Const) {
-        hc.is_const = true;
-        hc.cval = n->cval;
-      } else if (n != nullptr && n->kind == ndlog::Expr::Kind::Var &&
-                 n->slot < src.size() && src[n->slot] >= 0) {
-        hc.col = static_cast<uint32_t>(src[n->slot]);
-      } else {
-        flat = false;
-        break;
-      }
-      cp.head_cols.push_back(std::move(hc));
-    }
-    cp.flat_finish = flat;
-    if (!flat) cp.head_cols.clear();
-  }
-  tp.columnar = std::move(cp);
-}
-
 }  // namespace
 
 CompiledRule compile_rule(const ndlog::Rule& rule, ndlog::Catalog& catalog,
@@ -494,7 +410,6 @@ CompiledRule compile_rule(const ndlog::Rule& rule, ndlog::Catalog& catalog,
       push_ready_sels(st.sels);
       tp.steps.push_back(std::move(st));
     }
-    build_columnar_plan(cr, tp, static_cast<uint32_t>(t));
   }
   cr.nslots = sm.next;
   return cr;

@@ -168,54 +168,6 @@ struct AtomStep {
   std::vector<uint32_t> sels;
 };
 
-// Columnar batched-firing metadata (engine.cpp, run_batch_lane). A plan is
-// `pure` when every join step is TriggerSelf: firing depends only on the
-// triggering tuple, never on stored state, so a lane of same-table
-// appearances can be driven plan-major over a match vector. Because every
-// slot a pure plan binds comes from the trigger row itself, its entire
-// unification flattens to row-local predicates: row[col] == const and
-// row[col] == row[col2].
-struct ColumnarPred {
-  enum class Kind : uint8_t { ConstEq, ColEq };
-  Kind kind = Kind::ConstEq;
-  uint32_t col = 0;
-  uint32_t col2 = 0;  // ColEq: the column that bound the checked slot
-  Value cval;         // ConstEq
-};
-// One charge boundary of the scalar execution: group 0 is the trigger atom
-// (its failures charge no engine step), group g+1 is steps[g] (reaching it
-// costs one step per surviving row, exactly like the exec_step call it
-// replaces).
-struct ColumnarGroup {
-  uint32_t arity = 0;  // required row size for this group's atom
-  std::vector<ColumnarPred> preds;
-  std::vector<uint32_t> sels;  // pushed selections evaluated at this group
-};
-struct ColumnarPlan {
-  bool pure = false;
-  std::vector<ColumnarGroup> groups;  // steps.size() + 1 when pure
-  // Frame construction recipe: slot <- row[col], in binding order.
-  std::vector<std::pair<uint32_t, uint32_t>> slot_cols;
-  // rule.body positions this plan satisfies from the trigger tuple (the
-  // trigger atom plus every TriggerSelf step); a staged firing's cause and
-  // body-ref vectors fill exactly these positions.
-  std::vector<uint32_t> body_positions;
-  // Flat finish: when the rule has no assignments, every selection is
-  // pushed into the join, and each head argument is a bare variable (bound
-  // from a trigger column) or a constant, head rows are built straight
-  // from the trigger row — no Frame is constructed anywhere on the
-  // columnar path. head_cols is the per-argument recipe. (Only valid
-  // under pushdown evaluation; the finish-only cross-check mode takes the
-  // frame-based finish.)
-  struct HeadCol {
-    bool is_const = false;
-    uint32_t col = 0;
-    Value cval;
-  };
-  bool flat_finish = false;
-  std::vector<HeadCol> head_cols;
-};
-
 // The compiled execution plan for one (rule, trigger body atom) pair.
 struct TriggerPlan {
   bool dead = false;  // can never fire (e.g. unreachable event atom)
@@ -229,7 +181,6 @@ struct TriggerPlan {
   // Selections with index >= 64 are never pushed down.
   uint64_t pushed_mask = 0;
   std::vector<AtomStep> steps;  // join order chosen by the planner
-  ColumnarPlan columnar;        // set when the plan is pure (see above)
 };
 
 struct CompiledAssign {

@@ -18,6 +18,9 @@ void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
 double HistogramData::quantile(double q) const {
   if (count == 0) return 0.0;
+  // One sample: the sum is that sample, exactly (interpolating inside its
+  // log2 bucket would report up to 2x the recorded value).
+  if (count == 1) return static_cast<double>(sum);
   q = std::clamp(q, 0.0, 1.0);
   // Target rank in [1, count] (nearest-rank with interpolation inside the
   // bucket that crosses it).

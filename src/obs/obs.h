@@ -132,7 +132,8 @@ struct HistogramData {
   // q in [0,1]: rank-interpolated quantile from the bucket counts. The
   // target rank's bucket is found by cumulative count; the value is
   // linearly interpolated between the bucket's bounds by the rank's
-  // position inside it. Exact for single-bucket data up to bucket width.
+  // position inside it. Exact for single-bucket data up to bucket width;
+  // exact for a single sample (every quantile is that sample).
   double quantile(double q) const;
   double p50() const { return quantile(0.50); }
   double p90() const { return quantile(0.90); }

@@ -362,32 +362,26 @@ TEST(ReplayBaseStream, RebuildsTablesFromRecordedLog) {
   EXPECT_EQ(rebuilt.log().size(), original.log().size());
 }
 
-// --- columnar batched firing edge cases ---------------------------------
-// Engine::run_batch_lane batches a same-table run at the queue front; the
-// tests below pin the fallback seams: tables with appearance callbacks and
-// keyed tables must stay on the scalar path, singleton queues can never
-// form a lane, and every configuration must stay byte-identical to the
-// batch_firing=false engine.
+// --- insert_batch vs insert: re-entrancy, displacement, divergence ----
 
-// Fan-out program whose every In insert creates a 3-tuple Mid lane, and
-// whose Mid lane fires into Out — two lane opportunities per insert.
-const char* kLaneProgram =
+// Fan-out program: every In insert derives three Mid rows, two of which
+// fire into Out.
+const char* kFanoutProgram =
     "table Mid/3.\ntable Out/3.\nevent In/2.\n"
     "c1 Mid(@X,V,1) :- In(@X,V).\n"
     "c2 Mid(@X,V,2) :- In(@X,V).\n"
     "c3 Mid(@X,V,3) :- In(@X,V).\n"
     "o1 Out(@X,K,V) :- Mid(@X,V,K), K < 3.\n";
 
-TEST(BatchFiring, CallbackTableFallsBackAndReentrantInsertsAgree) {
-  // A callback on Out (re-entrantly inserting into In on every third
-  // appearance) makes Out lanes ineligible — callbacks must interleave
-  // with appearances exactly as the scalar engine interleaves them — but
-  // the Mid lanes still batch around it.
-  auto drive = [](bool batch_firing, size_t& callbacks) {
-    EngineOptions opt;
-    opt.batch_firing = batch_firing;
-    auto engine = std::make_unique<Engine>(ndlog::parse_program(kLaneProgram),
-                                           std::move(opt));
+TEST(BatchInsert, ReentrantCallbackInsertsMatchSequential) {
+  // A callback on Out re-entrantly inserts into In on every third
+  // appearance; the nested inserts must interleave with the batch's own
+  // tuples exactly as they do with one insert() per tuple.
+  std::vector<Tuple> work;
+  for (int i = 0; i < 10; ++i) work.push_back(t("In", {Value(1), Value(i)}));
+  auto drive = [&work](bool batched, size_t& callbacks) {
+    auto engine =
+        std::make_unique<Engine>(ndlog::parse_program(kFanoutProgram));
     Engine* raw = engine.get();
     callbacks = 0;
     engine->on_appear("Out", [raw, &callbacks](const Tuple& tup, TagMask) {
@@ -397,27 +391,27 @@ TEST(BatchFiring, CallbackTableFallsBackAndReentrantInsertsAgree) {
             "In", {tup.row[0], Value(1000 + static_cast<int64_t>(callbacks))}});
       }
     });
-    for (int i = 0; i < 10; ++i) {
-      raw->insert(Tuple{"In", {Value(1), Value(i)}});
+    if (batched) {
+      raw->insert_batch(work);
+    } else {
+      for (const Tuple& tup : work) raw->insert(tup);
     }
     return engine;
   };
-  size_t cb_lane = 0, cb_scalar = 0;
-  auto lanes = drive(true, cb_lane);
-  auto scalar = drive(false, cb_scalar);
-  EXPECT_GT(cb_lane, 0u);
-  EXPECT_EQ(cb_lane, cb_scalar);
-  EXPECT_GT(lanes->batched_lanes(), 0u) << "Mid lanes must still batch";
-  EXPECT_EQ(scalar->batched_lanes(), 0u);
-  expect_equivalent(*lanes, *scalar, "re-entrant callback inserts");
+  size_t cb_batched = 0, cb_sequential = 0;
+  auto batched = drive(true, cb_batched);
+  auto sequential = drive(false, cb_sequential);
+  EXPECT_GT(cb_batched, 0u);
+  EXPECT_EQ(cb_batched, cb_sequential);
+  constexpr const char* tables[] = {"Mid", "Out"};
+  expect_equivalent(*batched, *sequential, "re-entrant callback inserts",
+                    tables);
 }
 
-TEST(BatchFiring, KeyedLaneTargetRetractionCascadesAgree) {
+TEST(BatchInsert, KeyReplacementCascadesMatchSequential) {
   // Keyed head table: every duplicate-key derivation displaces the prior
   // row, retracting its downstream derivations mid-cascade. Key
-  // replacement is order-sensitive, so keyed tables are excluded from
-  // lanes — the displacement cascade must agree with the scalar engine
-  // even while the sibling unkeyed lanes still batch.
+  // replacement is order-sensitive (last appearance wins).
   const char* prog =
       "table Slot/3 keys(0,1).\ntable Shadow/3.\nevent In/2.\n"
       "k1 Slot(@X,1,V) :- In(@X,V).\n"
@@ -425,164 +419,22 @@ TEST(BatchFiring, KeyedLaneTargetRetractionCascadesAgree) {
       "k3 Shadow(@X,V,1) :- In(@X,V).\n"
       "k4 Shadow(@X,V,2) :- In(@X,V).\n"
       "d1 Shadow(@X,K,V) :- Slot(@X,K,V), K == 1.\n";
-  EngineOptions scalar_opt;
-  scalar_opt.batch_firing = false;
-  Engine lanes(ndlog::parse_program(prog));
-  Engine scalar(ndlog::parse_program(prog), scalar_opt);
-  for (int i = 0; i < 12; ++i) {
-    // Same key (X=1, 1/2) every round: each insert displaces both Slot
-    // rows and underives d1's Shadow row while the Shadow lane batches.
-    lanes.insert(Tuple{"In", {Value(1), Value(i)}});
-    scalar.insert(Tuple{"In", {Value(1), Value(i)}});
-  }
-  EXPECT_GT(lanes.batched_lanes(), 0u) << "Shadow lanes must engage";
-  expect_equivalent(lanes, scalar, "keyed displacement cascade");
-}
-
-TEST(BatchFiring, SingletonQueuesNeverFormLanes) {
-  // One derived appearance per insert: the queue never holds two
-  // same-table entries, so the columnar path must never trigger and the
-  // scalar path must carry every firing.
-  const char* prog =
-      "table Only/2.\nevent In/2.\n"
-      "s1 Only(@X,V) :- In(@X,V).\n";
-  Engine engine(ndlog::parse_program(prog));
-  for (int i = 0; i < 20; ++i) {
-    engine.insert(Tuple{"In", {Value(1), Value(i)}});
-  }
-  EXPECT_EQ(engine.batched_lanes(), 0u);
-  EXPECT_EQ(engine.batched_tuples(), 0u);
-  EXPECT_EQ(engine.rule_firings(), 20u);
-}
-
-TEST(BatchFiring, LaneCountersTrackWholeLanes) {
-  Engine engine(ndlog::parse_program(kLaneProgram));
-  for (int i = 0; i < 10; ++i) {
-    engine.insert(Tuple{"In", {Value(1), Value(i)}});
-  }
-  // Each insert makes one 3-wide Mid lane and one 2-wide Out lane.
-  EXPECT_EQ(engine.batched_lanes(), 20u);
-  EXPECT_EQ(engine.batched_tuples(), 50u);
-  EngineOptions off;
-  off.batch_firing = false;
-  Engine scalar(ndlog::parse_program(kLaneProgram), off);
-  for (int i = 0; i < 10; ++i) {
-    scalar.insert(Tuple{"In", {Value(1), Value(i)}});
-  }
-  expect_equivalent(engine, scalar, "lane counter program");
-}
-
-// --- entry lanes: columnar firing straight off insert_batch runs ------
-
-// Pure selection/assignment plans (the PacketIn shape from the bench):
-// same-table runs inside insert_batch go through try_insert_lane instead
-// of per-tuple stage_insert.
-const char* kEntryEventProgram =
-    "table FlowTable/4.\nevent PacketIn/4.\n"
-    "p1 FlowTable(@Swi,Hdr,Src,Prt) :- PacketIn(@C,Swi,Hdr,Src), Swi == 1, "
-    "Hdr == 80, Prt := 2.\n"
-    "p2 FlowTable(@Swi,Hdr,Src,Prt) :- PacketIn(@C,Swi,Hdr,Src), Swi == 1, "
-    "Hdr == 53, Prt := 3.\n";
-
-TEST(EntryLane, EventRunMatchesScalarInserts) {
+  // Same key (X=1, 1/2) every round: each insert displaces both Slot rows
+  // and underives d1's Shadow row.
   std::vector<Tuple> work;
-  for (int i = 0; i < 64; ++i) {
-    // Mix of rule-1 matches, rule-2 matches, and no-match rows.
-    const int hdr = i % 3 == 0 ? 80 : (i % 3 == 1 ? 53 : 22);
-    work.push_back(t("PacketIn",
-                     {Value::str("C"), Value(1), Value(hdr), Value(i % 7)}));
-  }
-  Engine scalar(ndlog::parse_program(kEntryEventProgram));
-  for (const Tuple& tup : work) scalar.insert(tup);
-
-  Engine lanes(ndlog::parse_program(kEntryEventProgram));
-  lanes.insert_batch(work);
-  EXPECT_GT(lanes.entry_lanes(), 0u) << "event run must form an entry lane";
-  EXPECT_EQ(scalar.entry_lanes(), 0u);
-  constexpr const char* tables[] = {"FlowTable"};
-  expect_equivalent(lanes, scalar, "entry event lane", tables);
+  for (int i = 0; i < 12; ++i) work.push_back(t("In", {Value(1), Value(i)}));
+  Engine sequential(ndlog::parse_program(prog));
+  for (const Tuple& tup : work) sequential.insert(tup);
+  Engine batched(ndlog::parse_program(prog));
+  batched.insert_batch(work);
+  constexpr const char* tables[] = {"Slot", "Shadow"};
+  expect_equivalent(batched, sequential, "keyed displacement cascade", tables);
 }
 
-TEST(EntryLane, MixedTableBatchFormsRunsPerTable) {
-  // Alternating tables never form runs (entry lanes need length >= 2);
-  // grouped tables form one run each. Both must match scalar inserts.
-  std::vector<Tuple> grouped, alternating;
-  for (int i = 0; i < 6; ++i) {
-    grouped.push_back(t("PacketIn",
-                        {Value::str("C"), Value(1), Value(80), Value(i)}));
-  }
-  for (int i = 0; i < 6; ++i) {
-    grouped.push_back(t("Probe", {Value(1), Value(i)}));
-  }
-  for (size_t i = 0; i < grouped.size(); ++i) {
-    alternating.push_back(grouped[i % 2 == 0 ? i / 2 : 6 + i / 2]);
-  }
-  const char* prog =
-      "table FlowTable/4.\nevent PacketIn/4.\ntable Probe/2.\n"
-      "p1 FlowTable(@Swi,Hdr,Src,Prt) :- PacketIn(@C,Swi,Hdr,Src), Swi == 1, "
-      "Hdr == 80, Prt := 2.\n";
-  Engine scalar(ndlog::parse_program(prog));
-  for (const Tuple& tup : grouped) scalar.insert(tup);
-
-  Engine runs(ndlog::parse_program(prog));
-  runs.insert_batch(grouped);
-  EXPECT_GE(runs.entry_lanes(), 2u) << "one run per table";
-
-  Engine alt(ndlog::parse_program(prog));
-  alt.insert_batch(alternating);
-  EXPECT_EQ(alt.entry_lanes(), 0u) << "runs of one stay scalar";
-
-  constexpr const char* tables[] = {"FlowTable", "Probe"};
-  expect_equivalent(runs, scalar, "grouped entry runs", tables);
-  EXPECT_EQ(table_snapshot(alt, tables), table_snapshot(scalar, tables));
-  EXPECT_EQ(alt.rule_firings(), scalar.rule_firings());
-}
-
-TEST(EntryLane, StoredRunWithDuplicatesMatchesScalarAndSoaOff) {
-  // S is never a rule head and only appears as its own trigger, so stored
-  // runs are entry-eligible; duplicates inside the run exercise the
-  // support/tag pre-merge. K == 1 compiles to a columnar const-equality
-  // predicate, which is what puts column K in S's SoA mirror; V > 2 stays
-  // a pushed selection and runs off the row.
-  const char* prog =
-      "table S/3.\ntable Out/2.\n"
-      "s1 Out(@X,V) :- S(@X,K,V), K == 1, V > 2.\n";
-  std::vector<Tuple> work;
-  for (int i = 0; i < 12; ++i) {
-    work.push_back(
-        t("S", {Value(1), Value(i % 2), Value(i % 5)}));  // dup rows late
-  }
-  Engine scalar(ndlog::parse_program(prog));
-  for (const Tuple& tup : work) scalar.insert(tup);
-
-  Engine lanes(ndlog::parse_program(prog));
-  lanes.insert_batch(work);
-  EXPECT_GT(lanes.entry_lanes(), 0u) << "stored run must form an entry lane";
-  const Database* db = lanes.db(Value(1));
-  ASSERT_NE(db, nullptr);
-  ASSERT_NE(db->table("S"), nullptr);
-  EXPECT_TRUE(db->table("S")->has_soa())
-      << "pure-plan stored table must carry its SoA selection columns";
-
-  EngineOptions no_soa;
-  no_soa.soa_columns = false;
-  Engine plain(ndlog::parse_program(prog), no_soa);
-  plain.insert_batch(work);
-  const Database* pdb = plain.db(Value(1));
-  ASSERT_NE(pdb, nullptr);
-  EXPECT_FALSE(pdb->table("S")->has_soa());
-
-  constexpr const char* tables[] = {"S", "Out"};
-  expect_equivalent(lanes, scalar, "stored entry lane", tables);
-  expect_equivalent(plain, scalar, "stored entry lane, SoA off", tables);
-}
-
-TEST(EntryLane, DivergenceBailRestoresStoreAndReplaysScalar) {
+TEST(BatchInsert, DivergenceMidBatchWithDuplicatesMatchesSequential) {
   // The first S row's cascade runs away and trips the divergence guard
-  // inside the lane's fixpoint drain. The lane must undo the bulk store
-  // writes it staged for the seven unprocessed rows (including duplicate
-  // support merges) and replay them through the scalar path so the final
-  // state matches a scalar run exactly.
+  // partway through the batch; the remaining rows (duplicates among them)
+  // must land exactly as they do with one insert() per tuple.
   const char* prog =
       "table S/2.\ntable B/2.\n"
       "s1 B(@X,V) :- S(@X,V).\n"
@@ -593,16 +445,15 @@ TEST(EntryLane, DivergenceBailRestoresStoreAndReplaysScalar) {
   }
   EngineOptions opt;
   opt.max_steps = 200;
-  Engine scalar(ndlog::parse_program(prog), opt);
-  for (const Tuple& tup : work) scalar.insert(tup);
-  ASSERT_TRUE(scalar.diverged());
+  Engine sequential(ndlog::parse_program(prog), opt);
+  for (const Tuple& tup : work) sequential.insert(tup);
+  ASSERT_TRUE(sequential.diverged());
 
-  Engine lanes(ndlog::parse_program(prog), opt);
-  lanes.insert_batch(work);
-  EXPECT_TRUE(lanes.diverged());
-  EXPECT_GT(lanes.entry_lanes(), 0u) << "lane must form before the bail";
+  Engine batched(ndlog::parse_program(prog), opt);
+  batched.insert_batch(work);
+  EXPECT_TRUE(batched.diverged());
   constexpr const char* tables[] = {"S", "B"};
-  expect_equivalent(lanes, scalar, "divergence bail", tables);
+  expect_equivalent(batched, sequential, "divergence mid-batch", tables);
 }
 
 }  // namespace

@@ -136,77 +136,6 @@ TEST(Differential, SelectionPushdownMatchesFinishOnlyEvaluation) {
   }
 }
 
-// Columnar batched firing (Engine::run_batch_lane) reorders the work of a
-// same-table queue lane into store/match/emit phases; the observable
-// behaviour must be byte-identical to tuple-at-a-time dispatch. Sweep:
-// batch_firing {on (the default), off} x use_indexes {on, off} on every
-// scenario, comparing the exact event sequence, firing/derivation counts,
-// final tables, and the repair explorer's output. The lane counters prove
-// the batched configurations actually exercised the columnar path — an
-// equivalence test that silently fell back to scalar would pin nothing.
-TEST(Differential, BatchFiringMatchesTupleAtATime) {
-  size_t lanes_engaged = 0;
-  for (const Scenario& s : all_scenarios()) {
-    SCOPED_TRACE("scenario " + s.id);
-    const std::vector<eval::Tuple> trace = engine_trace(s, 2500);
-
-    for (bool indexes : {true, false}) {
-      SCOPED_TRACE(indexes ? "indexes on" : "indexes off");
-      eval::EngineOptions scalar_opt;
-      scalar_opt.use_indexes = indexes;
-      scalar_opt.batch_firing = false;
-      eval::EngineOptions lane_opt;
-      lane_opt.use_indexes = indexes;  // batch_firing stays default-on
-
-      eval::Engine scalar(s.program, scalar_opt);
-      eval::Engine lanes(s.program, lane_opt);
-      for (const eval::Tuple& t : trace) {
-        scalar.insert(t);
-        lanes.insert(t);
-      }
-      EXPECT_EQ(scalar.batched_lanes(), 0u)
-          << "batch_firing=false must never take the columnar path";
-      lanes_engaged += lanes.batched_lanes();
-
-      const EngineSnapshot want = snapshot(scalar);
-      expect_equal(snapshot(lanes), want, s.id + " batch firing");
-      EXPECT_EQ(explore_all(s, lanes), explore_all(s, scalar))
-          << "repair exploration must not observe the firing strategy";
-    }
-    // Batched inserts funnel whole traces through one fixpoint drain —
-    // the lane-friendliest entry point; it must agree with the scalar
-    // tuple-at-a-time baseline too (batching x batch_firing compose).
-    eval::EngineOptions scalar_opt;
-    scalar_opt.batch_firing = false;
-    expect_equal(run_trace(s, trace, 64), run_trace(s, trace, 0, scalar_opt),
-                 s.id + " insert_batch with lanes vs scalar singles");
-  }
-  EXPECT_GT(lanes_engaged, 0u)
-      << "no scenario formed a lane: the sweep never tested batch firing";
-}
-
-// The SoA mirror columns are a pure read-path acceleration: lane predicate
-// evaluation reads contiguous per-column arrays instead of chasing
-// slot -> Row indirections. Disabling them (soa_columns = false) must be
-// observationally invisible on every scenario, through both the
-// insert_batch entry lanes and the queue-drain lanes.
-TEST(Differential, SoaColumnsOffMatchesDefaultOnAllScenarios) {
-  for (const Scenario& s : all_scenarios()) {
-    SCOPED_TRACE("scenario " + s.id);
-    const std::vector<eval::Tuple> trace = engine_trace(s, 2500);
-
-    eval::EngineOptions no_soa;
-    no_soa.soa_columns = false;
-    const EngineSnapshot want = run_trace(s, trace, 64);
-    EXPECT_GT(want.firings, 0u);
-    expect_equal(run_trace(s, trace, 64, no_soa), want, s.id + " SoA off");
-    // Tuple-at-a-time still funnels cascades through queue lanes, whose
-    // predicate path also reads the mirror — cover it without batching.
-    expect_equal(run_trace(s, trace, 0, no_soa), run_trace(s, trace, 0),
-                 s.id + " SoA off, tuple-at-a-time");
-  }
-}
-
 // Observability is pure observation: turning the obs switch off
 // (obs::set_enabled(false), which silences every publishing site — engine
 // counter publication, storage/sharded instruments, latency histograms,

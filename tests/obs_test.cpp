@@ -2,7 +2,8 @@
 //   - registry: one instrument per name (dedup), kind mismatches return a
 //     sink that never reaches the snapshot,
 //   - histogram: log2 bucket placement, bucket bounds, quantiles on known
-//     distributions (p50/p99), snapshot JSON well-formedness,
+//     distributions (p50/p99) and on a single sample (exact), snapshot
+//     JSON well-formedness,
 //   - snapshot/delta: counters and histogram buckets subtract, gauges
 //     keep their current level — the contract that makes per-scenario
 //     metric sections possible even though registry counters are
@@ -89,6 +90,22 @@ TEST(Histogram, QuantilesOnKnownDistribution) {
   EXPECT_GE(d.p99(), 1024.0);
   EXPECT_LE(d.p99(), 2047.0);
   EXPECT_DOUBLE_EQ(d.mean(), static_cast<double>(d.sum) / 100.0);
+}
+
+TEST(Histogram, SingleSampleQuantilesAreExact) {
+  // One 76.7 ms latency sample, recorded in ns as the latency histograms
+  // record it. Interpolating inside its log2 bucket [2^26, 2^27) reported
+  // p50 ~100.7 ms; a single sample is its own every quantile.
+  constexpr uint64_t kSample = 76'700'000;
+  Histogram h;
+  h.record(kSample);
+  HistogramData d;
+  d.buckets.resize(Histogram::kBuckets);
+  for (size_t b = 0; b < Histogram::kBuckets; ++b) d.buckets[b] = h.bucket(b);
+  d.count = h.count();
+  d.sum = h.sum();
+  EXPECT_DOUBLE_EQ(d.p50(), static_cast<double>(kSample));
+  EXPECT_DOUBLE_EQ(d.p99(), static_cast<double>(kSample));
 }
 
 TEST(Snapshot, DeltaSubtractsCountersKeepsGauges) {

@@ -4,21 +4,26 @@
 # provenance-recording fast path (ROADMAP "Tier-1 verify"). Usage:
 #   tools/check.sh [build-dir]
 # The bench smoke runs short provenance-on PacketIn benchmarks — the
-# single-insert row and the wave-3 batched-arrival row (entry lanes) —
-# and fails if the batched recording path drops below CHECK_BENCH_FLOOR
-# tuples/sec (default: see FLOOR below — the pre-interning recording
-# path ran at ~279k, the PR 5 interned fast path at ~565k, wave 2 at
-# ~937k, and the wave-3 batched entry path at ~1.45M on the noisy 1-CPU
-# reference box). The floor is asserted against the best of several
-# repetitions: it guards against the path regressing — scalar dispatch,
-# per-event allocations, the 40-byte record coming back — not against a
-# noisy-neighbour window (short runs have been observed to dip ~35%
-# below their quiet-window rate). The smoke also fails if the serialized
-# event footprint exceeds CHECK_BENCH_BYTES_CEILING bytes/event
-# (default 64; the 32-byte record layout measures ~62.4 on this
-# workload, and the number is deterministic, not a throughput). Skip
-# it with CHECK_BENCH=0; it is skipped automatically when
-# google-benchmark was not found at configure time.
+# single-insert row and the 64-tuple batched-arrival row (insert_batch
+# over the 32-byte record) — and fails if the batched recording path
+# drops below CHECK_BENCH_FLOOR tuples/sec. The default floor (FLOOR
+# below, 550k) is ~65% of the batched row's median best-of-3 rate on a
+# shared 4-vCPU x86-64 host (~850k t/s over ten invocations, individual
+# invocations 0.78M-1.43M): short runs have been observed to dip ~35%
+# below their quiet-window rate, so the floor is asserted against the
+# best of several repetitions and sits that far below the typical rate.
+# It trips on regressions of the path's own cost class — the
+# pre-interning recording path (full Tuple copies per event) ran ~3.4x
+# below the PR 7 path on a 1-CPU box (~279k vs ~937k t/s) — not on a
+# single extra allocation per event, which measures inside this host's
+# window-to-window noise. The 40-byte record cannot come
+# back silently: event_log.h static_asserts sizeof(Event) == 32. The
+# smoke also fails if the serialized event footprint exceeds
+# CHECK_BENCH_BYTES_CEILING bytes/event (default 64; the 32-byte record
+# layout measures ~62.4 on this workload, and the number is
+# deterministic, not a throughput). Skip it with CHECK_BENCH=0; it is
+# skipped automatically when google-benchmark was not found at
+# configure time.
 # Between the smoke and the bench smoke, the metrics gate reruns the Q1
 # pipeline with --metrics-out and validates the obs snapshot JSON
 # (parseable, core eval.engine.* counters and repair latency histograms
@@ -106,7 +111,7 @@ EOF
 # bench binary is the right artifact).
 if [[ "${CHECK_BENCH:-1}" == "1" && -x "$BUILD_DIR/bench_overhead" ]]; then
   echo "--- bench smoke (provenance recording floor + event-size ceiling) ---"
-  FLOOR="${CHECK_BENCH_FLOOR:-1400000}"
+  FLOOR="${CHECK_BENCH_FLOOR:-550000}"
   BYTES_CEILING="${CHECK_BENCH_BYTES_CEILING:-64}"
   RAW="$(mktemp)"
   trap 'rm -f "$RAW" "$METRICS"' EXIT
@@ -125,7 +130,7 @@ def reps(name):
     assert out, f"bench smoke: {name} missing from output"
     return out
 
-# Floor: the batched-arrival recording path (entry lanes over the
+# Floor: the batched-arrival recording path (insert_batch over the
 # 32-byte record), best of the repetitions — a regression of the path
 # itself depresses every repetition, a noisy window only some.
 batched = max(b["items_per_second"] for b in reps("BM_PacketInBatchedArrival/1"))

@@ -98,7 +98,7 @@ for size in (1024, 8192):
         continue
     batch[str(size)] = {
         "single_insert_tuples_per_sec": rate(loop),
-        "batched_tuples_per_sec": rate(bat),
+        "batch_insert_tuples_per_sec": rate(bat),
         "speedup": rate(bat) / rate(loop) if rate(loop) else None,
     }
 
@@ -121,30 +121,28 @@ for arg, key in ((0, "provenance_off"), (1, "provenance_on")):
         packetin[key] = {"tuples_per_sec": rate(b)}
         if b.get("bytes_per_event") is not None:
             packetin[key]["bytes_per_event"] = b["bytes_per_event"]
-# The same workload arriving in 64-tuple bursts through insert_batch:
-# same-table runs form entry lanes (Engine::try_insert_lane) and the
-# trigger plans match columnar over the whole run.
+# The same workload arriving in 64-tuple bursts through insert_batch
+# (index maintenance and table interning amortized per burst).
 for arg, key in ((0, "batched_provenance_off"), (1, "batched_provenance_on")):
     b = results.get(f"BM_PacketInBatchedArrival/{arg}")
     if b:
-        packetin[key] = {"tuples_per_sec": rate(b),
-                         "entry_lanes": b.get("entry_lanes")}
+        packetin[key] = {"tuples_per_sec": rate(b)}
         if b.get("bytes_per_event") is not None:
             packetin[key]["bytes_per_event"] = b["bytes_per_event"]
 
-# Provenance-recording overhead trajectory. `pre_interning` pins the
-# last string-carrying measurement (commit cc2d1c4: full
-# Tuple/string/vector copies per event, ~30x recording tax; its
-# bytes/event is recomputed exactly over this run's workload from the old
-# entry layout — see bytes_per_event_stringly in BM_PacketInProcessing).
-# `before` pins the interned-tuple fast path as of PR 5 (commit fc62743,
+# Past rows, hard-coded from earlier commits and boxes (history: they are
+# not measured by this run). `pre_interning` pins the last
+# string-carrying measurement (commit cc2d1c4: full Tuple/string/vector
+# copies per event, ~30x recording tax); its bytes/event is the one field
+# recomputed here, exactly, over this run's workload from the old entry
+# layout (bytes_per_event_stringly in BM_PacketInProcessing). `before`
+# pins the interned-tuple fast path as of PR 5 (commit fc62743,
 # re-measured at the growth seed 86e81ed with the benchmark's max_steps
 # fix — the earlier recorded 1.43M/s row predates that fix and measured a
-# step-capped engine). `after` is this run: NodeRef-interned event
-# records, TupleRef-keyed slot stores, const-folded trigger selections
-# and columnar batched firing.
+# step-capped engine). `wave2` pins the PR 7 head (commit 315ee3e:
+# durable segmented store) on the 1-CPU reference box.
 on_bench = results.get("BM_PacketInProcessing/1", {})
-overhead = {
+past = {
     "pre_interning": {
         "commit": "cc2d1c4",
         "provenance_on_tuples_per_sec": 279110.33156083024,
@@ -159,15 +157,17 @@ overhead = {
         "recording_tax": 2781780.0 / 565667.0,
         "bytes_per_event": 77.41,
     },
+    "wave2": {
+        "commit": "315ee3e",
+        "provenance_on_tuples_per_sec": 937152.2962907294,
+        "bytes_per_event": 72.4,
+    },
 }
-# `wave2` pins the wave-2 head (PR 7, commit 315ee3e: durable segmented
-# store on top of the columnar dispatch) as measured on the reference
-# box — the baseline the wave-3 row's speedup is against.
-overhead["wave2"] = {
-    "commit": "315ee3e",
-    "provenance_on_tuples_per_sec": 937152.2962907294,
-    "bytes_per_event": 72.4,
-}
+
+# Provenance-recording overhead of this run: single inserts (`after`) and
+# 64-tuple batched arrival (`batched`), with speedups against the past
+# rows above (cross-box ratios when this run is on another machine).
+overhead = {}
 on = packetin.get("provenance_on", {})
 off = packetin.get("provenance_off", {})
 if on.get("tuples_per_sec") and off.get("tuples_per_sec"):
@@ -178,45 +178,20 @@ if on.get("tuples_per_sec") and off.get("tuples_per_sec"):
         "bytes_per_event": on.get("bytes_per_event"),
         "speedup_vs_before":
             on["tuples_per_sec"]
-            / overhead["before"]["provenance_on_tuples_per_sec"],
+            / past["before"]["provenance_on_tuples_per_sec"],
         "speedup_vs_pre_interning":
             on["tuples_per_sec"]
-            / overhead["pre_interning"]["provenance_on_tuples_per_sec"],
+            / past["pre_interning"]["provenance_on_tuples_per_sec"],
     }
-    # Wave 3 (32-byte events + SoA columns + entry lanes), measured
-    # against the wave-2 head above. The headline is the batched-arrival
-    # path — the entry point this wave built; the single-insert rate is
-    # recorded alongside (its gain is the record-layout shrink alone,
-    # since a lone insert never forms an entry lane).
     batched_on = packetin.get("batched_provenance_on", {})
-    wave3_rate = batched_on.get("tuples_per_sec") or on["tuples_per_sec"]
-    overhead["wave3"] = {
-        "provenance_on_tuples_per_sec": wave3_rate,
-        "single_insert_tuples_per_sec": on["tuples_per_sec"],
-        "bytes_per_event": on.get("bytes_per_event"),
-        "speedup_vs_before":
-            wave3_rate / overhead["wave2"]["provenance_on_tuples_per_sec"],
-        "single_insert_speedup_vs_before":
-            on["tuples_per_sec"]
-            / overhead["wave2"]["provenance_on_tuples_per_sec"],
-    }
-
-# Columnar batched firing (BM_CascadeFanout): same cascade workload with
-# Engine::run_batch_lane on vs off. Provenance off isolates the
-# evaluation path (lane matching + flat head construction) — neutral to
-# ~1.15x on the 1-CPU box depending on its clock-drift window; with
-# provenance on the log append dominates and the two paths converge.
-columnar = {}
-for prov, pkey in ((0, "provenance_off"), (1, "provenance_on")):
-    scalar = results.get(f"BM_CascadeFanout/0/{prov}")
-    lanes = results.get(f"BM_CascadeFanout/1/{prov}")
-    if not scalar or not lanes:
-        continue
-    columnar[pkey] = {
-        "tuple_at_a_time_packets_per_sec": rate(scalar),
-        "columnar_packets_per_sec": rate(lanes),
-        "speedup": rate(lanes) / rate(scalar) if rate(scalar) else None,
-    }
+    if batched_on.get("tuples_per_sec"):
+        overhead["batched"] = {
+            "provenance_on_tuples_per_sec": batched_on["tuples_per_sec"],
+            "bytes_per_event": batched_on.get("bytes_per_event"),
+            "speedup_vs_wave2":
+                batched_on["tuples_per_sec"]
+                / past["wave2"]["provenance_on_tuples_per_sec"],
+        }
 
 # Measured-region counters (bench/perf_counters.h). Hardware rows are
 # present only when the kernel grants perf_event_open; the software
@@ -227,7 +202,7 @@ perf = {}
 for name, key in (("BM_PacketInProcessing/1", "packet_in_provenance_on"),
                   ("BM_PacketInBatchedArrival/1",
                    "packet_in_batched_provenance_on"),
-                  ("BM_CascadeFanout/1/1", "cascade_columnar_provenance_on")):
+                  ("BM_CascadeFanout/1", "cascade_provenance_on")):
     b = results.get(name, {})
     row = {k: b[k] for k in ("cycles_per_tuple", "instructions_per_tuple",
                              "cache_misses_per_tuple",
@@ -329,7 +304,7 @@ out = {
     "history_probe": history,
     "packet_in": packetin,
     "provenance_overhead": overhead,
-    "columnar_firing": columnar,
+    "history": past,
     "perf_counters": perf_counters,
     "sharded_eval": sharded,
     "durable_log": durable,
@@ -346,7 +321,7 @@ for size, j in join.items():
           f"vs {j['full_scan_tuples_per_sec']:,.0f} scanned "
           f"({j['speedup']:.1f}x)")
 for size, b in batch.items():
-    print(f"  bulk load({size} rows): {b['batched_tuples_per_sec']:,.0f} tuples/s batched "
+    print(f"  bulk load({size} rows): {b['batch_insert_tuples_per_sec']:,.0f} tuples/s batched "
           f"vs {b['single_insert_tuples_per_sec']:,.0f} looped "
           f"({b['speedup']:.2f}x)")
 for size, h in history.items():
@@ -358,21 +333,15 @@ for workers, srow in sharded.items():
     print(f"  sharded eval({workers} workers): {srow['tuples_per_sec']:,.0f} tuples/s "
           + (f"({sp:.2f}x vs serial)" if sp else "(no serial baseline)"))
 if "after" in overhead:
-    a, b = overhead["after"], overhead["before"]
+    a = overhead["after"]
     bpe = f", {a['bytes_per_event']:.1f} B/event" if a.get("bytes_per_event") else ""
     print(f"  provenance overhead: {a['provenance_on_tuples_per_sec']:,.0f} tuples/s recording on "
           f"({a['speedup_vs_before']:.2f}x vs PR 5, "
           f"{a['speedup_vs_pre_interning']:.1f}x vs pre-interning{bpe})")
-if "wave3" in overhead:
-    w = overhead["wave3"]
-    print(f"  wave 3: {w['provenance_on_tuples_per_sec']:,.0f} tuples/s batched arrival "
-          f"({w['speedup_vs_before']:.2f}x vs wave 2), "
-          f"{w['single_insert_tuples_per_sec']:,.0f} single "
-          f"({w['single_insert_speedup_vs_before']:.2f}x)")
-for pkey, c in columnar.items():
-    print(f"  columnar firing ({pkey}): {c['columnar_packets_per_sec']:,.0f} packets/s "
-          f"vs {c['tuple_at_a_time_packets_per_sec']:,.0f} scalar "
-          f"({c['speedup']:.2f}x)")
+if "batched" in overhead:
+    w = overhead["batched"]
+    print(f"  batched arrival: {w['provenance_on_tuples_per_sec']:,.0f} tuples/s recording on "
+          f"({w['speedup_vs_wave2']:.2f}x vs wave 2)")
 if durable.get("segment_write_mb_per_sec"):
     print(f"  durable log: {durable['segment_write_mb_per_sec']:.1f} MB/s segment write "
           f"({durable['segment_write_inserts_per_sec']:,.0f} inserts/s durable), "
