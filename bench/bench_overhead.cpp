@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <string>
 
+#include "e2ebench/workloads.h"
 #include "fault/fault.h"
 #include "ndlog/parser.h"
 #include "perf_counters.h"
@@ -178,6 +179,41 @@ void BM_CascadeFanout(benchmark::State& state) {
   state.SetLabel(opt.record_provenance ? "provenance ON" : "provenance OFF");
 }
 BENCHMARK(BM_CascadeFanout)->Arg(0)->Arg(1);
+
+// Fig 10's program-size axis at the engine alone: Q1's program plus
+// range(0) operational-zone rules (e2e::pad_program's `Zone` rules, each
+// triggered by PacketIn and guarded by `Swi == c, Hdr == c'`), fed Q1's
+// recorded PacketIns through Engine::insert with provenance on. The
+// constant-keyed trigger dispatch visits only the plans whose switch
+// constant matches, so ns/PacketIn stays roughly flat from /0 to /450
+// (~0.35-0.4 us both on a 4-vCPU x86 host; visiting every plan, as
+// use_indexes = false does, read ~5.9 us at /450). A measured row for
+// tools/run_bench.sh, not a gate.
+void BM_PacketInPadded(benchmark::State& state) {
+  scenario::Scenario s = scenario::q1_copy_paste({});
+  const size_t zone_rules = static_cast<size_t>(state.range(0));
+  // pad_program adds two lines (table + rule) per zone rule.
+  e2e::pad_program(s, s.program.line_count() + 2 * zone_rules);
+  std::vector<eval::Tuple> packet_ins;
+  for (eval::Tuple& t : scenario::engine_trace(s, 4096)) {
+    if (t.table == "PacketIn") packet_ins.push_back(std::move(t));
+  }
+  eval::EngineOptions opt;
+  opt.max_steps = ~size_t{0} >> 1;  // steps accumulate across iterations
+  eval::Engine engine(s.program, opt);
+  for (const eval::Tuple& t : s.config_tuples) engine.insert(t);
+  size_t i = 0;
+  for (auto _ : state) {
+    engine.insert(packet_ins[i++ % packet_ins.size()]);
+    benchmark::DoNotOptimize(engine.rule_firings());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.counters["trigger_plans_per_packet_in"] =
+      static_cast<double>(engine.trigger_attempts()) /
+      static_cast<double>(std::max<int64_t>(1, state.iterations()));
+  state.SetLabel(std::to_string(s.program.rules.size()) + " rules");
+}
+BENCHMARK(BM_PacketInPadded)->Arg(0)->Arg(450);
 
 // Join-heavy rule firing: a trigger event joined against two materialized
 // tables of `range(0)` rows each, with the join columns bound by the

@@ -60,8 +60,59 @@ Engine::Engine(ndlog::Program program, EngineOptions opt)
   for (size_t r = 0; r < program_.rules.size(); ++r) {
     for (size_t b = 0; b < program_.rules[r].body.size(); ++b) {
       const TableId tid = catalog_.id_of(program_.rules[r].body[b].table);
-      triggers_by_table_[tid].emplace_back(static_cast<uint32_t>(r),
-                                           static_cast<uint32_t>(b));
+      triggers_by_table_[tid].plans.emplace_back(static_cast<uint32_t>(r),
+                                                 static_cast<uint32_t>(b));
+    }
+  }
+  for (TriggerIndex& ti : triggers_by_table_) build_trigger_index(ti);
+}
+
+namespace {
+
+// The constant a trigger plan requires at `col` (its first Const op
+// there), or nullptr.
+const Value* trigger_const_at(const TriggerPlan& tp, uint32_t col) {
+  for (const ArgOp& op : tp.trigger_ops) {
+    if (op.kind == ArgOp::Kind::Const && op.col == col) return &op.cval;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+void Engine::build_trigger_index(TriggerIndex& ti) const {
+  const auto plan_of = [&](uint32_t pos) -> const TriggerPlan& {
+    const auto [rule_idx, body_idx] = ti.plans[pos];
+    return compiled_[rule_idx].triggers[body_idx];
+  };
+  // The key column: the one where the most live plans hold a constant
+  // (lowest column on ties). None, or use_indexes off: every plan stays
+  // unkeyed, and fire_rules visits them all.
+  std::vector<uint32_t> const_plans;  // per column
+  for (uint32_t pos = 0; pos < ti.plans.size(); ++pos) {
+    const TriggerPlan& tp = plan_of(pos);
+    if (tp.dead) continue;
+    for (uint32_t col = 0; col < tp.arity; ++col) {
+      if (trigger_const_at(tp, col) == nullptr) continue;
+      if (col >= const_plans.size()) const_plans.resize(col + 1, 0);
+      ++const_plans[col];
+    }
+  }
+  uint32_t best = 0;
+  for (uint32_t col = 0; col < const_plans.size(); ++col) {
+    if (const_plans[col] > best) {
+      best = const_plans[col];
+      ti.col = col;
+    }
+  }
+  const bool use_key = opt_.use_indexes && best > 0;
+  for (uint32_t pos = 0; pos < ti.plans.size(); ++pos) {
+    const Value* c =
+        use_key ? trigger_const_at(plan_of(pos), ti.col) : nullptr;
+    if (c != nullptr) {
+      ti.keyed[*c].push_back(pos);
+    } else {
+      ti.unkeyed.push_back(pos);
     }
   }
 }
@@ -80,9 +131,11 @@ void Engine::publish_obs() {
       &reg.counter("eval.engine.index_probes"),
       &reg.counter("eval.engine.full_scans"),
       &reg.counter("eval.engine.log_events_appended"),
+      &reg.counter("eval.engine.trigger_attempts"),
   };
   const size_t current[] = {
-      steps_, firings_, index_probes_, full_scans_, log_.size(),
+      steps_,      firings_,    index_probes_,
+      full_scans_, log_.size(), trigger_attempts_,
   };
   static_assert(std::size(current) ==
                 sizeof(obs_published_) / sizeof(obs_published_[0]));
@@ -509,8 +562,27 @@ void Engine::fire_rules(const Value& node, NodeRef nref, const Tuple& trigger,
                         TableId tid, TagMask mask, EventId trigger_event,
                         TupleRef trigger_ref) {
   if (tid >= triggers_by_table_.size()) return;  // interned after construction
+  const TriggerIndex& ti = triggers_by_table_[tid];
+  // Skipping a keyed plan whose constant differs from row[col] is exact:
+  // unify_ops would fail on that Const op before touching anything but
+  // the frame scratch. A row too short for `col` fails every keyed plan's
+  // arity check, so only the unkeyed ones remain.
+  const std::vector<uint32_t>* hit = nullptr;
+  if (!ti.keyed.empty() && ti.col < trigger.row.size()) {
+    const auto it = ti.keyed.find(trigger.row[ti.col]);
+    if (it != ti.keyed.end()) hit = &it->second;
+  }
+  const size_t nhit = hit == nullptr ? 0 : hit->size();
+  const size_t nunkeyed = ti.unkeyed.size();
   const Database* db = find_node_db(node);
-  for (const auto& [rule_idx, body_idx] : triggers_by_table_[tid]) {
+  // Merge the two ascending position lists: program order, as a walk of
+  // every plan would visit them.
+  for (size_t h = 0, u = 0; h < nhit || u < nunkeyed;) {
+    const bool take_hit =
+        u == nunkeyed || (h < nhit && (*hit)[h] < ti.unkeyed[u]);
+    const uint32_t pos = take_hit ? (*hit)[h++] : ti.unkeyed[u++];
+    ++trigger_attempts_;
+    const auto [rule_idx, body_idx] = ti.plans[pos];
     const CompiledRule& cr = compiled_[rule_idx];
     const TriggerPlan& tp = cr.triggers[body_idx];
     if (tp.dead) continue;

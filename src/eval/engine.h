@@ -13,6 +13,11 @@
 //   the TableStore's secondary indexes. Full scans remain only for atoms
 //   with zero bound columns (or when EngineOptions::use_indexes is off,
 //   which exists to cross-check the two paths in tests).
+// - Trigger dispatch is constant-keyed: per table, the trigger plans are
+//   bucketed by the constant they require on one column (TriggerIndex),
+//   so an appearance visits only the plans that can unify with it, in
+//   program order. Unrelated rules guarded by `Swi == c` cost nothing per
+//   PacketIn. use_indexes off visits every plan (the reference mode).
 // - Event tables (declared `event`) are transient: they trigger rules and
 //   callbacks but are not stored (NDlog message semantics).
 // - Materialized tables use derivation-support counting; deleting a base
@@ -62,7 +67,9 @@ bool eval_expr(const ndlog::Expr& e, const Env& env, Value& out);
 struct EngineOptions {
   bool record_provenance = true;  // turn off to measure overhead (S5.4)
   bool tag_mode = false;
-  bool use_indexes = true;        // off: force full scans (testing only)
+  // Off: force full scans and visit every trigger plan of the appearing
+  // table (the reference mode tests cross-check the indexed paths with).
+  bool use_indexes = true;
   // Evaluate selections whose variables are bound mid-join during the
   // owning atom's probe/scan step instead of only at rule finish. Off:
   // finish-only evaluation (differential cross-check mode); the final
@@ -215,6 +222,11 @@ class Engine {
   // scans executed by atom steps (the trigger atom itself is neither).
   size_t index_probes() const { return index_probes_; }
   size_t full_scans() const { return full_scans_; }
+  // Trigger plans fire_rules visited (see TriggerIndex): what the
+  // constant-keyed dispatch left after skipping plans whose trigger
+  // constant cannot match. With use_indexes off, every plan of the
+  // appearing table is visited.
+  size_t trigger_attempts() const { return trigger_attempts_; }
 
   // --- observability (src/obs) -----------------------------------------
   // The per-engine counters above are the exact, test-pinned numbers for
@@ -303,8 +315,21 @@ class Engine {
   EngineOptions opt_;
   IndexSpecs index_specs_;
   std::vector<CompiledRule> compiled_;  // one per program rule
-  // body-atom trigger index: TableId -> (rule idx, body atom idx)
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> triggers_by_table_;
+  // Constant-keyed trigger dispatch for one table (src/eval/README.md,
+  // "Trigger dispatch"). `plans` lists every (rule idx, body atom idx)
+  // the table triggers, in program order; the other members hold
+  // positions into it, ascending. A plan whose trigger ops include
+  // Const{col, c} sits in keyed[c]; every other plan sits in `unkeyed`.
+  // fire_rules merges keyed[row[col]] with `unkeyed` by position, so the
+  // plans it visits are the unskippable ones, in program order.
+  struct TriggerIndex {
+    std::vector<std::pair<uint32_t, uint32_t>> plans;
+    uint32_t col = 0;
+    std::unordered_map<Value, std::vector<uint32_t>, ValueHash> keyed;
+    std::vector<uint32_t> unkeyed;
+  };
+  void build_trigger_index(TriggerIndex& ti) const;
+  std::vector<TriggerIndex> triggers_by_table_;
   std::vector<TagMask> rule_restrict_;  // per rule idx, default kAllTags
   ShardHooks hooks_;  // empty functions = single-engine (serial) mode
   std::map<Value, Database> nodes_;
@@ -354,9 +379,10 @@ class Engine {
   size_t firings_ = 0;
   size_t index_probes_ = 0;
   size_t full_scans_ = 0;
+  size_t trigger_attempts_ = 0;
   // Counter values as of the last publish_obs() (same order as the
   // publication table in engine.cpp).
-  size_t obs_published_[5] = {};
+  size_t obs_published_[6] = {};
   bool running_ = false;
 };
 

@@ -18,9 +18,19 @@ void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
 double HistogramData::quantile(double q) const {
   if (count == 0) return 0.0;
-  // One sample: the sum is that sample, exactly (interpolating inside its
-  // log2 bucket would report up to 2x the recorded value).
+  // One sample: the sum is that sample, exactly. The clamp below covers
+  // this too, except in a delta window, which keeps the cumulative range.
   if (count == 1) return static_cast<double>(sum);
+  // Interpolating inside a log2 bucket can land anywhere in the bucket's
+  // octave (two 76.7 ms samples read p99 133.5 ms); the recorded range
+  // bounds every true quantile. min > max only in a snapshot that raced
+  // the first record's min/max update: no range to clamp to yet.
+  const double v = bucket_quantile(q);
+  if (min > max) return v;
+  return std::clamp(v, static_cast<double>(min), static_cast<double>(max));
+}
+
+double HistogramData::bucket_quantile(double q) const {
   q = std::clamp(q, 0.0, 1.0);
   // Target rank in [1, count] (nearest-rank with interpolation inside the
   // bucket that crosses it).
@@ -44,6 +54,19 @@ double HistogramData::quantile(double q) const {
     }
   }
   return 0.0;
+}
+
+HistogramData Histogram::data() const {
+  HistogramData d;
+  d.buckets.resize(kBuckets);
+  for (size_t b = 0; b < kBuckets; ++b) d.buckets[b] = bucket(b);
+  d.count = count();
+  d.sum = sum();
+  if (d.count > 0) {
+    d.min = min_.load(std::memory_order_relaxed);
+    d.max = max_.load(std::memory_order_relaxed);
+  }
+  return d;
 }
 
 // ---------------------------------------------------------------------------
@@ -127,15 +150,9 @@ Snapshot Registry::snapshot() const {
       case Kind::Gauge:
         v.value = e->gauge.value();
         break;
-      case Kind::Histogram: {
-        v.hist.buckets.resize(Histogram::kBuckets);
-        for (size_t b = 0; b < Histogram::kBuckets; ++b) {
-          v.hist.buckets[b] = e->hist.bucket(b);
-        }
-        v.hist.count = e->hist.count();
-        v.hist.sum = e->hist.sum();
+      case Kind::Histogram:
+        v.hist = e->hist.data();
         break;
-      }
     }
     snap.values.emplace(name, std::move(v));
   }
@@ -174,6 +191,7 @@ Snapshot Snapshot::delta(const Snapshot& since) const {
         v.hist.count =
             v.hist.count > old.hist.count ? v.hist.count - old.hist.count : 0;
         v.hist.sum = v.hist.sum > old.hist.sum ? v.hist.sum - old.hist.sum : 0;
+        if (v.hist.count == 0) v.hist.min = v.hist.max = 0;
         break;
       }
     }
@@ -242,6 +260,8 @@ std::string to_json(const Snapshot& snap, int indent) {
       if (v.kind == Kind::Histogram) {
         out += "{\"count\": " + std::to_string(v.hist.count);
         out += ", \"sum\": " + std::to_string(v.hist.sum);
+        out += ", \"min\": " + std::to_string(v.hist.min);
+        out += ", \"max\": " + std::to_string(v.hist.max);
         out += ", \"mean\": ";
         append_double(out, v.hist.mean());
         out += ", \"p50\": ";

@@ -75,11 +75,43 @@ class Gauge {
   std::atomic<int64_t> v_{0};
 };
 
+// Plain-value copy of a histogram, as captured by a snapshot (and as
+// produced by subtracting two snapshots).
+struct HistogramData {
+  std::vector<uint64_t> buckets;  // kBuckets entries
+  uint64_t count = 0;
+  uint64_t sum = 0;
+  // Smallest and largest recorded sample (both 0 when count == 0). A
+  // Snapshot::delta window whose base already held samples cannot
+  // subtract these: it keeps the cumulative range, which still contains
+  // every sample of the window but may be wider than the window's own.
+  uint64_t min = 0;
+  uint64_t max = 0;
+  // q in [0,1]: rank-interpolated quantile from the bucket counts. The
+  // target rank's bucket is found by cumulative count; the value is
+  // linearly interpolated between the bucket's bounds by the rank's
+  // position inside it, then clamped to [min, max], so no quantile lies
+  // outside the recorded range. Exact for a single sample (every
+  // quantile is that sample) and for equal samples.
+  double quantile(double q) const;
+  double p50() const { return quantile(0.50); }
+  double p90() const { return quantile(0.90); }
+  double p99() const { return quantile(0.99); }
+  double mean() const {
+    return count == 0 ? 0.0
+                      : static_cast<double>(sum) / static_cast<double>(count);
+  }
+
+ private:
+  double bucket_quantile(double q) const;  // before the [min, max] clamp
+};
+
 // Log2-bucketed histogram: bucket 0 holds the value 0, bucket b >= 1
 // holds [2^(b-1), 2^b). 65 buckets cover the full u64 range, so a
 // nanosecond latency needs no configuration. Recording is one relaxed
-// fetch_add on the bucket plus count/sum bookkeeping; all math happens
-// at snapshot time.
+// fetch_add on the bucket plus count/sum bookkeeping and relaxed CAS
+// loops for min/max (histograms record once per phase, never per
+// packet); all math happens at snapshot time.
 class Histogram {
  public:
   static constexpr size_t kBuckets = 65;
@@ -108,6 +140,14 @@ class Histogram {
     buckets_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
+    uint64_t cur = min_.load(std::memory_order_relaxed);
+    while (v < cur &&
+           !min_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+    cur = max_.load(std::memory_order_relaxed);
+    while (v > cur &&
+           !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
   }
   uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
@@ -116,32 +156,15 @@ class Histogram {
   uint64_t bucket(size_t b) const noexcept {
     return buckets_[b].load(std::memory_order_relaxed);
   }
+  // Plain-value copy (what a snapshot captures).
+  HistogramData data() const;
 
  private:
   std::atomic<uint64_t> buckets_[kBuckets]{};
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
-};
-
-// Plain-value copy of a histogram, as captured by a snapshot (and as
-// produced by subtracting two snapshots).
-struct HistogramData {
-  std::vector<uint64_t> buckets;  // kBuckets entries
-  uint64_t count = 0;
-  uint64_t sum = 0;
-  // q in [0,1]: rank-interpolated quantile from the bucket counts. The
-  // target rank's bucket is found by cumulative count; the value is
-  // linearly interpolated between the bucket's bounds by the rank's
-  // position inside it. Exact for single-bucket data up to bucket width;
-  // exact for a single sample (every quantile is that sample).
-  double quantile(double q) const;
-  double p50() const { return quantile(0.50); }
-  double p90() const { return quantile(0.90); }
-  double p99() const { return quantile(0.99); }
-  double mean() const {
-    return count == 0 ? 0.0
-                      : static_cast<double>(sum) / static_cast<double>(count);
-  }
+  std::atomic<uint64_t> min_{~uint64_t{0}};
+  std::atomic<uint64_t> max_{0};
 };
 
 enum class Kind : uint8_t { Counter, Gauge, Histogram };
@@ -156,8 +179,9 @@ struct Snapshot {
   std::map<std::string, InstrumentValue> values;
 
   // This snapshot minus `since`: counters subtract (clamped at 0),
-  // histogram buckets/count/sum subtract, gauges keep this snapshot's
-  // level. Instruments absent from `since` pass through unchanged.
+  // histogram buckets/count/sum subtract (min/max stay cumulative, see
+  // HistogramData), gauges keep this snapshot's level. Instruments absent
+  // from `since` pass through unchanged.
   Snapshot delta(const Snapshot& since) const;
 
   const InstrumentValue* find(std::string_view name) const {
@@ -204,8 +228,8 @@ class Registry {
 
 // JSON rendering of a snapshot:
 //   {"counters": {...}, "gauges": {...},
-//    "histograms": {"name": {"count":n,"sum":s,"mean":..,"p50":..,
-//                            "p90":..,"p99":..}}}
+//    "histograms": {"name": {"count":n,"sum":s,"min":..,"max":..,
+//                            "mean":..,"p50":..,"p90":..,"p99":..}}}
 std::string to_json(const Snapshot& snap, int indent = 0);
 // Shorthand: JSON of the global registry's current snapshot.
 std::string snapshot_json();

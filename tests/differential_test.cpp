@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "backtest/replay.h"
+#include "e2ebench/workloads.h"
 #include "obs/obs.h"
 #include "storage/segment_store.h"
 #include "ndlog/parser.h"
@@ -134,6 +135,99 @@ TEST(Differential, SelectionPushdownMatchesFinishOnlyEvaluation) {
     expect_equal(run_trace(s, trace, 64, finish_only), want,
                  s.id + " pushdown-off batched");
   }
+}
+
+// The five scenarios plus Fig 10's Q1 padded to 900 lines, where ~450
+// operational-zone rules trigger on PacketIn.
+std::vector<Scenario> scenarios_with_padded_q1() {
+  std::vector<Scenario> all = all_scenarios();
+  Scenario padded = q1_copy_paste({});
+  e2e::pad_program(padded, 900);
+  padded.id = "Q1/900";
+  all.push_back(std::move(padded));
+  return all;
+}
+
+// Trigger plans (rule, body atom) that an appearance of `table` tries.
+size_t plans_on(const ndlog::Program& program, const std::string& table) {
+  size_t n = 0;
+  for (const ndlog::Rule& rule : program.rules) {
+    for (const ndlog::Atom& atom : rule.body) n += atom.table == table;
+  }
+  return n;
+}
+
+// use_indexes = false is the reference mode: full scans for every join
+// step and a visit to every trigger plan (no constant-keyed dispatch).
+// Both must reach the same fixpoint with the same firings, log length
+// and derivations.
+TEST(Differential, IndexesOffMatchesDefaultOnAllScenarios) {
+  for (const Scenario& s : scenarios_with_padded_q1()) {
+    SCOPED_TRACE("scenario " + s.id);
+    const std::vector<eval::Tuple> trace = engine_trace(s, 2500);
+    eval::EngineOptions ref_opt;
+    ref_opt.use_indexes = false;
+    eval::Engine indexed(s.program);
+    eval::Engine reference(s.program, ref_opt);
+    for (const eval::Tuple& t : trace) {
+      indexed.insert(t);
+      reference.insert(t);
+    }
+    const EngineSnapshot got = snapshot(indexed);
+    const EngineSnapshot want = snapshot(reference);
+    EXPECT_GT(want.firings, 0u);
+    EXPECT_EQ(got.tables, want.tables);
+    EXPECT_EQ(got.firings, want.firings);
+    EXPECT_EQ(got.log_events, want.log_events);
+    EXPECT_EQ(got.derivations, want.derivations);
+    EXPECT_LE(indexed.trigger_attempts(), reference.trigger_attempts());
+    // Exact order too: the two modes enumerate join rows in the same
+    // order on these traces. A scenario whose multi-match joins came to
+    // differ between bucket and scan order would be compared as event
+    // multisets instead, as EnginePlan.MultiMatchJoinsAgreeAsMultisets
+    // does.
+    EXPECT_EQ(got.event_sequence_hash, want.event_sequence_hash);
+  }
+}
+
+// The dispatch index is what keeps Fig 10's per-PacketIn engine cost flat
+// in program size: on Q1 padded to 900 lines, a PacketIn visits no more
+// plans than Q1's own PacketIn rules (the ~450 zone rules are keyed on
+// switches the campus does not have), while the reference mode visits
+// every plan.
+TEST(Differential, PaddedProgramVisitsOnlyMatchingTriggerPlans) {
+  const Scenario q1 = q1_copy_paste({});
+  Scenario padded = q1;
+  e2e::pad_program(padded, 900);
+  const std::vector<eval::Tuple> trace = engine_trace(padded, 2500);
+  size_t packet_ins = 0;
+  size_t want_reference = 0;
+  for (const eval::Tuple& t : trace) {
+    packet_ins += t.table == "PacketIn";
+    want_reference += plans_on(padded.program, t.table);
+  }
+  ASSERT_GT(packet_ins, 1000u);
+  const size_t q1_plans = plans_on(q1.program, "PacketIn");
+  const size_t all_plans = plans_on(padded.program, "PacketIn");
+  EXPECT_EQ(q1_plans, 6u);
+  EXPECT_GT(all_plans, 400u);
+  // Derived tables (FlowTable, Zone*) trigger nothing, so the trace's own
+  // tuples are every appearance that reaches fire_rules.
+  for (const ndlog::Rule& rule : padded.program.rules) {
+    EXPECT_EQ(plans_on(padded.program, rule.head.table), 0u) << rule.name;
+  }
+
+  eval::Engine indexed(padded.program);
+  eval::EngineOptions ref_opt;
+  ref_opt.use_indexes = false;
+  eval::Engine reference(padded.program, ref_opt);
+  for (const eval::Tuple& t : trace) {
+    indexed.insert(t);
+    reference.insert(t);
+  }
+  EXPECT_EQ(reference.trigger_attempts(), want_reference);
+  EXPECT_LT(indexed.trigger_attempts(), packet_ins * (q1_plans + 1));
+  EXPECT_EQ(indexed.rule_firings(), reference.rule_firings());
 }
 
 // Observability is pure observation: turning the obs switch off

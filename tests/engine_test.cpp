@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "eval/engine.h"
 #include "ndlog/parser.h"
 #include "provenance/query.h"
+#include "util/rng.h"
 
 namespace mp::eval {
 namespace {
@@ -326,6 +330,331 @@ TEST(EnginePlan, MultiMatchJoinsAgreeAsMultisets) {
   auto sseq = event_sequence(scanned);
   EXPECT_EQ(std::multiset<std::string>(iseq.begin(), iseq.end()),
             std::multiset<std::string>(sseq.begin(), sseq.end()));
+}
+
+// --- constant-keyed trigger dispatch ----------------------------------
+//
+// The default engine visits only the trigger plans whose constant on the
+// table's key column matches the appearing row; use_indexes = false
+// visits every plan. Trigger-only rules enumerate no join rows (and the
+// joins below are single-match), so the two modes must agree on the
+// exact event sequence, not only as multisets.
+
+using Tagged = std::vector<std::pair<Tuple, TagMask>>;
+using Restricts = std::vector<std::pair<std::string, TagMask>>;
+
+Tagged untagged(std::initializer_list<Tuple> tuples) {
+  Tagged out;
+  for (const Tuple& tup : tuples) out.emplace_back(tup, kAllTags);
+  return out;
+}
+
+struct DispatchRun {
+  std::vector<std::string> events;
+  std::vector<std::string> derive_rules;  // rule of each Derive, in order
+  std::multiset<std::string> tagged_rows;
+  std::multiset<std::string> derivations;
+  size_t firings = 0;
+  size_t attempts = 0;
+};
+
+DispatchRun run_dispatch(const std::string& prog, const Tagged& input,
+                         const EngineOptions& opt, const Restricts& restricts) {
+  Engine e(ndlog::parse_program(prog), opt);
+  for (const auto& [rule, mask] : restricts) e.set_rule_restrict(rule, mask);
+  for (const auto& [tup, tags] : input) e.insert(tup, tags);
+  DispatchRun r;
+  r.events = event_sequence(e);
+  for (const Event& ev : e.log().events()) {
+    if (ev.kind == EventKind::Derive) {
+      r.derive_rules.push_back(e.log().rule_name(ev.rule));
+    }
+  }
+  for (TableId id = 0; id < e.catalog().size(); ++id) {
+    for (const Tuple& tup : e.all_tuples(e.catalog().name_of(id))) {
+      r.tagged_rows.insert(
+          tup.to_string() + " tags=" +
+          std::to_string(e.tags_of(tup.location(), tup.table, tup.row)));
+    }
+  }
+  r.derivations = derivation_snapshot(e);
+  r.firings = e.rule_firings();
+  r.attempts = e.trigger_attempts();
+  return r;
+}
+
+// Returns {default run, reference run}.
+std::pair<DispatchRun, DispatchRun> expect_dispatch_matches_reference(
+    const std::string& prog, const Tagged& input, EngineOptions opt = {},
+    const Restricts& restricts = {}) {
+  EngineOptions ref_opt = opt;
+  ref_opt.use_indexes = false;
+  DispatchRun got = run_dispatch(prog, input, opt, restricts);
+  DispatchRun want = run_dispatch(prog, input, ref_opt, restricts);
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.derive_rules, want.derive_rules);
+  EXPECT_EQ(got.tagged_rows, want.tagged_rows);
+  EXPECT_EQ(got.derivations, want.derivations);
+  EXPECT_EQ(got.firings, want.firings);
+  EXPECT_LE(got.attempts, want.attempts);
+  return {std::move(got), std::move(want)};
+}
+
+TEST(EnginePlan, DispatchKeepsIntAndStrConstantsApart) {
+  const char* prog =
+      "table A/2.\ntable B/2.\ntable C/2.\nevent T/3.\n"
+      "r1 A(@X,Y) :- T(@X,7,Y).\n"
+      "r2 B(@X,Y) :- T(@X,\"7\",Y).\n"
+      "r3 C(@X,Y) :- T(@X,K,Y), K == 7.\n"
+      "r4 C(@X,Y) :- T(@X,K,Y), K == \"7\".\n";
+  const auto [got, want] = expect_dispatch_matches_reference(
+      prog, untagged({t("T", {Value(1), Value(7), Value(1)}),
+                      t("T", {Value(1), Value::str("7"), Value(2)}),
+                      t("T", {Value(1), Value(8), Value(3)}),
+                      t("T", {Value(1), Value::str("x"), Value(4)})}));
+  EXPECT_EQ(got.derive_rules,
+            (std::vector<std::string>{"r1", "r3", "r2", "r4"}));
+  // Int 7 visits r1 and r3, Str "7" visits r2 and r4, the rest nothing.
+  EXPECT_EQ(got.attempts, 4u);
+  EXPECT_EQ(want.attempts, 16u);
+}
+
+TEST(EnginePlan, DispatchChecksTheColumnsItDoesNotKeyOn) {
+  // K and H both hold three constants: the tie goes to K (column 1), so
+  // a row with the right K and a wrong H is visited and fails there.
+  const char* prog =
+      "table A/2.\nevent T/4.\n"
+      "r1 A(@X,Y) :- T(@X,K,H,Y), K == 1, H == 80.\n"
+      "r2 A(@X,Y) :- T(@X,K,H,Y), K == 1, H == 53.\n"
+      "r3 A(@X,Y) :- T(@X,2,H,Y), H == 80.\n";
+  const auto [got, want] = expect_dispatch_matches_reference(
+      prog, untagged({t("T", {Value(1), Value(1), Value(99), Value(5)}),
+                      t("T", {Value(1), Value(1), Value(80), Value(6)}),
+                      t("T", {Value(1), Value(2), Value(53), Value(7)})}));
+  EXPECT_EQ(got.derive_rules, std::vector<std::string>{"r1"});
+  EXPECT_EQ(got.attempts, 5u);
+  EXPECT_EQ(want.attempts, 9u);
+}
+
+TEST(EnginePlan, DispatchMergesKeyedAndUnkeyedInProgramOrder) {
+  const char* prog =
+      "table Out/2.\nevent T/2.\n"
+      "r1 Out(@X,V) :- T(@X,K), K == 1, V := 1.\n"
+      "r2 Out(@X,V) :- T(@X,K), V := 2.\n"
+      "r3 Out(@X,V) :- T(@X,1), V := 3.\n"
+      "r4 Out(@X,V) :- T(@X,K), K > 0, V := 4.\n"
+      "r5 Out(@X,V) :- T(@X,K), K == 2, V := 5.\n"
+      "r6 Out(@X,V) :- T(@X,1), V := 6.\n";
+  const auto [got, want] = expect_dispatch_matches_reference(
+      prog, untagged({t("T", {Value(1), Value(1)}),
+                      t("T", {Value(2), Value(2)}),
+                      t("T", {Value(3), Value::str("1")})}));
+  // Str "1" is no key match for `K == 1` or the literal 1, but strings
+  // order after ints, so `K > 0` (r4) holds.
+  EXPECT_EQ(got.derive_rules,
+            (std::vector<std::string>{"r1", "r2", "r3", "r4", "r6", "r2",
+                                      "r4", "r5", "r2", "r4"}));
+  EXPECT_LT(got.attempts, want.attempts);
+}
+
+TEST(EnginePlan, DispatchKeysEachBodyAtomOfOneRule) {
+  // r1 has L in two body atoms, keyed under different constants.
+  const char* prog =
+      "table L/3.\ntable Out/3.\n"
+      "r1 Out(@X,A,B) :- L(@X,A,1), L(@X,B,2).\n"
+      "r2 Out(@X,A,A) :- L(@X,A,K), K == 3.\n";
+  const auto [got, want] = expect_dispatch_matches_reference(
+      prog, untagged({t("L", {Value(1), Value(5), Value(1)}),
+                      t("L", {Value(1), Value(6), Value(2)}),
+                      t("L", {Value(1), Value(7), Value(3)}),
+                      t("L", {Value(1), Value(8), Value(4)})}));
+  EXPECT_EQ(got.derive_rules, (std::vector<std::string>{"r1", "r2"}));
+  EXPECT_EQ(got.attempts, 3u);
+  EXPECT_EQ(want.attempts, 12u);
+}
+
+TEST(EnginePlan, DispatchOfARowShorterThanTheKeyColumn) {
+  // T rows of two columns cannot reach the key column 2: only the
+  // unkeyed plan (a two-column atom) is visited, and it fires.
+  const char* prog =
+      "table Out/2.\nevent T/3.\n"
+      "r1 Out(@X,Y) :- T(@X,Y,5).\n"
+      "r2 Out(@X,Y) :- T(@X,Y,6).\n"
+      "r3 Out(@X,Y) :- T(@X,Y).\n";
+  const auto [got, want] = expect_dispatch_matches_reference(
+      prog, untagged({t("T", {Value(1), Value(4)}),
+                      t("T", {Value(1), Value(2), Value(5)}),
+                      t("T", {Value(1)})}));
+  EXPECT_EQ(got.derive_rules, (std::vector<std::string>{"r3", "r1"}));
+  EXPECT_EQ(got.attempts, 1u + 2u + 1u);
+  EXPECT_EQ(want.attempts, 9u);
+}
+
+TEST(EnginePlan, DispatchSkipsDeadPlans) {
+  // A body with two different event tables can never fire: r1 and r3
+  // are dead from both triggers (r1 with a constant on the key column).
+  const char* prog =
+      "table Out/2.\nevent T/3.\nevent U/2.\n"
+      "r1 Out(@X,Y) :- T(@X,Y,5), U(@X,Y).\n"
+      "r2 Out(@X,Y) :- T(@X,Y,5).\n"
+      "r3 Out(@X,Y) :- T(@X,Y,K), U(@X,K).\n"
+      "r4 Out(@X,Y) :- T(@X,Y,6).\n";
+  const auto [got, want] = expect_dispatch_matches_reference(
+      prog, untagged({t("T", {Value(1), Value(1), Value(5)}),
+                      t("T", {Value(1), Value(2), Value(6)}),
+                      t("T", {Value(1), Value(3), Value(7)}),
+                      t("U", {Value(1), Value(1)})}));
+  EXPECT_EQ(got.derive_rules, (std::vector<std::string>{"r2", "r4"}));
+  EXPECT_LT(got.attempts, want.attempts);
+}
+
+TEST(EnginePlan, DispatchKeysLiteralAndFoldedConstantsAlike) {
+  // Column 1 holds a literal 7 (r1), folded `K == 7` (r2, r3, r4, twice
+  // in r4, which can never fire) and a literal 8 (r5).
+  const char* prog =
+      "table Out/2.\nevent T/4.\n"
+      "r1 Out(@X,Y) :- T(@X,7,K,Y), K == 3.\n"
+      "r2 Out(@X,Y) :- T(@X,K,3,Y), K == 7.\n"
+      "r3 Out(@X,Y) :- T(@X,K,H,Y), K == 7, H == 4.\n"
+      "r4 Out(@X,Y) :- T(@X,K,H,Y), K == 7, K == 8.\n"
+      "r5 Out(@X,Y) :- T(@X,8,H,Y), H == 3.\n";
+  const auto [got, want] = expect_dispatch_matches_reference(
+      prog, untagged({t("T", {Value(1), Value(7), Value(3), Value(1)}),
+                      t("T", {Value(1), Value(7), Value(4), Value(2)}),
+                      t("T", {Value(1), Value(8), Value(3), Value(3)}),
+                      t("T", {Value(1), Value(9), Value(3), Value(4)})}));
+  EXPECT_EQ(got.derive_rules,
+            (std::vector<std::string>{"r1", "r2", "r3", "r5"}));
+  EXPECT_LT(got.attempts, want.attempts);
+}
+
+TEST(EnginePlan, DispatchAppliesRuleRestrictInTagMode) {
+  const char* prog =
+      "table A/2.\ntable B/2.\nevent T/3.\n"
+      "r1 A(@X,Y) :- T(@X,K,Y), K == 1.\n"
+      "r2 B(@X,Y) :- T(@X,K,Y), K == 1.\n"
+      "r3 A(@X,Y) :- T(@X,2,Y).\n"
+      "r4 B(@X,Y) :- T(@X,K,Y).\n";
+  EngineOptions opt;
+  opt.tag_mode = true;
+  const Restricts restricts = {
+      {"r1", 0b001}, {"r2", 0b010}, {"r3", 0b100}, {"r4", 0b011}};
+  const Tagged input = {
+      {t("T", {Value(1), Value(1), Value(1)}), 0b111},
+      {t("T", {Value(1), Value(1), Value(2)}), 0b001},
+      {t("T", {Value(1), Value(2), Value(3)}), 0b110},
+      {t("T", {Value(1), Value(2), Value(4)}), 0b011},
+      {t("T", {Value(1), Value(1), Value(1)}), 0b100},
+  };
+  const auto [got, want] =
+      expect_dispatch_matches_reference(prog, input, opt, restricts);
+  EXPECT_EQ(got.derive_rules,
+            (std::vector<std::string>{"r1", "r2", "r4", "r1", "r4", "r3",
+                                      "r4", "r4"}));
+  EXPECT_LT(got.attempts, want.attempts);
+}
+
+// Seeded generator: random trigger-only programs over an event table T
+// and a stored table M (T rules may derive M, M rules derive Out), with
+// literal constants, folded and unfolded selections, repeated
+// variables, Int/Str look-alike constants, rows of the wrong length, and
+// tag mode with rule restrictions on every third seed.
+std::string random_const(Rng& rng) {
+  static const char* kConsts[] = {"1", "2", "3", "\"1\""};
+  return kConsts[rng.below(4)];
+}
+
+Value random_value(Rng& rng) {
+  switch (rng.below(5)) {
+    case 0: return Value(1);
+    case 1: return Value(2);
+    case 2: return Value(3);
+    case 3: return Value::str("1");
+    default: return Value(4);
+  }
+}
+
+std::string random_program(Rng& rng, size_t nrules,
+                           std::vector<std::string>& rules) {
+  std::string prog = "table Out/3.\ntable M/3.\nevent T/4.\n";
+  for (size_t r = 0; r < nrules; ++r) {
+    const bool on_t = rng.below(4) != 0;
+    const size_t arity = on_t ? 4 : 3;
+    std::vector<std::string> args = {"@X"};
+    std::vector<std::string> vars;
+    std::string sels;
+    for (size_t c = 1; c < arity; ++c) {
+      const uint64_t roll = rng.below(10);
+      if (roll < 3) {
+        args.push_back(random_const(rng));
+      } else if (roll < 4 && !vars.empty()) {
+        args.push_back(vars[rng.below(vars.size())]);
+      } else {
+        const std::string v = "V" + std::to_string(c);
+        args.push_back(v);
+        vars.push_back(v);
+        const uint64_t sel = rng.below(20);
+        if (sel < 7) {
+          sels += ", " + v + " == " + random_const(rng);
+        } else if (sel < 9) {
+          sels += ", " + random_const(rng) + " == " + v;
+        } else if (sel < 11) {
+          sels += ", " + v + " != " + random_const(rng);
+        } else if (sel < 12) {
+          sels += ", " + v + " > 1";
+        }
+      }
+    }
+    const std::string name = "r" + std::to_string(r);
+    rules.push_back(name);
+    const std::string w = vars.empty() ? "0" : vars[rng.below(vars.size())];
+    const std::string head =
+        on_t && rng.below(3) == 0 ? "M(@X,R," + w + ")" : "Out(@X,R," + w + ")";
+    std::string body = on_t ? "T(" : "M(";
+    for (size_t i = 0; i < args.size(); ++i) {
+      body += (i ? "," : "") + args[i];
+    }
+    prog += name + " " + head + " :- " + body + ")" + sels +
+            ", R := " + std::to_string(r) + ".\n";
+  }
+  return prog;
+}
+
+TEST(EnginePlan, DispatchMatchesReferenceOnGeneratedPrograms) {
+  size_t got_attempts = 0;
+  size_t want_attempts = 0;
+  for (uint64_t seed = 1; seed <= 120; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    std::vector<std::string> rules;
+    const std::string prog = random_program(rng, 3 + rng.below(10), rules);
+    SCOPED_TRACE(prog);
+    EngineOptions opt;
+    Restricts restricts;
+    if (seed % 3 == 0) {
+      opt.tag_mode = true;
+      for (const std::string& rule : rules) {
+        if (rng.below(2) == 0) restricts.emplace_back(rule, rng.below(8));
+      }
+    }
+    Tagged input;
+    const size_t n = 10 + rng.below(30);
+    for (size_t i = 0; i < n; ++i) {
+      const bool on_t = rng.below(4) != 0;
+      size_t len = on_t ? 4 : 3;
+      if (rng.below(10) == 0) len = 1 + rng.below(5);  // wrong length
+      Row row = {Value(static_cast<int64_t>(1 + rng.below(2)))};
+      while (row.size() < len) row.push_back(random_value(rng));
+      input.emplace_back(Tuple{on_t ? "T" : "M", std::move(row)},
+                         opt.tag_mode ? 1 + rng.below(7) : kAllTags);
+    }
+    const auto [got, want] =
+        expect_dispatch_matches_reference(prog, input, opt, restricts);
+    got_attempts += got.attempts;
+    want_attempts += want.attempts;
+  }
+  // The generated guards are selective enough that the index must skip.
+  EXPECT_LT(got_attempts * 2, want_attempts);
 }
 
 TEST(EnginePlan, RuleRestrictAppliesToAllRulesSharingAName) {

@@ -2,8 +2,9 @@
 //   - registry: one instrument per name (dedup), kind mismatches return a
 //     sink that never reaches the snapshot,
 //   - histogram: log2 bucket placement, bucket bounds, quantiles on known
-//     distributions (p50/p99) and on a single sample (exact), snapshot
-//     JSON well-formedness,
+//     distributions (p50/p99), on a single sample and on equal samples
+//     (exact), clamped to the recorded [min, max], snapshot JSON
+//     well-formedness,
 //   - snapshot/delta: counters and histogram buckets subtract, gauges
 //     keep their current level — the contract that makes per-scenario
 //     metric sections possible even though registry counters are
@@ -77,18 +78,17 @@ TEST(Histogram, QuantilesOnKnownDistribution) {
   // 90 values in [8,15] (bucket 4), 10 values in [1024,2047] (bucket 11).
   for (int i = 0; i < 90; ++i) h.record(10);
   for (int i = 0; i < 10; ++i) h.record(1500);
-  HistogramData d;
-  d.buckets.resize(Histogram::kBuckets);
-  for (size_t b = 0; b < Histogram::kBuckets; ++b) d.buckets[b] = h.bucket(b);
-  d.count = h.count();
-  d.sum = h.sum();
+  const HistogramData d = h.data();
   EXPECT_EQ(d.count, 100u);
+  EXPECT_EQ(d.min, 10u);
+  EXPECT_EQ(d.max, 1500u);
   EXPECT_EQ(d.sum, 90u * 10 + 10u * 1500);
-  // p50 lands inside the low bucket, p99 inside the high one.
+  // p50 lands inside the low bucket, p99 inside the high one (and inside
+  // the recorded range).
   EXPECT_GE(d.p50(), 8.0);
   EXPECT_LE(d.p50(), 15.0);
   EXPECT_GE(d.p99(), 1024.0);
-  EXPECT_LE(d.p99(), 2047.0);
+  EXPECT_LE(d.p99(), 1500.0);
   EXPECT_DOUBLE_EQ(d.mean(), static_cast<double>(d.sum) / 100.0);
 }
 
@@ -99,13 +99,33 @@ TEST(Histogram, SingleSampleQuantilesAreExact) {
   constexpr uint64_t kSample = 76'700'000;
   Histogram h;
   h.record(kSample);
-  HistogramData d;
-  d.buckets.resize(Histogram::kBuckets);
-  for (size_t b = 0; b < Histogram::kBuckets; ++b) d.buckets[b] = h.bucket(b);
-  d.count = h.count();
-  d.sum = h.sum();
+  const HistogramData d = h.data();
   EXPECT_DOUBLE_EQ(d.p50(), static_cast<double>(kSample));
   EXPECT_DOUBLE_EQ(d.p99(), static_cast<double>(kSample));
+}
+
+TEST(Histogram, QuantilesStayInsideTheRecordedRange) {
+  // Two equal 76.7 ms samples share the log2 bucket [67.1, 134.2) ms;
+  // interpolating inside it reported p50 100.66 ms and p99 133.5 ms,
+  // above every sample. Equal samples are every quantile exactly.
+  constexpr uint64_t kSample = 76'700'000;
+  Histogram twice;
+  twice.record(kSample);
+  twice.record(kSample);
+  const HistogramData d = twice.data();
+  EXPECT_DOUBLE_EQ(d.p50(), static_cast<double>(kSample));
+  EXPECT_DOUBLE_EQ(d.p99(), static_cast<double>(kSample));
+
+  // 10 us and 11 us share the bucket [8.2, 16.4) us: p50 interpolated to
+  // 12.3 us before the clamp.
+  Histogram pair;
+  pair.record(10'000);
+  pair.record(11'000);
+  const HistogramData p = pair.data();
+  for (double v : {p.p50(), p.p90(), p.p99()}) {
+    EXPECT_GE(v, 10'000.0);
+    EXPECT_LE(v, 11'000.0);
+  }
 }
 
 TEST(Snapshot, DeltaSubtractsCountersKeepsGauges) {
@@ -129,6 +149,14 @@ TEST(Snapshot, DeltaSubtractsCountersKeepsGauges) {
   ASSERT_NE(hv, nullptr);
   EXPECT_EQ(hv->hist.count, 2u);
   EXPECT_EQ(hv->hist.sum, 100100u);
+  // The base window already held a sample, so min/max cannot subtract:
+  // the delta keeps the cumulative range, which still contains the
+  // window's samples. (This histogram is process-wide, so earlier
+  // records from other runs can only widen it.)
+  EXPECT_LE(hv->hist.min, 100u);
+  EXPECT_GE(hv->hist.max, 100000u);
+  EXPECT_GE(hv->hist.p50(), static_cast<double>(hv->hist.min));
+  EXPECT_LE(hv->hist.p99(), static_cast<double>(hv->hist.max));
 }
 
 TEST(Snapshot, JsonParsesAndHasSections) {

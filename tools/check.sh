@@ -90,7 +90,8 @@ for section in ("counters", "gauges", "histograms"):
     assert section in proc, f"missing section {section}"
 counters, hists = proc["counters"], proc["histograms"]
 core_counters = ["eval.engine.steps", "eval.engine.rule_firings",
-                 "eval.engine.log_events_appended"]
+                 "eval.engine.log_events_appended",
+                 "eval.engine.trigger_attempts"]
 for name in core_counters:
     assert counters.get(name, 0) > 0, f"core counter {name} missing or zero"
 core_hists = ["repair.explore.latency_ns", "repair.generate.latency_ns",
@@ -98,7 +99,10 @@ core_hists = ["repair.explore.latency_ns", "repair.generate.latency_ns",
 for name in core_hists:
     h = hists.get(name)
     assert h and h["count"] > 0, f"core histogram {name} missing or empty"
-    assert h["p50"] <= h["p99"], f"{name}: p50 > p99"
+    # Quantiles are exported at 6 significant digits, min/max exactly.
+    slack = 1e-5 * h["max"]
+    assert h["min"] - slack <= h["p50"] <= h["p99"] <= h["max"] + slack, \
+        f"{name}: quantiles outside [min, max] or p50 > p99"
 q1 = doc["scenarios"]["Q1"]
 assert q1["histograms"]["scenario.pipeline.latency_ns"]["count"] == 1, \
     "per-scenario delta should hold exactly one pipeline run"

@@ -2,7 +2,8 @@
 # Tracks the evaluation-engine perf trajectory: runs the join-heavy and
 # PacketIn benchmarks from bench_overhead and writes BENCH_engine.json
 # (tuples/sec + rule firings/sec, index path vs. forced full scans, and
-# the resulting speedup) at the repo root. Also embeds the obs registry
+# the resulting speedup; ns/PacketIn at two program sizes) at the repo
+# root. Also embeds the obs registry
 # snapshot of a smoke ALL run (`metrics_snapshot`) and per-scenario
 # repair-latency percentiles Q1-Q5 (`repair_latency`, from the
 # repair.explore/scenario.pipeline latency histograms). Usage:
@@ -26,7 +27,7 @@ trap 'rm -f "$RAW" "$METRICS"' EXIT
 # --benchmark_out: bench_overhead prints a storage-accounting preamble to
 # stdout, so the JSON must go to a file.
 "$BENCH" \
-  --benchmark_filter='BM_JoinHeavyRuleFiring|BM_JoinHeavyBatchInsert|BM_PacketInProcessing|BM_PacketInBatchedArrival|BM_RepairHistoryProbe|BM_ShardedEval|BM_CascadeFanout|BM_SegmentWrite$|BM_SegmentReload' \
+  --benchmark_filter='BM_JoinHeavyRuleFiring|BM_JoinHeavyBatchInsert|BM_PacketInProcessing|BM_PacketInBatchedArrival|BM_RepairHistoryProbe|BM_ShardedEval|BM_CascadeFanout|BM_PacketInPadded|BM_SegmentWrite$|BM_SegmentReload' \
   --benchmark_min_time=1 \
   --benchmark_out_format=json --benchmark_out="$RAW" >/dev/null
 
@@ -129,6 +130,23 @@ for arg, key in ((0, "batched_provenance_off"), (1, "batched_provenance_on")):
         packetin[key] = {"tuples_per_sec": rate(b)}
         if b.get("bytes_per_event") is not None:
             packetin[key]["bytes_per_event"] = b["bytes_per_event"]
+
+# Fig 10's program-size axis at the engine alone: Q1 plus 0 and 450
+# PacketIn-triggered zone rules. Constant-keyed trigger dispatch should
+# keep ns/PacketIn roughly flat across the two rows (a measured row, not
+# a gate).
+program_size = {}
+for zones in (0, 450):
+    b = results.get(f"BM_PacketInPadded/{zones}")
+    if b and rate(b):
+        program_size[str(zones)] = {
+            "ns_per_packet_in": 1e9 / rate(b),
+            "trigger_plans_per_packet_in":
+                b.get("trigger_plans_per_packet_in"),
+        }
+if len(program_size) == 2:
+    program_size["ratio_450_to_0"] = (program_size["450"]["ns_per_packet_in"]
+                                      / program_size["0"]["ns_per_packet_in"])
 
 # Past rows, hard-coded from earlier commits and boxes (history: they are
 # not measured by this run). `pre_interning` pins the last
@@ -303,6 +321,7 @@ out = {
     "batch_insert": batch,
     "history_probe": history,
     "packet_in": packetin,
+    "packet_in_program_size": program_size,
     "provenance_overhead": overhead,
     "history": past,
     "perf_counters": perf_counters,
@@ -332,6 +351,10 @@ for workers, srow in sharded.items():
     sp = srow["speedup_vs_serial"]
     print(f"  sharded eval({workers} workers): {srow['tuples_per_sec']:,.0f} tuples/s "
           + (f"({sp:.2f}x vs serial)" if sp else "(no serial baseline)"))
+if "ratio_450_to_0" in program_size:
+    print(f"  program size: {program_size['0']['ns_per_packet_in']:.0f} ns/PacketIn "
+          f"with 0 zone rules, {program_size['450']['ns_per_packet_in']:.0f} with 450 "
+          f"({program_size['ratio_450_to_0']:.2f}x)")
 if "after" in overhead:
     a = overhead["after"]
     bpe = f", {a['bytes_per_event']:.1f} B/event" if a.get("bytes_per_event") else ""
