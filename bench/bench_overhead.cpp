@@ -13,7 +13,6 @@
 #include "fault/fault.h"
 #include "ndlog/parser.h"
 #include "perf_counters.h"
-#include "runtime/sharded_engine.h"
 #include "scenarios/pipeline.h"
 
 namespace {
@@ -340,82 +339,6 @@ BENCHMARK(BM_RepairHistoryProbe)
     ->Args({1024, 1})
     ->Args({8192, 0})
     ->Args({8192, 1});
-
-// Sharded end-to-end evaluation (src/runtime): a Q2-style forwarding
-// workload — per-switch route/cost state, PacketIn events spread across
-// 64 switch nodes, a join-heavy local rule plus a neighbor advertisement
-// whose head lands on another node (cross-shard messages when the
-// neighbor hashes to a different shard). range(0) = worker count; 0 runs
-// the plain serial Engine over the identical stream (the scaling
-// baseline). Provenance stays ON (the paper's operating point): per-shard
-// logs absorb the append traffic in parallel, and merged_log() is
-// excluded (post-run analysis, not evaluation). Engine construction and
-// the static config load are untimed; tools/run_bench.sh records the
-// sharded_eval scaling rows in BENCH_engine.json.
-void BM_ShardedEval(benchmark::State& state) {
-  const int64_t workers = state.range(0);
-  constexpr int64_t kSwitches = 64;
-  constexpr int64_t kDsts = 24;
-  constexpr int64_t kNextHops = 6;
-  constexpr int64_t kPackets = 6144;
-  const ndlog::Program program = ndlog::parse_program(
-      "table Route/3.\ntable Cost/3.\ntable Out/4.\ntable Advert/3.\n"
-      "event PacketIn/2.\n"
-      "r1 Out(@S,D,N,C) :- PacketIn(@S,D), Route(@S,D,N), Cost(@S,N,C).\n"
-      "r2 Advert(@N,S,D) :- Out(@S,D,N,C), C < 3.\n");
-  std::vector<eval::Tuple> config;
-  for (int64_t s = 1; s <= kSwitches; ++s) {
-    for (int64_t d = 0; d < kDsts; ++d) {
-      for (int64_t n = 0; n < kNextHops; ++n) {
-        config.push_back(eval::Tuple{
-            "Route", {Value(s), Value(d), Value((s + d + n) % kSwitches + 1)}});
-      }
-    }
-    for (int64_t n = 1; n <= kSwitches; ++n) {
-      config.push_back(eval::Tuple{"Cost", {Value(s), Value(n), Value(n % 7)}});
-    }
-  }
-  std::vector<eval::Tuple> events;
-  events.reserve(kPackets);
-  for (int64_t i = 0; i < kPackets; ++i) {
-    events.push_back(eval::Tuple{
-        "PacketIn", {Value(i % kSwitches + 1), Value(i % kDsts)}});
-  }
-  eval::EngineOptions eopt;
-  eopt.max_steps = ~size_t{0} >> 1;
-  for (auto _ : state) {
-    std::chrono::steady_clock::time_point start, end;
-    if (workers == 0) {
-      eval::Engine engine(program, eopt);
-      engine.insert_batch(config);
-      start = std::chrono::steady_clock::now();
-      engine.insert_batch(events);
-      end = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(engine.rule_firings());
-    } else {
-      runtime::ShardedOptions sopt;
-      sopt.engine = eopt;
-      runtime::ShardedEngine engine(
-          program, runtime::ShardPlan(static_cast<uint32_t>(workers)), sopt);
-      engine.insert_batch(config);
-      start = std::chrono::steady_clock::now();
-      engine.insert_batch(events);
-      end = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(engine.rule_firings());
-    }
-    state.SetIterationTime(std::chrono::duration<double>(end - start).count());
-  }
-  state.SetItemsProcessed(state.iterations() * kPackets);
-  state.SetLabel(workers == 0 ? "serial Engine"
-                              : std::to_string(workers) + " shard worker(s)");
-}
-BENCHMARK(BM_ShardedEval)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseManualTime();
 
 // Flow-table lookup cost (switch fast path).
 void BM_FlowTableLookup(benchmark::State& state) {

@@ -235,10 +235,10 @@ void Engine::dispatch_external(const Tuple& t, TableId tid, TagMask tags,
     handle_appear(t, tid, tags, cause, ref, nref);
   } catch (...) {
     // An exception can only come from outside the engine proper — an
-    // on_appear callback, a shard hook, or an injected fault. Reset the
-    // re-entrancy flag and drop the queued cascade so the engine stays
-    // usable (consistent-but-partial: this op's remaining effects are
-    // discarded, matching run_queue's unwind path).
+    // on_appear callback. Reset the re-entrancy flag and drop the queued
+    // cascade so the engine stays usable (consistent-but-partial: this
+    // op's remaining effects are discarded, matching run_queue's unwind
+    // path).
     running_ = false;
     queue_.clear();
     throw;
@@ -262,38 +262,9 @@ void Engine::insert(const Tuple& t, TagMask tags) {
   maybe_autocompact();
 }
 
-EventId Engine::receive_remote(Tuple t, TagMask tags) {
-  if (!opt_.tag_mode) tags = kAllTags;
-  const TableId tid = intern_extern_table(t.table);
-  EventId cause = kNoEvent;
-  TupleRef ref = kNoTupleRef;
-  NodeRef nref = kNoNode;
-  if (opt_.record_provenance) {
-    ref = log_.pool().intern(tid, t.row);
-    nref = log_.intern_node(t.location());
-    cause = log_.append(EventKind::Receive, nref, ref, tags);
-  }
-  dispatch_external(t, tid, tags, cause, ref, nref);
-  maybe_autocompact();
-  return cause;
-}
-
-void Engine::receive_unsupport(const Tuple& head) {
-  const TableId tid = catalog_.id_of(head.table);
-  if (tid == ndlog::Catalog::kNoTable) return;
-  auto node_it = nodes_.find(head.location());
-  if (node_it == nodes_.end()) return;
-  TableStore* store = node_it->second.store_if(tid);
-  if (store == nullptr) return;
-  Entry* e = store->find(head.row);
-  if (e == nullptr || e->support <= 0) return;
-  e->support -= 1;
-  if (e->support <= 0) retract(head.location(), tid, e->ref);
-}
-
-// Closes the bulk bracket on unwind so an exception thrown mid-batch (a
-// callback, a shard hook, an injected fault) cannot leak bulk_depth_ and
-// leave stores in deferred-indexing mode forever.
+// Closes the bulk bracket on unwind so an exception thrown mid-batch (an
+// on_appear callback) cannot leak bulk_depth_ and leave stores in
+// deferred-indexing mode forever.
 struct Engine::BulkBracket {
   Engine& e;
   explicit BulkBracket(Engine& eng) : e(eng) { e.begin_bulk(); }
@@ -464,8 +435,8 @@ void Engine::run_queue() {
   try {
     run_queue_body();
   } catch (...) {
-    // See dispatch_external: only foreign code (callbacks, shard hooks,
-    // injected faults) throws through here. Unwind to a usable engine.
+    // See dispatch_external: only foreign code (the on_appear callbacks)
+    // throws through here. Unwind to a usable engine.
     running_ = false;
     queue_.clear();
     throw;
@@ -790,21 +761,6 @@ void Engine::derive(const CompiledRule& cr, const ndlog::Rule& rule,
   EventId cause = derive_ev;
   const Value& dst = head.location();
   const bool local_head = dst == src_node;
-  if (hooks_.is_local && !local_head && !hooks_.is_local(dst)) {
-    // Cross-shard head: log the Send here, ship the tuple to the owning
-    // shard (which logs the Receive and runs the appearance). The
-    // DerivRecord stays in this shard's log — the rule fired here, and
-    // deletion cascades walk the record where the body tuples live.
-    EventId send_ev = kNoEvent;
-    if (opt_.record_provenance) {
-      send_ev = log_.append(EventKind::Send, src_ref, href, mask,
-                            derive_ev == kNoEvent
-                                ? std::span<const EventId>{}
-                                : std::span<const EventId>{&derive_ev, 1});
-    }
-    hooks_.forward(std::move(head), mask, send_ev);
-    return;
-  }
   NodeRef dst_ref = local_head ? src_ref : kNoNode;
   if (!local_head && opt_.record_provenance) {
     dst_ref = log_.intern_node(dst);
@@ -844,8 +800,7 @@ void Engine::retract(const Value& node, TableId tid, TupleRef ref) {
   // The callback walk visits the index bucket directly (no snapshot
   // vector); liveness is checked at visit time, so records cascaded away
   // by the recursion below are skipped exactly as the old re-check did.
-  // All of it runs on handles — heads materialize only when shipped to a
-  // peer shard.
+  // All of it runs on handles; no head is materialized.
   if (!opt_.record_provenance) return;
   log_.for_each_derivation_using(ref, [&](size_t idx) {
     DerivRecord& rec = log_.derivation(idx);
@@ -855,12 +810,6 @@ void Engine::retract(const Value& node, TableId tid, TupleRef ref) {
     const Value& hloc = log_.row_of(href)[0];
     log_.append(EventKind::Underive, hloc, href, kAllTags, {}, rec.rule);
     if (catalog_.is_event(htid)) return true;  // nothing stored
-    if (hooks_.is_local && !hooks_.is_local(hloc)) {
-      // The derived head lives on a peer shard: ship the support decrement
-      // (receive_unsupport mirrors the inline decrement below).
-      hooks_.forward_retract(log_.materialize(href));
-      return true;
-    }
     Database* hdb = find_node_db(hloc);
     if (hdb == nullptr) return true;
     TableStore* hstore = hdb->store_if(htid);

@@ -137,20 +137,6 @@ class Engine {
   // draining the work queue once at the end.
   void remove_batch(std::span<const Tuple> batch);
 
-  // Explicit bulk-mode bracket: between begin_batch() and end_batch(),
-  // single-tuple insert()/remove()/receive_remote() calls run with the
-  // same deferred secondary-index maintenance as insert_batch (one bulk
-  // pass per touched store, flushed at the outermost end). The sharded
-  // runtime uses this to apply its per-shard streams tuple-at-a-time —
-  // it needs the log position between tuples for the canonical merge —
-  // without giving up the batch amortization. Nestable; equivalence with
-  // un-bracketed evaluation is pinned by the differential harness.
-  void begin_batch() { begin_bulk(); }
-  void end_batch() {
-    end_bulk();
-    maybe_autocompact();
-  }
-
   bool exists(const Value& node, const std::string& table, const Row& row) const;
   std::vector<Row> rows(const Value& node, const std::string& table) const;
   // All currently-live tuples of `table` across every node.
@@ -172,32 +158,6 @@ class Engine {
 
   // Restrict a rule to a candidate tag mask (multi-query backtesting).
   void set_rule_restrict(const std::string& rule, TagMask mask);
-
-  // --- sharded-runtime hooks (src/runtime) -----------------------------
-  // A ShardedEngine gives every shard its own Engine over a partition of
-  // the node space. The hooks reroute the two places where evaluation
-  // crosses a node boundary: a derivation whose head lands on a non-local
-  // node is logged as a Send here and handed to `forward` (the peer shard
-  // logs the matching Receive via receive_remote), and a deletion cascade
-  // that reaches a non-local derived head hands the support decrement to
-  // `forward_retract` (applied by the peer via receive_unsupport, which
-  // logs no extra events — exactly mirroring the serial engine's inline
-  // decrement). With no hooks installed (the default) behaviour is
-  // unchanged.
-  struct ShardHooks {
-    std::function<bool(const Value& node)> is_local;
-    std::function<void(Tuple t, TagMask tags, EventId send_event)> forward;
-    std::function<void(Tuple head)> forward_retract;
-  };
-  void set_shard_hooks(ShardHooks hooks) { hooks_ = std::move(hooks); }
-  // Delivers a tuple shipped by a peer shard: appends the Receive event to
-  // this engine's log (its cross-shard cause is reconnected at merge
-  // time), dispatches the appearance and runs to fixpoint. Returns the
-  // Receive event's local id (kNoEvent with provenance off).
-  EventId receive_remote(Tuple t, TagMask tags);
-  // Applies a cross-shard deletion cascade step: the local copy of `head`
-  // (derived remotely, shipped here) loses one unit of support.
-  void receive_unsupport(const Tuple& head);
 
   EventLog& log() { return log_; }
   const EventLog& log() const { return log_; }
@@ -256,10 +216,9 @@ class Engine {
   TableId intern_extern_table(const std::string& name);
   Row acquire_row();
   void release_row(Row&& row);
-  // Shared external-tuple dispatch (insert / receive_remote; insert_batch
-  // stages through insert): handle_appear in place at a true top level —
-  // no queue round trip or Tuple copy — falling back to the queue when
-  // re-entrant.
+  // External-tuple dispatch for insert (insert_batch stages through
+  // insert): handle_appear in place at a true top level — no queue round
+  // trip or Tuple copy — falling back to the queue when re-entrant.
   void dispatch_external(const Tuple& t, TableId tid, TagMask tags,
                          EventId cause, TupleRef ref, NodeRef nref);
   void enqueue_appear(Tuple t, TableId tid, TagMask tags, EventId cause,
@@ -276,7 +235,7 @@ class Engine {
   void run_queue();
   // The drain loop proper; run_queue wraps it in the running_ bracket and
   // an unwind path (reset + queue discard) for exceptions thrown by
-  // foreign code — callbacks, shard hooks, injected faults.
+  // foreign code — the on_appear callbacks.
   void run_queue_body();
   void handle_appear(const Tuple& tuple, TableId table_id, TagMask tags,
                      EventId cause, TupleRef ref, NodeRef nref = kNoNode);
@@ -331,7 +290,6 @@ class Engine {
   void build_trigger_index(TriggerIndex& ti) const;
   std::vector<TriggerIndex> triggers_by_table_;
   std::vector<TagMask> rule_restrict_;  // per rule idx, default kAllTags
-  ShardHooks hooks_;  // empty functions = single-engine (serial) mode
   std::map<Value, Database> nodes_;
   // Two-entry node-db cache (keys point at map nodes, which are stable —
   // nodes are never erased). Two entries, not one: an external insert's

@@ -23,7 +23,7 @@
 //
 // Table names resolve through an ndlog::Catalog: an engine attach()es its
 // own catalog (so TableIds match the engine's id space); a standalone log
-// (merged shard logs, tests) owns a private catalog and interns lazily.
+// (checkpoint decoding, tests) owns a private catalog and interns lazily.
 //
 // The log is checkpointable: compact() serializes the oldest events into a
 // fixed-header format (Section 5.4, layout in eval/ckpt_format.h) and
@@ -232,7 +232,7 @@ class EventLog {
   // Uses `catalog` as the table-name space (the owning engine's), so
   // TableIds inside TupleRefs match the engine's ids. Must be called
   // before the first append. Without attach() the log uses its own
-  // private catalog (standalone logs: merged shard logs, tests).
+  // private catalog (standalone logs: checkpoint decoding, tests).
   void attach(ndlog::Catalog* catalog) { names_ = catalog; }
 
   TuplePool& pool() { return pool_; }
@@ -330,7 +330,7 @@ class EventLog {
                  RuleId rule = kNoRule) {
     return append(kind, intern_node(node), tuple, tags, causes, rule);
   }
-  // Materialized variant (merge, replay, tests): interns the tuple (and
+  // Materialized variant (replay, tests): interns the tuple (and
   // rule name) first.
   EventId append(EventKind kind, const Value& node, const Tuple& tuple,
                  TagMask tags, const std::vector<EventId>& causes = {},

@@ -20,8 +20,8 @@
 // Dedup is an open-addressed index over the slots (refs + precomputed
 // hashes, no keys duplicated). TableIds are whatever id space the owner
 // uses — the engine's catalog ids, or a standalone EventLog's private
-// catalog (see EventLog::attach); handles from different pools are only
-// comparable after remapping (ShardedEngine::merged_log does this).
+// catalog (see EventLog::attach); handles from different pools are not
+// comparable.
 #pragma once
 
 #include <cassert>

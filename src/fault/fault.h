@@ -1,18 +1,16 @@
 // Deterministic failpoint registry (fault injection; see README.md).
 //
-// A failpoint is a named site in production code wrapped by one of the
-// MP_FAILPOINT macros:
+// A failpoint is a named site in production code wrapped by the
+// MP_FAILPOINT macro:
 //
 //   if (const int ec = MP_FAILPOINT("storage.segment.write")) {
 //     errno = ec;          // behave exactly as if the syscall failed
 //     return -1;
 //   }
-//   MP_FAILPOINT_THROW("runtime.mailbox.enqueue");  // throws InjectedFault
 //
-// In the default build the value form expands to the integer literal 0
-// and the throw form to (void)0, so the wrapping branch folds away —
-// zero cost, no registry reference, pinned by tools/check.sh's bench
-// floor. With -DMP_FAULTS=ON (tools/check.sh CHECK_FAULTS=1 builds a
+// In the default build the macro expands to the integer literal 0, so the
+// wrapping branch folds away — zero cost, no registry reference, pinned
+// by tools/check.sh's bench floor. With -DMP_FAULTS=ON (tools/check.sh CHECK_FAULTS=1 builds a
 // side tree with it) every crossing consults the process-wide Registry:
 // tests arm a trigger Policy per point — fire on exactly the Nth hit,
 // every Kth hit, once, always, or seeded-random — and an armed point
@@ -27,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -70,7 +67,8 @@ struct PointStats {
 
 // Process-wide failpoint table. All operations take a mutex — failpoints
 // exist only in MP_FAULTS builds, whose hot paths are test workloads —
-// so hit() is safe from the sharded runtime's worker threads.
+// so hit() is safe from the backtester pool's candidate-replay threads
+// (BacktestConfig::shards), which can cross storage failpoints.
 class Registry {
  public:
   static Registry& global();
@@ -101,42 +99,13 @@ class Registry {
   Registry();
 };
 
-// The exception MP_FAILPOINT_THROW raises: carries the point name and the
-// configured error payload so tests can assert which injection surfaced.
-class InjectedFault : public std::runtime_error {
- public:
-  InjectedFault(std::string point, int code)
-      : std::runtime_error("injected fault at " + point +
-                           " (code " + std::to_string(code) + ")"),
-        point_(std::move(point)),
-        code_(code) {}
-  const std::string& point() const { return point_; }
-  int code() const { return code_; }
-
- private:
-  std::string point_;
-  int code_;
-};
-
 }  // namespace mp::fault
 
-// Value form: evaluates to the error payload (an errno value) when the
-// point fires, 0 otherwise. Compiles to the literal 0 without MP_FAULTS.
+// Evaluates to the error payload (an errno value) when the point fires,
+// 0 otherwise. Compiles to the literal 0 without MP_FAULTS.
 #ifdef MP_FAULTS
 #define MP_FAILPOINT(name) (::mp::fault::Registry::global().hit(name))
 #else
 #define MP_FAILPOINT(name) 0
 #endif
 
-// Throw form: raises fault::InjectedFault when the point fires. Used at
-// sites whose natural failure mode is an exception unwinding through the
-// runtime (mailbox hooks, round bodies) rather than a syscall errno.
-#ifdef MP_FAULTS
-#define MP_FAILPOINT_THROW(name)                                       \
-  do {                                                                 \
-    if (const int mp_fp_ec_ = ::mp::fault::Registry::global().hit(name)) \
-      throw ::mp::fault::InjectedFault(name, mp_fp_ec_);               \
-  } while (0)
-#else
-#define MP_FAILPOINT_THROW(name) ((void)0)
-#endif

@@ -1,6 +1,7 @@
 #include "langs/netcore/parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <vector>
 
 namespace mp::netcore {
@@ -42,7 +43,10 @@ std::vector<Tok> lex(std::string_view src) {
       ++i;
       while (i < src.size() && std::isdigit(static_cast<unsigned char>(src[i]))) ++i;
       Tok t{Tok::Kind::Int, std::string(src.substr(start, i - start)), 0};
-      t.ival = std::stoll(t.text);
+      if (std::from_chars(src.data() + start, src.data() + i, t.ival).ec !=
+          std::errc{}) {
+        throw NetcoreParseError("integer literal out of range: " + t.text);
+      }
       out.push_back(std::move(t));
       continue;
     }

@@ -1,6 +1,7 @@
 #include "ndlog/lexer.h"
 
 #include <cctype>
+#include <charconv>
 
 namespace mp::ndlog {
 
@@ -67,7 +68,11 @@ std::vector<Token> lex(std::string_view src) {
       Token t;
       t.kind = TokKind::Int;
       t.text = std::string(src.substr(start, i - start));
-      t.ival = std::stoll(t.text);
+      if (std::from_chars(src.data() + start, src.data() + i, t.ival).ec !=
+          std::errc{}) {
+        throw ParseError("integer literal out of range: " + t.text, line,
+                         scol);
+      }
       t.line = line;
       t.col = scol;
       out.push_back(std::move(t));

@@ -8,7 +8,7 @@
 //     numbers come from Snapshot::delta (the registry-level answer to the
 //     old "Engine counters survive compact() with no way to zero them"
 //     inconsistency; pinned by tests/obs_test.cpp).
-//   - Gauge: last-write-wins i64 level (log sizes, shard counts).
+//   - Gauge: last-write-wins i64 level (log sizes).
 //   - Histogram: log2-bucketed u64 distribution (latencies in ns). One
 //     relaxed-atomic add per record; quantiles (p50/p99) are extracted
 //     from the bucket counts at snapshot time, never on the record path.

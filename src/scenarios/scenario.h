@@ -58,8 +58,8 @@ std::vector<Scenario> all_scenarios(const sdn::CampusOptions& campus = {});
 // The scenario's engine-level tuple trace: config tuples followed by the
 // PacketIn encoding of every workload injection (the same encoding the
 // controller proxy applies on a flow-table miss), capped at `cap` tuples.
-// This is the stream the differential/history harnesses and the sharded
-// runtime drive through the engine without simulating the network.
+// This is the stream the differential/history harnesses drive through the
+// engine without simulating the network.
 std::vector<eval::Tuple> engine_trace(const Scenario& s, size_t cap);
 
 }  // namespace mp::scenario

@@ -163,17 +163,9 @@ void Network::count(size_t DeliveryStats::*counter, eval::TagMask tags) {
   for_each_tag(tags, [&](size_t b) { ++(tag_stats_[b].*counter); });
 }
 
-void Network::inject_batch(const std::vector<Injection>& work, bool record,
-                           bool preserve_stamped_times) {
+void Network::inject_batch(const std::vector<Injection>& work, bool record) {
   if (record) recorder_.reserve_ingress(work.size());
-  for (const Injection& inj : work) {
-    if (record && preserve_stamped_times && inj.time != 0) {
-      recorder_.record_ingress(inj);
-      inject(inj.sw, inj.port, inj.packet, /*record=*/false);
-    } else {
-      inject(inj.sw, inj.port, inj.packet, record);
-    }
-  }
+  for (const Injection& inj : work) inject(inj.sw, inj.port, inj.packet, record);
 }
 
 void Network::inject(int64_t sw, int64_t in_port, const Packet& p, bool record) {

@@ -84,14 +84,9 @@ class Network {
   // each packet to completion in order. Packets stay serialized — a miss
   // may install flow state the next packet's forwarding depends on — so
   // batching here amortizes recording, not control-loop round trips.
-  // With preserve_stamped_times, injections carrying a nonzero time (the
-  // 1-based stream positions sdn::StreamSlice generation stamps) keep it
-  // in the recorded ingress log, so per-shard-sliced and serial workload
-  // generations record byte-identical logs. Off by default: replaying a
-  // previously *recorded* ingress log (whose times are old injection-
-  // clock values) must restamp with the fresh clock, as it always has.
-  void inject_batch(const std::vector<Injection>& work, bool record = true,
-                    bool preserve_stamped_times = false);
+  // Recorded ingress is stamped with the fresh injection clock, so a
+  // replayed recorded log (whose times are old clock values) restamps.
+  void inject_batch(const std::vector<Injection>& work, bool record = true);
 
   // Delivery tallies are kept as integers per interned (host, dpt) key and
   // folded into the CountDistributions when the stats are read.

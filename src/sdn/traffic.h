@@ -17,39 +17,6 @@ struct TrafficMix {
   double icmp = 0.20;
 };
 
-// Deterministic per-shard seed derivation (SplitMix64 finalizer). Shard
-// workers that intentionally want *decorrelated* streams (e.g. per-shard
-// warm-up noise) must not derive them as `seed ^ shard` — nearby shard
-// ids barely perturb a xorshift state. Streams that must be *identical*
-// to a serial run should instead slice one seeded stream (StreamSlice).
-uint64_t shard_seed(uint64_t base_seed, uint32_t shard);
-
-// Selects one deterministic slice of a generator's stream. The generator
-// always draws the full seeded RNG sequence (so every slice agrees on the
-// whole stream) and emits only the injections whose stream position p has
-// p % of == shard. When actually slicing (of > 1) each emitted injection
-// carries its global stream position (1-based) in Injection::time, so
-// interleaving the slices by that position reconstructs the serial stream
-// packet-for-packet — the property the sharded runtime relies on to
-// replay identical injection streams serially and sharded (pinned by
-// tests/runtime_test.cpp). Whole-stream generation (of == 1, the default)
-// leaves time = 0: scenario workloads concatenate several generator
-// streams, and per-call positions must not masquerade as the recorder's
-// unique injection-clock timestamps (Network::inject_batch keeps a
-// nonzero stamp in the recorded ingress log only when its explicit
-// preserve_stamped_times flag is set).
-struct StreamSlice {
-  uint32_t shard = 0;
-  uint32_t of = 1;
-  bool contains(uint64_t position) const {
-    // of == 0 behaves as the whole stream rather than dividing by zero,
-    // and shard is normalized modulo of (as ShardPlan::place does) so an
-    // out-of-range shard can never silently produce an empty slice.
-    return of <= 1 || position % of == shard % of;
-  }
-  bool stamps_positions() const { return of > 1; }
-};
-
 // Campus-to-campus background traffic between the hosts already present in
 // `net` (delivered via the proactive routes; creates realistic load and
 // a stable baseline distribution for the KS gate).
@@ -60,11 +27,6 @@ std::vector<Injection> background_traffic(const Network& net, size_t packets,
 // workload assembly builds one batch without intermediate copies.
 void background_traffic(const Network& net, size_t packets, uint64_t seed,
                         std::vector<Injection>& out, const TrafficMix& mix = {});
-// Sliced form (see StreamSlice): emits only this shard's portion of the
-// identical seeded stream.
-void background_traffic(const Network& net, size_t packets, uint64_t seed,
-                        const StreamSlice& slice, std::vector<Injection>& out,
-                        const TrafficMix& mix = {});
 
 struct IngressOptions {
   size_t flows = 40;
@@ -83,9 +45,6 @@ struct IngressOptions {
 std::vector<Injection> ingress_traffic(const IngressOptions& opt);
 // Appending form (see background_traffic above).
 void ingress_traffic(const IngressOptions& opt, std::vector<Injection>& out);
-// Sliced form (see StreamSlice).
-void ingress_traffic(const IngressOptions& opt, const StreamSlice& slice,
-                     std::vector<Injection>& out);
 
 // Replays a recorded/synthesized workload into the network as one batch
 // (Network::inject_batch).

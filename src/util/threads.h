@@ -1,5 +1,5 @@
-// Minimal fork/join helper shared by the parallel call sites (the sharded
-// runtime's round workers, the backtester's candidate-replay pool).
+// Minimal fork/join helper for the backtester's candidate-replay pool
+// (BacktestConfig::shards).
 #pragma once
 
 #include <exception>

@@ -1,18 +1,15 @@
 // Differential equivalence harness: every scenario's controller program is
 // driven at the engine level both tuple-at-a-time and through
-// Engine::insert_batch at batch sizes {1, 7, 64, whole-trace}, and — since
-// PR 4 — through the sharded runtime (runtime::ShardedEngine) at shard
-// counts {1, 2, 4, 8}. The batched runs must reach the identical fixpoint:
-// same final table states on every node, same event-log length, same
-// derivation count and same rule-firing count. Sharded runs must reach the
-// same fixpoint with the same event multiset; their canonical merged
-// EventLog must carry the external stream in the exact serial order, so
-// replaying it (backtest::replay_base_stream) reconstructs the serial
-// engine bit-for-bit and the repair explorer's output is byte-identical.
+// Engine::insert_batch at batch sizes {1, 7, 64, whole-trace}. The batched
+// runs must reach the identical fixpoint: same final table states on every
+// node, same event-log length, same derivation count and same rule-firing
+// count. A log spilled to segment files must replay
+// (backtest::replay_base_stream) into the identical engine, on which the
+// repair explorer's output is byte-identical to the directly-run engine's.
 // The tuple stream is the scenario's real workload (config tuples + the
 // PacketIn encoding of every recorded injection), so this exercises each
 // scenario's actual rules, joins and cross-node derivations — the safety
-// net that later batching/sharding changes are tested against.
+// net that later batching changes are tested against.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,17 +24,13 @@
 #include "e2ebench/workloads.h"
 #include "obs/obs.h"
 #include "storage/segment_store.h"
-#include "ndlog/parser.h"
 #include "repair/forest.h"
-#include "runtime/sharded_engine.h"
 #include "scenarios/scenario.h"
-#include "sdn/topology.h"
 #include "test_util.h"
 
 namespace mp::scenario {
 namespace {
 
-using testutil::event_multiset_hash;
 using testutil::event_sequence_hash;
 using testutil::table_multisets;
 
@@ -232,7 +225,7 @@ TEST(Differential, PaddedProgramVisitsOnlyMatchingTriggerPlans) {
 
 // Observability is pure observation: turning the obs switch off
 // (obs::set_enabled(false), which silences every publishing site — engine
-// counter publication, storage/sharded instruments, latency histograms,
+// counter publication, storage instruments, latency histograms,
 // span recording) must leave evaluation byte-identical. Same exact event
 // sequence, same tables, same derivations, same repair output, on every
 // scenario, through both the tuple-at-a-time and batched entry points.
@@ -264,61 +257,15 @@ TEST(Differential, ObsOffMatchesObsOnAllScenarios) {
   }
 }
 
-// The ShardedEngine-vs-Engine equivalence sweep: identical final tables,
-// equal event multisets (canonical hash), and a canonical merged log whose
-// replay rebuilds the serial engine bit-for-bit — which makes the repair
-// explorer's output byte-identical to the single-threaded engine's.
-TEST(Differential, ShardedMatchesSerialOnAllScenarios) {
-  for (const Scenario& s : all_scenarios()) {
-    SCOPED_TRACE("scenario " + s.id);
-    const std::vector<eval::Tuple> trace = engine_trace(s, 1200);
-
-    eval::Engine serial(s.program);
-    for (const eval::Tuple& t : trace) serial.insert(t);
-    const EngineSnapshot want = snapshot(serial);
-    const uint64_t want_canonical = event_multiset_hash(serial.log());
-    const std::vector<std::string> want_repairs = explore_all(s, serial);
-    EXPECT_FALSE(want_repairs.empty());
-
-    for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards));
-      runtime::ShardedEngine se(s.program, runtime::ShardPlan(shards));
-      se.insert_batch(trace);
-      EXPECT_FALSE(se.diverged());
-      EXPECT_EQ(table_multisets(se), want.tables);
-      EXPECT_EQ(se.rule_firings(), want.firings);
-
-      const eval::EventLog merged = se.merged_log();
-      EXPECT_EQ(merged.size(), want.log_events);
-      EXPECT_EQ(merged.derivations().size(), want.derivations);
-      EXPECT_EQ(event_multiset_hash(merged), want_canonical)
-          << "sharded run must produce the serial event multiset";
-      if (shards == 1) {
-        EXPECT_EQ(event_sequence_hash(merged), want.event_sequence_hash)
-            << "one shard must replay the serial schedule exactly";
-      }
-
-      // The canonical merge keeps the external stream in serial order, so
-      // replaying it rebuilds the single-threaded engine exactly...
-      eval::Engine rebuilt(s.program);
-      const size_t applied = backtest::replay_base_stream(merged, rebuilt);
-      EXPECT_GT(applied, 0u);
-      expect_equal(snapshot(rebuilt), want,
-                   s.id + " replay of merged log, shards=" +
-                       std::to_string(shards));
-      // ...and repair exploration on top of it is byte-identical.
-      EXPECT_EQ(explore_all(s, rebuilt), want_repairs);
-    }
-  }
-}
-
 // Durable-segment round trip row (PR 7): the same auto-compacting run
 // with its checkpoint sections spilled to segment files (src/storage)
 // must be observably identical to the in-RAM checkpoint engine — same
 // fixpoint, same full event sequence walked back through the mmap'd
 // segments — and a reload from the segment files ALONE (fresh process:
 // recovery scan + replay_base_stream over the store, no source EventLog)
-// must rebuild the identical snapshot on every scenario.
+// must rebuild the identical snapshot on every scenario, and repair
+// exploration on the rebuilt engine must be byte-identical to exploration
+// on an engine that ran the trace directly.
 TEST(Differential, SegmentReloadMatchesInRamCheckpointOnAllScenarios) {
   for (const Scenario& s : all_scenarios()) {
     SCOPED_TRACE("scenario " + s.id);
@@ -358,51 +305,12 @@ TEST(Differential, SegmentReloadMatchesInRamCheckpointOnAllScenarios) {
     const size_t applied = backtest::replay_base_stream(store, rebuilt);
     EXPECT_GT(applied, 0u);
     expect_equal(snapshot(rebuilt), want, s.id + " segment reload");
-  }
-}
 
-// Adversarial cross-shard stream: a directed token ring whose nodes are
-// explicitly placed round-robin across shards, so EVERY hop is a remote
-// Send/Receive ping-ponging between shards. Last is keyed per
-// (node, token): each revisit displaces the previous hop's row
-// (cross-shard Underive/Disappear traffic), and the hub replica makes the
-// displacement's support decrement cross shards as well.
-TEST(Differential, CrossShardPingPongMatchesSerial) {
-  // The shared token-ring fixture (testutil::ring_program / ring_trace)
-  // at a deeper hop cap than the runtime suite's.
-  const ndlog::Program program =
-      ndlog::parse_program(testutil::ring_program(32));
-  const int64_t nodes = 6;
-  const std::vector<eval::Tuple> trace = testutil::ring_trace(nodes, 8);
-
-  eval::Engine serial(program);
-  for (const eval::Tuple& t : trace) serial.insert(t);
-  const EngineSnapshot want = snapshot(serial);
-  const uint64_t want_canonical = event_multiset_hash(serial.log());
-  EXPECT_GT(want.firings, 100u);
-
-  for (uint32_t shards : {2u, 4u, 8u}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    runtime::ShardPlan plan(shards);
-    // Ring neighbours always live on different shards (and the hub on its
-    // own): every hop of every token is a cross-shard message.
-    for (int64_t n = 1; n <= nodes; ++n) {
-      plan.place(Value(n), static_cast<uint32_t>(n) % shards);
-    }
-    plan.place(Value(100), shards - 1);
-    runtime::ShardedEngine se(program, plan);
-    se.insert_batch(trace);
-    EXPECT_FALSE(se.diverged());
-    EXPECT_GT(se.messages_shipped(), 0u);
-    EXPECT_EQ(table_multisets(se), want.tables);
-    EXPECT_EQ(se.rule_firings(), want.firings);
-    const eval::EventLog merged = se.merged_log();
-    EXPECT_EQ(event_multiset_hash(merged), want_canonical);
-
-    eval::Engine rebuilt(program);
-    backtest::replay_base_stream(merged, rebuilt);
-    expect_equal(snapshot(rebuilt), want,
-                 "ping-pong replay, shards=" + std::to_string(shards));
+    eval::Engine direct(s.program);
+    for (const eval::Tuple& t : trace) direct.insert(t);
+    const std::vector<std::string> want_repairs = explore_all(s, direct);
+    EXPECT_FALSE(want_repairs.empty());
+    EXPECT_EQ(explore_all(s, rebuilt), want_repairs);
   }
 }
 

@@ -3,8 +3,8 @@
 //   - registry semantics: every trigger policy fires deterministically,
 //     configure resets counters, dry runs enumerate the workload's
 //     failpoints,
-//   - the zero-cost contract: in a default build the MP_FAILPOINT macros
-//     compile to nothing, so a storage workload interns no points,
+//   - the zero-cost contract: in a default build the MP_FAILPOINT macro
+//     compiles to nothing, so a storage workload interns no points,
 //   - storage sweep (every storage.* failpoint x fire-on-hit-N): a
 //     terminal injected error must never crash or lose an in-process
 //     event — the engine's full log stays byte-identical to a no-store
@@ -13,11 +13,7 @@
 //     yields a clean prefix of the reference sequence,
 //   - transient errors (EINTR / EAGAIN / short writes) retry to full
 //     byte-identical durability with no degradation,
-//   - ErrorPolicy::kFailStop surfaces storage::IoError instead,
-//   - sharded runtime: a shard round throwing mid-flight rethrows
-//     cleanly after the barrier (no deadlock, no leaked thread, engine
-//     still usable), and ShardedOptions::round_retries recovers
-//     pre-work failures to a differential-equal run.
+//   - ErrorPolicy::kFailStop surfaces storage::IoError instead.
 // Labelled `fault`: tools/check.sh CHECK_FAULTS=1 builds a -DMP_FAULTS=ON
 // side tree and runs exactly this suite there; in the default build the
 // injection sweeps GTEST_SKIP themselves and only the registry and
@@ -34,7 +30,6 @@
 #include "eval/engine.h"
 #include "fault/fault.h"
 #include "ndlog/parser.h"
-#include "runtime/sharded_engine.h"
 #include "storage/segment_store.h"
 #include "test_util.h"
 
@@ -225,8 +220,8 @@ TEST(FaultRegistry, ConfigureResetsCountersAndPointsEnumerateSorted) {
   EXPECT_TRUE(reg.points().empty());
 }
 
-// The zero-cost half of the contract: without MP_FAULTS the macros are
-// literals, so a storage workload crosses no failpoint and interns no
+// The zero-cost half of the contract: without MP_FAULTS the macro is a
+// literal, so a storage workload crosses no failpoint and interns no
 // point name. (The other half — the compiled-in sites enumerating — is
 // the sweep's dry run below; the perf half is tools/check.sh's bench
 // floor, measured on this same default build.)
@@ -454,99 +449,6 @@ TEST(FaultSweep, AttachTimeFaultYieldsInertStoreAndRamOnlyEngine) {
   run_storage_workload(e);
   EXPECT_EQ(log_lines(e.log()), want);
   EXPECT_EQ(e.segments()->events(), 0u);
-  reg.clear_all();
-}
-
-// ---------------------------------------------------------------------
-// Sharded-runtime injection (MP_FAULTS builds only).
-// ---------------------------------------------------------------------
-
-runtime::ShardedOptions parallel_opts(size_t retries = 0) {
-  runtime::ShardedOptions opt;
-  opt.min_parallel_work = 1;  // force real worker threads
-  opt.round_retries = retries;
-  return opt;
-}
-
-TEST(FaultSweep, ShardRoundFaultRethrowsAfterBarrierAndEngineSurvives) {
-  if (!compiled_in()) GTEST_SKIP() << "needs -DMP_FAULTS=ON (CHECK_FAULTS=1)";
-  Registry& reg = Registry::global();
-  const std::vector<eval::Tuple> trace = testutil::ring_trace(8, 6);
-
-  for (const char* point :
-       {"runtime.round.begin", "runtime.mailbox.dequeue",
-        "runtime.mailbox.enqueue"}) {
-    SCOPED_TRACE(point);
-    reg.clear_all();
-    Policy p;
-    p.mode = Policy::Mode::kNth;
-    p.n = 3;
-    reg.configure(point, p);
-
-    runtime::ShardedEngine se(ring_prog(), runtime::ShardPlan(4),
-                              parallel_opts());
-    // The worker's exception must cross the barrier and surface here —
-    // the test completing at all proves no deadlock and no leaked
-    // joinable thread (the dtor would abort on one).
-    EXPECT_THROW(se.insert_batch(trace), InjectedFault);
-    EXPECT_GE(reg.fires(point), 1u);
-    reg.clear_all();
-
-    // Quiescent and usable after: pending work was discarded, a fresh
-    // insert runs to fixpoint normally.
-    se.insert(eval::Tuple{"Token", {Value(3), Value(88), Value(0)}});
-    EXPECT_TRUE(se.exists(Value(3), "Seen", {Value(3), Value(88), Value(0)}));
-  }
-}
-
-TEST(FaultSweep, PreWorkRoundFaultsRetryToDifferentialEqual) {
-  if (!compiled_in()) GTEST_SKIP() << "needs -DMP_FAULTS=ON (CHECK_FAULTS=1)";
-  Registry& reg = Registry::global();
-  const ndlog::Program program = ring_prog();
-  const std::vector<eval::Tuple> trace = testutil::ring_trace(8, 6);
-
-  Engine serial(program);
-  for (const eval::Tuple& t : trace) serial.insert(t);
-  const auto want = testutil::table_multisets(serial);
-
-  // Both pre-work failpoints fire before the round touches the engine,
-  // so round_retries absorbs them completely.
-  for (const char* point :
-       {"runtime.round.begin", "runtime.mailbox.dequeue"}) {
-    SCOPED_TRACE(point);
-    reg.clear_all();
-    Policy p;
-    p.mode = Policy::Mode::kNth;
-    p.n = 3;
-    reg.configure(point, p);
-
-    runtime::ShardedEngine se(program, runtime::ShardPlan(4),
-                              parallel_opts(/*retries=*/2));
-    se.insert_batch(trace);  // must not throw: the one failure is retried
-    EXPECT_EQ(reg.fires(point), 1u);
-    EXPECT_EQ(testutil::table_multisets(se), want)
-        << "retried run diverged from the serial engine";
-    reg.clear_all();
-  }
-}
-
-TEST(FaultSweep, MidRoundFaultIsNotRetriedEvenWithBudget) {
-  if (!compiled_in()) GTEST_SKIP() << "needs -DMP_FAULTS=ON (CHECK_FAULTS=1)";
-  Registry& reg = Registry::global();
-  reg.clear_all();
-  // The enqueue hook fires deep inside a shard engine's cascade — after
-  // engine work began. Retrying would double-apply the round's prefix,
-  // so even a generous budget must rethrow instead.
-  Policy p;
-  p.mode = Policy::Mode::kNth;
-  p.n = 5;
-  reg.configure("runtime.mailbox.enqueue", p);
-
-  runtime::ShardedEngine se(ring_prog(), runtime::ShardPlan(4),
-                            parallel_opts(/*retries=*/10));
-  EXPECT_THROW(se.insert_batch(testutil::ring_trace(8, 6)), InjectedFault);
-  EXPECT_EQ(reg.fires("runtime.mailbox.enqueue"), 1u)
-      << "a mid-round fault must not be retried";
   reg.clear_all();
 }
 

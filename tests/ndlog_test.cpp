@@ -97,6 +97,8 @@ TEST(Parser, RejectsGarbage) {
   EXPECT_THROW(parse_rule("r1 A(@X :- B(@X)."), ParseError);
   EXPECT_THROW(parse_rule("r1 A(@X) :- ."), ParseError);
   EXPECT_THROW(parse_program("table Foo."), ParseError);
+  EXPECT_THROW(parse_rule("r1 A(@X,P) :- B(@X), P := 99999999999999999999."),
+               ParseError);
 }
 
 TEST(Validate, AcceptsWellFormedProgram) {

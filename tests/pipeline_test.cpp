@@ -783,6 +783,9 @@ TEST(ImpParser, RejectsBadSyntax) {
   EXPECT_THROW(imp::parse_program(
                    "def packet_in(sw, pkt) { if (sw ~ 1) { } }"),
                imp::ImpParseError);
+  EXPECT_THROW(imp::parse_program("def packet_in(sw, pkt) {"
+                                  " if (sw == 99999999999999999999) { } }"),
+               imp::ImpParseError);
 }
 
 TEST(ImpParser, RoundTripsWithRepairSpace) {
@@ -842,6 +845,8 @@ TEST(NetcoreParser, RejectsBadSyntax) {
   EXPECT_THROW(netcore::parse_policy("modify(switch=3)[drop]"),
                netcore::NetcoreParseError);
   EXPECT_THROW(netcore::parse_policy("fwd(1) fwd(2)"),
+               netcore::NetcoreParseError);
+  EXPECT_THROW(netcore::parse_policy("fwd(99999999999999999999)"),
                netcore::NetcoreParseError);
 }
 

@@ -1,7 +1,6 @@
 // Shared helpers for the test suites (not part of the library).
 #pragma once
 
-#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -10,7 +9,6 @@
 #include "eval/engine.h"
 #include "eval/event_log.h"
 #include "repair/forest.h"
-#include "runtime/sharded_engine.h"
 #include "scenarios/scenario.h"
 
 namespace mp::testutil {
@@ -58,29 +56,11 @@ inline uint64_t event_sequence_hash(const eval::EventLog& log) {
   return h;
 }
 
-// Order-canonical variant: the (kind, tuple) lines are sorted before
-// hashing, so two logs agree iff their event *multisets* agree. This is
-// the cross-schedule comparison — a sharded run interleaves independent
-// shards' events differently than the serial engine, but must produce
-// exactly the same set of them.
-inline uint64_t event_multiset_hash(const eval::EventLog& log) {
-  std::vector<std::string> lines;
-  lines.reserve(log.size());
-  log.for_each_event(
-      [&](const eval::Event& ev) { lines.push_back(event_line(log, ev)); });
-  std::sort(lines.begin(), lines.end());
-  uint64_t h = 1469598103934665603ull;
-  for (const std::string& line : lines) h = fnv1a(h, line + "\n");
-  return h;
-}
-
 // Per-table row multisets across every node — the cross-engine table
-// comparison both the differential and runtime suites assert on. One
-// canonical form for any engine-like source: the serial Engine and the
-// ShardedEngine overloads both delegate here.
-template <typename EngineLike>
-std::map<std::string, std::multiset<std::string>> table_multisets_of(
-    const ndlog::Catalog& cat, const EngineLike& e) {
+// comparison the differential and storage suites assert on.
+inline std::map<std::string, std::multiset<std::string>> table_multisets(
+    const eval::Engine& e) {
+  const ndlog::Catalog& cat = e.catalog();
   std::map<std::string, std::multiset<std::string>> out;
   for (ndlog::Catalog::TableId id = 0; id < cat.size(); ++id) {
     const std::string& name = cat.name_of(id);
@@ -90,22 +70,11 @@ std::map<std::string, std::multiset<std::string>> table_multisets_of(
   return out;
 }
 
-inline std::map<std::string, std::multiset<std::string>> table_multisets(
-    const eval::Engine& e) {
-  return table_multisets_of(e.catalog(), e);
-}
-
-inline std::map<std::string, std::multiset<std::string>> table_multisets(
-    const runtime::ShardedEngine& se) {
-  return table_multisets_of(se.shard(0).catalog(), se);
-}
-
-// The adversarial cross-shard fixture shared by the runtime and
-// differential suites: a directed token ring where every hop is a remote
-// Send (ping-pong across shards when neighbours are placed apart), Last is
-// keyed per (node, token) so each revisit displaces the previous hop's row
-// (cross-shard Underive/Disappear traffic), and the hub replica at node
-// 100 makes the displacement's support decrement cross shards too.
+// The adversarial token-ring fixture shared by the fault and obs suites: a
+// directed ring where every hop is a remote Send/Receive, Last is keyed
+// per (node, token) so each revisit displaces the previous hop's row
+// (Underive/Disappear traffic), and the hub replica at node 100 makes the
+// displacement's support decrement reach a remote node too.
 inline std::string ring_program(int64_t hop_cap) {
   return
       "table NextHop/2.\n"

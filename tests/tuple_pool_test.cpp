@@ -2,9 +2,6 @@
 //   - intern/find dedup semantics and precomputed hashes,
 //   - handle stability: refs (and the Rows they resolve to) survive pool
 //     growth and EventLog compaction (the pool is never truncated),
-//   - cross-shard handle remap: ShardedEngine::merged_log re-interns every
-//     shard-local handle into the merged log's private pool, so handle
-//     round trips (materialize -> find_ref) are identities there,
 //   - interning-on/off cross-check: replaying a log's materialized events
 //     through the legacy string-based append into a standalone EventLog
 //     (its own catalog + pool) reproduces the exact event sequence on all
@@ -18,8 +15,6 @@
 
 #include "eval/engine.h"
 #include "eval/tuple_pool.h"
-#include "ndlog/parser.h"
-#include "runtime/sharded_engine.h"
 #include "scenarios/scenario.h"
 #include "sdn/topology.h"
 #include "test_util.h"
@@ -91,36 +86,6 @@ TEST(TuplePool, HandlesSurviveEventLogCompaction) {
   });
   EXPECT_EQ(after, before);
   EXPECT_EQ(testutil::event_sequence_hash(e.log()), want_hash);
-}
-
-TEST(TuplePool, MergedLogRemapsHandlesAcrossShardPools) {
-  const ndlog::Program program =
-      ndlog::parse_program(testutil::ring_program(16));
-  runtime::ShardedEngine se(program, runtime::ShardPlan(4));
-  se.insert_batch(testutil::ring_trace(6, 4));
-  ASSERT_FALSE(se.diverged());
-  const EventLog merged = se.merged_log();
-  ASSERT_GT(merged.size(), 0u);
-
-  // Every merged handle is a member of the merged pool (round-trip
-  // identity), even though it originated in one of four disjoint pools.
-  merged.for_each_event([&](const Event& ev) {
-    ASSERT_NE(ev.tuple, kNoTupleRef);
-    EXPECT_EQ(merged.find_ref(merged.tuple_of(ev)), ev.tuple);
-  });
-  for (const DerivRecord& rec : merged.derivations()) {
-    EXPECT_EQ(merged.find_ref(merged.head_of(rec)), rec.head);
-    for (TupleRef b : merged.body_of(rec)) {
-      EXPECT_NE(b, kNoTupleRef);
-      EXPECT_EQ(merged.find_ref(merged.materialize(b)), b);
-    }
-  }
-  // The merged pool holds at most the union of distinct shard tuples.
-  size_t shard_total = 0;
-  for (size_t sh = 0; sh < se.shards(); ++sh) {
-    shard_total += se.shard(sh).log().pool().size();
-  }
-  EXPECT_LE(merged.pool().size(), shard_total);
 }
 
 // Interning-on/off cross-check: rebuild each scenario log through the

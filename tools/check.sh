@@ -40,8 +40,8 @@
 #   CHECK_CRASH=1 tools/check.sh
 # With CHECK_TSAN=1 the script additionally configures a side build
 # directory with -fsanitize=thread (CMake option MP_TSAN) and runs the
-# `concurrency`-labelled suites (the sharded runtime) under
-# ThreadSanitizer:
+# `concurrency`-labelled suites (the backtester's candidate-replay pool)
+# under ThreadSanitizer:
 #   CHECK_TSAN=1 tools/check.sh
 # With CHECK_ASAN=1 the script additionally configures a side build
 # directory with -fsanitize=address,undefined (CMake option MP_ASAN) and
@@ -171,7 +171,7 @@ if [[ "${CHECK_TSAN:-0}" == "1" ]]; then
   echo "--- ThreadSanitizer (concurrency suites) ---"
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S "$REPO_ROOT" -DMP_TSAN=ON
-  cmake --build "$TSAN_DIR" --target runtime_test -j
+  cmake --build "$TSAN_DIR" --target backtest_pool_test -j
   (cd "$TSAN_DIR" && ctest -L concurrency --output-on-failure)
 fi
 
@@ -188,7 +188,7 @@ if [[ "${CHECK_FAULTS:-0}" == "1" ]]; then
   echo "--- fault injection (failpoint sweeps, -DMP_FAULTS=ON side build) ---"
   FAULTS_DIR="${BUILD_DIR}-faults"
   cmake -B "$FAULTS_DIR" -S "$REPO_ROOT" -DMP_FAULTS=ON
-  cmake --build "$FAULTS_DIR" --target fault_test storage_test runtime_test -j
+  cmake --build "$FAULTS_DIR" --target fault_test storage_test -j
   (cd "$FAULTS_DIR" && ctest -L fault --output-on-failure)
 fi
 

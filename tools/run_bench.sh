@@ -27,7 +27,7 @@ trap 'rm -f "$RAW" "$METRICS"' EXIT
 # --benchmark_out: bench_overhead prints a storage-accounting preamble to
 # stdout, so the JSON must go to a file.
 "$BENCH" \
-  --benchmark_filter='BM_JoinHeavyRuleFiring|BM_JoinHeavyBatchInsert|BM_PacketInProcessing|BM_PacketInBatchedArrival|BM_RepairHistoryProbe|BM_ShardedEval|BM_CascadeFanout|BM_PacketInPadded|BM_SegmentWrite$|BM_SegmentReload' \
+  --benchmark_filter='BM_JoinHeavyRuleFiring|BM_JoinHeavyBatchInsert|BM_PacketInProcessing|BM_PacketInBatchedArrival|BM_RepairHistoryProbe|BM_CascadeFanout|BM_PacketInPadded|BM_SegmentWrite$|BM_SegmentReload' \
   --benchmark_min_time=1 \
   --benchmark_out_format=json --benchmark_out="$RAW" >/dev/null
 
@@ -263,21 +263,6 @@ if wf and not wf.get("error_occurred"):
         durable_faulty["relative_to_fault_free"] = (
             wf["bytes_per_second"] / w["bytes_per_second"])
 
-# Sharded end-to-end scaling: Arg(0) is the serial Engine baseline, the
-# other args are ShardedEngine worker counts over the identical workload.
-sharded = {}
-serial = results.get("BM_ShardedEval/0/manual_time")
-for workers in (1, 2, 4, 8):
-    b = results.get(f"BM_ShardedEval/{workers}/manual_time")
-    if not b:
-        continue
-    sharded[str(workers)] = {
-        "tuples_per_sec": rate(b),
-        "serial_tuples_per_sec": rate(serial) if serial else None,
-        "speedup_vs_serial": (rate(b) / rate(serial)
-                              if serial and rate(serial) else None),
-    }
-
 # Obs registry snapshot from the smoke ALL run: the process-cumulative
 # section verbatim, plus per-scenario repair latency (p50/p99 of the
 # repair.explore.latency_ns and scenario.pipeline.latency_ns histograms
@@ -325,7 +310,6 @@ out = {
     "provenance_overhead": overhead,
     "history": past,
     "perf_counters": perf_counters,
-    "sharded_eval": sharded,
     "durable_log": durable,
     "durable_log_faulty": durable_faulty,
     "repair_latency": repair_latency,
@@ -347,10 +331,6 @@ for size, h in history.items():
     print(f"  history probe({size} tuples): {h['indexed_lookups_per_sec']:,.0f} lookups/s indexed "
           f"vs {h['scan_lookups_per_sec']:,.0f} scanned "
           f"({h['speedup']:.1f}x)")
-for workers, srow in sharded.items():
-    sp = srow["speedup_vs_serial"]
-    print(f"  sharded eval({workers} workers): {srow['tuples_per_sec']:,.0f} tuples/s "
-          + (f"({sp:.2f}x vs serial)" if sp else "(no serial baseline)"))
 if "ratio_450_to_0" in program_size:
     print(f"  program size: {program_size['0']['ns_per_packet_in']:.0f} ns/PacketIn "
           f"with 0 zone rules, {program_size['450']['ns_per_packet_in']:.0f} with 450 "
