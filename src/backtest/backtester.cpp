@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
 
 #include "obs/obs.h"
 #include "obs/span.h"
@@ -27,7 +28,7 @@ std::vector<const BacktestEntry*> BacktestReport::ranked_accepted() const {
 
 BacktestReport Backtester::run(
     ReplayHarness& harness,
-    const std::vector<repair::RepairCandidate>& candidates) const {
+    std::vector<repair::RepairCandidate> candidates) const {
   static const obs::PhaseId kSpanBacktest = obs::phase_id("backtest.run");
   obs::Span span(kSpanBacktest);
   const uint64_t t0 = obs::now_ns();
@@ -72,7 +73,7 @@ BacktestReport Backtester::run(
 
   for (size_t i = 0; i < candidates.size(); ++i) {
     BacktestEntry e;
-    e.candidate = candidates[i];
+    e.candidate = std::move(candidates[i]);
     e.outcome = outcomes[i];
     e.effective = e.outcome.valid && e.outcome.symptom_fixed;
     e.ks = compare(baseline, e.outcome, cfg_.alpha);

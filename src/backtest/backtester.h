@@ -44,8 +44,9 @@ class Backtester {
  public:
   explicit Backtester(BacktestConfig cfg = {}) : cfg_(cfg) {}
 
+  // Takes the candidates by value: each one moves into its entry.
   BacktestReport run(ReplayHarness& harness,
-                     const std::vector<repair::RepairCandidate>& candidates) const;
+                     std::vector<repair::RepairCandidate> candidates) const;
 
  private:
   BacktestConfig cfg_;

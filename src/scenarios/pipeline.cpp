@@ -14,6 +14,7 @@ ScenarioRun::ScenarioRun(const Scenario& s, const ndlog::Program& program,
   net_ = std::make_unique<sdn::Network>();
   campus_ = sdn::build_campus(*net_, s.campus);
   if (s.wire_app) s.wire_app(*net_, campus_);
+  net_->seal();
   engine_ = std::make_unique<eval::Engine>(program, eopts);
   controller_ = std::make_unique<sdn::NdlogController>(*net_, *engine_,
                                                        s.make_bindings());
@@ -45,6 +46,16 @@ void ScenarioRun::replay(const std::vector<sdn::Injection>& workload,
   sdn::replay(*net_, workload, record);
 }
 
+void ScenarioRun::record(const std::vector<sdn::Injection>& workload,
+                         sdn::PathMemo& memo) {
+  net_->record_batch(workload, memo);
+}
+
+void ScenarioRun::replay(const std::vector<sdn::Injection>& workload,
+                         const sdn::PathMemo& memo) {
+  net_->replay_batch(workload, memo);
+}
+
 ScenarioHarness::ScenarioHarness(const Scenario& s) : scenario_(s) {
   // Workload generation needs the topology (host placement), so build a
   // throwaway network first.
@@ -52,18 +63,19 @@ ScenarioHarness::ScenarioHarness(const Scenario& s) : scenario_(s) {
   sdn::Campus campus = sdn::build_campus(probe, s.campus);
   if (s.wire_app) s.wire_app(probe, campus);
   workload_ = s.make_workload(probe);
+  memo_ = sdn::PathMemo(workload_.size());
 }
 
 ScenarioRun& ScenarioHarness::buggy_run() {
   if (!buggy_) {
     buggy_ = std::make_unique<ScenarioRun>(scenario_, scenario_.program);
     buggy_->insert_config();
-    buggy_->replay(workload_);
+    buggy_->record(workload_, memo_);
   }
   return *buggy_;
 }
 
-backtest::ReplayOutcome ScenarioHarness::replay_baseline() {
+const backtest::ReplayOutcome& ScenarioHarness::baseline() {
   if (!baseline_) {
     ScenarioRun& run = buggy_run();
     auto out = backtest::outcome_from_stats(run.net().stats());
@@ -73,64 +85,66 @@ backtest::ReplayOutcome ScenarioHarness::replay_baseline() {
   return *baseline_;
 }
 
-backtest::ReplayOutcome ScenarioHarness::replay(
-    const repair::RepairCandidate& cand) {
-  Timer timer;
+backtest::ReplayOutcome ScenarioHarness::replay_baseline() {
+  return baseline();
+}
+
+std::optional<ScenarioRun> ScenarioHarness::candidate_world(
+    const repair::RepairCandidate& cand) const {
   auto program = repair::apply_candidate(scenario_.program, cand);
-  backtest::ReplayOutcome out;
-  if (!program) {
-    out.valid = false;
-    return out;
-  }
+  if (!program) return std::nullopt;
   // Provenance recording is off during backtests: we only need metrics.
   eval::EngineOptions eopts;
   eopts.record_provenance = false;
-  ScenarioRun run(scenario_, *program, eopts);
+  std::optional<ScenarioRun> run(std::in_place, scenario_, *program, eopts);
 
   std::vector<std::pair<eval::Tuple, eval::TagMask>> inserts;
   for (const eval::Tuple& t : repair::candidate_insertions(cand)) {
     inserts.emplace_back(t, eval::kAllTags);
   }
   const auto deletions = repair::candidate_deletions(cand);
+  if (deletions.empty()) {
+    run->insert_config(inserts);
+    return run;
+  }
   // Config insertion honouring deletions: withheld tuples never enter.
-  bool skip_config = false;
-  if (!deletions.empty()) {
-    skip_config = true;
-    for (const eval::Tuple& t : scenario_.config_tuples) {
-      bool deleted = false;
-      for (const eval::Tuple& d : deletions) {
-        if (d == t) deleted = true;
-      }
-      if (!deleted) inserts.emplace_back(t, eval::kAllTags);
-    }
+  for (const eval::Tuple& t : scenario_.config_tuples) {
+    if (std::find(deletions.begin(), deletions.end(), t) == deletions.end())
+      inserts.emplace_back(t, eval::kAllTags);
   }
-  if (skip_config) {
-    // insert only `inserts` (config already folded in).
-    run.engine().insert_batch(inserts);
-  } else {
-    run.insert_config(inserts);
-  }
-  run.replay(workload_, /*record=*/false);
+  run->engine().insert_batch(inserts);
+  return run;
+}
 
-  out = backtest::outcome_from_stats(run.net().stats());
-  const backtest::ReplayOutcome base = replay_baseline();
+backtest::ReplayOutcome ScenarioHarness::score(ScenarioRun& run) {
+  const backtest::ReplayOutcome& base = baseline();
+  backtest::ReplayOutcome out = backtest::outcome_from_stats(run.net().stats());
   out.symptom_fixed =
       scenario_.symptom_fixed
           ? scenario_.symptom_fixed(out, base, run.engine(), eval::kAllTags)
           : false;
+  return out;
+}
+
+backtest::ReplayOutcome ScenarioHarness::replay(
+    const repair::RepairCandidate& cand) {
+  Timer timer;
+  // Records the incident and fills memo_ before any world exists.
+  baseline();
+  std::optional<ScenarioRun> run = candidate_world(cand);
+  backtest::ReplayOutcome out;
+  if (!run) {
+    out.valid = false;
+    return out;
+  }
+  run->replay(workload_, memo_);
+  out = score(*run);
   out.seconds = timer.seconds();
   return out;
 }
 
-std::vector<backtest::ReplayOutcome> ScenarioHarness::replay_joint(
-    const std::vector<repair::RepairCandidate>& cands) {
-  Timer timer;
-  std::vector<backtest::ReplayOutcome> outs(cands.size());
-  if (cands.empty()) return outs;
-
-  backtest::CombinedProgram combined =
-      backtest::build_backtest_program(scenario_.program, cands);
-
+ScenarioRun ScenarioHarness::joint_world(
+    const backtest::CombinedProgram& combined) const {
   eval::EngineOptions eopts;
   eopts.record_provenance = false;
   eopts.tag_mode = true;
@@ -152,14 +166,17 @@ std::vector<backtest::ReplayOutcome> ScenarioHarness::replay_joint(
   }
   // Bypass the untagged config path: insert everything explicitly.
   run.engine().insert_batch(inserts);
-  run.replay(workload_, /*record=*/false);
+  return run;
+}
 
-  const backtest::ReplayOutcome base = replay_baseline();
-  const double elapsed = timer.seconds();
-  for (size_t i = 0; i < cands.size(); ++i) {
-    if (i >= combined.candidate_count) break;
-    backtest::ReplayOutcome o =
-        backtest::outcome_from_stats(run.net().tag_stats(i));
+std::vector<backtest::ReplayOutcome> ScenarioHarness::score_joint(
+    ScenarioRun& run, const backtest::CombinedProgram& combined,
+    size_t candidates) {
+  const backtest::ReplayOutcome& base = baseline();
+  std::vector<backtest::ReplayOutcome> outs(candidates);
+  for (size_t i = 0; i < candidates && i < combined.candidate_count; ++i) {
+    backtest::ReplayOutcome& o = outs[i];
+    o = backtest::outcome_from_stats(run.net().tag_stats(i));
     o.valid = std::find(combined.invalid.begin(), combined.invalid.end(), i) ==
               combined.invalid.end();
     const eval::TagMask bit = eval::TagMask{1} << i;
@@ -167,8 +184,25 @@ std::vector<backtest::ReplayOutcome> ScenarioHarness::replay_joint(
         o.valid && scenario_.symptom_fixed
             ? scenario_.symptom_fixed(o, base, run.engine(), bit)
             : false;
-    o.seconds = elapsed / static_cast<double>(cands.size());
-    outs[i] = std::move(o);
+  }
+  return outs;
+}
+
+std::vector<backtest::ReplayOutcome> ScenarioHarness::replay_joint(
+    const std::vector<repair::RepairCandidate>& cands) {
+  Timer timer;
+  if (cands.empty()) return {};
+  baseline();
+  const backtest::CombinedProgram combined =
+      backtest::build_backtest_program(scenario_.program, cands);
+  ScenarioRun run = joint_world(combined);
+  run.replay(workload_, memo_);
+
+  const double elapsed = timer.seconds();
+  std::vector<backtest::ReplayOutcome> outs =
+      score_joint(run, combined, cands.size());
+  for (size_t i = 0; i < outs.size() && i < combined.candidate_count; ++i) {
+    outs[i].seconds = elapsed / static_cast<double>(cands.size());
   }
   return outs;
 }

@@ -5,6 +5,8 @@
 // debugger and is what the examples and benches call.
 #pragma once
 
+#include <optional>
+
 #include "backtest/backtester.h"
 #include "backtest/multiquery.h"
 #include "scenarios/scenario.h"
@@ -12,7 +14,10 @@
 
 namespace mp::scenario {
 
-// One concrete simulation of a scenario under a given program.
+// One concrete simulation of a scenario under a given program. The
+// constructor builds the campus and wires the app, then seals the network
+// (sdn::Network::seal) before the engine and controller exist, so every
+// controller install, config insertions' included, marks its switch dirty.
 class ScenarioRun {
  public:
   ScenarioRun(const Scenario& s, const ndlog::Program& program,
@@ -24,9 +29,16 @@ class ScenarioRun {
   void set_rule_restrictions(
       const std::map<std::string, eval::TagMask>& restrict);
   void set_tag_mode(eval::TagMask active);
-  // Replays `workload`; `record` keeps the network's ingress log, which
-  // only the recorded incident needs.
+  // Replays `workload`, walking every packet; `record` keeps the network's
+  // ingress log, which only the recorded incident needs. This is the
+  // memo-free reference the memoized replays below must equal.
   void replay(const std::vector<sdn::Injection>& workload, bool record = true);
+  // replay(workload, true) that also fills `memo` with the workload's
+  // static paths (the recorded incident).
+  void record(const std::vector<sdn::Injection>& workload, sdn::PathMemo& memo);
+  // replay(workload, false) that books memoized packets from `memo`.
+  void replay(const std::vector<sdn::Injection>& workload,
+              const sdn::PathMemo& memo);
 
   sdn::Network& net() { return *net_; }
   eval::Engine& engine() { return *engine_; }
@@ -41,27 +53,56 @@ class ScenarioRun {
   bool config_inserted_ = false;
 };
 
-// ReplayHarness over a scenario; caches the workload and baseline.
+// ReplayHarness over a scenario; caches the workload, the baseline and
+// the workload's static-path memo. Candidate worlds replay through the
+// memo (sdn::Network::replay_batch), so a packet whose recorded walk met
+// only static rules is booked instead of walked wherever its path avoids
+// the world's dirty switches.
 class ScenarioHarness : public backtest::ReplayHarness {
  public:
   explicit ScenarioHarness(const Scenario& s);
 
   backtest::ReplayOutcome replay_baseline() override;
+  // Ordering: replay() first calls replay_baseline(), which records the
+  // incident and fills the memo, and only then builds its world. Once
+  // replay_baseline() has returned, the memo and the baseline are
+  // read-only, so concurrent replay() calls share them without locks.
   backtest::ReplayOutcome replay(const repair::RepairCandidate& cand) override;
   std::vector<backtest::ReplayOutcome> replay_joint(
       const std::vector<repair::RepairCandidate>& cands) override;
   // Candidate replays build a private ScenarioRun each and only read the
-  // shared scenario/workload (plus the baseline cached by the first
-  // replay_baseline() call), so the Backtester may run them on its pool.
+  // shared scenario/workload (plus the baseline and memo filled by the
+  // first replay_baseline() call), so the Backtester may run them on its
+  // pool.
   bool concurrent_replays() const override { return true; }
 
+  // The world replay(cand) scores, built and configured but not replayed;
+  // nullopt when the candidate's program does not apply.
+  std::optional<ScenarioRun> candidate_world(
+      const repair::RepairCandidate& cand) const;
+  // The tag-mode world replay_joint scores for `combined`, one tag per
+  // candidate, built and configured but not replayed.
+  ScenarioRun joint_world(const backtest::CombinedProgram& combined) const;
+  // Scores a replayed candidate world as replay() does (seconds unset).
+  backtest::ReplayOutcome score(ScenarioRun& run);
+  // Scores a replayed joint world as replay_joint does (seconds unset).
+  std::vector<backtest::ReplayOutcome> score_joint(
+      ScenarioRun& run, const backtest::CombinedProgram& combined,
+      size_t candidates);
+
   const std::vector<sdn::Injection>& workload() const { return workload_; }
+  // Filled by buggy_run().
+  const sdn::PathMemo& memo() const { return memo_; }
   // The recorded buggy run (history source for repair generation).
   ScenarioRun& buggy_run();
 
  private:
+  // The cached baseline, recorded on first use.
+  const backtest::ReplayOutcome& baseline();
+
   const Scenario& scenario_;
   std::vector<sdn::Injection> workload_;
+  sdn::PathMemo memo_;
   std::unique_ptr<ScenarioRun> buggy_;
   std::unique_ptr<backtest::ReplayOutcome> baseline_;
 };

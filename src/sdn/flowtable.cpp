@@ -164,22 +164,4 @@ const FlowRule* FlowTable::lookup(const Packet& p, int64_t in_port,
   return best == kNone ? nullptr : &rules_[best];
 }
 
-void FlowTable::reset_dynamic_state() {
-  std::vector<FlowRule> old_rules = std::move(rules_);
-  std::vector<int64_t> old_values = std::move(values_);
-  rules_.clear();
-  values_.clear();
-  shapes_.clear();
-  for (FlowRule rule : old_rules) {
-    if (rule.priority >= 0) continue;
-    if (!rule.never) {
-      const int64_t* v = old_values.data() + rule.values;
-      rule.values = static_cast<uint32_t>(values_.size());
-      values_.insert(values_.end(), v, v + std::popcount(rule.fields));
-    }
-    rules_.push_back(rule);
-    if (!rule.never) index(static_cast<uint32_t>(rules_.size() - 1));
-  }
-}
-
 }  // namespace mp::sdn

@@ -74,9 +74,6 @@ class FlowTable {
   template <class Fn>
   eval::TagMask partition(const Packet& p, int64_t in_port, eval::TagMask tags,
                           Fn&& cb) const;
-  // Drops every reactive rule (priority >= 0) and re-indexes the static
-  // ones (priority < 0) in their install order; used between backtests.
-  void reset_dynamic_state();
   size_t size() const { return rules_.size(); }
 
  private:

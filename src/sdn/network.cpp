@@ -3,9 +3,26 @@
 #include <algorithm>
 #include <bit>
 
+#include "obs/obs.h"
+
 namespace mp::sdn {
 
 namespace {
+
+// PathMemo slot layout, low bits first: the visited switches' signature
+// (bit min(dense id, 39) per switch) 40 | host id 16 | hops 6 | outcome 2.
+// Outcome 0 marks an empty slot.
+constexpr unsigned kSigBits = 40;
+constexpr unsigned kHostShift = 40;
+constexpr unsigned kHopsShift = 56;
+constexpr unsigned kOutcomeShift = 62;
+constexpr int64_t kMaxHost = int64_t{1} << 16;
+constexpr size_t kMaxHops = 64;
+enum Outcome : uint64_t { kNoOutcome, kDelivered, kDropped, kExternal };
+
+uint64_t sig_bit(const Switch& s) {
+  return uint64_t{1} << std::min<uint32_t>(s.dense(), kSigBits - 1);
+}
 
 // Calls fn(b) for every set bit b of `mask`.
 template <class Fn>
@@ -17,7 +34,9 @@ void for_each_tag(eval::TagMask mask, Fn&& fn) {
 }  // namespace
 
 Switch& Network::add_switch(int64_t id) {
-  auto [it, inserted] = switches_.try_emplace(id, Switch(id));
+  auto [it, inserted] =
+      switches_.try_emplace(id, id, static_cast<uint32_t>(switches_.size()));
+  if (inserted) mark_dirty(it->second);
   return it->second;
 }
 
@@ -34,6 +53,7 @@ const Switch* Network::find_switch(int64_t id) const {
 Host& Network::add_host(Host h) {
   Switch& sw = add_switch(h.sw);
   sw.connect(h.port, PortPeer{PortPeer::Kind::Host, h.id, 0});
+  mark_dirty(sw);
   hosts_.push_back(std::move(h));
   return hosts_.back();
 }
@@ -58,12 +78,28 @@ std::vector<int64_t> Network::switch_ids() const {
 }
 
 void Network::link(int64_t sw_a, int64_t port_a, int64_t sw_b, int64_t port_b) {
-  add_switch(sw_a).connect(port_a, PortPeer{PortPeer::Kind::Switch, sw_b, port_b});
-  add_switch(sw_b).connect(port_b, PortPeer{PortPeer::Kind::Switch, sw_a, port_a});
+  Switch& a = add_switch(sw_a);
+  a.connect(port_a, PortPeer{PortPeer::Kind::Switch, sw_b, port_b});
+  mark_dirty(a);
+  Switch& b = add_switch(sw_b);
+  b.connect(port_b, PortPeer{PortPeer::Kind::Switch, sw_a, port_a});
+  mark_dirty(b);
 }
 
 void Network::external(int64_t sw, int64_t port) {
-  add_switch(sw).connect(port, PortPeer{PortPeer::Kind::External, 0, 0});
+  Switch& s = add_switch(sw);
+  s.connect(port, PortPeer{PortPeer::Kind::External, 0, 0});
+  mark_dirty(s);
+}
+
+void Network::seal() {
+  if (sealed_) return;
+  sealed_ = true;
+  sealed_switches_ = switches_.size();
+}
+
+void Network::mark_dirty(const Switch& s) {
+  if (sealed_) dirty_ |= sig_bit(s);
 }
 
 void Network::install(int64_t sw, FlowEntry entry) {
@@ -72,6 +108,7 @@ void Network::install(int64_t sw, FlowEntry entry) {
   ++stats_.flow_mods;
   recorder_.record_ctrl(CtrlMsgKind::FlowMod, sw, clock_);
   s->table().add(std::move(entry));
+  mark_dirty(*s);
 }
 
 void Network::packet_out(int64_t sw, int64_t port, eval::TagMask tags) {
@@ -88,18 +125,6 @@ void Network::set_tag_mode(bool on, eval::TagMask active) {
   pending_tags_.resize(eval::kMaxTags);
   for_each_tag(active_tags_,
                [&](size_t b) { pending_tags_[b].resize(keys_.size()); });
-}
-
-void Network::reset_dynamic_state() {
-  // Reactive (controller-installed) entries are dropped; static
-  // (pre-configured) entries carry negative priority and survive.
-  for (auto& [id, sw] : switches_) sw.table().reset_dynamic_state();
-  stats_ = DeliveryStats{};
-  for (DeliveryStats& st : tag_stats_) st = DeliveryStats{};
-  std::fill(pending_.begin(), pending_.end(), 0);
-  for (std::vector<uint64_t>& tally : pending_tags_)
-    std::fill(tally.begin(), tally.end(), 0);
-  pending_outs_.clear();
 }
 
 void Network::fold(std::vector<uint64_t>& pending, DeliveryStats& st) const {
@@ -168,15 +193,100 @@ void Network::inject_batch(const std::vector<Injection>& work, bool record) {
   for (const Injection& inj : work) inject(inj.sw, inj.port, inj.packet, record);
 }
 
+void Network::record_batch(const std::vector<Injection>& work, PathMemo& memo) {
+  // Only a plain-mode walk proves a path holds for every tag: one outcome
+  // from a kAllTags start means every hop's winning rule carries kAllTags.
+  const bool fill = sealed_ && !tag_mode_;
+  memo.slots_.assign(work.size(), 0);
+  memo.switches_ = fill ? sealed_switches_ : 0;
+  memo.entries_ = 0;
+  recorder_.reserve_ingress(work.size());
+  for (size_t i = 0; i < work.size(); ++i) {
+    const Injection& inj = work[i];
+    ++clock_;
+    recorder_.record_ingress(Injection{inj.sw, inj.port, inj.packet, clock_});
+    const uint64_t slot = walk(inj.sw, inj.port, inj.packet);
+    if (fill && slot != 0) {
+      memo.slots_[i] = slot;
+      ++memo.entries_;
+    }
+  }
+  if (obs::enabled()) {
+    static obs::Counter& entries =
+        obs::Registry::global().counter("sdn.memo.entries");
+    entries.add(memo.entries_);
+  }
+}
+
+void Network::replay_batch(const std::vector<Injection>& work,
+                           const PathMemo& memo) {
+  const eval::TagMask tags = tag_mode_ ? active_tags_ : eval::kAllTags;
+  if (!sealed_ || memo.switches_ != sealed_switches_ ||
+      memo.slots_.size() != work.size() || tags == 0) {
+    inject_batch(work, /*record=*/false);
+    return;
+  }
+  size_t hits = 0;
+  size_t walks = 0;
+  for (size_t i = 0; i < work.size(); ++i) {
+    const Injection& inj = work[i];
+    const uint64_t slot = memo.slots_[i];
+    ++clock_;
+    // Bits 0..39 of a slot are its path signature, the only bits dirty_
+    // can hold.
+    if (slot == 0 || (slot & dirty_) != 0) {
+      walks += slot != 0;
+      walk(inj.sw, inj.port, inj.packet);
+      continue;
+    }
+    ++hits;
+    stats_.hops += (slot >> kHopsShift) & (kMaxHops - 1);
+    switch (slot >> kOutcomeShift) {
+      case kDelivered:
+        deliver(static_cast<int64_t>((slot >> kHostShift) & (kMaxHost - 1)),
+                inj.packet.dpt, tags);
+        break;
+      case kDropped:
+        count(&DeliveryStats::dropped, tags);
+        break;
+      default:
+        count(&DeliveryStats::external, tags);
+    }
+  }
+  memo_hits_ += hits;
+  memo_walks_ += walks;
+  if (obs::enabled()) {
+    obs::Registry& reg = obs::Registry::global();
+    static obs::Counter& hit_counter = reg.counter("sdn.memo.hits");
+    static obs::Counter& walk_counter = reg.counter("sdn.memo.walks");
+    hit_counter.add(hits);
+    walk_counter.add(walks);
+  }
+}
+
 void Network::inject(int64_t sw, int64_t in_port, const Packet& p, bool record) {
   ++clock_;
   if (record) recorder_.record_ingress(Injection{sw, in_port, p, clock_});
+  walk(sw, in_port, p);
+}
+
+uint64_t Network::walk(int64_t sw, int64_t in_port, const Packet& p) {
+  // What a PathMemo slot keeps: the switches visited, the outcomes, and
+  // whether every hop found its switch and matched without a miss.
+  const size_t hops0 = stats_.hops;
+  uint64_t sig = 0;
+  bool static_walk = true;
+  size_t outcomes = 0;
+  Outcome outcome = kNoOutcome;
+  int64_t host = 0;
 
   // Accounts a terminal outcome for every tag in `tags`. Outside tag mode
   // this is a single bump; in tag mode each candidate world gets its own
   // statistics (so joint outcomes equal sequential ones exactly).
   auto drop = [&](eval::TagMask tags) {
     count(&DeliveryStats::dropped, tags);
+    ++outcomes;
+    outcome = kDropped;
   };
   // Where `tags` go after leaving switch `s` through `port`: a terminal
   // outcome, or the next hop's ingress, which is returned.
@@ -187,8 +297,13 @@ void Network::inject(int64_t sw, int64_t in_port, const Packet& p, bool record) 
       drop(tags);
     } else if (peer->kind == PortPeer::Kind::Host) {
       deliver(peer->peer, p.dpt, tags);
+      ++outcomes;
+      outcome = kDelivered;
+      host = peer->peer;
     } else if (peer->kind == PortPeer::Kind::External) {
       count(&DeliveryStats::external, tags);
+      ++outcomes;
+      outcome = kExternal;
     } else {
       return peer;
     }
@@ -213,16 +328,20 @@ void Network::inject(int64_t sw, int64_t in_port, const Packet& p, bool record) 
     while (!work.empty()) {
       auto [where, tags] = work.back();
       work.pop_back();
-      if (hop_budget-- == 0) {
+      // Once the budget is spent, every group still in flight drops.
+      if (hop_budget == 0) {
         drop(tags);
         continue;
       }
+      --hop_budget;
       ++stats_.hops;
       const Switch* s = find_switch(where.first);
       if (s == nullptr) {
+        static_walk = false;
         drop(tags);
         continue;
       }
+      sig |= sig_bit(*s);
       const eval::TagMask missed = s->table().partition(
           p, where.second, tags, [&](const FlowRule& r, eval::TagMask sub) {
             if (r.action.kind == Action::Kind::Drop) {
@@ -231,7 +350,10 @@ void Network::inject(int64_t sw, int64_t in_port, const Packet& p, bool record) 
               work.emplace_back(Where{next->peer, next->peer_port}, sub);
             }
           });
-      if (missed) misses[where] |= missed;
+      if (missed) {
+        static_walk = false;
+        misses[where] |= missed;
+      }
     }
 
     if (misses.empty()) break;
@@ -267,6 +389,18 @@ void Network::inject(int64_t sw, int64_t in_port, const Packet& p, bool record) 
   }
   // Tags still in flight when the wave cap is hit are lost.
   for (const auto& [where, tags] : frontier) drop(tags);
+
+  // A walk with a miss may have changed a table, and one with several
+  // outcomes split its tags, so neither is a static path.
+  const size_t hops = stats_.hops - hops0;
+  if (!static_walk || outcomes != 1 || hops >= kMaxHops ||
+      (sig & dirty_) != 0 ||
+      (outcome == kDelivered && (host < 0 || host >= kMaxHost))) {
+    return 0;
+  }
+  const uint64_t host_bits = outcome == kDelivered ? uint64_t(host) : 0;
+  return uint64_t{outcome} << kOutcomeShift | uint64_t{hops} << kHopsShift |
+         host_bits << kHostShift | sig;
 }
 
 }  // namespace mp::sdn

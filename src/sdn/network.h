@@ -8,6 +8,12 @@
 // Tag support: in tag mode every flow entry carries a candidate mask and
 // forwarding is resolved per tag; the controller is still invoked only
 // once per distinct miss, with the mask of tags that missed (Section 4.4).
+//
+// Static-path memo: a world's static base (topology plus every rule
+// installed before seal()) is the same in every world of a scenario, so a
+// packet whose walk meets only static rules walks the same path in each of
+// them. PathMemo keeps that walk per workload position; see
+// src/sdn/README.md, "Static-path memo".
 #pragma once
 
 #include <cstdint>
@@ -52,6 +58,24 @@ struct DeliveryStats {
   size_t hops = 0;
 };
 
+// Per workload position, the outcome of a sealed world's walk that met
+// only static rules, packed into 8 bytes (0 = not memoized). Filled by
+// Network::record_batch and read-only afterwards, so concurrent replays
+// may share it.
+class PathMemo {
+ public:
+  PathMemo() = default;
+  explicit PathMemo(size_t positions) : slots_(positions, 0) {}
+  size_t size() const { return slots_.size(); }
+  size_t entries() const { return entries_; }  // memoized positions
+
+ private:
+  friend class Network;
+  std::vector<uint64_t> slots_;
+  size_t switches_ = 0;  // the filling world's sealed switch count
+  size_t entries_ = 0;
+};
+
 class Network {
  public:
   Switch& add_switch(int64_t id);
@@ -88,6 +112,24 @@ class Network {
   // replayed recorded log (whose times are old clock values) restamps.
   void inject_batch(const std::vector<Injection>& work, bool record = true);
 
+  // Ends the static base: from here on every install, and any topology
+  // change, marks the switches it touches dirty. Rules added straight
+  // through Switch::table() after this are not seen, so they must not be.
+  // Only the first call counts.
+  void seal();
+  // inject_batch(work, true) in a sealed world that also fills `memo`
+  // (one slot per position of `work`) with every walk that did not miss
+  // and visited only clean switches.
+  void record_batch(const std::vector<Injection>& work, PathMemo& memo);
+  // inject_batch(work, false) that books each memoized packet whose path
+  // avoids every dirty switch from `memo` instead of walking it: the same
+  // clock, statistics and logs. `memo` is used only when this world is
+  // sealed with the filling world's switch count and `work` has its size.
+  void replay_batch(const std::vector<Injection>& work, const PathMemo& memo);
+  // Memoized packets booked from, or walked past, a PathMemo.
+  size_t memo_hits() const { return memo_hits_; }
+  size_t memo_walks() const { return memo_walks_; }
+
   // Delivery tallies are kept as integers per interned (host, dpt) key and
   // folded into the CountDistributions when the stats are read.
   const DeliveryStats& stats() const;
@@ -96,10 +138,6 @@ class Network {
   Recorder& recorder() { return recorder_; }
   const Recorder& recorder() const { return recorder_; }
   uint64_t now() const { return clock_; }
-
-  // Clears dynamic state (flow entries, stats) but keeps the topology;
-  // used between backtest runs.
-  void reset_dynamic_state();
 
  private:
   // A delivered (host id, dpt) pair with the stats keys it folds into,
@@ -115,6 +153,11 @@ class Network {
     }
   };
 
+  // Runs one injected packet to completion (inject without the clock and
+  // the ingress log). Returns the PathMemo slot of the walk, or 0 when it
+  // cannot be memoized.
+  uint64_t walk(int64_t sw, int64_t in_port, const Packet& p);
+  void mark_dirty(const Switch& s);
   // Terminal outcomes for every world in `tags`.
   void deliver(int64_t host, int64_t dpt, eval::TagMask tags);
   void count(size_t DeliveryStats::*counter, eval::TagMask tags);
@@ -136,6 +179,12 @@ class Network {
   uint64_t clock_ = 0;
   bool tag_mode_ = false;
   eval::TagMask active_tags_ = eval::kAllTags;
+  bool sealed_ = false;
+  size_t sealed_switches_ = 0;
+  // Bit min(dense id, 39) of every switch changed since seal().
+  uint64_t dirty_ = 0;
+  size_t memo_hits_ = 0;
+  size_t memo_walks_ = 0;
 
   // PacketOut releases are collected during a controller invocation and
   // consumed by the inject loop for the buffered packet.

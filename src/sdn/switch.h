@@ -20,9 +20,11 @@ struct PortPeer {
 class Switch {
  public:
   Switch() = default;
-  explicit Switch(int64_t id) : id_(id) {}
+  explicit Switch(int64_t id, uint32_t dense = 0) : id_(id), dense_(dense) {}
 
   int64_t id() const { return id_; }
+  // Position in the owning network's add_switch order.
+  uint32_t dense() const { return dense_; }
   FlowTable& table() { return table_; }
   const FlowTable& table() const { return table_; }
 
@@ -35,6 +37,7 @@ class Switch {
 
  private:
   int64_t id_ = 0;
+  uint32_t dense_ = 0;
   FlowTable table_;
   std::map<int64_t, PortPeer> ports_;
 };

@@ -2,8 +2,8 @@
 // configured core of operational-zone/backbone routers plus edge networks
 // with end hosts; switches 1..3 are reserved for the reactive scenario
 // applications (S1 = ingress with an Internet uplink, S2/S3 = server
-// switches). Static (proactive) routes use negative priorities so they
-// survive Network::reset_dynamic_state().
+// switches). Static (proactive) routes use negative priorities, so they
+// rank below every controller-installed entry.
 #pragma once
 
 #include <cstdint>

@@ -16,6 +16,7 @@
 #include "backtest/backtester.h"
 #include "scenarios/pipeline.h"
 #include "scenarios/scenario.h"
+#include "tests/memo_reference.h"
 #include "util/threads.h"
 
 namespace mp {
@@ -97,6 +98,36 @@ TEST(BacktesterPool, ScenarioBacktestsOnThePoolMatchSequential) {
     EXPECT_EQ(b.accepted, a.accepted);
     EXPECT_EQ(b.ks.statistic, a.ks.statistic);
     EXPECT_EQ(b.outcome.delivered, a.outcome.delivered);
+  }
+}
+
+// Pooled sequential replays share the harness's static-path memo
+// read-only: ScenarioHarness::replay fills it through replay_baseline()
+// before building a world, and Backtester::run calls replay_baseline()
+// before the pool starts. Pooled runs must equal the single-threaded run
+// and the memo-free reference, which walks every packet of every world.
+TEST(BacktesterPool, MemoizedReplaysOnThePoolMatchSequentialAndWalk) {
+  for (const scenario::Scenario& s :
+       {scenario::q1_copy_paste({}), scenario::q5_mac_learning({})}) {
+    scenario::PipelineOptions opt;
+    opt.multiquery = false;
+    opt.max_backtested = 8;
+    const std::vector<repair::RepairCandidate> cands =
+        scenario::run_pipeline(s, opt).generation.candidates;
+    ASSERT_GT(cands.size(), 1u) << s.id;
+    auto report = [&](backtest::ReplayHarness& harness, size_t shards) {
+      backtest::BacktestConfig cfg;
+      cfg.shards = shards;
+      return memo_test::report_text(
+          backtest::Backtester(cfg).run(harness, cands));
+    };
+    scenario::ScenarioHarness single(s);
+    scenario::ScenarioHarness pooled(s);
+    memo_test::WalkingHarness walking(s);
+    const std::string want = report(walking, 1);
+    EXPECT_EQ(report(single, 1), want) << s.id;
+    EXPECT_EQ(report(pooled, 4), want) << s.id;
+    EXPECT_GT(pooled.memo().entries(), 0u) << s.id;
   }
 }
 

@@ -10,6 +10,7 @@
 #include "ndlog/validate.h"
 #include "repair/generator.h"
 #include "scenarios/pipeline.h"
+#include "tests/memo_reference.h"
 
 namespace mp {
 namespace {
@@ -730,6 +731,84 @@ TEST(Scenario, JointBacktestCoversCandidatesPast64) {
   EXPECT_TRUE(seq.entries[66].effective);
   EXPECT_FALSE(seq.entries[68].outcome.valid);
 }
+
+// --- static-path memo -------------------------------------------------------
+//
+// Candidate worlds book memoized packets instead of walking them
+// (src/sdn/README.md, "Static-path memo"). Against the memo-free reference,
+// the same worlds with every packet walked, the statistics (per tag too),
+// the control logs and the backtest reports must be identical.
+
+class PathMemoOracle : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(PathMemoOracle, MatchesWalkingEveryPacket) {
+  const std::vector<scenario::Scenario> all = scenario::all_scenarios();
+  const scenario::Scenario* found = nullptr;
+  for (const scenario::Scenario& s : all) {
+    if (s.id == GetParam()) found = &s;
+  }
+  ASSERT_NE(found, nullptr);
+  const scenario::Scenario& s = *found;
+  scenario::ScenarioHarness h(s);
+
+  // The recorded world fills the memo while walking every packet.
+  scenario::ScenarioRun recorded(s, s.program);
+  recorded.insert_config();
+  recorded.replay(h.workload());
+  const sdn::Network& filled = h.buggy_run().net();
+  memo_test::expect_same_world(filled, recorded.net(), 0, s.id + " recorded");
+  EXPECT_EQ(filled.recorder().ingress().size(),
+            recorded.net().recorder().ingress().size());
+  EXPECT_EQ(h.memo().size(), h.workload().size());
+  EXPECT_GT(h.memo().entries(), 0u) << s.id;
+
+  // Every generated candidate, in one joint world (at most 32 here). Q2's
+  // 32 once never finished jointly: tag groups circling a loop outlived
+  // the hop budget (Network.HopCapDropsEveryGroupInFlight).
+  std::vector<RepairCandidate> cands = generated_candidates(s);
+  ASSERT_FALSE(cands.empty()) << s.id;
+  ASSERT_LE(cands.size(), eval::kMaxTags) << s.id;
+  for (size_t i = 0; i < cands.size(); ++i) {
+    cands[i].description = "candidate " + std::to_string(i);
+  }
+  size_t hits = 0;
+  for (size_t i = 0; i < cands.size(); ++i) {
+    const std::string where = s.id + " candidate " + std::to_string(i);
+    std::optional<scenario::ScenarioRun> memo = h.candidate_world(cands[i]);
+    std::optional<scenario::ScenarioRun> walk = h.candidate_world(cands[i]);
+    ASSERT_EQ(memo.has_value(), walk.has_value()) << where;
+    if (!memo) continue;
+    memo->replay(h.workload(), h.memo());
+    walk->replay(h.workload(), /*record=*/false);
+    memo_test::expect_same_world(memo->net(), walk->net(), 0, where);
+    EXPECT_EQ(walk->net().memo_hits() + walk->net().memo_walks(), 0u);
+    hits += memo->net().memo_hits();
+  }
+  EXPECT_GT(hits, 0u) << s.id << ": sequential worlds never hit the memo";
+
+  const backtest::CombinedProgram combined =
+      backtest::build_backtest_program(s.program, cands);
+  scenario::ScenarioRun joint_memo = h.joint_world(combined);
+  scenario::ScenarioRun joint_walk = h.joint_world(combined);
+  joint_memo.replay(h.workload(), h.memo());
+  joint_walk.replay(h.workload(), /*record=*/false);
+  memo_test::expect_same_world(joint_memo.net(), joint_walk.net(),
+                             combined.candidate_count, s.id + " joint");
+  EXPECT_GT(joint_memo.net().memo_hits(), 0u) << s.id;
+
+  for (const bool multiquery : {false, true}) {
+    backtest::BacktestConfig cfg;
+    cfg.use_multiquery = multiquery;
+    scenario::ScenarioHarness shipped(s);
+    memo_test::WalkingHarness walking(s);
+    EXPECT_EQ(memo_test::report_text(backtest::Backtester(cfg).run(shipped, cands)),
+              memo_test::report_text(backtest::Backtester(cfg).run(walking, cands)))
+        << s.id << (multiquery ? " joint" : " sequential");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllScenarios, PathMemoOracle,
+                         ::testing::Values("Q1", "Q2", "Q3", "Q4", "Q5"));
 
 }  // namespace
 }  // namespace mp

@@ -7,6 +7,7 @@
 #include "sdn/controller.h"
 #include "sdn/topology.h"
 #include "sdn/traffic.h"
+#include "tests/memo_reference.h"
 
 namespace mp::sdn {
 namespace {
@@ -143,23 +144,6 @@ TEST(Network, ForgottenPacketOutDropsFirstPacket) {
   EXPECT_EQ(net.stats().delivered, 1u);  // the second one
 }
 
-TEST(Network, ResetKeepsStaticEntriesOnly) {
-  Network net;
-  net.add_switch(1);
-  FlowEntry st;
-  st.priority = -1;
-  st.action = Action::drop();
-  net.find_switch(1)->table().add(st);
-  FlowEntry dyn;
-  dyn.priority = 0;
-  dyn.action = Action::drop();
-  net.install(1, dyn);
-  EXPECT_EQ(net.find_switch(1)->table().size(), 2u);
-  net.reset_dynamic_state();
-  EXPECT_EQ(net.find_switch(1)->table().size(), 1u);
-  EXPECT_EQ(net.stats().delivered, 0u);
-}
-
 namespace {
 // Releases every buffered packet one switch further down a chain (port 2
 // leads to the next switch, port 3 of the last switch to the host) and
@@ -180,6 +164,28 @@ void expect_conserved(const DeliveryStats& st, size_t injected) {
   EXPECT_EQ(st.delivered + st.dropped + st.external, injected);
 }
 }  // namespace
+
+// Two tag groups circle a two-switch loop. When the 4096-hop budget runs
+// out, every group still in flight drops, not only the first one popped.
+TEST(Network, HopCapDropsEveryGroupInFlight) {
+  Network net;
+  net.link(1, 2, 2, 1);
+  for (const eval::TagMask tags : {eval::TagMask{0b01}, eval::TagMask{0b10}}) {
+    FlowEntry loop;
+    loop.tags = tags;
+    loop.action = Action::output(2);
+    net.find_switch(1)->table().add(loop);
+  }
+  FlowEntry back;
+  back.action = Action::output(1);
+  net.find_switch(2)->table().add(back);
+  net.set_tag_mode(true, 0b11);
+  net.inject(1, 9, Packet{});
+  expect_conserved(net.stats(), 2);
+  EXPECT_EQ(net.stats().dropped, 2u);
+  EXPECT_EQ(net.stats().hops, 4096u);
+  for (size_t b = 0; b < 2; ++b) EXPECT_EQ(net.tag_stats(b).dropped, 1u);
+}
 
 TEST(Network, WaveCapAccountsInFlightTagsAsDropped) {
   for (bool tag_mode : {false, true}) {
@@ -591,18 +597,288 @@ TEST_P(PartitionProperty, MatchesLinearScan) {
   };
   install(3 + rng.below(wide ? 60 : 14));
   check();
-  // Static rules (priority < 0) survive a reset in install order; rules
-  // added afterwards rank behind them on ties.
-  ft.reset_dynamic_state();
-  std::erase_if(oracle.entries,
-                [](const FlowEntry& e) { return e.priority >= 0; });
-  check();
+  // Rules added later rank behind the earlier ones on ties.
   install(1 + rng.below(10));
   check();
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTables, PartitionProperty,
                          ::testing::Range<uint64_t>(1, 101));
+
+// --- static-path memo (src/sdn/README.md, "Static-path memo") ---------------
+
+// Switches 1..n in a chain (port 1 toward switch i-1, port 2 toward i+1),
+// with `hosts` attached on port 3 and static dip routes to them.
+void build_chain(Network& net, int64_t n, const std::vector<Host>& hosts) {
+  for (int64_t i = 1; i <= n; ++i) net.add_switch(i);
+  for (int64_t i = 1; i < n; ++i) net.link(i, 2, i + 1, 1);
+  std::vector<int64_t> ips;
+  for (const Host& h : hosts) {
+    net.add_host(h);
+    ips.push_back(h.ip);
+  }
+  install_host_routes(net, ips);
+}
+
+Injection send(int64_t sw, int64_t dip) {
+  Injection inj;
+  inj.sw = sw;
+  inj.port = 9;
+  inj.packet.dip = dip;
+  inj.packet.dpt = 80;
+  return inj;
+}
+
+TEST(PathMemo, OnlySealedWorldsFillAndUseIt) {
+  const std::vector<Host> hosts = {{1, "A", 41, 0, 1, 3}, {2, "B", 42, 0, 4, 3}};
+  const std::vector<Injection> work = {send(1, 42), send(4, 41), send(2, 42)};
+  PathMemo memo;
+  Network unsealed;
+  build_chain(unsealed, 4, hosts);
+  unsealed.record_batch(work, memo);
+  EXPECT_EQ(memo.size(), work.size());
+  EXPECT_EQ(memo.entries(), 0u);
+
+  Network filler;
+  build_chain(filler, 4, hosts);
+  filler.seal();
+  filler.record_batch(work, memo);
+  EXPECT_EQ(memo.entries(), work.size());
+  EXPECT_EQ(filler.recorder().ingress().size(), work.size());
+
+  auto replay_both = [&](auto&& prepare) {
+    Network memo_world, walk_world;
+    for (Network* net : {&memo_world, &walk_world}) {
+      build_chain(*net, 4, hosts);
+      prepare(*net);
+    }
+    memo_world.replay_batch(work, memo);
+    walk_world.inject_batch(work, /*record=*/false);
+    memo_test::expect_same_world(memo_world, walk_world, 0, "chain");
+    EXPECT_TRUE(memo_world.recorder().ingress().empty());
+    return std::pair{memo_world.memo_hits(), memo_world.memo_walks()};
+  };
+  EXPECT_EQ(replay_both([](Network& net) { net.seal(); }),
+            std::pair(work.size(), size_t{0}));
+  // Unsealed, or sealed with another switch count: the memo is not used.
+  EXPECT_EQ(replay_both([](Network&) {}), std::pair(size_t{0}, size_t{0}));
+  EXPECT_EQ(replay_both([](Network& net) {
+              net.add_switch(99);
+              net.seal();
+            }),
+            std::pair(size_t{0}, size_t{0}));
+  // An install after seal marks its switch dirty at any priority, even one
+  // that ranks below every static rule; the packets through switch 1 walk.
+  EXPECT_EQ(replay_both([](Network& net) {
+              net.seal();
+              FlowEntry low;
+              low.priority = -5;
+              low.action = Action::drop();
+              net.install(1, low);
+            }),
+            std::pair(size_t{1}, size_t{2}));
+  // So does a topology change after seal.
+  EXPECT_EQ(replay_both([](Network& net) {
+              net.seal();
+              net.external(1, 7);
+            }),
+            std::pair(size_t{1}, size_t{2}));
+}
+
+TEST(PathMemo, LongPathsAndLargeHostIdsAreNotMemoized) {
+  // A slot holds 6 bits of hops and 16 bits of host id.
+  const std::vector<Host> hosts = {{70000, "far-id", 41, 0, 1, 3},
+                                   {7, "B", 42, 0, 66, 3}};
+  const std::vector<Injection> work = {send(1, 42), send(2, 41),
+                                       send(60, 42)};
+  PathMemo memo;
+  Network filler;
+  build_chain(filler, 66, hosts);
+  filler.seal();
+  filler.record_batch(work, memo);
+  EXPECT_EQ(filler.stats().delivered, 3u);
+  EXPECT_EQ(memo.entries(), 1u);  // only the 7-hop path to host 7
+
+  Network memo_world, walk_world;
+  for (Network* net : {&memo_world, &walk_world}) {
+    build_chain(*net, 66, hosts);
+    net->seal();
+  }
+  memo_world.replay_batch(work, memo);
+  walk_world.inject_batch(work, /*record=*/false);
+  memo_test::expect_same_world(memo_world, walk_world, 0, "long chain");
+  EXPECT_EQ(memo_world.memo_hits(), 1u);
+  EXPECT_EQ(memo_world.stats().hops, 66u + 2u + 7u);
+}
+
+TEST(PathMemo, HitBooksEveryActiveTag) {
+  const std::vector<Host> hosts = {{1, "A", 41, 0, 1, 3}, {2, "B", 42, 0, 3, 3}};
+  const std::vector<Injection> work = {send(1, 42), send(3, 41), send(2, 43)};
+  PathMemo memo;
+  Network filler;
+  build_chain(filler, 3, hosts);
+  filler.seal();
+  filler.record_batch(work, memo);
+  Network memo_world, walk_world;
+  for (Network* net : {&memo_world, &walk_world}) {
+    build_chain(*net, 3, hosts);
+    net->seal();
+    net->set_tag_mode(true, 0b1011);
+  }
+  memo_world.replay_batch(work, memo);
+  walk_world.inject_batch(work, /*record=*/false);
+  memo_test::expect_same_world(memo_world, walk_world, 4, "tagged chain");
+  // The unrouted dip misses at S2, so its walk is not memoized.
+  EXPECT_EQ(memo.entries(), 2u);
+  EXPECT_EQ(memo_world.memo_hits(), 2u);
+  EXPECT_EQ(memo_world.stats().delivered, 2u * 3u);
+  EXPECT_EQ(memo_world.tag_stats(2).delivered, 0u);
+}
+
+// A random network for the memo property: up to 47 switches (dense ids
+// past 39 share a signature bit) in a random tree plus chords, hosts on
+// random switches, an external uplink, static dip routes at priority -1
+// with some destinations left unrouted, and, like Q5's wire_app, a few
+// priority -2 defaults toward the tree root. Port 1 of every switch but
+// the root faces its tree parent.
+std::vector<int64_t> build_random_net(Network& net, uint64_t seed) {
+  Rng rng(seed);
+  const size_t n = 2 + rng.below(46);
+  std::vector<int64_t> next_port(n, 0);
+  auto id = [](size_t i) { return static_cast<int64_t>(100 + 7 * i); };
+  for (size_t i = 0; i < n; ++i) net.add_switch(id(i));
+  for (size_t i = 1; i < n; ++i) {
+    const size_t j = rng.below(i);
+    net.link(id(i), ++next_port[i], id(j), ++next_port[j]);
+  }
+  for (size_t c = rng.below(4); c > 0; --c) {
+    const size_t a = rng.below(n);
+    const size_t b = rng.below(n);
+    if (a != b) net.link(id(a), ++next_port[a], id(b), ++next_port[b]);
+  }
+  net.external(id(0), ++next_port[0]);
+  std::vector<int64_t> ips;
+  for (size_t k = 0, hosts = 2 + rng.below(20); k < hosts; ++k) {
+    const size_t i = rng.below(n);
+    Host h;
+    h.id = static_cast<int64_t>(k + 1);
+    h.ip = static_cast<int64_t>(1000 + k);
+    h.name = "h" + std::to_string(k);
+    h.sw = id(i);
+    h.port = ++next_port[i];
+    net.add_host(h);
+    ips.push_back(h.ip);
+  }
+  std::vector<int64_t> routed = ips;
+  routed.resize(routed.size() - rng.below(routed.size() / 3 + 1));
+  install_host_routes(net, routed);
+  for (size_t d = rng.below(3); d > 0; --d) {
+    const size_t i = rng.below(n);
+    FlowEntry up;
+    up.priority = -2;
+    up.action = i == 0 ? Action::drop() : Action::output(1);
+    net.find_switch(id(i))->table().add(up);
+  }
+  return ips;
+}
+
+// On every PacketIn: installs a route for the missed destination at a
+// random priority (negative ones too), often a priority-5 diversion for
+// another destination on any switch, memoized paths included, and
+// releases most packets. Deterministic in its seed and the PacketIns.
+class ChurnController : public ControllerIface {
+ public:
+  ChurnController(Network& net, uint64_t seed, std::vector<int64_t> ips)
+      : net_(net), rng_(seed), ips_(std::move(ips)), ids_(net.switch_ids()) {}
+  void on_packet_in(int64_t sw, int64_t, const Packet& p,
+                    eval::TagMask tags) override {
+    const int priorities[] = {-3, -1, 0, 2};
+    FlowEntry route;
+    route.match = {{Field::Dip, Value(p.dip)}};
+    route.priority = priorities[rng_.below(4)];
+    route.tags = tags;
+    route.action = rng_.chance(0.3) ? Action::drop() : Action::output(1);
+    net_.install(sw, route);
+    if (rng_.chance(0.6)) {
+      FlowEntry divert;
+      divert.match = {{Field::Dip, Value(ips_[rng_.below(ips_.size())])}};
+      divert.priority = 5;
+      divert.tags = rng_.chance(0.5) ? eval::kAllTags : rng_.next();
+      divert.action = rng_.chance(0.5) ? Action::drop() : Action::output(1);
+      net_.install(ids_[rng_.below(ids_.size())], divert);
+    }
+    if (rng_.chance(0.7)) net_.packet_out(sw, 1, tags);
+  }
+
+ private:
+  Network& net_;
+  Rng rng_;
+  std::vector<int64_t> ips_;
+  std::vector<int64_t> ids_;
+};
+
+std::vector<Injection> random_work(const Network& net,
+                                   const std::vector<int64_t>& ips,
+                                   uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Injection> work(300);
+  for (Injection& inj : work) {
+    const Host& src = net.hosts()[rng.below(net.hosts().size())];
+    inj.sw = src.sw;
+    inj.port = src.port;
+    inj.packet.sip = src.ip;
+    inj.packet.dip = rng.chance(0.05) ? 9999 : ips[rng.below(ips.size())];
+    inj.packet.dpt = rng.chance(0.5) ? 53 : 80;
+  }
+  return work;
+}
+
+// Replaying through a memo filled by a world with other installs must
+// equal walking every packet: the per-tag statistics, the control log and
+// the clock. Over the seeds, some memoized packets must hit and some must
+// walk because a later install landed on their path.
+TEST(PathMemo, RandomNetworksWithMidStreamInstallsMatchWalk) {
+  size_t entries = 0;
+  size_t hits = 0;
+  size_t walks = 0;
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    PathMemo memo;
+    std::vector<Injection> work;
+    {
+      Network filler;
+      const std::vector<int64_t> ips = build_random_net(filler, seed);
+      filler.seal();
+      work = random_work(filler, ips, seed);
+      ChurnController ctrl(filler, seed * 3 + 1, ips);
+      filler.set_controller(&ctrl);
+      filler.record_batch(work, memo);
+    }
+    Rng rng(seed);
+    const bool tagged = rng.chance(0.5);
+    const eval::TagMask active = (rng.next() & 0xF) | 1;
+    Network memo_world, walk_world;
+    std::vector<std::unique_ptr<ChurnController>> ctrls;
+    for (Network* net : {&memo_world, &walk_world}) {
+      const std::vector<int64_t> ips = build_random_net(*net, seed);
+      net->seal();
+      ctrls.push_back(std::make_unique<ChurnController>(*net, seed * 3 + 2, ips));
+      net->set_controller(ctrls.back().get());
+      if (tagged) net->set_tag_mode(true, active);
+    }
+    memo_world.replay_batch(work, memo);
+    walk_world.inject_batch(work, /*record=*/false);
+    memo_test::expect_same_world(memo_world, walk_world, tagged ? 4 : 0,
+                                 "random network");
+    EXPECT_EQ(walk_world.memo_hits() + walk_world.memo_walks(), 0u);
+    entries += memo.entries();
+    hits += memo_world.memo_hits();
+    walks += memo_world.memo_walks();
+  }
+  EXPECT_GT(entries, 0u);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(walks, 0u) << "no install ever landed on a memoized path";
+}
 
 }  // namespace
 }  // namespace mp::sdn

@@ -26,9 +26,9 @@
 # configure time.
 # Between the smoke and the bench smoke, the metrics gate reruns the Q1
 # pipeline with --metrics-out and validates the obs snapshot JSON
-# (parseable, core eval.engine.* counters and repair latency histograms
-# present and non-zero, per-scenario delta sane) — so the bench floor is
-# always measured with observability enabled.
+# (parseable, core eval.engine.* counters, sdn.memo.hits and repair
+# latency histograms present and non-zero, per-scenario delta sane) — so
+# the bench floor is always measured with observability enabled.
 # After the bench smoke, the e2e smoke runs the end-to-end benchmark's
 # quick suite (e2ebench/run_e2e.py --quick: two pipeline rounds per
 # workload plus one traced round, ~15 s once bench_e2e is built). It
@@ -94,6 +94,9 @@ core_counters = ["eval.engine.steps", "eval.engine.rule_firings",
                  "eval.engine.trigger_attempts"]
 for name in core_counters:
     assert counters.get(name, 0) > 0, f"core counter {name} missing or zero"
+# The static-path memo (src/sdn/README.md): Q1's candidate worlds must
+# book some packets from the recorded world's walks instead of walking.
+assert counters.get("sdn.memo.hits", 0) > 0, "sdn.memo.hits missing or zero"
 core_hists = ["repair.explore.latency_ns", "repair.generate.latency_ns",
               "repair.backtest.latency_ns", "scenario.pipeline.latency_ns"]
 for name in core_hists:
