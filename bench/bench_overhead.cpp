@@ -392,7 +392,7 @@ void BM_EndToEndPacketIn(benchmark::State& state) {
     sdn::Packet p;
     p.dpt = 80;
     p.sip = src++;  // fresh flow every time: always a miss + PacketIn
-    net.inject(1, 1, p, /*record=*/opt.record_provenance);
+    net.inject(1, 1, p);
     benchmark::DoNotOptimize(net.stats().packet_ins);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
@@ -550,9 +550,8 @@ int main(int argc, char** argv) {
     auto s = scenario::q1_copy_paste({});
     scenario::ScenarioHarness harness(s);
     auto& run = harness.buggy_run();
-    const auto& rec = run.net().recorder();
-    const size_t packets = rec.ingress().size();
-    const double pkt_bytes = static_cast<double>(rec.packet_log_bytes());
+    const size_t packets = run.net().now();
+    const double pkt_bytes = static_cast<double>(run.net().packet_log_bytes());
     const double prov_bytes = static_cast<double>(run.engine().log().byte_estimate());
     std::printf("=== Section 5.4 storage ===\n");
     std::printf("packet log: %zu entries x 120 B = %.2f MB (%.1f B/packet)\n",

@@ -4,10 +4,8 @@
 #include <atomic>
 #include <utility>
 
-#include "obs/obs.h"
 #include "obs/span.h"
 #include "util/threads.h"
-#include "util/timer.h"
 
 namespace mp::backtest {
 
@@ -29,11 +27,9 @@ std::vector<const BacktestEntry*> BacktestReport::ranked_accepted() const {
 BacktestReport Backtester::run(
     ReplayHarness& harness,
     std::vector<repair::RepairCandidate> candidates) const {
-  static const obs::PhaseId kSpanBacktest = obs::phase_id("backtest.run");
-  obs::Span span(kSpanBacktest);
-  const uint64_t t0 = obs::now_ns();
+  static const obs::TracedPhase kPhaseBacktest("repair.backtest");
+  const obs::Scope scope(kPhaseBacktest);
   BacktestReport report;
-  Timer timer;
   const ReplayOutcome baseline = harness.replay_baseline();
 
   std::vector<ReplayOutcome> outcomes;
@@ -89,12 +85,6 @@ BacktestReport Backtester::run(
     if (e.effective) ++report.effective_count;
     if (e.accepted) ++report.accepted_count;
     report.entries.push_back(std::move(e));
-  }
-  report.replay_seconds = timer.seconds();
-  if (obs::enabled()) {
-    static obs::Histogram& lat =
-        obs::Registry::global().histogram("repair.backtest.latency_ns");
-    lat.record(obs::now_ns() - t0);
   }
   return report;
 }

@@ -34,7 +34,6 @@ struct BacktestReport {
   std::vector<BacktestEntry> entries;  // in candidate order
   size_t effective_count = 0;
   size_t accepted_count = 0;
-  double replay_seconds = 0.0;
 
   // Accepted candidates, ranked by least disturbance then cost.
   std::vector<const BacktestEntry*> ranked_accepted() const;

@@ -16,7 +16,7 @@ struct ReplayOutcome {
   size_t delivered = 0;
   size_t dropped = 0;
   size_t packet_ins = 0;
-  double seconds = 0.0;
+  double seconds = 0.0;  // never set in src/; e2ebench's harness fills it
   bool valid = true;  // false if the candidate program failed to apply
 };
 

@@ -32,7 +32,7 @@ LangRun run_workload(const scenario::Scenario& s,
   if (s.wire_app) s.wire_app(net, campus);
   auto controller = make_controller(net);
   net.set_controller(controller.first.get());
-  sdn::replay(net, work, /*record=*/false);
+  sdn::replay(net, work);
   LangRun out;
   out.outcome = backtest::outcome_from_stats(net.stats());
   out.learned = controller.second();

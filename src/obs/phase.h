@@ -9,8 +9,8 @@
 // function-local static. The string API survives at the edges
 // (`PhaseClock::add(name, secs)`, `get(name)`, `phases()`).
 //
-// The same ids label obs::Span trace records (src/obs/span.h), so a
-// phase breakdown and a trace of the same run share one vocabulary.
+// The same ids label obs::Scope trace spans (src/obs/span.h), so a phase
+// breakdown and a trace of the same run share one vocabulary.
 #pragma once
 
 #include <cstdint>

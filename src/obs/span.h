@@ -1,11 +1,19 @@
-// Lightweight trace spans over per-thread ring buffers.
+// Timing scopes and lightweight trace spans over per-thread ring buffers.
 //
-// A Span is an RAII scope labelled with an interned PhaseId
-// (src/obs/phase.h). On destruction it records (phase, start_ns, dur_ns)
-// into the calling thread's fixed-capacity ring buffer — no lock, no
-// allocation on the record path (the thread's buffer is registered once,
-// under a mutex, on its first span). Buffers outlive their threads, so a
-// worker pool's spans survive until drained.
+// obs::Scope is the one timing primitive: an RAII interval labelled with
+// an interned PhaseId (src/obs/phase.h). On destruction it adds its
+// duration to an optional PhaseClock (util/timer.h). A *traced* phase (a
+// TracedPhase: a coarse scope such as `repair.explore`) also records one
+// span and one `<phase>.latency_ns` histogram sample, both only while
+// obs::enabled(). A *clock-only* phase (a plain PhaseId: the per-probe
+// repair phases) only feeds the clock, so it costs two clock reads and
+// never enters the span ring.
+//
+// A span (phase, start_ns, dur_ns) goes into the calling thread's
+// fixed-capacity ring buffer under that buffer's own, uncontended lock
+// (the buffer is registered once, under a global mutex, on the thread's
+// first span). Buffers outlive their threads, so a worker pool's spans
+// survive until drained.
 //
 // drain_all() collects and clears every thread's buffer and returns the
 // records in a deterministic order — (start_ns, thread, seq), where
@@ -14,21 +22,21 @@
 // the same merged trace (pinned by tests/obs_test.cpp). write_trace_json
 // renders a drain as a JSON-lines trace log.
 //
-// Recording honours obs::enabled() plus a trace-specific switch
+// Span recording honours obs::enabled() plus a trace-specific switch
 // (set_trace_enabled). A full ring drops new records and counts them in
-// dropped_spans() — tracing is bounded, never a memory leak. Hot-path
-// sites use the MP_OBS_DETAIL_SPAN macro, which compiles to nothing
-// unless the build defines MP_OBS_DETAIL (CMake option MP_OBS_DETAIL) —
-// the "expensive span paths" stay out of release hot loops entirely.
+// dropped_spans() — tracing is bounded, never a memory leak.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/obs.h"
 #include "obs/phase.h"
+#include "util/timer.h"
 
 namespace mp::obs {
 
@@ -41,8 +49,8 @@ struct SpanRecord {
 };
 
 // Trace master switch (independent of the metrics switch; both must be on
-// for spans to record). Default on — span sites are cold unless
-// MP_OBS_DETAIL compiled the hot ones in.
+// for spans to record). Default on — only traced phases record spans, and
+// those are coarse scopes.
 bool trace_enabled();
 void set_trace_enabled(bool on);
 
@@ -55,8 +63,7 @@ inline uint64_t now_ns() {
 }
 
 // Records a span into the calling thread's ring buffer. Exposed directly
-// (besides the RAII Span) so tests can inject records with synthetic
-// timestamps.
+// (besides Scope) so tests can inject records with synthetic timestamps.
 void record_span(PhaseId phase, uint64_t start_ns, uint64_t dur_ns);
 
 // Collects and clears every thread's buffer; deterministic order (see
@@ -75,31 +82,67 @@ std::string spans_to_json(const std::vector<SpanRecord>& spans);
 // I/O failure.
 bool write_trace_json(const std::string& path);
 
-// RAII span.
-class Span {
+// A phase whose scopes publish a span and a `<name>.latency_ns` sample.
+// Construction interns the name (under a mutex), so build one per site
+// and cache it in a function-local static. The histogram registers with
+// the first sample, so a phase that never publishes (obs disabled) adds
+// nothing to the registry.
+class TracedPhase {
  public:
-  explicit Span(PhaseId phase)
-      : phase_(phase),
-        active_(enabled() && trace_enabled()),
-        start_ns_(active_ ? now_ns() : 0) {}
-  ~Span() {
-    if (active_) record_span(phase_, start_ns_, now_ns() - start_ns_);
+  explicit TracedPhase(std::string_view name)
+      : id_(phase_id(name)), latency_name_(std::string(name) + ".latency_ns") {}
+  PhaseId id() const { return id_; }
+  Histogram& latency() const {
+    Histogram* h = latency_.load(std::memory_order_acquire);
+    if (h == nullptr) {
+      h = &Registry::global().histogram(latency_name_);
+      latency_.store(h, std::memory_order_release);
+    }
+    return *h;
   }
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
+
+ private:
+  PhaseId id_;
+  std::string latency_name_;
+  mutable std::atomic<Histogram*> latency_{nullptr};
+};
+
+// RAII timing scope; see the file comment.
+class Scope {
+ public:
+  // Clock-only phase.
+  explicit Scope(PhaseId phase, PhaseClock* clock = nullptr)
+      : phase_(phase), traced_(nullptr), clock_(clock), start_ns_(now_ns()) {}
+  // Traced phase.
+  explicit Scope(const TracedPhase& phase, PhaseClock* clock = nullptr)
+      : phase_(phase.id()),
+        traced_(&phase),
+        clock_(clock),
+        start_ns_(now_ns()) {}
+  ~Scope() {
+    if (clock_ == nullptr && traced_ == nullptr) return;
+    const uint64_t dur_ns = now_ns() - start_ns_;
+    if (clock_ != nullptr) {
+      clock_->add(phase_, static_cast<double>(dur_ns) / 1e9);
+    }
+    if (traced_ != nullptr && enabled()) {
+      traced_->latency().record(dur_ns);
+      if (trace_enabled()) record_span(phase_, start_ns_, dur_ns);
+    }
+  }
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
+
+  // Seconds since the scope opened.
+  double seconds() const {
+    return static_cast<double>(now_ns() - start_ns_) / 1e9;
+  }
 
  private:
   PhaseId phase_;
-  bool active_;
+  const TracedPhase* traced_;  // null for a clock-only phase
+  PhaseClock* clock_;
   uint64_t start_ns_;
 };
 
 }  // namespace mp::obs
-
-// Hot-path span sites: compiled out unless the build defines
-// MP_OBS_DETAIL (CMake -DMP_OBS_DETAIL=ON).
-#if defined(MP_OBS_DETAIL)
-#define MP_OBS_DETAIL_SPAN(id) ::mp::obs::Span mp_obs_span_##__LINE__(id)
-#else
-#define MP_OBS_DETAIL_SPAN(id) ((void)0)
-#endif

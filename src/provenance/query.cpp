@@ -2,20 +2,11 @@
 
 #include <set>
 
-#include "obs/obs.h"
 #include "obs/span.h"
 
 namespace mp::prov {
 
 namespace {
-
-const obs::PhaseId kSpanExplainExists = obs::phase_id("prov.explain_exists");
-const obs::PhaseId kSpanExplainMissing = obs::phase_id("prov.explain_missing");
-
-void record_latency(const char* name, uint64_t t0) {
-  if (!obs::enabled()) return;
-  obs::Registry::global().histogram(name).record(obs::now_ns() - t0);
-}
 
 // Walks the derivation record graph on interned handles; Tuples are
 // materialized only when a vertex is emitted (the graph's labels keep
@@ -67,8 +58,8 @@ void explain_ref(const eval::Engine& engine, ProvenanceGraph& g, size_t parent,
 
 ProvenanceGraph explain_exists(const eval::Engine& engine,
                                const eval::Tuple& tuple, size_t max_depth) {
-  obs::Span span(kSpanExplainExists);
-  const uint64_t t0 = obs::now_ns();
+  static const obs::TracedPhase kPhaseExplainExists("prov.explain_exists");
+  const obs::Scope scope(kPhaseExplainExists);
   ProvenanceGraph g;
   Vertex root;
   root.kind = VertexKind::Exist;
@@ -89,25 +80,21 @@ ProvenanceGraph explain_exists(const eval::Engine& engine,
     const size_t idx = g.add(std::move(v));
     g.link(0, idx);
   }
-  record_latency("prov.explain_exists.latency_ns", t0);
   return g;
 }
 
 ProvenanceGraph explain_missing(const eval::Engine& engine,
                                 const TuplePattern& pattern,
                                 size_t max_depth) {
-  obs::Span span(kSpanExplainMissing);
-  const uint64_t t0 = obs::now_ns();
+  static const obs::TracedPhase kPhaseExplainMissing("prov.explain_missing");
+  const obs::Scope scope(kPhaseExplainMissing);
   ProvenanceGraph g;
   Vertex root;
   root.kind = VertexKind::NExist;
   root.tuple.table = pattern.table;
   root.node = Value::str("?");
   g.add(std::move(root));
-  if (max_depth == 0) {
-    record_latency("prov.explain_missing.latency_ns", t0);
-    return g;
-  }
+  if (max_depth == 0) return g;
 
   const auto& program = engine.program();
   const auto& history = engine.history();
@@ -151,7 +138,6 @@ ProvenanceGraph explain_missing(const eval::Engine& engine,
       }
     }
   }
-  record_latency("prov.explain_missing.latency_ns", t0);
   return g;
 }
 

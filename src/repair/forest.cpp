@@ -5,20 +5,18 @@
 #include <queue>
 #include <set>
 
-#include "obs/obs.h"
 #include "obs/span.h"
 
 namespace mp::repair {
 
 namespace {
 
-// Phase ids interned once per process (src/obs/phase.h); the accumulation
-// paths below pay a vector index instead of the old per-call string-map
-// lookup.
+// Clock-only phase ids interned once per process (src/obs/phase.h): a
+// scope over one history probe or solver call costs two clock reads and
+// a vector index.
 const obs::PhaseId kPhaseHistory = obs::phase_id("history lookups");
 const obs::PhaseId kPhaseSolve = obs::phase_id("constraint solving");
 const obs::PhaseId kPhasePatch = obs::phase_id("patch generation");
-const obs::PhaseId kSpanExplore = obs::phase_id("repair.explore");
 
 using eval::Env;
 using eval::Tuple;
@@ -102,10 +100,10 @@ ForestExplorer::ForestExplorer(const eval::Engine& engine,
 std::vector<RepairCandidate> ForestExplorer::explore(const Symptom& symptom,
                                                      PhaseClock* phases,
                                                      ExploreStats* stats) {
+  static const obs::TracedPhase kPhaseExplore("repair.explore");
+  const obs::Scope scope(kPhaseExplore);
   phases_ = phases;
   stats_ = stats;
-  obs::Span span(kSpanExplore);
-  const uint64_t explore_t0 = obs::now_ns();
 
   // Min-priority queue over (cost, pending-goal count): the paper pops the
   // cheapest tree, breaking ties toward fewer unexpanded vertexes.
@@ -137,28 +135,30 @@ std::vector<RepairCandidate> ForestExplorer::explore(const Symptom& symptom,
 
     if (st.pending.empty()) {
       if (st.changes.empty()) continue;
-      Timer patch_timer;
       RepairCandidate cand;
-      cand.changes = st.changes;
-      cand.cost = st.cost;
-      cand.description = cand.describe(engine_.program());
-      const bool fresh = seen.insert(cand.description).second;
-      bool valid = fresh;
-      if (fresh) {
-        // Manual-insert-only candidates have no program changes to verify.
-        bool touches_program = false;
-        for (const auto& c : cand.changes) {
-          if (c.kind != ChangeKind::InsertBaseTuple &&
-              c.kind != ChangeKind::DeleteBaseTuple) {
-            touches_program = true;
+      bool valid = false;
+      {
+        const obs::Scope patching(kPhasePatch, phases_);
+        cand.changes = st.changes;
+        cand.cost = st.cost;
+        cand.description = cand.describe(engine_.program());
+        valid = seen.insert(cand.description).second;
+        if (valid) {
+          // Manual-insert-only candidates have no program changes to
+          // verify.
+          bool touches_program = false;
+          for (const auto& c : cand.changes) {
+            if (c.kind != ChangeKind::InsertBaseTuple &&
+                c.kind != ChangeKind::DeleteBaseTuple) {
+              touches_program = true;
+            }
+          }
+          if (touches_program) {
+            if (!checker) checker.emplace(engine_.program());
+            valid = checker->valid(cand);
           }
         }
-        if (touches_program) {
-          if (!checker) checker.emplace(engine_.program());
-          valid = checker->valid(cand);
-        }
       }
-      if (phases_ != nullptr) phases_->add(kPhasePatch, patch_timer.seconds());
       if (valid) {
         if (stats_ != nullptr) ++stats_->trees_completed;
         out.push_back(std::move(cand));
@@ -182,11 +182,6 @@ std::vector<RepairCandidate> ForestExplorer::explore(const Symptom& symptom,
               if (a.cost != b.cost) return a.cost < b.cost;
               return a.description < b.description;
             });
-  if (obs::enabled()) {
-    static obs::Histogram& lat =
-        obs::Registry::global().histogram("repair.explore.latency_ns");
-    lat.record(obs::now_ns() - explore_t0);
-  }
   return out;
 }
 
@@ -385,7 +380,6 @@ void ForestExplorer::expand_appear(const TreeState& st, const Goal& goal,
 
 void ForestExplorer::expand_disappear(const TreeState& st, const Goal& goal,
                                       std::vector<TreeState>& out) {
-  Timer history_timer;
   const eval::EventLog& log = engine_.log();
   // Indexed history probe filtered to tuples still live somewhere. Live
   // tuples are a subset of recorded history (every live tuple had an
@@ -394,17 +388,19 @@ void ForestExplorer::expand_disappear(const TreeState& st, const Goal& goal,
   // an index hit on the pattern's bound columns. The walk stays on
   // interned handles; Tuples materialize only inside emitted Changes.
   std::vector<eval::TupleRef> matching;
-  const size_t scanned =
-      engine_.history().probe(goal.pattern, [&](eval::TupleRef ref) {
-        const Row& row = log.row_of(ref);
-        if (!row.empty() &&
-            engine_.exists(row[0], log.table_name(ref), row)) {
-          matching.push_back(ref);
-        }
-        return matching.size() < 4;  // each match forks its own subtree
-      });
-  if (stats_ != nullptr) stats_->history_tuples_scanned += scanned;
-  if (phases_ != nullptr) phases_->add(kPhaseHistory, history_timer.seconds());
+  {
+    const obs::Scope lookup(kPhaseHistory, phases_);
+    const size_t scanned =
+        engine_.history().probe(goal.pattern, [&](eval::TupleRef ref) {
+          const Row& row = log.row_of(ref);
+          if (!row.empty() &&
+              engine_.exists(row[0], log.table_name(ref), row)) {
+            matching.push_back(ref);
+          }
+          return matching.size() < 4;  // each match forks its own subtree
+        });
+    if (stats_ != nullptr) stats_->history_tuples_scanned += scanned;
+  }
 
   for (const eval::TupleRef target : matching) {
     const auto derivs = log.derivations_of(target);
@@ -527,7 +523,7 @@ void ForestExplorer::expand_disappear(const TreeState& st, const Goal& goal,
 
 std::vector<ForestExplorer::JoinResult> ForestExplorer::enumerate_joins(
     const Rule& rule) {
-  Timer history_timer;
+  const obs::Scope lookup(kPhaseHistory, phases_);
   std::vector<JoinResult> results;
   std::set<std::string> seen;
   const std::vector<std::string> rel_vars = relevant_vars(rule);
@@ -601,7 +597,6 @@ std::vector<ForestExplorer::JoinResult> ForestExplorer::enumerate_joins(
     results.push_back(std::move(jr));
     if (results.size() >= cfg_.max_join_combos) break;
   }
-  if (phases_ != nullptr) phases_->add(kPhaseHistory, history_timer.seconds());
   return results;
 }
 
@@ -626,16 +621,16 @@ std::vector<Change> ForestExplorer::selection_fix_options(const Rule& rule,
     const CmpOp op = oriented_op(sel, cside);  // x op K must become true
     std::vector<Value> candidates;
     if (x.is_int()) {
-      Timer solve_timer;
-      // Nearest satisfying constant, via the mini solver (SATASSIGNMENT).
-      solver::ConstraintPool pool;
-      pool.add(solver::Term::constant(x), op, solver::Term::variable("K"));
-      if (auto a = solver::MiniSolver::solve(
-              pool, stats_ != nullptr ? &stats_->solver : nullptr)) {
-        push_unique(candidates, a->at("K"), cfg_.max_const_variants);
-      }
-      if (phases_ != nullptr) {
-        phases_->add(kPhaseSolve, solve_timer.seconds());
+      {
+        const obs::Scope solving(kPhaseSolve, phases_);
+        // Nearest satisfying constant, via the mini solver
+        // (SATASSIGNMENT).
+        solver::ConstraintPool pool;
+        pool.add(solver::Term::constant(x), op, solver::Term::variable("K"));
+        if (auto a = solver::MiniSolver::solve(
+                pool, stats_ != nullptr ? &stats_->solver : nullptr)) {
+          push_unique(candidates, a->at("K"), cfg_.max_const_variants);
+        }
       }
       // Direct minimal-edit value.
       const int64_t xi = x.as_int();
@@ -743,7 +738,7 @@ std::vector<Change> ForestExplorer::selection_break_options(const Rule& rule,
     const Value& c0 = cside == 0 ? sel.lhs->cval() : sel.rhs->cval();
     const CmpOp op = oriented_op(sel, cside);
     if (x.is_int()) {
-      Timer solve_timer;
+      const obs::Scope solving(kPhaseSolve, phases_);
       // UNSATASSIGNMENT: violate (x op K) while keeping nothing else.
       solver::ConstraintPool keep, negate;
       negate.add(solver::Term::constant(x), op, solver::Term::variable("K"));
@@ -759,9 +754,6 @@ std::vector<Change> ForestExplorer::selection_break_options(const Rule& rule,
           c.new_value = cand;
           out.push_back(std::move(c));
         }
-      }
-      if (phases_ != nullptr) {
-        phases_->add(kPhaseSolve, solve_timer.seconds());
       }
     }
   }
@@ -869,26 +861,27 @@ std::vector<Change> ForestExplorer::manual_insert_options(const Goal& goal) {
   // Synthesize a concrete row: constrained columns via the constraint
   // pool + mini solver (SATASSIGNMENT in Figure 5), unconstrained columns
   // from a historical row when available.
-  Timer solve_timer;
-  solver::ConstraintPool pool;
-  for (const auto& fc : goal.pattern.fields) {
-    pool.add(solver::Term::variable("c" + std::to_string(fc.col)), fc.op,
-             solver::Term::constant(fc.value));
+  std::optional<solver::Assignment> assignment;
+  {
+    const obs::Scope solving(kPhaseSolve, phases_);
+    solver::ConstraintPool pool;
+    for (const auto& fc : goal.pattern.fields) {
+      pool.add(solver::Term::variable("c" + std::to_string(fc.col)), fc.op,
+               solver::Term::constant(fc.value));
+    }
+    assignment = solver::MiniSolver::solve(
+        pool, stats_ != nullptr ? &stats_->solver : nullptr);
   }
-  auto assignment = solver::MiniSolver::solve(
-      pool, stats_ != nullptr ? &stats_->solver : nullptr);
-  if (phases_ != nullptr) phases_->add(kPhaseSolve, solve_timer.seconds());
   if (!assignment) return out;
 
-  Timer history_timer;
   Row row(decl->arity, Value(0));
-  const auto& hist = engine_.history().rows(goal.pattern.table);
-  if (!hist.empty() &&
-      engine_.history().row_of(hist.front()).size() == decl->arity) {
-    row = engine_.history().row_of(hist.front());
-  }
-  if (phases_ != nullptr) {
-    phases_->add(kPhaseHistory, history_timer.seconds());
+  {
+    const obs::Scope lookup(kPhaseHistory, phases_);
+    const auto& hist = engine_.history().rows(goal.pattern.table);
+    if (!hist.empty() &&
+        engine_.history().row_of(hist.front()).size() == decl->arity) {
+      row = engine_.history().row_of(hist.front());
+    }
   }
   for (size_t i = 0; i < decl->arity; ++i) {
     auto it = assignment->find("c" + std::to_string(i));
@@ -946,24 +939,27 @@ std::vector<Change> ForestExplorer::retarget_options(const Goal& goal) {
 std::vector<Value> ForestExplorer::domain_of_var(const Rule& rule,
                                                  const std::string& var) {
   std::vector<Value> out;
-  Timer history_timer;
-  for (const auto& atom : rule.body) {
-    for (size_t i = 0; i < atom.args.size(); ++i) {
-      if (!atom.args[i]->is_var() || atom.args[i]->var_name() != var) continue;
-      // Domain extraction has no bound columns; the probe is the ordered
-      // fallback scan over this table's recorded history.
-      prov::TuplePattern any;
-      any.table = atom.table;
-      const size_t scanned =
-          engine_.history().probe(any, [&](eval::TupleRef ref) {
-            const Row& row = engine_.history().row_of(ref);
-            if (i < row.size()) push_unique(out, row[i], 64);
-            return true;
-          });
-      if (stats_ != nullptr) stats_->history_tuples_scanned += scanned;
+  {
+    const obs::Scope lookup(kPhaseHistory, phases_);
+    for (const auto& atom : rule.body) {
+      for (size_t i = 0; i < atom.args.size(); ++i) {
+        if (!atom.args[i]->is_var() || atom.args[i]->var_name() != var) {
+          continue;
+        }
+        // Domain extraction has no bound columns; the probe is the
+        // ordered fallback scan over this table's recorded history.
+        prov::TuplePattern any;
+        any.table = atom.table;
+        const size_t scanned =
+            engine_.history().probe(any, [&](eval::TupleRef ref) {
+              const Row& row = engine_.history().row_of(ref);
+              if (i < row.size()) push_unique(out, row[i], 64);
+              return true;
+            });
+        if (stats_ != nullptr) stats_->history_tuples_scanned += scanned;
+      }
     }
   }
-  if (phases_ != nullptr) phases_->add(kPhaseHistory, history_timer.seconds());
   // Descending: the loosest domain-suggested constants first (the paper's
   // Sip<2009 / Sip<99 / Sip<16 flavours), ahead of near-misses.
   std::sort(out.begin(), out.end(),

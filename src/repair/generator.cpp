@@ -1,28 +1,22 @@
 #include "repair/generator.h"
 
-#include "obs/obs.h"
 #include "obs/span.h"
 
 namespace mp::repair {
 
 GenerationReport RepairGenerator::generate(const Symptom& symptom) const {
   static const obs::PhaseId kPhasePatch = obs::phase_id("patch generation");
+  static const obs::TracedPhase kPhaseGenerate("repair.generate");
+  const obs::Scope scope(kPhaseGenerate);
   GenerationReport report;
-  Timer total;
-  const uint64_t t0 = obs::now_ns();
   ForestExplorer explorer(engine_, config_, costs_);
   report.candidates =
       explorer.explore(symptom, &report.phases, &report.stats);
   // Anything not booked to a named phase is patch generation (tree
   // bookkeeping, option assembly).
   const double booked = report.phases.total();
-  const double rest = total.seconds() - booked;
+  const double rest = scope.seconds() - booked;
   if (rest > 0) report.phases.add(kPhasePatch, rest);
-  if (obs::enabled()) {
-    static obs::Histogram& lat =
-        obs::Registry::global().histogram("repair.generate.latency_ns");
-    lat.record(obs::now_ns() - t0);
-  }
   return report;
 }
 

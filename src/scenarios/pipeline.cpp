@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "obs/obs.h"
 #include "obs/span.h"
 
 namespace mp::scenario {
@@ -41,9 +40,8 @@ void ScenarioRun::set_tag_mode(eval::TagMask active) {
   net_->set_tag_mode(true, active);
 }
 
-void ScenarioRun::replay(const std::vector<sdn::Injection>& workload,
-                         bool record) {
-  sdn::replay(*net_, workload, record);
+void ScenarioRun::replay(const std::vector<sdn::Injection>& workload) {
+  sdn::replay(*net_, workload);
 }
 
 void ScenarioRun::record(const std::vector<sdn::Injection>& workload,
@@ -128,19 +126,16 @@ backtest::ReplayOutcome ScenarioHarness::score(ScenarioRun& run) {
 
 backtest::ReplayOutcome ScenarioHarness::replay(
     const repair::RepairCandidate& cand) {
-  Timer timer;
   // Records the incident and fills memo_ before any world exists.
   baseline();
   std::optional<ScenarioRun> run = candidate_world(cand);
-  backtest::ReplayOutcome out;
   if (!run) {
+    backtest::ReplayOutcome out;
     out.valid = false;
     return out;
   }
   run->replay(workload_, memo_);
-  out = score(*run);
-  out.seconds = timer.seconds();
-  return out;
+  return score(*run);
 }
 
 ScenarioRun ScenarioHarness::joint_world(
@@ -190,29 +185,20 @@ std::vector<backtest::ReplayOutcome> ScenarioHarness::score_joint(
 
 std::vector<backtest::ReplayOutcome> ScenarioHarness::replay_joint(
     const std::vector<repair::RepairCandidate>& cands) {
-  Timer timer;
   if (cands.empty()) return {};
   baseline();
   const backtest::CombinedProgram combined =
       backtest::build_backtest_program(scenario_.program, cands);
   ScenarioRun run = joint_world(combined);
   run.replay(workload_, memo_);
-
-  const double elapsed = timer.seconds();
-  std::vector<backtest::ReplayOutcome> outs =
-      score_joint(run, combined, cands.size());
-  for (size_t i = 0; i < outs.size() && i < combined.candidate_count; ++i) {
-    outs[i].seconds = elapsed / static_cast<double>(cands.size());
-  }
-  return outs;
+  return score_joint(run, combined, cands.size());
 }
 
 PipelineResult run_pipeline(const Scenario& s, const PipelineOptions& opt) {
-  static const obs::PhaseId kSpanPipeline = obs::phase_id("scenario.pipeline");
-  obs::Span span(kSpanPipeline);
-  const uint64_t t0 = obs::now_ns();
+  static const obs::TracedPhase kPhasePipeline("scenario.pipeline");
+  static const obs::PhaseId kPhaseReplay = obs::phase_id("replay");
+  const obs::Scope scope(kPhasePipeline);
   PipelineResult result;
-  Timer total;
   ScenarioHarness harness(s);
   ScenarioRun& buggy = harness.buggy_run();
 
@@ -247,23 +233,18 @@ PipelineResult run_pipeline(const Scenario& s, const PipelineOptions& opt) {
   result.candidates = result.generation.candidates.size();
 
   // Backtest.
-  Timer replay_timer;
-  backtest::BacktestConfig bcfg;
-  bcfg.use_multiquery = opt.multiquery;
-  bcfg.shards = opt.backtest_shards;
-  backtest::Backtester tester(bcfg);
-  result.backtest = tester.run(harness, result.generation.candidates);
+  {
+    const obs::Scope replay(kPhaseReplay, &result.phases);
+    backtest::BacktestConfig bcfg;
+    bcfg.use_multiquery = opt.multiquery;
+    bcfg.shards = opt.backtest_shards;
+    backtest::Backtester tester(bcfg);
+    result.backtest = tester.run(harness, result.generation.candidates);
+  }
   result.phases.merge(result.generation.phases);
-  static const obs::PhaseId kPhaseReplay = obs::phase_id("replay");
-  result.phases.add(kPhaseReplay, replay_timer.seconds());
   result.effective = result.backtest.effective_count;
   result.accepted = result.backtest.accepted_count;
-  result.total_seconds = total.seconds();
-  if (obs::enabled()) {
-    static obs::Histogram& lat =
-        obs::Registry::global().histogram("scenario.pipeline.latency_ns");
-    lat.record(obs::now_ns() - t0);
-  }
+  result.total_seconds = scope.seconds();
   return result;
 }
 

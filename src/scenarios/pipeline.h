@@ -29,14 +29,13 @@ class ScenarioRun {
   void set_rule_restrictions(
       const std::map<std::string, eval::TagMask>& restrict);
   void set_tag_mode(eval::TagMask active);
-  // Replays `workload`, walking every packet; `record` keeps the network's
-  // ingress log, which only the recorded incident needs. This is the
-  // memo-free reference the memoized replays below must equal.
-  void replay(const std::vector<sdn::Injection>& workload, bool record = true);
-  // replay(workload, true) that also fills `memo` with the workload's
-  // static paths (the recorded incident).
+  // Replays `workload`, walking every packet. This is the memo-free
+  // reference the memoized replays below must equal.
+  void replay(const std::vector<sdn::Injection>& workload);
+  // replay(workload) that also fills `memo` with the workload's static
+  // paths (the recorded incident).
   void record(const std::vector<sdn::Injection>& workload, sdn::PathMemo& memo);
-  // replay(workload, false) that books memoized packets from `memo`.
+  // replay(workload) that books memoized packets from `memo`.
   void replay(const std::vector<sdn::Injection>& workload,
               const sdn::PathMemo& memo);
 
@@ -83,9 +82,9 @@ class ScenarioHarness : public backtest::ReplayHarness {
   // The tag-mode world replay_joint scores for `combined`, one tag per
   // candidate, built and configured but not replayed.
   ScenarioRun joint_world(const backtest::CombinedProgram& combined) const;
-  // Scores a replayed candidate world as replay() does (seconds unset).
+  // Scores a replayed candidate world as replay() does.
   backtest::ReplayOutcome score(ScenarioRun& run);
-  // Scores a replayed joint world as replay_joint does (seconds unset).
+  // Scores a replayed joint world as replay_joint does.
   std::vector<backtest::ReplayOutcome> score_joint(
       ScenarioRun& run, const backtest::CombinedProgram& combined,
       size_t candidates);

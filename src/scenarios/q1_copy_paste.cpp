@@ -139,7 +139,7 @@ Scenario q1_copy_paste(const sdn::CampusOptions& campus) {
         p.dpt = 80;
         p.spt = 40000 + static_cast<int64_t>(rng.below(1000));
         p.bucket = p.sip % 2 + 1;
-        work.push_back(sdn::Injection{h.sw, h.port, p, 0});
+        work.push_back(sdn::Injection{h.sw, h.port, p});
       }
       if (++guests >= 112) break;
     }

@@ -85,7 +85,7 @@ Scenario q2_forwarding(const sdn::CampusOptions& campus) {
       p.proto = static_cast<int64_t>(sdn::Proto::Udp);
       p.bucket = sip % 2 + 1;
       for (size_t k = 0; k < packets; ++k) {
-        work.push_back(sdn::Injection{1, 1, p, 0});
+        work.push_back(sdn::Injection{1, 1, p});
       }
     };
     // Legitimate clients 1..5 (high volume: repairs that block them shift

@@ -90,7 +90,7 @@ Scenario q3_policy_update(const sdn::CampusOptions& campus) {
       p.spt = 40000 + sip;
       p.bucket = sip % 2 + 1;
       for (size_t k = 0; k < packets; ++k) {
-        work.push_back(sdn::Injection{1, 1, p, 0});
+        work.push_back(sdn::Injection{1, 1, p});
       }
     };
     http_from(1, 400);  // scanner: must STAY blocked (high volume)

@@ -124,7 +124,7 @@ Scenario q5_mac_learning(const sdn::CampusOptions& campus) {
       p.dpt = 80;
       p.spt = 40000 + sip;
       for (size_t k = 0; k < packets; ++k) {
-        work.push_back(sdn::Injection{src_sw, src_port, p, 0});
+        work.push_back(sdn::Injection{src_sw, src_port, p});
       }
     };
     flow(6, 1, kIpA, 32, 40);  // A -> B: learned, installs the coarse entry

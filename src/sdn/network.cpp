@@ -188,11 +188,6 @@ void Network::count(size_t DeliveryStats::*counter, eval::TagMask tags) {
   for_each_tag(tags, [&](size_t b) { ++(tag_stats_[b].*counter); });
 }
 
-void Network::inject_batch(const std::vector<Injection>& work, bool record) {
-  if (record) recorder_.reserve_ingress(work.size());
-  for (const Injection& inj : work) inject(inj.sw, inj.port, inj.packet, record);
-}
-
 void Network::record_batch(const std::vector<Injection>& work, PathMemo& memo) {
   // Only a plain-mode walk proves a path holds for every tag: one outcome
   // from a kAllTags start means every hop's winning rule carries kAllTags.
@@ -200,11 +195,9 @@ void Network::record_batch(const std::vector<Injection>& work, PathMemo& memo) {
   memo.slots_.assign(work.size(), 0);
   memo.switches_ = fill ? sealed_switches_ : 0;
   memo.entries_ = 0;
-  recorder_.reserve_ingress(work.size());
   for (size_t i = 0; i < work.size(); ++i) {
     const Injection& inj = work[i];
     ++clock_;
-    recorder_.record_ingress(Injection{inj.sw, inj.port, inj.packet, clock_});
     const uint64_t slot = walk(inj.sw, inj.port, inj.packet);
     if (fill && slot != 0) {
       memo.slots_[i] = slot;
@@ -223,7 +216,7 @@ void Network::replay_batch(const std::vector<Injection>& work,
   const eval::TagMask tags = tag_mode_ ? active_tags_ : eval::kAllTags;
   if (!sealed_ || memo.switches_ != sealed_switches_ ||
       memo.slots_.size() != work.size() || tags == 0) {
-    inject_batch(work, /*record=*/false);
+    for (const Injection& inj : work) inject(inj.sw, inj.port, inj.packet);
     return;
   }
   size_t hits = 0;
@@ -264,9 +257,8 @@ void Network::replay_batch(const std::vector<Injection>& work,
   }
 }
 
-void Network::inject(int64_t sw, int64_t in_port, const Packet& p, bool record) {
+void Network::inject(int64_t sw, int64_t in_port, const Packet& p) {
   ++clock_;
-  if (record) recorder_.record_ingress(Injection{sw, in_port, p, clock_});
   walk(sw, in_port, p);
 }
 

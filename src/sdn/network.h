@@ -101,27 +101,19 @@ class Network {
   void packet_out(int64_t sw, int64_t port, eval::TagMask tags = eval::kAllTags);
 
   // Injects a packet at (sw, in_port) and runs it to completion, invoking
-  // the controller on misses. Records ingress in the recorder when
-  // `record` is true.
-  void inject(int64_t sw, int64_t in_port, const Packet& p, bool record = true);
-  // Batched workload injection: reserves the ingress log once, then runs
-  // each packet to completion in order. Packets stay serialized — a miss
-  // may install flow state the next packet's forwarding depends on — so
-  // batching here amortizes recording, not control-loop round trips.
-  // Recorded ingress is stamped with the fresh injection clock, so a
-  // replayed recorded log (whose times are old clock values) restamps.
-  void inject_batch(const std::vector<Injection>& work, bool record = true);
+  // the controller on misses. Advances the clock by one.
+  void inject(int64_t sw, int64_t in_port, const Packet& p);
 
   // Ends the static base: from here on every install, and any topology
   // change, marks the switches it touches dirty. Rules added straight
   // through Switch::table() after this are not seen, so they must not be.
   // Only the first call counts.
   void seal();
-  // inject_batch(work, true) in a sealed world that also fills `memo`
+  // sdn::replay(*this, work) in a sealed world that also fills `memo`
   // (one slot per position of `work`) with every walk that did not miss
   // and visited only clean switches.
   void record_batch(const std::vector<Injection>& work, PathMemo& memo);
-  // inject_batch(work, false) that books each memoized packet whose path
+  // sdn::replay(*this, work) that books each memoized packet whose path
   // avoids every dirty switch from `memo` instead of walking it: the same
   // clock, statistics and logs. `memo` is used only when this world is
   // sealed with the filling world's switch count and `work` has its size.
@@ -137,7 +129,11 @@ class Network {
   const DeliveryStats& tag_stats(size_t tag_index) const;
   Recorder& recorder() { return recorder_; }
   const Recorder& recorder() const { return recorder_; }
+  // Packets injected so far (one clock tick each).
   uint64_t now() const { return clock_; }
+  // Section 5.4 packet-log size: one kPacketLogEntryBytes entry per
+  // injected packet.
+  size_t packet_log_bytes() const { return clock_ * kPacketLogEntryBytes; }
 
  private:
   // A delivered (host id, dpt) pair with the stats keys it folds into,
@@ -153,9 +149,9 @@ class Network {
     }
   };
 
-  // Runs one injected packet to completion (inject without the clock and
-  // the ingress log). Returns the PathMemo slot of the walk, or 0 when it
-  // cannot be memoized.
+  // Runs one injected packet to completion (inject without the clock).
+  // Returns the PathMemo slot of the walk, or 0 when it cannot be
+  // memoized.
   uint64_t walk(int64_t sw, int64_t in_port, const Packet& p);
   void mark_dirty(const Switch& s);
   // Terminal outcomes for every world in `tags`.

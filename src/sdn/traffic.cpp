@@ -38,8 +38,7 @@ void background_traffic(const Network& net, size_t packets, uint64_t seed,
       p.proto = static_cast<int64_t>(Proto::Icmp);
     }
     p.bucket = p.sip % 2 + 1;
-    // time stays 0: the recorder's injection clock stamps ingress.
-    out.push_back(Injection{src.sw, src.port, p, 0});
+    out.push_back(Injection{src.sw, src.port, p});
   }
 }
 
@@ -67,7 +66,7 @@ void ingress_traffic(const IngressOptions& opt, std::vector<Injection>& out) {
                             : static_cast<int64_t>(Proto::Tcp);
     p.bucket = p.sip % static_cast<int64_t>(opt.buckets) + 1;
     for (size_t k = 0; k < opt.packets_per_flow; ++k) {
-      out.push_back(Injection{opt.ingress_switch, opt.ingress_port, p, 0});
+      out.push_back(Injection{opt.ingress_switch, opt.ingress_port, p});
     }
   }
 }
@@ -78,8 +77,8 @@ std::vector<Injection> ingress_traffic(const IngressOptions& opt) {
   return out;
 }
 
-void replay(Network& net, const std::vector<Injection>& work, bool record) {
-  net.inject_batch(work, record);
+void replay(Network& net, const std::vector<Injection>& work) {
+  for (const Injection& inj : work) net.inject(inj.sw, inj.port, inj.packet);
 }
 
 }  // namespace mp::sdn

@@ -46,9 +46,11 @@ std::vector<Injection> ingress_traffic(const IngressOptions& opt);
 // Appending form (see background_traffic above).
 void ingress_traffic(const IngressOptions& opt, std::vector<Injection>& out);
 
-// Replays a recorded/synthesized workload into the network as one batch
-// (Network::inject_batch).
-void replay(Network& net, const std::vector<Injection>& work,
-            bool record = true);
+// Replays a recorded/synthesized workload into the network, injecting
+// each packet in order and running it to completion. Packets stay
+// serialized: a miss may install flow state the next packet's forwarding
+// depends on. This is the memo-free reference that
+// Network::record_batch/replay_batch must equal.
+void replay(Network& net, const std::vector<Injection>& work);
 
 }  // namespace mp::sdn

@@ -1,6 +1,7 @@
-// Wall-clock timing for the benches; phase accounting matches the paper's
-// Figure 9 breakdown (history lookups / constraint solving / patch
-// generation / replay).
+// Timer: a wall-clock stopwatch for bench/ and e2ebench/ (src/ times its
+// intervals with obs::Scope, src/obs/span.h). PhaseClock: the per-phase
+// accumulator behind the paper's Figure 9 breakdown (history lookups /
+// constraint solving / patch generation / replay), fed by obs::Scope.
 #pragma once
 
 #include <chrono>
@@ -66,23 +67,6 @@ class PhaseClock {
 
  private:
   std::vector<double> acc_;  // indexed by obs::PhaseId
-};
-
-// RAII phase scope; prefer the PhaseId constructor (intern once, at the
-// call site) over the string one on anything resembling a hot path.
-class PhaseScope {
- public:
-  PhaseScope(PhaseClock& clock, obs::PhaseId id) : clock_(clock), id_(id) {}
-  PhaseScope(PhaseClock& clock, const std::string& phase)
-      : clock_(clock), id_(obs::phase_id(phase)) {}
-  ~PhaseScope() { clock_.add(id_, timer_.seconds()); }
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  PhaseClock& clock_;
-  obs::PhaseId id_;
-  Timer timer_;
 };
 
 }  // namespace mp

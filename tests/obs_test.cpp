@@ -12,6 +12,10 @@
 //   - spans: per-thread ring buffers merge in a deterministic
 //     (start_ns, thread, seq) order regardless of drain timing; full
 //     rings drop new records and count them,
+//   - scopes: a traced phase feeds its clock, one span and one latency
+//     sample, all with the same duration; a clock-only phase feeds only
+//     its clock; obs::set_enabled(false) silences both but keeps the
+//     clock; a null clock is allowed,
 //   - phase interning: PhaseClock accumulates by dense id with the
 //     string API preserved at the edges,
 //   - engine pin: Engine accessor counters survive log compaction
@@ -19,6 +23,7 @@
 //     the previous publish into the registry.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -231,6 +236,101 @@ TEST(Spans, FullRingDropsAndCounts) {
   for (const SpanRecord& s : spans) ours += s.phase == p;
   EXPECT_EQ(ours, 4u);
   EXPECT_EQ(dropped_spans() - dropped_before, 6u);
+}
+
+// Spins until the steady clock has moved, so a scope's duration is not 0.
+void spin_ns(uint64_t ns) {
+  const uint64_t t0 = now_ns();
+  while (now_ns() - t0 < ns) {
+  }
+}
+
+// Spans of `phase` in a drain.
+std::vector<SpanRecord> spans_of(PhaseId phase) {
+  std::vector<SpanRecord> out;
+  for (const SpanRecord& s : drain_all_spans()) {
+    if (s.phase == phase) out.push_back(s);
+  }
+  return out;
+}
+
+uint64_t clock_ns(const mp::PhaseClock& clock, PhaseId phase) {
+  return static_cast<uint64_t>(std::llround(clock.get(phase) * 1e9));
+}
+
+TEST(Scope, TracedFeedsClockSpanAndHistogramOnce) {
+  set_enabled(true);
+  set_trace_enabled(true);
+  drain_all_spans();
+  const TracedPhase phase("test.scope.traced");
+  mp::PhaseClock clock;
+  {
+    const Scope scope(phase, &clock);
+    spin_ns(1000);
+  }
+  const std::vector<SpanRecord> spans = spans_of(phase.id());
+  ASSERT_EQ(spans.size(), 1u);
+  const HistogramData h =
+      Registry::global().histogram("test.scope.traced.latency_ns").data();
+  ASSERT_EQ(h.count, 1u);
+  EXPECT_GE(spans[0].dur_ns, 1000u);
+  EXPECT_EQ(h.sum, spans[0].dur_ns);
+  EXPECT_EQ(clock_ns(clock, phase.id()), spans[0].dur_ns);
+}
+
+TEST(Scope, ClockOnlyPublishesNothing) {
+  set_enabled(true);
+  set_trace_enabled(true);
+  drain_all_spans();
+  const PhaseId phase = phase_id("test.scope.clock_only");
+  mp::PhaseClock clock;
+  {
+    const Scope scope(phase, &clock);
+    spin_ns(1000);
+  }
+  EXPECT_GE(clock_ns(clock, phase), 1000u);
+  EXPECT_TRUE(spans_of(phase).empty());
+  EXPECT_EQ(Registry::global().snapshot().histogram(
+                "test.scope.clock_only.latency_ns"),
+            nullptr);
+}
+
+TEST(Scope, DisabledObsStillFeedsTheClock) {
+  set_trace_enabled(true);
+  drain_all_spans();
+  const TracedPhase traced("test.scope.off_traced");
+  const PhaseId clock_only = phase_id("test.scope.off_clock_only");
+  mp::PhaseClock clock;
+  set_enabled(false);
+  {
+    const Scope a(traced, &clock);
+    const Scope b(clock_only, &clock);
+    spin_ns(1000);
+  }
+  set_enabled(true);
+  EXPECT_GE(clock_ns(clock, traced.id()), 1000u);
+  EXPECT_GE(clock_ns(clock, clock_only), 1000u);
+  EXPECT_TRUE(spans_of(traced.id()).empty());
+  EXPECT_TRUE(spans_of(clock_only).empty());
+  EXPECT_EQ(Registry::global().snapshot().histogram(
+                "test.scope.off_traced.latency_ns"),
+            nullptr);
+}
+
+TEST(Scope, NullClockIsAllowed) {
+  set_enabled(true);
+  set_trace_enabled(true);
+  drain_all_spans();
+  const TracedPhase traced("test.scope.null_clock");
+  {
+    const Scope a(traced);
+    const Scope b(phase_id("test.scope.null_clock_only"));
+    spin_ns(1000);
+    EXPECT_GE(a.seconds(), 1e-6);
+    EXPECT_GE(b.seconds(), 1e-6);
+  }
+  EXPECT_EQ(spans_of(traced.id()).size(), 1u);
+  EXPECT_EQ(traced.latency().count(), 1u);
 }
 
 TEST(Phases, InternedIdsPreserveStringApi) {

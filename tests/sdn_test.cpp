@@ -326,7 +326,7 @@ TEST(Topology, AllHostPairsAreRoutable) {
       Packet p;
       p.sip = hosts[i].ip;
       p.dip = hosts[j].ip;
-      net.inject(hosts[i].sw, hosts[i].port, p, false);
+      net.inject(hosts[i].sw, hosts[i].port, p);
       ++pairs;
     }
   }
@@ -366,14 +366,17 @@ TEST(Traffic, IngressCarriesBucketsAndPorts) {
 }
 
 TEST(Recorder, AccountsStorage) {
-  Recorder r;
-  r.record_ingress(Injection{});
-  r.record_ingress(Injection{});
-  r.record_ctrl(CtrlMsgKind::PacketIn, 1, 5);
-  EXPECT_EQ(r.packet_log_bytes(), 240u);  // 120 B per packet, as in S5.4
-  EXPECT_GT(r.ctrl_log_bytes(), 0u);
-  r.clear();
-  EXPECT_EQ(r.ingress().size(), 0u);
+  // The packet log is derived from the clock, one entry per injected
+  // packet; the recorder keeps only control-plane messages.
+  Network net;
+  net.add_switch(1);
+  net.inject(1, 9, Packet{});
+  net.inject(1, 9, Packet{});
+  EXPECT_EQ(net.now(), 2u);
+  EXPECT_EQ(net.packet_log_bytes(), 240u);  // 120 B per packet, as in S5.4
+  const size_t ctrl_bytes = net.recorder().ctrl_log_bytes();
+  net.recorder().record_ctrl(CtrlMsgKind::PacketIn, 1, 5);
+  EXPECT_GT(net.recorder().ctrl_log_bytes(), ctrl_bytes);
 }
 
 // --- backtest ---------------------------------------------------------
@@ -644,7 +647,7 @@ TEST(PathMemo, OnlySealedWorldsFillAndUseIt) {
   filler.seal();
   filler.record_batch(work, memo);
   EXPECT_EQ(memo.entries(), work.size());
-  EXPECT_EQ(filler.recorder().ingress().size(), work.size());
+  EXPECT_EQ(filler.packet_log_bytes(), work.size() * kPacketLogEntryBytes);
 
   auto replay_both = [&](auto&& prepare) {
     Network memo_world, walk_world;
@@ -653,9 +656,8 @@ TEST(PathMemo, OnlySealedWorldsFillAndUseIt) {
       prepare(*net);
     }
     memo_world.replay_batch(work, memo);
-    walk_world.inject_batch(work, /*record=*/false);
+    replay(walk_world, work);
     memo_test::expect_same_world(memo_world, walk_world, 0, "chain");
-    EXPECT_TRUE(memo_world.recorder().ingress().empty());
     return std::pair{memo_world.memo_hits(), memo_world.memo_walks()};
   };
   EXPECT_EQ(replay_both([](Network& net) { net.seal(); }),
@@ -705,7 +707,7 @@ TEST(PathMemo, LongPathsAndLargeHostIdsAreNotMemoized) {
     net->seal();
   }
   memo_world.replay_batch(work, memo);
-  walk_world.inject_batch(work, /*record=*/false);
+  replay(walk_world, work);
   memo_test::expect_same_world(memo_world, walk_world, 0, "long chain");
   EXPECT_EQ(memo_world.memo_hits(), 1u);
   EXPECT_EQ(memo_world.stats().hops, 66u + 2u + 7u);
@@ -726,7 +728,7 @@ TEST(PathMemo, HitBooksEveryActiveTag) {
     net->set_tag_mode(true, 0b1011);
   }
   memo_world.replay_batch(work, memo);
-  walk_world.inject_batch(work, /*record=*/false);
+  replay(walk_world, work);
   memo_test::expect_same_world(memo_world, walk_world, 4, "tagged chain");
   // The unrouted dip misses at S2, so its walk is not memoized.
   EXPECT_EQ(memo.entries(), 2u);
@@ -867,7 +869,7 @@ TEST(PathMemo, RandomNetworksWithMidStreamInstallsMatchWalk) {
       if (tagged) net->set_tag_mode(true, active);
     }
     memo_world.replay_batch(work, memo);
-    walk_world.inject_batch(work, /*record=*/false);
+    replay(walk_world, work);
     memo_test::expect_same_world(memo_world, walk_world, tagged ? 4 : 0,
                                  "random network");
     EXPECT_EQ(walk_world.memo_hits() + walk_world.memo_walks(), 0u);

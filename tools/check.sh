@@ -28,7 +28,12 @@
 # pipeline with --metrics-out and validates the obs snapshot JSON
 # (parseable, core eval.engine.* counters, sdn.memo.hits and repair
 # latency histograms present and non-zero, per-scenario delta sane) — so
-# the bench floor is always measured with observability enabled.
+# the bench floor is always measured with observability enabled. The
+# trace gate then reruns it with --trace-out and checks that each traced
+# interval is recorded once, by one scope (src/obs/span.h): one
+# scenario.pipeline and one repair.backtest span, equal non-zero
+# repair.generate and repair.explore counts, and no span of a clock-only
+# repair phase.
 # After the bench smoke, the e2e smoke runs the end-to-end benchmark's
 # quick suite (e2ebench/run_e2e.py --quick: two pipeline rounds per
 # workload plus one traced round, ~15 s once bench_e2e is built). It
@@ -113,6 +118,27 @@ print(f"metrics gate: {len(counters)} counters, {len(hists)} histograms, "
       "core instruments present")
 EOF
 
+# Trace gate: one span per traced interval, none for clock-only phases.
+echo "--- trace gate (span names and counts) ---"
+TRACE="$(mktemp)"
+trap 'rm -f "$METRICS" "$TRACE"' EXIT
+"$BUILD_DIR/smoke" Q1 --trace-out="$TRACE" >/dev/null
+python3 - "$TRACE" <<'EOF'
+import collections, json, sys
+spans = collections.Counter(json.loads(line)["phase"]
+                            for line in open(sys.argv[1]) if line.strip())
+for name in ("scenario.pipeline", "repair.backtest"):
+    assert spans[name] == 1, f"expected one {name} span, got {spans[name]}"
+gen, explore = spans["repair.generate"], spans["repair.explore"]
+assert gen > 0 and gen == explore, \
+    f"repair.generate/explore spans: {gen} vs {explore} (want equal, > 0)"
+clock_only = ("history lookups", "constraint solving", "patch generation",
+              "replay")
+leaked = {name: spans[name] for name in clock_only if spans[name]}
+assert not leaked, f"clock-only phases in the trace: {leaked}"
+print("trace gate: " + ", ".join(f"{k}={v}" for k, v in sorted(spans.items())))
+EOF
+
 # Release-mode bench smoke: the provenance-recording fast path must stay
 # above the floor (the default build type is Release, so the main build's
 # bench binary is the right artifact).
@@ -121,7 +147,7 @@ if [[ "${CHECK_BENCH:-1}" == "1" && -x "$BUILD_DIR/bench_overhead" ]]; then
   FLOOR="${CHECK_BENCH_FLOOR:-550000}"
   BYTES_CEILING="${CHECK_BENCH_BYTES_CEILING:-64}"
   RAW="$(mktemp)"
-  trap 'rm -f "$RAW" "$METRICS"' EXIT
+  trap 'rm -f "$RAW" "$METRICS" "$TRACE"' EXIT
   "$BUILD_DIR/bench_overhead" \
     --benchmark_filter='BM_PacketInProcessing/1$|BM_PacketInBatchedArrival/1$' \
     --benchmark_min_time=0.2 --benchmark_repetitions=3 \
