@@ -16,8 +16,8 @@ size_t replay_base_stream(const eval::EventLog& log, eval::Engine& into) {
     into.remove_batch(removes);
     removes.clear();
   };
-  // for_each_event walks checkpoint + live suffix in id order, so a
-  // compacted log replays exactly like an uncompacted one.
+  // for_each_event walks the spilled prefix + live suffix in id order, so
+  // a compacted log replays exactly like an uncompacted one.
   log.for_each_event([&](const eval::Event& ev) {
     if (ev.kind == eval::EventKind::Insert) {
       flush_removes();

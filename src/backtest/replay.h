@@ -16,10 +16,10 @@ namespace mp::backtest {
 // runs of Delete events one remove_batch, preserving the stream's relative
 // order (the recorded tag masks ride along for tag-mode engines). Reads
 // the log through EventLog::for_each_event, so a compacted log replays
-// its serialized checkpoint prefix and live suffix identically to an
-// uncompacted one. This is how backtests rebuild base state from a
-// recorded run without re-running the simulation. Returns the number of
-// log events applied.
+// its spilled prefix (decoded from the segment store) and live suffix
+// identically to an uncompacted one. This is how backtests rebuild base
+// state from a recorded run without re-running the simulation. Returns
+// the number of log events applied.
 size_t replay_base_stream(const eval::EventLog& log, eval::Engine& into);
 
 // Same, streaming straight from durable segment files (mmap-backed, see

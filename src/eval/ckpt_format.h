@@ -1,8 +1,8 @@
-// Serialized checkpoint format primitives, shared by the EventLog's
-// in-RAM checkpoint (eval/event_log.cpp) and the durable segment store
-// (src/storage), whose SegmentReader must decode the exact same bytes
-// with no live engine attached. One definition of the layout so the two
-// decoders cannot drift.
+// Serialized checkpoint format primitives: the EventLog writes sections
+// in this layout (eval/event_log.cpp) and the durable segment store's
+// SegmentReader (src/storage) decodes them with no live engine attached
+// — the one checkpoint decoder. One definition of the layout so writer
+// and reader cannot drift.
 //
 // Entry layout v2 (little-endian, 22-byte fixed header):
 //   u64 tags | u8 kind | u8 ncauses | u16 table_id | u16 rule_id |
@@ -11,10 +11,9 @@
 // bytes), ncauses x u64 cause ids.
 //
 // v2 dropped the leading u64 time of v1: times are assigned densely in
-// id order (EventLog::event_time() == id + 1), and both decoders already
-// know every entry's id from its position — the in-RAM checkpoint from
-// the entry index, the segment reader from the chunk header's first_id.
-// Ten redundant bytes per entry bought nothing. ncauses also narrowed
+// id order (EventLog::event_time() == id + 1), and the reader already
+// knows every entry's id from its position (the chunk header's first_id
+// plus the entry index). Ten redundant bytes per entry bought nothing. ncauses also narrowed
 // u16 -> u8, matching the 32-byte in-memory Event (an event's causes are
 // one per body atom or a single link; the writer asserts the cap).
 //
@@ -34,9 +33,7 @@ namespace mp::eval::ckpt {
 inline constexpr size_t kHeaderBytes = 22;
 inline constexpr uint16_t kNoRuleSerialized = 0xffff;
 
-// Fixed byte offsets of the fields inside an entry header (the load path
-// patches the u16 ids in place when translating a foreign checkpoint into
-// the loading log's id space).
+// Fixed byte offsets of the fields inside an entry header.
 inline constexpr size_t kKindOffset = 8;
 inline constexpr size_t kNCausesOffset = 9;
 inline constexpr size_t kTableIdOffset = 10;
@@ -76,10 +73,6 @@ inline size_t value_bytes(const Value& v) {
 inline uint16_t get_u16(const uint8_t* p) {
   return static_cast<uint16_t>(p[0] | (p[1] << 8));
 }
-inline void set_u16(uint8_t* p, uint16_t v) {
-  p[0] = static_cast<uint8_t>(v);
-  p[1] = static_cast<uint8_t>(v >> 8);
-}
 inline uint32_t get_u32(const uint8_t* p) {
   uint32_t v = 0;
   for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
@@ -90,18 +83,27 @@ inline uint64_t get_u64(const uint8_t* p) {
   for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
   return v;
 }
-inline Value get_value(const uint8_t*& p) {
+// Reads one serialized Value at `p`, advancing it, without reading at or
+// past `end`; `out` may be null to skip the value. Returns false (with
+// `p` unspecified) on an unknown tag or a value that runs past `end`.
+inline bool get_value(const uint8_t*& p, const uint8_t* end, Value* out) {
+  if (p >= end) return false;
   const uint8_t tag = *p++;
   if (tag == 0) {
-    const uint64_t v = get_u64(p);
+    if (end - p < 8) return false;
+    if (out != nullptr) *out = Value(static_cast<int64_t>(get_u64(p)));
     p += 8;
-    return Value(static_cast<int64_t>(v));
+    return true;
   }
+  if (tag != 1 || end - p < 2) return false;
   const uint16_t len = get_u16(p);
   p += 2;
-  Value v = Value::str(std::string_view(reinterpret_cast<const char*>(p), len));
+  if (end - p < len) return false;
+  if (out != nullptr) {
+    *out = Value::str(std::string_view(reinterpret_cast<const char*>(p), len));
+  }
   p += len;
-  return v;
+  return true;
 }
 
 // Size of one string-table record for a table/rule name.

@@ -44,8 +44,9 @@ Engine::Engine(ndlog::Program program, EngineOptions opt)
     segments_ = std::make_unique<storage::SegmentStore>(opt_.segment_dir,
                                                         opt_.segment_store);
     // A store that failed at attach time (unwritable directory) stays
-    // detached: the log keeps in-RAM checkpoints and the condition is
-    // visible via segments()->failed() and the storage.degraded counter.
+    // detached: compaction has nowhere to go, so every event stays live,
+    // and the condition is visible via segments()->failed() and the
+    // storage.degraded counter.
     // (Under ErrorPolicy::kFailStop the constructor above threw instead.)
     if (!segments_->failed()) log_.set_spill(segments_.get());
   }
@@ -320,20 +321,18 @@ void Engine::remove_one(const Tuple& t) {
 }
 
 void Engine::maybe_autocompact() {
+  if (opt_.compact_after_events == 0) return;
   // Only at a true top level: never mid-fixpoint (events later in the
   // drain may reference live entries) and never inside an enclosing batch
   // (the outermost end flushes once).
   if (running_ || bulk_depth_ > 0) return;
-  if (opt_.compact_after_events == 0 && opt_.compact_after_bytes == 0) return;
-  bool over = opt_.compact_after_events != 0 &&
-              log_.live_size() > opt_.compact_after_events;
-  if (!over && opt_.compact_after_bytes != 0) {
-    // byte_estimate() walks the live suffix, but the policy keeps that
-    // suffix bounded near the threshold, so the walk stays O(threshold).
-    over = log_.byte_estimate() - log_.checkpoint_bytes() >
-           opt_.compact_after_bytes;
+  // Without a usable sink compact() would move nothing; a degraded store
+  // costs no work per insert.
+  const CheckpointSink* sink = log_.spill();
+  if (sink == nullptr || sink->failed()) return;
+  if (log_.live_size() > opt_.compact_after_events) {
+    log_.compact(opt_.compact_keep_live);
   }
-  if (over) log_.compact(opt_.compact_keep_live);
 }
 
 void Engine::begin_bulk() { ++bulk_depth_; }

@@ -79,24 +79,25 @@ struct EngineOptions {
   size_t max_steps = 1'000'000;   // guard against runaway candidate programs
   // Auto-compaction policy (the ROADMAP's "mechanism only, no policy"
   // item): after a top-level insert/remove reaches fixpoint, if the log's
-  // live suffix exceeds compact_after_events events or compact_after_bytes
-  // serialized bytes, the engine calls EventLog::compact() down to
-  // compact_keep_live live events. 0 disables a threshold (both default
-  // off: compaction drops in-memory Event structs, so provenance-graph
-  // consumers that walk the live suffix must opt in deliberately). Event
-  // ids, event_time() and replay stay valid across auto-compactions.
+  // live suffix exceeds compact_after_events events, the engine calls
+  // EventLog::compact() down to compact_keep_live live events. 0 (the
+  // default) disables it: compaction drops in-memory Event structs, so
+  // provenance-graph consumers that walk the live suffix must opt in
+  // deliberately. Compaction needs a usable checkpoint sink (segment_dir
+  // below); without one the policy does nothing and every event stays
+  // live. Event ids, event_time() and replay stay valid across
+  // auto-compactions.
   size_t compact_after_events = 0;
-  size_t compact_after_bytes = 0;
   size_t compact_keep_live = 256;
   // Durable event-log segments (src/storage). Non-empty: the engine owns
   // a SegmentStore rooted here and attaches it as the log's checkpoint
-  // sink, so compact() sections rotate into append-only segment files
-  // instead of accumulating in RAM; segment_store carries the rotation /
-  // group-commit / fsync policy knobs. The directory must not already
-  // hold events for a fresh engine (ids would collide) — to continue from
-  // an existing directory, recover the store yourself, replay it into the
-  // engine, then attach it via log().set_spill() (the wiring is pinned by
-  // storage_test's RecoveryContinuation).
+  // sink, the only place compact() sections go (append-only segment
+  // files); segment_store carries the rotation / group-commit / fsync
+  // policy knobs. The directory must not already hold events for a fresh
+  // engine (ids would collide) — to continue from an existing directory,
+  // recover the store yourself, replay it into the engine, then attach it
+  // via log().set_spill() (the wiring is pinned by storage_test's
+  // RecoveryContinuation).
   std::string segment_dir;
   storage::SegmentStoreOptions segment_store;
 };

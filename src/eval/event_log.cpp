@@ -57,16 +57,16 @@ EventId EventLog::append(EventKind kind, const Value& node, const Tuple& tuple,
 std::span<const EventId> EventLog::causes_of(const Event& e) const {
   if (e.ncauses == 0) return {};
   if (e.causes_begin & kDecodedCauseTag) {
-    // Checkpoint-decoded event: causes live in the producing cursor's (or
-    // the spilled-prefix replay's) own buffer, published through the
-    // cursor-buffer registry slot the low bits name.
+    // Spill-decoded event: causes live in the producing walk's reader
+    // buffer, published through the cursor-buffer registry slot the low
+    // bits name.
     const EventId* buf = cursor_bufs_[e.causes_begin & ~kDecodedCauseTag];
     return {buf, e.ncauses};
   }
   if (e.gen != gen_) {
     // A copy of a live event taken before a cause-arena rebase: its
     // offset no longer addresses its causes. The causes are reachable
-    // through the checkpoint (for_each_event) instead.
+    // through the spilled prefix (for_each_event) instead.
     return {};
   }
   return {cause_arena_.data() + e.causes_begin, e.ncauses};
@@ -141,8 +141,8 @@ bool EventLog::has_derivation_of(TupleRef t) const {
 }
 
 // --- serialization ------------------------------------------------------
-// Byte layout lives in eval/ckpt_format.h, shared with the standalone
-// segment reader (src/storage) so the two decoders cannot drift.
+// Byte layout lives in eval/ckpt_format.h, shared with the segment reader
+// (src/storage) that decodes every spilled section.
 
 namespace {
 
@@ -157,6 +157,21 @@ bool first_ref(std::vector<uint8_t>& seen, uint32_t id) {
   return true;
 }
 
+void write_name_record(std::vector<uint8_t>& out, uint8_t kind, uint16_t id,
+                       const std::string& name) {
+  out.push_back(kind);
+  ckpt::put_u16(out, id);
+  ckpt::put_u16(out, static_cast<uint16_t>(name.size()));
+  out.insert(out.end(), name.begin(), name.end());
+}
+
+void write_node_record(std::vector<uint8_t>& out, uint16_t id,
+                       const Value& node) {
+  out.push_back(ckpt::kNameNode);
+  ckpt::put_u16(out, id);
+  ckpt::put_value(out, node);
+}
+
 }  // namespace
 
 size_t EventLog::serialized_bytes(const Event& e) const {
@@ -165,25 +180,10 @@ size_t EventLog::serialized_bytes(const Event& e) const {
   return sz;
 }
 
-void EventLog::write_name_record(std::vector<uint8_t>& out, uint8_t kind,
-                                 uint16_t id, const std::string& name) {
-  out.push_back(kind);
-  ckpt::put_u16(out, id);
-  ckpt::put_u16(out, static_cast<uint16_t>(name.size()));
-  out.insert(out.end(), name.begin(), name.end());
-}
-
-void EventLog::write_node_record(std::vector<uint8_t>& out, uint16_t id,
-                                 const Value& node) {
-  out.push_back(ckpt::kNameNode);
-  ckpt::put_u16(out, id);
-  ckpt::put_value(out, node);
-}
-
 void EventLog::serialize(const Event& e, std::vector<uint8_t>& out) const {
   const TableId tid = pool_.table(e.tuple);
   const Row& row = pool_.row(e.tuple);
-  // v2 layout: no time field — both decoders derive the id (and so the
+  // v2 layout: no time field — the reader derives the id (and so the
   // time, id + 1) from the entry's position; see eval/ckpt_format.h.
   ckpt::put_u64(out, e.tags);
   out.push_back(static_cast<uint8_t>(e.kind));
@@ -196,50 +196,6 @@ void EventLog::serialize(const Event& e, std::vector<uint8_t>& out) const {
                 static_cast<uint32_t>(serialized_bytes(e) - ckpt::kHeaderBytes));
   for (const Value& v : row) ckpt::put_value(out, v);
   for (EventId c : causes_of(e)) ckpt::put_u64(out, c);
-}
-
-Event EventLog::decode(size_t entry, DecodeCursor& cur) const {
-  const uint8_t* p = ckpt_.data() + ckpt_offsets_[entry];
-  Event e;
-  // The RAM checkpoint covers the ids immediately below base_id_ (the
-  // whole compacted range when the log never spilled or loaded).
-  e.id = base_id_ - ckpt_offsets_.size() + entry;
-  e.tags = ckpt::get_u64(p);
-  e.kind = static_cast<EventKind>(p[ckpt::kKindOffset]);
-  const uint8_t ncauses = p[ckpt::kNCausesOffset];
-  const uint16_t table_id = ckpt::get_u16(p + ckpt::kTableIdOffset);
-  const uint16_t rule_id = ckpt::get_u16(p + ckpt::kRuleIdOffset);
-  const uint16_t nvals = ckpt::get_u16(p + ckpt::kNValsOffset);
-  // Entry ids are live ids here: compact() wrote this log's own ids, and
-  // load_checkpoint() patched a foreign checkpoint's ids to live ones
-  // through its string table before installing the bytes. The interners
-  // and the pool are never truncated, so every lookup below hits.
-  e.node = ckpt::get_u16(p + ckpt::kNodeIdOffset);
-  p += ckpt::kHeaderBytes;
-  Row row;
-  row.reserve(nvals);
-  for (uint16_t i = 0; i < nvals; ++i) row.push_back(ckpt::get_value(p));
-  e.tuple = pool_.find(table_id, row);
-  assert(e.tuple != kNoTupleRef);
-  e.rule = rule_id;  // u16 id space; kNoRuleSerialized == kNoRule
-  e.ncauses = ncauses;
-  cur.causes_.clear();
-  cur.causes_.reserve(ncauses);
-  for (uint16_t i = 0; i < ncauses; ++i) {
-    cur.causes_.push_back(ckpt::get_u64(p));
-    p += 8;
-  }
-  // Publish the cursor's buffer through its registry slot (acquired on
-  // first decode) so causes_of() spans stay valid across decodes through
-  // other cursors.
-  if (cur.owner_ == nullptr) {
-    cur.owner_ = this;
-    cur.slot_ = acquire_cursor_slot();
-  }
-  assert(cur.owner_ == this && "cursor reused across logs");
-  cursor_bufs_[cur.slot_] = cur.causes_.data();
-  e.causes_begin = kDecodedCauseTag | cur.slot_;
-  return e;
 }
 
 bool EventLog::fits_checkpoint_format(const Event& e) const {
@@ -262,6 +218,10 @@ bool EventLog::fits_checkpoint_format(const Event& e) const {
 }
 
 size_t EventLog::compact(size_t keep_live) {
+  // The sink is the only checkpoint home: without a usable one there is
+  // nowhere to put events, so they stay live (durability is lost, never
+  // events) and nothing is serialized.
+  if (spill_ == nullptr || spill_->failed()) return 0;
   if (events_.size() <= keep_live) return 0;
   size_t n = events_.size() - keep_live;
   for (size_t i = 0; i < n; ++i) {
@@ -271,71 +231,45 @@ size_t EventLog::compact(size_t keep_live) {
     }
   }
   if (n == 0) return 0;
-  // Names are written to the string-table section once, on first reference
-  // by any entry of the dedup unit (whole log for the RAM checkpoint, one
-  // section when spilling — each spilled section must decode standalone so
-  // the sink may rotate segment files between any two sections).
-  auto write_names_for = [&](const Event& e, std::vector<uint8_t>& out) {
+  // Names are written to the section's string-table records once, on
+  // first reference by any of its entries: each section decodes
+  // standalone, so the sink may rotate segment files between any two.
+  std::vector<uint8_t> table_written;  // by TableId
+  std::vector<uint8_t> rule_written;   // by RuleId
+  std::vector<uint8_t> node_written;   // by NodeRef
+  std::vector<uint8_t> entries;
+  std::vector<uint8_t> name_records;
+  for (size_t i = 0; i < n; ++i) {
+    const Event& e = events_[i];
     const TableId tid = pool_.table(e.tuple);
-    if (first_ref(table_name_written_, tid)) {
-      write_name_record(out, ckpt::kNameTable, static_cast<uint16_t>(tid),
-                        names().name_of(tid));
+    if (first_ref(table_written, tid)) {
+      write_name_record(name_records, ckpt::kNameTable,
+                        static_cast<uint16_t>(tid), names().name_of(tid));
     }
-    if (e.rule != kNoRule && first_ref(rule_name_written_, e.rule)) {
-      write_name_record(out, ckpt::kNameRule, static_cast<uint16_t>(e.rule),
-                        rule_names_[e.rule]);
+    if (e.rule != kNoRule && first_ref(rule_written, e.rule)) {
+      write_name_record(name_records, ckpt::kNameRule,
+                        static_cast<uint16_t>(e.rule), rule_names_[e.rule]);
     }
-    if (first_ref(node_written_, e.node)) {
-      write_node_record(out, static_cast<uint16_t>(e.node),
+    if (first_ref(node_written, e.node)) {
+      write_node_record(name_records, static_cast<uint16_t>(e.node),
                         node_value(e.node));
     }
-  };
-  if (spill_ != nullptr && !spill_->failed()) {
-    table_name_written_.clear();
-    rule_name_written_.clear();
-    node_written_.clear();
-    std::vector<uint8_t> entries;
-    std::vector<uint8_t> names;
-    std::vector<size_t> offsets;  // per-entry starts, for the RAM fallback
-    offsets.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      const Event& e = events_[i];
-      write_names_for(e, names);
-      offsets.push_back(entries.size());
-      serialize(e, entries);
-    }
-    bool accepted = false;
-    try {
-      accepted = spill_->append_section(base_id_, n, entries, names);
-    } catch (...) {
-      // A fail-stop sink threw from its post-acceptance flush. Acceptance
-      // means the bytes entered the sink (they count toward its events()
-      // and replay from its retained buffer), so reconcile — drop the
-      // now-sink-held prefix — before letting the error surface; a
-      // pre-acceptance throw leaves the events live for a later compact.
-      if (spill_->events() >= base_id_ + n) drop_live_prefix(n);
-      throw;
-    }
-    if (!accepted) {
-      // Sink degraded (sticky failed(), e.g. ENOSPC after retries): fall
-      // back to the in-RAM checkpoint for this and every later section.
-      // The section's names blob is self-contained (dedup was reset
-      // above), so the RAM string table stays complete from here on.
-      const size_t base = ckpt_.size();
-      ckpt_offsets_.reserve(ckpt_offsets_.size() + n);
-      for (size_t off : offsets) ckpt_offsets_.push_back(base + off);
-      ckpt_.insert(ckpt_.end(), entries.begin(), entries.end());
-      ckpt_names_.insert(ckpt_names_.end(), names.begin(), names.end());
-    }
-  } else {
-    ckpt_offsets_.reserve(ckpt_offsets_.size() + n);
-    for (size_t i = 0; i < n; ++i) {
-      const Event& e = events_[i];
-      write_names_for(e, ckpt_names_);
-      ckpt_offsets_.push_back(ckpt_.size());
-      serialize(e, ckpt_);
-    }
+    serialize(e, entries);
   }
+  bool accepted = false;
+  try {
+    accepted = spill_->append_section(base_id_, n, entries, name_records);
+  } catch (...) {
+    // A fail-stop sink threw from its post-acceptance flush. Acceptance
+    // means the bytes entered the sink (they count toward its events()
+    // and replay from its retained buffer), so reconcile — drop the
+    // now-sink-held prefix — before letting the error surface; a
+    // pre-acceptance throw leaves the events live.
+    if (spill_->events() >= base_id_ + n) drop_live_prefix(n);
+    throw;
+  }
+  // A rejected section (the sink degraded) stays live.
+  if (!accepted) return 0;
   drop_live_prefix(n);
   return n;
 }
@@ -363,19 +297,12 @@ void EventLog::drop_live_prefix(size_t n) {
 }
 
 size_t EventLog::byte_estimate() const {
-  size_t total = spilled_bytes() + ckpt_.size() + ckpt_names_.size();
-  // Name records compacting the live suffix would add. With a sink
-  // attached the next compact starts a fresh self-contained section, so
-  // every referenced name counts; otherwise only names not yet in the RAM
-  // checkpoint's string table do.
+  size_t total = spill_ != nullptr ? spill_->bytes() : 0;
+  // Name records compacting the live suffix would add: the next compact
+  // writes one self-contained section, so every referenced name counts.
   std::vector<uint8_t> tseen;
   std::vector<uint8_t> rseen;
   std::vector<uint8_t> nseen;
-  if (spill_ == nullptr) {
-    tseen = table_name_written_;
-    rseen = rule_name_written_;
-    nseen = node_written_;
-  }
   for (const Event& e : events_) {
     total += serialized_bytes(e);
     const TableId tid = pool_.table(e.tuple);
@@ -451,117 +378,17 @@ void EventLog::replay_spilled(
 void EventLog::for_each_event(
     const std::function<void(const Event&)>& fn) const {
   if (spill_ != nullptr) replay_spilled(fn);
-  DecodeCursor cur;
-  for (size_t i = 0; i < ckpt_offsets_.size(); ++i) fn(decode(i, cur));
   for (const Event& e : events_) fn(e);
 }
 
-void EventLog::load_checkpoint(std::span<const uint8_t> entries,
-                               std::span<const uint8_t> names) {
-  assert(size() == 0 && ckpt_.empty() && spill_ == nullptr &&
-         "load_checkpoint requires an empty log");
-  // Foreign 16-bit id -> this log's id, built while re-interning the
-  // checkpoint's own string-table section. Decode never consults the
-  // writer's id space: a checkpoint from a differently-interned engine
-  // lands on whatever ids THIS log assigns.
-  std::vector<uint32_t> table_map;
-  std::vector<uint32_t> rule_map;
-  std::vector<uint32_t> node_map;
-  auto map_set = [](std::vector<uint32_t>& m, uint16_t from, uint32_t to) {
-    if (from >= m.size()) m.resize(from + 1, ~uint32_t{0});
-    m[from] = to;
-  };
-  ckpt_names_.assign(names.begin(), names.end());
-  for (size_t pos = 0; pos < ckpt_names_.size();) {
-    uint8_t* rec = ckpt_names_.data() + pos;
-    const uint8_t kind = rec[0];
-    const uint16_t foreign = ckpt::get_u16(rec + 1);
-    if (kind == ckpt::kNameNode) {
-      const uint8_t* vp = rec + 3;
-      const Value node = ckpt::get_value(vp);
-      const NodeRef live = intern_node(node);
-      map_set(node_map, foreign, live);
-      first_ref(node_written_, live);
-      ckpt::set_u16(rec + 1, static_cast<uint16_t>(live));
-      pos += static_cast<size_t>(vp - rec);
-    } else {
-      const uint16_t len = ckpt::get_u16(rec + 3);
-      const std::string name(reinterpret_cast<const char*>(rec + 5), len);
-      uint32_t live;
-      if (kind == ckpt::kNameTable) {
-        live = names_->intern(name);
-        map_set(table_map, foreign, live);
-        first_ref(table_name_written_, live);
-      } else {
-        live = intern_rule(name);
-        map_set(rule_map, foreign, live);
-        first_ref(rule_name_written_, live);
-      }
-      assert(live < 0xffff);
-      ckpt::set_u16(rec + 1, static_cast<uint16_t>(live));
-      pos += 1 + 2 + 2 + len;
-    }
-  }
-  // Install the entry bytes, patching each header's u16 ids in place and
-  // interning every row so decode()'s pool lookup hits.
-  ckpt_.assign(entries.begin(), entries.end());
-  for (size_t pos = 0; pos < ckpt_.size();) {
-    uint8_t* h = ckpt_.data() + pos;
-    const uint32_t payload_len = ckpt::get_u32(h + ckpt::kPayloadLenOffset);
-    const uint16_t foreign_tid = ckpt::get_u16(h + ckpt::kTableIdOffset);
-    assert(foreign_tid < table_map.size());
-    const uint32_t live_tid = table_map[foreign_tid];
-    ckpt::set_u16(h + ckpt::kTableIdOffset, static_cast<uint16_t>(live_tid));
-    const uint16_t foreign_rule = ckpt::get_u16(h + ckpt::kRuleIdOffset);
-    if (foreign_rule != ckpt::kNoRuleSerialized) {
-      assert(foreign_rule < rule_map.size());
-      ckpt::set_u16(h + ckpt::kRuleIdOffset,
-                    static_cast<uint16_t>(rule_map[foreign_rule]));
-    }
-    const uint16_t foreign_node = ckpt::get_u16(h + ckpt::kNodeIdOffset);
-    assert(foreign_node < node_map.size());
-    ckpt::set_u16(h + ckpt::kNodeIdOffset,
-                  static_cast<uint16_t>(node_map[foreign_node]));
-    const uint16_t nvals = ckpt::get_u16(h + ckpt::kNValsOffset);
-    const uint8_t* vp = h + ckpt::kHeaderBytes;
-    Row row;
-    row.reserve(nvals);
-    for (uint16_t i = 0; i < nvals; ++i) row.push_back(ckpt::get_value(vp));
-    pool_.intern(static_cast<TableId>(live_tid), row);
-    ckpt_offsets_.push_back(pos);
-    pos += ckpt::kHeaderBytes + payload_len;
-  }
-  base_id_ = ckpt_offsets_.size();
-}
-
 void EventLog::set_spill(CheckpointSink* sink) {
-  if (sink == spill_) return;
   spill_ = sink;
-  // Dedup unit changes (whole-log for RAM, per-section for a sink): reset
-  // so the next compact re-emits every name it references.
-  table_name_written_.clear();
-  rule_name_written_.clear();
-  node_written_.clear();
-  if (sink == nullptr) return;
-  if (!ckpt_offsets_.empty()) {
-    // Drain the existing RAM checkpoint into the sink as one section.
-    assert(sink->events() == 0 && "cannot merge a RAM checkpoint into a "
-                                  "sink that already holds events");
-    // A sink that rejects the drain (already degraded) keeps the RAM
-    // checkpoint in place — clearing it would lose the events.
-    if (spill_->append_section(base_id_ - ckpt_offsets_.size(),
-                               ckpt_offsets_.size(), ckpt_, ckpt_names_)) {
-      ckpt_.clear();
-      ckpt_offsets_.clear();
-      ckpt_names_.clear();
-    }
-  }
   // Recovery continuation: the caller recovered `sink` from disk, replayed
   // it into this engine (re-interning every tuple), and is now attaching
   // it. Events the sink already holds durably are dropped from the live
   // suffix here — the in-RAM equivalent of compacting them, minus the
   // serialization that already happened in a previous life.
-  if (sink->events() > base_id_) {
+  if (sink != nullptr && sink->events() > base_id_) {
     const size_t durable = sink->events() - base_id_;
     assert(durable <= events_.size() &&
            "sink holds events this log never saw");
@@ -578,12 +405,6 @@ void EventLog::clear() {
   head_index_.clear();
   body_index_.clear();
   body_links_.clear();
-  ckpt_.clear();
-  ckpt_offsets_.clear();
-  ckpt_names_.clear();
-  table_name_written_.clear();
-  rule_name_written_.clear();
-  node_written_.clear();
   spill_ = nullptr;  // caller owns the sink (and its files)
   base_id_ = 0;
 }

@@ -23,30 +23,25 @@
 //
 // Table names resolve through an ndlog::Catalog: an engine attach()es its
 // own catalog (so TableIds match the engine's id space); a standalone log
-// (checkpoint decoding, tests) owns a private catalog and interns lazily.
+// (tests) owns a private catalog and interns lazily.
 //
-// The log is checkpointable: compact() serializes the oldest events into a
-// fixed-header format (Section 5.4, layout in eval/ckpt_format.h) and
-// drops their in-memory Event copies, so the record no longer grows
-// without bound. Table and rule names are written once per checkpoint
-// section into a string-table section (ckpt names blob) the first time an
-// id is referenced; entries store the 16-bit ids. Ids stay stable across
-// compaction — the id space is [0, size()), of which [base_id(), size())
-// is held live — and replay (backtest::replay_base_stream) walks
-// checkpoint + live suffix through for_each_event(). TupleRefs survive
-// compaction: the pool is never truncated, so handles held by the history
-// store or table entries remain valid (pinned by
+// The log is checkpointable into one place, an attached CheckpointSink
+// (src/storage's durable segment store, set_spill()): compact() serializes
+// the oldest events into a fixed-header format (Section 5.4, layout in
+// eval/ckpt_format.h), hands the section to the sink and drops the
+// in-memory Event copies, so the record no longer grows without bound.
+// Table and rule names are written once per section into a string-table
+// record blob the first time an id is referenced; entries store the
+// 16-bit ids. Without a usable sink (none attached, or one that latched
+// failed()) compact() moves nothing and the events stay live: durability
+// is lost, never events. Ids stay stable across compaction — the id space
+// is [0, size()), of which [base_id(), size()) is held live — and replay
+// (backtest::replay_base_stream) walks the spilled prefix plus the live
+// suffix through for_each_event(), decoding the prefix with the sink's
+// standalone reader (storage::SegmentReader, the one checkpoint decoder).
+// TupleRefs survive compaction: the pool is never truncated, so handles
+// held by the history store or table entries remain valid (pinned by
 // tests/tuple_pool_test.cpp).
-//
-// Checkpoints are recovery artifacts, not views of the live interners:
-// load_checkpoint() installs a serialized checkpoint written by ANOTHER
-// log as this log's compacted prefix, translating every 16-bit id through
-// the checkpoint's own string-table section (never by assuming the writer
-// shared this log's id space). A CheckpointSink (src/storage's durable
-// segment store) can be attached with set_spill(): compact() sections
-// then rotate into append-only segment files instead of accumulating in
-// RAM, and for_each_event() streams the spilled prefix back through the
-// sink's standalone decoder.
 #pragma once
 
 #include <cassert>
@@ -99,15 +94,14 @@ enum class EventKind : uint8_t {
 
 const char* to_string(EventKind k);
 
-// Tag bit marking a checkpoint-decoded Event whose causes live outside
-// the arena: the low 31 bits of causes_begin then hold a slot index into
-// the log's cursor-buffer registry (cursor_bufs_), where the producing
-// DecodeCursor (or the spilled-prefix replay) publishes the address of
-// its own cause buffer. A span taken from one decode therefore survives
-// decodes through other cursors, exactly as the PR 7 tagged-pointer
-// scheme guaranteed — the indirection exists because a 64-bit pointer no
-// longer fits the 32-bit field. The bit is unreachable as a real arena
-// offset (append asserts the arena stays below 2^31 ids).
+// Tag bit marking a spill-decoded Event whose causes live outside the
+// arena: the low 31 bits of causes_begin then hold a slot index into the
+// log's cursor-buffer registry (cursor_bufs_), where the producing walk of
+// the spilled prefix publishes the address of its reader's cause buffer.
+// Every walk holds its own slot, so a span taken from one walk survives
+// a nested walk of the same prefix — the indirection exists because a
+// 64-bit pointer does not fit the 32-bit field. The bit is unreachable as
+// a real arena offset (append asserts the arena stays below 2^31 ids).
 inline constexpr uint32_t kDecodedCauseTag = 1u << 31;
 
 // 32-byte event record (wave 3; was 40 bytes, before that 48).
@@ -167,10 +161,10 @@ struct DerivRecord {
 };
 
 // A checkpoint entry decoded with no pool, catalog or engine attached:
-// names and location values are materialized from the checkpoint's own
-// string-table section. This is what the durable segment store's
+// names and location values are materialized from the section's own
+// string-table records. This is what the durable segment store's
 // standalone reader yields (storage::SegmentReader) and what the EventLog
-// re-interns into pool-backed Events when replaying its spilled prefix.
+// looks up as pool-backed Events when replaying its spilled prefix.
 // Views point into the producing reader's scratch and are valid only
 // until it decodes the next entry.
 struct RawEvent {
@@ -184,28 +178,28 @@ struct RawEvent {
   std::span<const EventId> causes;
 };
 
-// A durable home for compacted checkpoint sections. src/storage
-// implements this over append-only segment files; the log hands every
-// compact() section to the sink (dropping the RAM copy) and streams the
-// spilled prefix back through replay_raw() when walking the full record.
+// The home for compacted checkpoint sections. src/storage implements this
+// over append-only segment files; the log hands every compact() section
+// to the sink (dropping the live Events) and streams the spilled prefix
+// back through replay_raw() when walking the full record.
 class CheckpointSink {
  public:
   virtual ~CheckpointSink() = default;
   // Appends one serialized checkpoint section: `entries` covers events
   // [first_id, first_id + count) in the eval/ckpt_format.h entry layout,
   // `names` holds the string-table records the section references (each
-  // section is self-contained: the log resets its name dedup per section
-  // so a sink may rotate to a new segment file at any section boundary).
+  // section is self-contained: the log dedups names per section, so a
+  // sink may rotate to a new segment file at any section boundary).
   // Returns true iff the sink accepted the section (it then counts toward
   // events() and replays through replay_raw). A sink that has latched
-  // failed() returns false; compact() then keeps the section in RAM
-  // instead — graceful degradation, no event is lost in-process.
+  // failed() returns false; compact() then leaves the events live —
+  // graceful degradation, no event is lost in-process.
   virtual bool append_section(EventId first_id, size_t count,
                               std::span<const uint8_t> entries,
                               std::span<const uint8_t> names) = 0;
   // Sticky terminal-failure latch: once true, every future append_section
-  // returns false and the log stops offering sections (the sink's
-  // existing events stay replayable).
+  // returns false and compact() stops serializing (the sink's existing
+  // events stay replayable).
   virtual bool failed() const { return false; }
   // Streams events [0, events()) in id order; `fn` returns false to stop.
   virtual void replay_raw(
@@ -355,11 +349,11 @@ class EventLog {
   // span points into the cause arena: valid until the next append (which
   // may reallocate the arena) or compact (which may drop the prefix —
   // a copy of an event compacted since it was taken yields an empty
-  // span; resolve through for_each_event instead). For checkpoint-decoded
-  // events the span points into the producing DecodeCursor's (or segment
-  // reader's) own buffer: valid until THAT cursor decodes its next entry,
-  // so nested iteration — holding one decode's causes while another
-  // cursor decodes — is safe (pinned by history_test).
+  // span; resolve through for_each_event instead). For spill-decoded
+  // events the span points into the producing walk's segment-reader
+  // buffer: valid until THAT walk decodes its next entry, so nested
+  // iteration — holding one walk's causes while another walks the
+  // spilled prefix — is safe (pinned by history_test).
   std::span<const EventId> causes_of(const Event& e) const;
 
   // Handle resolution.
@@ -434,99 +428,48 @@ class EventLog {
   Time now() const { return size(); }
 
   // --- checkpoint + truncate (event-log compaction, Section 5.4) -------
-  // Serializes all but the newest `keep_live` live events into the
-  // checkpoint (the RAM buffer, or the attached CheckpointSink) and
-  // erases their Event structs. Returns the number of events compacted.
-  // Compaction stops early at the first event that exceeds the format's
-  // u16 fields (a >64 KiB string, >65535 row values / causes, or a
-  // table/rule id >= 0xffff — nothing the runtime produces): such an
+  // Serializes all but the newest `keep_live` live events into one section
+  // for the attached CheckpointSink and erases their Event structs.
+  // Returns the number of events compacted: 0, with every event left live
+  // and nothing serialized, when no sink is attached or the sink has
+  // latched failed(); also 0 for the events of a section the sink
+  // rejects. Compaction stops early at the first event that exceeds the
+  // format's u16 fields (a >64 KiB string, >65535 row values / causes, or
+  // a table/rule id >= 0xffff — nothing the runtime produces): such an
   // event and everything after it stay live rather than corrupting the
   // decode. Derivation records (and the TuplePool) are unaffected;
   // derive_event ids remain resolvable via event_time().
   size_t compact(size_t keep_live = 0);
   EventId base_id() const { return base_id_; }
   size_t live_size() const { return events_.size(); }
-  // Serialized checkpoint footprint: spilled segment bytes (if a sink is
-  // attached) plus RAM entry bytes plus the string-table (names) section.
-  size_t checkpoint_bytes() const {
-    return spilled_bytes() + ckpt_.size() + ckpt_names_.size();
-  }
   // Timestamp of any event, live or checkpointed: times are assigned
-  // densely in append order, so this is id + 1 (the checkpoint stores the
-  // explicit u64 too, for the on-disk format's sake).
+  // densely in append order, so this is id + 1.
   Time event_time(EventId id) const { return id + 1; }
 
-  // Per-cursor decode state: each cursor owns the cause storage for the
-  // checkpoint entries it decodes. On first decode the cursor acquires a
-  // slot in the log's cursor-buffer registry; the decoded Event's
-  // causes_begin carries kDecodedCauseTag plus that slot index, and the
-  // registry entry is refreshed to the cursor's current buffer address on
-  // every decode (the buffer may reallocate). A cursor's current event
-  // and causes stay valid until ITS next decode — never clobbered by
-  // another cursor. The destructor releases the slot; a cursor must not
-  // outlive the log it decoded from (all current uses are call-scoped).
-  class DecodeCursor {
-   public:
-    DecodeCursor() = default;
-    ~DecodeCursor();
-    DecodeCursor(const DecodeCursor&) = delete;
-    DecodeCursor& operator=(const DecodeCursor&) = delete;
-
-    std::span<const EventId> causes() const {
-      return {causes_.data(), causes_.size()};
-    }
-
-   private:
-    friend class EventLog;
-    std::vector<EventId> causes_;
-    const EventLog* owner_ = nullptr;  // set once a registry slot is held
-    uint32_t slot_ = 0;
-  };
-
   // Walks the full event sequence in id order: the spilled prefix (sink
-  // replay, re-interned into this log's pool), then RAM-checkpointed
-  // entries decoded through a local cursor, then the live suffix in
+  // replay, resolved against this log's pool), then the live suffix in
   // place. Each decoded Event is valid only for the duration of the call.
   void for_each_event(const std::function<void(const Event&)>& fn) const;
 
-  // Installs a serialized checkpoint — the exact bytes
-  // checkpoint_entries()/checkpoint_names() expose — as this log's
-  // compacted prefix. The log must be empty. Every 16-bit id in the
-  // entries is translated through the checkpoint's OWN string-table
-  // section (names re-interned into this log's catalog/interners, rows
-  // interned into its pool), so a checkpoint written by a
-  // differently-interned engine decodes identically here — decode never
-  // assumes the writer shared this log's id space (pinned by
-  // history_test's scrambled-catalog round trip).
-  void load_checkpoint(std::span<const uint8_t> entries,
-                       std::span<const uint8_t> names);
-  // The RAM checkpoint sections in serialized form (a sink-attached log
-  // keeps these empty; the bytes live in the segment files instead).
-  std::span<const uint8_t> checkpoint_entries() const { return ckpt_; }
-  std::span<const uint8_t> checkpoint_names() const { return ckpt_names_; }
-
-  // Attaches (or detaches, with nullptr) a durable checkpoint sink.
-  // Subsequent compact() sections go to the sink instead of RAM; an
-  // existing RAM checkpoint is drained into it first, and live events the
-  // sink already holds (recovery continuation: the caller replayed the
-  // sink into this engine, then attached it) are dropped from RAM as
-  // already-durable. Name dedup resets so every section is
-  // self-contained. The sink must outlive the log (or be detached first).
+  // Attaches (or detaches, with nullptr) the checkpoint sink. Live events
+  // the sink already holds (recovery continuation: the caller replayed
+  // the sink into this engine, then attached it) are dropped from RAM as
+  // already-durable. The sink must outlive the log (or be detached
+  // first).
   void set_spill(CheckpointSink* sink);
   CheckpointSink* spill() const { return spill_; }
 
   // Exact size of `e`'s entry in the serialized checkpoint format (header
   // + row values + cause ids; names and node values are accounted
-  // separately, once per distinct id). byte_estimate() sums this over all
-  // events plus the name records.
+  // separately, once per distinct id). byte_estimate() sums this over the
+  // live events plus the name records.
   size_t serialized_bytes(const Event& e) const;
 
-  // On-disk footprint of the log in the serialized format: bytes already
-  // written durably (segment files when a sink is attached — exact,
-  // framing included — plus any RAM checkpoint sections) plus what
-  // compacting the live suffix would add in entry + name-record payload
-  // (computed on demand — it's a cold accessor, and append stays free of
-  // accounting work).
+  // On-disk footprint of the log in the serialized format: the sink's
+  // bytes (exact, file headers and chunk framing included) plus what
+  // compacting the live suffix in one section would add in entry +
+  // name-record payload (computed on demand — it's a cold accessor, and
+  // append stays free of accounting work).
   size_t byte_estimate() const;
   // Total events ever appended (compacted + live); ids are dense in
   // [0, size()).
@@ -536,15 +479,8 @@ class EventLog {
  private:
   ndlog::Catalog& names() { return *names_; }
   const ndlog::Catalog& names() const { return *names_; }
-  void write_name_record(std::vector<uint8_t>& out, uint8_t kind, uint16_t id,
-                         const std::string& name);
-  void write_node_record(std::vector<uint8_t>& out, uint16_t id,
-                         const Value& node);
   bool fits_checkpoint_format(const Event& e) const;
   void serialize(const Event& e, std::vector<uint8_t>& out) const;
-  // Decodes RAM-checkpoint entry `entry` (index into ckpt_offsets_) into
-  // `cur`'s storage.
-  Event decode(size_t entry, DecodeCursor& cur) const;
   // Erases the oldest `n` live Event structs (after they became durable)
   // and drops the cause-arena prefix they owned.
   void drop_live_prefix(size_t n);
@@ -552,9 +488,6 @@ class EventLog {
   // name/node/tuple in a self-spilled prefix is already interned, so this
   // is pure lookup — never an intern).
   void replay_spilled(const std::function<void(const Event&)>& fn) const;
-  size_t spilled_bytes() const {
-    return spill_ != nullptr ? spill_->bytes() : 0;
-  }
 
   ndlog::Catalog* names_ = nullptr;  // attached or own_names_.get()
   std::unique_ptr<ndlog::Catalog> own_names_;
@@ -594,23 +527,13 @@ class EventLog {
   std::vector<uint32_t> body_index_;       // by body TupleRef: newest link
   std::vector<BodyLink> body_links_;       // parallel to body_arena_
 
-  std::vector<uint8_t> ckpt_;          // serialized compacted entries (RAM)
-  std::vector<size_t> ckpt_offsets_;   // entry i starts at ckpt_[offsets[i]]
-  std::vector<uint8_t> ckpt_names_;    // string-table section (names, once)
-  // Name-dedup per checkpoint unit: once per log lifetime for the RAM
-  // checkpoint, reset per section when a sink is attached (each spilled
-  // section must be self-contained so segments can rotate between any
-  // two sections).
-  std::vector<uint8_t> table_name_written_;  // by TableId
-  std::vector<uint8_t> rule_name_written_;   // by RuleId
-  std::vector<uint8_t> node_written_;        // by NodeRef
   CheckpointSink* spill_ = nullptr;
   EventId base_id_ = 0;
 
-  // Cursor-buffer registry (see DecodeCursor): slot -> current cause
-  // buffer of the holding cursor. Mutable because decoding is a const
+  // Cursor-buffer registry (see kDecodedCauseTag): slot -> current cause
+  // buffer of the walk holding it. Mutable because decoding is a const
   // read of the log. The free list recycles released slots so the
-  // registry stays as small as the peak number of live cursors.
+  // registry stays as small as the peak number of nested walks.
   uint32_t acquire_cursor_slot() const {
     if (!cursor_free_.empty()) {
       const uint32_t s = cursor_free_.back();
@@ -627,9 +550,5 @@ class EventLog {
   mutable std::vector<const EventId*> cursor_bufs_;
   mutable std::vector<uint32_t> cursor_free_;
 };
-
-inline EventLog::DecodeCursor::~DecodeCursor() {
-  if (owner_ != nullptr) owner_->release_cursor_slot(slot_);
-}
 
 }  // namespace mp::eval

@@ -35,7 +35,7 @@ void explain_ref(const eval::Engine& engine, ProvenanceGraph& g, size_t parent,
       v.node = v.tuple.location();
       v.rule = log.rule_name(rec.rule);
       // event_time (not event()): the derive event may already have been
-      // compacted into the log's checkpoint.
+      // compacted into the log's segment store.
       v.time = log.event_time(rec.derive_event);
       const size_t idx = g.add(std::move(v));
       g.link(parent, idx);

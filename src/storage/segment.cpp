@@ -96,13 +96,123 @@ void SegmentReader::validate() {
     return;  // files must open with a header
   }
   ok_ = true;
-  valid_bytes_ = begin_;
-  // Walk chunks; the valid prefix ends at the first torn or out-of-place
-  // chunk. valid_bytes_ only advances past a complete section (its
-  // entries chunk): a trailing lone names chunk carries no events and is
-  // dropped with the tail.
+  valid_bytes_ = walk(size_, nullptr, events_);
+}
+
+size_t SegmentReader::for_each(
+    const std::function<bool(const eval::RawEvent&)>& fn) const {
+  if (!ok_) return 0;
+  size_t visited = 0;
+  walk(valid_bytes_, &fn, visited);
+  return visited;
+}
+
+namespace {
+
+// One section's string tables, rebuilt at every names chunk (sections
+// are self-contained). Name views point into the mapped bytes; node
+// Values are materialized once per record.
+struct SectionNames {
+  std::vector<std::string_view> tables;
+  std::vector<std::string_view> rules;
+  std::vector<Value> nodes;
+};
+
+// Decodes a names-chunk payload [p, end). False if a record runs past
+// the payload or has an unknown kind.
+bool decode_names(const uint8_t* p, const uint8_t* end, SectionNames& out) {
+  out.tables.clear();
+  out.rules.clear();
+  out.nodes.clear();
+  while (p < end) {
+    if (end - p < 3) return false;
+    const uint8_t kind = p[0];
+    const uint16_t id = ckpt::get_u16(p + 1);
+    p += 3;
+    if (kind == ckpt::kNameNode) {
+      Value v;
+      if (!ckpt::get_value(p, end, &v)) return false;
+      if (id >= out.nodes.size()) out.nodes.resize(id + 1);
+      out.nodes[id] = std::move(v);
+      continue;
+    }
+    if (kind != ckpt::kNameTable && kind != ckpt::kNameRule) return false;
+    if (end - p < 2) return false;
+    const uint16_t len = ckpt::get_u16(p);
+    p += 2;
+    if (end - p < len) return false;
+    auto& names = kind == ckpt::kNameTable ? out.tables : out.rules;
+    if (id >= names.size()) names.resize(id + 1);
+    names[id] = std::string_view(reinterpret_cast<const char*>(p), len);
+    p += len;
+  }
+  return true;
+}
+
+// Decodes the entry at `p` (which must end by `end`) against `names`,
+// filling `re` and, when `row` is non-null, the row values and causes.
+// Returns the next entry's start, or nullptr if the entry is malformed:
+// its header or payload runs past `end`, its kind or an id is unknown, or
+// its values plus causes do not fill payload_len exactly.
+const uint8_t* decode_entry(const uint8_t* p, const uint8_t* end,
+                            const SectionNames& names, eval::RawEvent& re,
+                            Row* row, std::vector<eval::EventId>* causes) {
+  if (static_cast<size_t>(end - p) < ckpt::kHeaderBytes) return nullptr;
+  const uint8_t kind = p[ckpt::kKindOffset];
+  const uint8_t ncauses = p[ckpt::kNCausesOffset];
+  const uint16_t table_id = ckpt::get_u16(p + ckpt::kTableIdOffset);
+  const uint16_t rule_id = ckpt::get_u16(p + ckpt::kRuleIdOffset);
+  const uint16_t nvals = ckpt::get_u16(p + ckpt::kNValsOffset);
+  const uint16_t node_id = ckpt::get_u16(p + ckpt::kNodeIdOffset);
+  const uint32_t payload_len = ckpt::get_u32(p + ckpt::kPayloadLenOffset);
+  const uint8_t* q = p + ckpt::kHeaderBytes;
+  if (static_cast<size_t>(end - q) < payload_len) return nullptr;
+  const uint8_t* next = q + payload_len;
+  if (kind > static_cast<uint8_t>(eval::EventKind::Receive) ||
+      table_id >= names.tables.size() || node_id >= names.nodes.size() ||
+      (rule_id != ckpt::kNoRuleSerialized && rule_id >= names.rules.size())) {
+    return nullptr;
+  }
+  if (row != nullptr) row->clear();
+  for (uint16_t v = 0; v < nvals; ++v) {
+    Value val;
+    if (!ckpt::get_value(q, next, row != nullptr ? &val : nullptr)) {
+      return nullptr;
+    }
+    if (row != nullptr) row->push_back(std::move(val));
+  }
+  if (static_cast<size_t>(next - q) != 8u * ncauses) return nullptr;
+  if (causes != nullptr) {
+    causes->clear();
+    for (; q < next; q += 8) causes->push_back(ckpt::get_u64(q));
+  }
+  re.tags = ckpt::get_u64(p);
+  re.kind = static_cast<eval::EventKind>(kind);
+  re.table = names.tables[table_id];
+  re.rule = rule_id == ckpt::kNoRuleSerialized ? std::string_view{}
+                                               : names.rules[rule_id];
+  re.node = &names.nodes[node_id];
+  return next;
+}
+
+}  // namespace
+
+size_t SegmentReader::walk(size_t limit, const EventFn* fn,
+                           size_t& events) const {
+  // Every read below is bounds-checked against the chunk (and so the
+  // mapping): CRCs only prove the bytes are the ones written, not that a
+  // writer wrote them well, and segment files are input from outside the
+  // process. The walk ends at the first torn, out-of-place or malformed
+  // chunk; the returned end only advances past a complete section (its
+  // entries chunk), so a trailing lone names chunk carries no events and
+  // is dropped with the tail.
+  SectionNames names;
+  Row row;
+  std::vector<eval::EventId> causes;
+  uint64_t next_id = first_id_;
+  size_t section_end = begin_;
   size_t pos = begin_;
-  while (pos + kChunkHeaderBytes <= size_) {
+  while (limit - pos >= kChunkHeaderBytes) {
     const uint8_t* h = data_ + pos;
     if (ckpt::get_u32(h) != kChunkMagic) break;
     if (crc32(h, kChunkHeaderBytes - 4) !=
@@ -114,109 +224,41 @@ void SegmentReader::validate() {
     const uint32_t count = ckpt::get_u32(h + 16);
     const uint32_t payload_len = ckpt::get_u32(h + 20);
     if (kind != kChunkNames && kind != kChunkEntries) break;
-    if (pos + kChunkHeaderBytes + payload_len > size_) break;  // torn tail
-    const uint8_t* payload = h + kChunkHeaderBytes;
-    if (crc32(payload, payload_len) != ckpt::get_u32(h + 24)) break;
-    if (kind == kChunkEntries) {
-      // Sections must cover a contiguous id range from the file header's
-      // first id: a gap means lost data, not a usable suffix.
-      if (chunk_first != first_id_ + events_) break;
-      events_ += count;
-      valid_bytes_ = pos + kChunkHeaderBytes + payload_len;
-    }
-    pos += kChunkHeaderBytes + payload_len;
-  }
-}
-
-size_t SegmentReader::for_each(
-    const std::function<bool(const eval::RawEvent&)>& fn) const {
-  if (!ok_) return 0;
-  // Per-segment name tables, rebuilt at every names chunk (each section
-  // is self-contained). Name/rule views point into the mmap; node Values
-  // are materialized once per record.
-  std::vector<std::string_view> tables;
-  std::vector<std::string_view> rules;
-  std::vector<Value> nodes;
-  Row row;
-  std::vector<eval::EventId> causes;
-  size_t visited = 0;
-  size_t pos = begin_;
-  while (pos + kChunkHeaderBytes <= valid_bytes_) {
-    const uint8_t* h = data_ + pos;
-    const uint8_t kind = h[4];
-    const uint32_t count = ckpt::get_u32(h + 16);
-    const uint32_t payload_len = ckpt::get_u32(h + 20);
+    if (limit - pos - kChunkHeaderBytes < payload_len) break;  // torn tail
     const uint8_t* p = h + kChunkHeaderBytes;
     const uint8_t* end = p + payload_len;
+    // The validating pass (no fn) checks payload CRCs; the decoding pass
+    // only walks the prefix that pass accepted.
+    if (fn == nullptr && crc32(p, payload_len) != ckpt::get_u32(h + 24)) {
+      break;
+    }
     if (kind == kChunkNames) {
-      tables.clear();
-      rules.clear();
-      nodes.clear();
-      while (p < end) {
-        const uint8_t rec_kind = *p++;
-        const uint16_t id = ckpt::get_u16(p);
-        p += 2;
-        if (rec_kind == ckpt::kNameNode) {
-          Value v = ckpt::get_value(p);
-          if (id >= nodes.size()) nodes.resize(id + 1);
-          nodes[id] = std::move(v);
-        } else {
-          const uint16_t len = ckpt::get_u16(p);
-          p += 2;
-          const std::string_view name(reinterpret_cast<const char*>(p), len);
-          p += len;
-          auto& table = rec_kind == ckpt::kNameTable ? tables : rules;
-          if (id >= table.size()) table.resize(id + 1);
-          table[id] = name;
-        }
-      }
+      if (!decode_names(p, end, names)) break;
     } else {
-      const uint64_t chunk_first = ckpt::get_u64(h + 8);
-      for (uint32_t i = 0; i < count && p < end; ++i) {
+      // Sections must cover a contiguous id range from the file header's
+      // first id: a gap means lost data, not a usable suffix.
+      if (chunk_first != next_id) break;
+      // A section counts only if all `count` entries decode and exactly
+      // fill the payload.
+      for (uint32_t i = 0; i < count && p != nullptr; ++i) {
         eval::RawEvent re;
-        // v2 entries carry no time; ids are dense from the chunk header.
-        re.id = chunk_first + i;
-        re.tags = ckpt::get_u64(p);
-        re.kind = static_cast<eval::EventKind>(p[ckpt::kKindOffset]);
-        const uint8_t ncauses = p[ckpt::kNCausesOffset];
-        const uint16_t table_id = ckpt::get_u16(p + ckpt::kTableIdOffset);
-        const uint16_t rule_id = ckpt::get_u16(p + ckpt::kRuleIdOffset);
-        const uint16_t nvals = ckpt::get_u16(p + ckpt::kNValsOffset);
-        const uint16_t node_id = ckpt::get_u16(p + ckpt::kNodeIdOffset);
-        const uint32_t entry_payload =
-            ckpt::get_u32(p + ckpt::kPayloadLenOffset);
-        const uint8_t* next = p + ckpt::kHeaderBytes + entry_payload;
-        // CRC already vouched for the bytes; these guards keep a
-        // miswritten (not torn) file from walking out of bounds.
-        if (next > end || table_id >= tables.size() ||
-            node_id >= nodes.size() ||
-            (rule_id != ckpt::kNoRuleSerialized && rule_id >= rules.size())) {
-          return visited;
-        }
-        p += ckpt::kHeaderBytes;
-        row.clear();
-        row.reserve(nvals);
-        for (uint16_t v = 0; v < nvals; ++v) row.push_back(ckpt::get_value(p));
-        causes.clear();
-        causes.reserve(ncauses);
-        for (uint16_t c = 0; c < ncauses; ++c) {
-          causes.push_back(ckpt::get_u64(p));
-          p += 8;
-        }
-        re.table = tables[table_id];
-        re.rule = rule_id == ckpt::kNoRuleSerialized ? std::string_view{}
-                                                     : rules[rule_id];
-        re.node = &nodes[node_id];
+        re.id = chunk_first + i;  // v2 entries carry no time
+        p = decode_entry(p, end, names, re, fn != nullptr ? &row : nullptr,
+                         fn != nullptr ? &causes : nullptr);
+        if (p == nullptr || fn == nullptr) continue;
         re.row = &row;
         re.causes = {causes.data(), causes.size()};
-        ++visited;
-        if (!fn(re)) return visited;
-        p = next;
+        ++events;
+        if (!(*fn)(re)) return section_end;
       }
+      if (p != end) break;
+      next_id += count;
+      if (fn == nullptr) events += count;
+      section_end = pos + kChunkHeaderBytes + payload_len;
     }
     pos += kChunkHeaderBytes + payload_len;
   }
-  return visited;
+  return section_end;
 }
 
 }  // namespace mp::storage

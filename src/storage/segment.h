@@ -21,11 +21,14 @@
 //
 // Recovery invariant: a crash can tear only the tail. SegmentReader walks
 // chunks front to back and stops at the first invalid header, CRC
-// mismatch, payload overrun, or id discontinuity; valid_bytes() is the
-// end of the last complete section before that point, so truncating the
-// file there (SegmentStore does on open) yields exactly the durable
-// prefix. The kill-at-every-byte sweep in tests/storage_test.cpp pins
-// this for all truncation offsets.
+// mismatch, payload overrun, id discontinuity, or section that does not
+// decode (an entry or name record running past its chunk, an unknown id
+// or kind); valid_bytes() is the end of the last complete section before
+// that point, so truncating the file there (SegmentStore does on open)
+// yields exactly the durable prefix. Every read is bounds-checked, so a
+// hostile file with valid CRCs ends the walk instead of reading out of
+// bounds. The kill-at-every-byte sweep and the hostile-segment case in
+// tests/storage_test.cpp pin this.
 #pragma once
 
 #include <array>
@@ -90,7 +93,8 @@ class SegmentReader {
   // holds no events and zero valid bytes.
   bool ok() const { return ok_; }
   uint64_t first_id() const { return first_id_; }
-  // Events in the valid (CRC-complete, id-contiguous) prefix.
+  // Events in the valid (CRC-complete, id-contiguous, well-formed) prefix;
+  // for_each visits exactly these.
   size_t events() const { return events_; }
   // Byte length of the valid prefix: end of its last complete section.
   // valid_bytes() < file_bytes() means a torn tail was detected.
@@ -102,7 +106,14 @@ class SegmentReader {
   size_t for_each(const std::function<bool(const eval::RawEvent&)>& fn) const;
 
  private:
+  using EventFn = std::function<bool(const eval::RawEvent&)>;
   void validate();
+  // The one chunk walk behind validate() (fn null: check CRCs, count
+  // events) and for_each() (stream events through fn): decodes chunks
+  // from begin_ up to byte `limit`, adding each decoded event to
+  // `events`, and returns the end of the last complete, well-formed
+  // section.
+  size_t walk(size_t limit, const EventFn* fn, size_t& events) const;
 
   bool ok_ = false;
   bool mem_view_ = false;  // borrowed RAM stream: no munmap, header optional

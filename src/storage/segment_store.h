@@ -25,10 +25,11 @@
 // group buffer is RETAINED (never discarded), so the accepted event range
 // [0, events()) remains fully replayable in-process — replay_raw decodes
 // the durable file prefix, then the retained buffer via SegmentReader's
-// memory view. A failed() sink makes EventLog::compact() fall back to
-// in-RAM checkpoints, so no in-process event is ever lost; only
-// durability of the un-flushed tail is. Under kFailStop the latching call
-// throws storage::IoError instead (never from the destructor).
+// memory view. A failed() sink makes EventLog::compact() a no-op that
+// leaves every later event live, so no in-process event is ever lost;
+// only durability is (of the un-flushed tail and of everything after the
+// failure). Under kFailStop the latching call throws storage::IoError
+// instead (never from the destructor).
 #pragma once
 
 #include <cstdint>
@@ -44,7 +45,7 @@ namespace mp::storage {
 
 // What a terminal I/O error does to the store (SegmentStoreOptions).
 enum class ErrorPolicy : uint8_t {
-  kDegrade,   // latch sticky failed(); the engine continues on RAM ckpts
+  kDegrade,   // latch sticky failed(); later events stay live in RAM
   kFailStop,  // the failing call throws storage::IoError
 };
 

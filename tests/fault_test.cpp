@@ -49,13 +49,7 @@ std::string fresh_dir(const std::string& name) {
   return dir + "/segs";  // the store itself creates the leaf directory
 }
 
-// Canonical event line (same form as storage_test): the log's to_string
-// plus the cause list, so id/node/row/rule AND causal-link drift all fail.
-std::string log_line(const eval::EventLog& log, const eval::Event& ev) {
-  std::string out = log.to_string(ev);
-  for (eval::EventId c : log.causes_of(ev)) out += " <" + std::to_string(c) + ">";
-  return out;
-}
+using testutil::log_lines;
 
 std::string raw_line(const eval::RawEvent& re) {
   std::string out = eval::to_string(re.kind);
@@ -64,13 +58,6 @@ std::string raw_line(const eval::RawEvent& re) {
   if (!re.rule.empty()) out += ", rule=" + std::string(re.rule);
   out += ")";
   for (eval::EventId c : re.causes) out += " <" + std::to_string(c) + ">";
-  return out;
-}
-
-std::vector<std::string> log_lines(const eval::EventLog& log) {
-  std::vector<std::string> out;
-  log.for_each_event(
-      [&](const eval::Event& ev) { out.push_back(log_line(log, ev)); });
   return out;
 }
 
@@ -285,9 +272,9 @@ TEST(FaultSweep, StorageFailpointsByHitCountDegradeCleanly) {
         Engine e(ring_prog(), faulty_engine_opts(dir));
         run_storage_workload(e);
         // Zero in-process event loss, degraded or not: the full log —
-        // durable prefix, retained buffer, RAM-fallback checkpoints and
-        // live suffix stitched together — is byte-identical to the
-        // no-store reference.
+        // durable prefix, retained buffer and live suffix (every event
+        // compacted after the failure stays there) stitched together — is
+        // byte-identical to the no-store reference.
         EXPECT_EQ(log_lines(e.log()), want);
         const SegmentStore* store = e.segments();
         // short_write never makes a store fail (partial progress is not
@@ -393,8 +380,8 @@ TEST(FaultSweep, RetryExhaustionLatchesDegradedWithNoEventLoss) {
   EXPECT_EQ(e.segments()->status().code(), StatusCode::kRetryExhausted)
       << e.segments()->status().to_string();
   EXPECT_GT(e.segments()->retries(), 0u);
-  // Degraded, not lossy: RAM fallback + retained buffer keep the full
-  // sequence replayable in-process.
+  // Degraded, not lossy: the retained buffer plus the events left live
+  // keep the full sequence replayable in-process.
   EXPECT_EQ(log_lines(e.log()), want);
   reg.clear_all();
 }
@@ -421,12 +408,23 @@ TEST(FaultSweep, FailStopPolicyThrowsIoErrorAndEngineStaysUsable) {
   reg.clear_all();
 
   // After the throw the engine is still consistent: the failed store is
-  // sticky (no second throw), compaction falls back to RAM, inserts run.
+  // sticky (no second throw), compaction moves nothing, inserts run, and
+  // the accepted section plus the live suffix walk the full record.
+  const eval::Tuple extra{"Token", {Value(2), Value(77), Value(0)}};
   const size_t before = e.log().size();
-  e.insert(eval::Tuple{"Token", {Value(2), Value(77), Value(0)}});
+  e.insert(extra);
   EXPECT_GT(e.log().size(), before);
-  EXPECT_NO_THROW(e.log().compact(0));
-  EXPECT_EQ(e.log().live_size(), 0u);
+  const size_t live = e.log().live_size();
+  ASSERT_GT(live, 0u);
+  size_t compacted = 1;
+  EXPECT_NO_THROW(compacted = e.log().compact(0));
+  EXPECT_EQ(compacted, 0u);
+  EXPECT_EQ(e.log().live_size(), live);
+
+  Engine plain(ring_prog());
+  plain.insert_batch(trace);
+  plain.insert(extra);
+  EXPECT_EQ(log_lines(e.log()), log_lines(plain.log()));
 }
 
 TEST(FaultSweep, AttachTimeFaultYieldsInertStoreAndRamOnlyEngine) {
@@ -444,9 +442,11 @@ TEST(FaultSweep, AttachTimeFaultYieldsInertStoreAndRamOnlyEngine) {
   ASSERT_NE(e.segments(), nullptr);
   EXPECT_TRUE(e.segments()->failed());
   EXPECT_EQ(e.segments()->status().code(), StatusCode::kIoError);
-  // The engine never attached the failed store as a spill: it runs pure
-  // RAM checkpoints and stays byte-identical to the reference.
+  // The engine never attached the failed store as a spill: compaction
+  // has no home, every event stays live, and the log stays
+  // byte-identical to the reference.
   run_storage_workload(e);
+  EXPECT_EQ(e.log().base_id(), 0u);
   EXPECT_EQ(log_lines(e.log()), want);
   EXPECT_EQ(e.segments()->events(), 0u);
   reg.clear_all();

@@ -2,9 +2,11 @@
 //   - probe vs. linear-scan equivalence (randomized patterns over every
 //     scenario's real history, indexed path vs. forced-scan path vs. a
 //     hand-rolled filter — same tuples, same order),
-//   - checkpoint -> truncate -> replay round trip (identical final tables
-//     and event-sequence hash, byte accounting in the serialized format
-//     within 2x of the paper's ~120 B/entry),
+//   - checkpoint -> truncate -> replay round trip through the segment
+//     store (identical final tables and event-sequence hash, byte
+//     accounting in the serialized format within 2x of the paper's
+//     ~120 B/entry), compaction without a usable sink moving nothing, and
+//     a segment reload into a differently-interned catalog,
 //   - repair regression: the explorer's output (repair sets + costs) is
 //     byte-identical whether history lookups hit the secondary indexes or
 //     the ordered scan they replaced.
@@ -23,6 +25,8 @@
 #include "repair/forest.h"
 #include "scenarios/scenario.h"
 #include "sdn/topology.h"
+#include "storage/segment.h"
+#include "storage/segment_store.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -138,10 +142,11 @@ std::map<std::string, std::multiset<std::string>> table_snapshot(
 // FNV-1a over the (kind, tuple) sequence of the *full* log, checkpointed
 // prefix included (same hash the differential harness uses).
 using testutil::event_sequence_hash;
+using testutil::log_lines;
 
 TEST(EventLogCheckpoint, RoundTripReplayReproducesTablesAndHash) {
   const scenario::Scenario s = scenario::q1_copy_paste({});
-  Engine original(s.program);
+  Engine original(s.program, testutil::with_segments("history_round_trip"));
   original.insert_batch(scenario::engine_trace(s, 800));
   ASSERT_GT(original.log().size(), 100u);
 
@@ -159,23 +164,24 @@ TEST(EventLogCheckpoint, RoundTripReplayReproducesTablesAndHash) {
   EXPECT_EQ(original.log().live_size(), keep);
   EXPECT_EQ(original.log().base_id(), compacted);
   EXPECT_EQ(original.log().size(), want_events);
-  EXPECT_GT(original.log().checkpoint_bytes(), 0u);
-  EXPECT_EQ(original.log().byte_estimate(), want_bytes)
-      << "compaction must not change the serialized-format accounting";
+  EXPECT_GT(original.segments()->bytes(), 0u);
+  // Splitting the log into a spilled section and a live suffix adds only
+  // framing and the section's own name records.
+  EXPECT_GE(original.log().byte_estimate(), want_bytes);
   EXPECT_EQ(original.log().event_time(5), t5);
   EXPECT_EQ(event_sequence_hash(original.log()), want_hash)
-      << "checkpoint decode must reproduce the event sequence";
+      << "segment decode must reproduce the event sequence";
 
   // Storage accounting: the interned format stores 16-bit table/rule ids
-  // per entry (names once, in the checkpoint string table), so entries
+  // per entry (names once per section, in its string table), so entries
   // land below the paper's ~120 B/entry — but must stay in the same
-  // order of magnitude (32 B header + node + row values + causes).
+  // order of magnitude (22 B header + row values + causes).
   const double per_entry =
       static_cast<double>(want_bytes) / static_cast<double>(want_events);
   EXPECT_GE(per_entry, 40.0);
   EXPECT_LE(per_entry, 240.0);
 
-  // Replay checkpoint + live suffix into a fresh engine through the
+  // Replay spilled prefix + live suffix into a fresh engine through the
   // batched insert path: same fixpoint, same full event sequence.
   Engine rebuilt(s.program);
   const size_t applied = backtest::replay_base_stream(original.log(), rebuilt);
@@ -187,35 +193,97 @@ TEST(EventLogCheckpoint, RoundTripReplayReproducesTablesAndHash) {
 
 TEST(EventLogCheckpoint, SerializedBytesMatchesWhatCompactionWrites) {
   Engine e(ndlog::parse_program(
-      "table A/2.\nevent B/2.\nr1 A(@X,Q) :- B(@X,Q), Q > 0."));
+               "table A/2.\nevent B/2.\nr1 A(@X,Q) :- B(@X,Q), Q > 0."),
+           testutil::with_segments("history_serialized_bytes"));
   e.insert(Tuple{"B", {Value(1), Value(5)}});
   e.insert(Tuple{"B", {Value::str("node-seven"), Value(6)}});
   // byte_estimate = per-entry bytes plus the string-table records the
-  // checkpoint writes once per distinct table/rule name.
+  // section writes once per distinct table/rule name and node.
   size_t entry_bytes = 0;
   for (const Event& ev : e.log().events()) {
     entry_bytes += e.log().serialized_bytes(ev);
   }
   const size_t want = e.log().byte_estimate();
   EXPECT_GT(want, entry_bytes) << "names section must be accounted";
-  e.log().compact();
+  EXPECT_GT(e.log().compact(), 0u);
+  EXPECT_GT(e.log().base_id(), 0u);
   EXPECT_EQ(e.log().live_size(), 0u);
-  EXPECT_EQ(e.log().checkpoint_bytes(), want)
+  // The store holds one file header and one section (a names chunk and
+  // an entries chunk); everything else is the section's payload.
+  const size_t framing =
+      storage::kFileHeaderBytes + 2 * storage::kChunkHeaderBytes;
+  ASSERT_GE(e.segments()->bytes(), framing);
+  EXPECT_EQ(e.segments()->bytes() - framing, want)
       << "byte_estimate must agree with what compaction actually writes";
+  EXPECT_EQ(e.log().byte_estimate(), e.segments()->bytes());
+}
+
+// A sink stand-in for compact()'s no-home paths: it can report a latched
+// failure or reject sections while claiming health, and counts offers.
+class RefusingSink final : public CheckpointSink {
+ public:
+  explicit RefusingSink(bool failed) : failed_(failed) {}
+  bool append_section(EventId, size_t, std::span<const uint8_t>,
+                      std::span<const uint8_t>) override {
+    ++offers;
+    return false;
+  }
+  bool failed() const override { return failed_; }
+  void replay_raw(const std::function<bool(const RawEvent&)>&) const override {}
+  size_t events() const override { return 0; }
+  size_t bytes() const override { return 0; }
+  size_t offers = 0;
+
+ private:
+  bool failed_;
+};
+
+// The sink is the log's only checkpoint home: with none attached, or one
+// that latched failed(), compact() serializes nothing and moves nothing —
+// every event stays live and the walked record is byte-identical.
+TEST(EventLogCheckpoint, CompactWithoutUsableSinkLeavesEveryEventLive) {
+  const scenario::Scenario s = scenario::q1_copy_paste({});
+  Engine e(s.program);
+  e.insert_batch(scenario::engine_trace(s, 300));
+  const std::vector<std::string> want = log_lines(e.log());
+  const size_t live = e.log().live_size();
+  ASSERT_GT(live, 100u);
+
+  EXPECT_EQ(e.log().compact(0), 0u) << "no sink attached";
+  EXPECT_EQ(e.log().base_id(), 0u);
+  EXPECT_EQ(e.log().live_size(), live);
+  EXPECT_EQ(log_lines(e.log()), want);
+
+  RefusingSink failed(/*failed=*/true);
+  e.log().set_spill(&failed);
+  EXPECT_EQ(e.log().compact(0), 0u) << "failed() sink attached";
+  EXPECT_EQ(failed.offers, 0u) << "a failed sink must not be offered sections";
+  EXPECT_EQ(e.log().live_size(), live);
+  EXPECT_EQ(log_lines(e.log()), want);
+
+  // A sink that rejects the section without having latched failed():
+  // the offered events stay live too.
+  RefusingSink rejecting(/*failed=*/false);
+  e.log().set_spill(&rejecting);
+  EXPECT_EQ(e.log().compact(0), 0u);
+  EXPECT_EQ(rejecting.offers, 1u);
+  EXPECT_EQ(e.log().live_size(), live);
+  EXPECT_EQ(log_lines(e.log()), want);
+  e.log().set_spill(nullptr);
 }
 
 // The EngineOptions auto-compaction policy: once the live suffix crosses
 // the configured threshold, a top-level insert triggers
-// EventLog::compact(compact_keep_live) — and event ids, timestamps, the
-// decoded sequence and replay all stay stable across the automatic
-// truncations.
+// EventLog::compact(compact_keep_live) into the segment store — and event
+// ids, timestamps, the decoded sequence and replay all stay stable across
+// the automatic truncations.
 TEST(EventLogCheckpoint, AutoCompactionKeepsIdsStable) {
   const scenario::Scenario s = scenario::q1_copy_paste({});
   Engine plain(s.program);
   const std::vector<Tuple> trace = scenario::engine_trace(s, 600);
   for (const Tuple& t : trace) plain.insert(t);
 
-  EngineOptions opt;
+  EngineOptions opt = testutil::with_segments("history_auto_compaction");
   opt.compact_after_events = 200;
   opt.compact_keep_live = 50;
   Engine compacting(s.program, opt);
@@ -224,7 +292,7 @@ TEST(EventLogCheckpoint, AutoCompactionKeepsIdsStable) {
   // Compaction actually auto-triggered (repeatedly), bounding the live
   // suffix near the policy's knee...
   EXPECT_GT(compacting.log().base_id(), 0u);
-  EXPECT_GT(compacting.log().checkpoint_bytes(), 0u);
+  EXPECT_GT(compacting.segments()->events(), 0u);
   EXPECT_LE(compacting.log().live_size(), opt.compact_after_events + 64);
   // ...without perturbing evaluation or the id space.
   EXPECT_EQ(compacting.log().size(), plain.log().size());
@@ -242,21 +310,12 @@ TEST(EventLogCheckpoint, AutoCompactionKeepsIdsStable) {
   Engine rebuilt(s.program);
   backtest::replay_base_stream(compacting.log(), rebuilt);
   EXPECT_EQ(table_snapshot(rebuilt), table_snapshot(plain));
-
-  // The byte threshold triggers on its own too.
-  EngineOptions bopt;
-  bopt.compact_after_bytes = 16 * 1024;
-  bopt.compact_keep_live = 50;
-  Engine bytes_engine(s.program, bopt);
-  for (const Tuple& t : trace) bytes_engine.insert(t);
-  EXPECT_GT(bytes_engine.log().base_id(), 0u);
-  EXPECT_EQ(event_sequence_hash(bytes_engine.log()),
-            event_sequence_hash(plain.log()));
 }
 
 TEST(EventLogCheckpoint, CompactedDeleteEventsReplayToo) {
   const char* prog = "table A/2.\ntable B/3.\n";
-  Engine original(ndlog::parse_program(prog));
+  Engine original(ndlog::parse_program(prog),
+                  testutil::with_segments("history_deletes"));
   for (int i = 0; i < 20; ++i) {
     original.insert(Tuple{"A", {Value(1), Value(i)}});
     original.insert(Tuple{"B", {Value(2), Value(i), Value(i * 3)}});
@@ -266,7 +325,8 @@ TEST(EventLogCheckpoint, CompactedDeleteEventsReplayToo) {
   }
   const auto want_tables = table_snapshot(original);
   const uint64_t want_hash = event_sequence_hash(original.log());
-  original.log().compact(3);
+  EXPECT_GT(original.log().compact(3), 0u);
+  EXPECT_GT(original.log().base_id(), 0u);
 
   Engine rebuilt(ndlog::parse_program(prog));
   backtest::replay_base_stream(original.log(), rebuilt);
@@ -276,15 +336,17 @@ TEST(EventLogCheckpoint, CompactedDeleteEventsReplayToo) {
 
 // Regression (PR 7): a decoded event's cause span used to point into one
 // shared mutable scratch vector that the next decode silently clobbered,
-// so nested iteration — holding one checkpoint-decoded event's causes
-// while walking the rest of the checkpoint, exactly what segment replay
-// does — read garbage. Each for_each_event pass now decodes through its
-// own cursor; the outer span must survive a full inner pass untouched.
+// so nested iteration — holding one spilled event's causes while walking
+// the rest of the spilled prefix — read garbage. Each for_each_event
+// pass now publishes its own reader's buffer through its own registry
+// slot; the outer span must survive a full inner pass untouched.
 TEST(EventLogCheckpoint, DecodedCausesSurviveInterleavedDecodes) {
   const scenario::Scenario s = scenario::q1_copy_paste({});
-  Engine e(s.program);
+  Engine e(s.program, testutil::with_segments("history_interleaved"));
   e.insert_batch(scenario::engine_trace(s, 300));
-  e.log().compact(0);  // everything decodes from the checkpoint
+  EXPECT_GT(e.log().compact(0), 0u);  // everything decodes from segments
+  ASSERT_GT(e.log().base_id(), 0u);
+  ASSERT_EQ(e.log().live_size(), 0u);
   const EventLog& log = e.log();
 
   // Ground truth, collected one event per decode (no interleaving).
@@ -298,8 +360,8 @@ TEST(EventLogCheckpoint, DecodedCausesSurviveInterleavedDecodes) {
   ASSERT_GT(with_causes, 10u) << "fixture records no causal links";
 
   // Adversarial interleaving: while holding each outer event's span, run
-  // a complete inner decode pass over the same checkpoint, then read the
-  // outer span.
+  // a complete inner decode pass over the same spilled prefix, then read
+  // the outer span.
   size_t checked = 0;
   log.for_each_event([&](const Event& outer) {
     const auto span = log.causes_of(outer);
@@ -318,53 +380,41 @@ TEST(EventLogCheckpoint, DecodedCausesSurviveInterleavedDecodes) {
   EXPECT_EQ(checked, with_causes);
 }
 
-// Regression (PR 7): checkpoint decode used to resolve the serialized
-// 16-bit table/rule/node ids through the attached live catalog — correct
-// only for the log that wrote the checkpoint. A checkpoint must decode
-// through its own string-table section, so loading it into a fresh
-// standalone log whose interners are deliberately scrambled (junk names
-// interned first, shifting every id) reproduces the byte-identical event
-// sequence.
-TEST(EventLogCheckpoint, CheckpointDecodesSelfContainedIntoScrambledCatalog) {
+// A segment section decodes through its own string-table records, never
+// through the writer's id space: reloading a store with
+// replay_base_stream into an engine whose catalog interned every table
+// in a different order rebuilds identical tables, and repair exploration
+// on it is byte-identical to exploration on the engine that wrote it.
+TEST(EventLogCheckpoint, SegmentReloadIntoScrambledCatalogMatches) {
   const scenario::Scenario s = scenario::q1_copy_paste({});
-  Engine e(s.program);
-  e.insert_batch(scenario::engine_trace(s, 300));
-  std::vector<std::string> want;
-  e.log().for_each_event([&](const Event& ev) {
-    std::string line = e.log().to_string(ev);
-    for (EventId c : e.log().causes_of(ev)) line += " <" + std::to_string(c) + ">";
-    want.push_back(std::move(line));
-  });
-  e.log().compact(0);
-  ASSERT_EQ(e.log().live_size(), 0u);
+  const EngineOptions opt = testutil::with_segments("history_scrambled");
+  Engine writer(s.program, opt);
+  writer.insert_batch(scenario::engine_trace(s, 300));
+  const std::vector<std::string> want_repairs =
+      testutil::explore_all(s, writer);
+  ASSERT_FALSE(want_repairs.empty());
+  EXPECT_GT(writer.log().compact(0), 0u);
+  ASSERT_GT(writer.log().base_id(), 0u);
+  ASSERT_EQ(writer.log().live_size(), 0u);
+  writer.segments()->flush(false);
 
-  // A standalone log (private catalog), scrambled so no id can happen to
-  // line up with the writer's: every table/rule/node id space is shifted
-  // before the checkpoint is loaded.
-  EventLog fresh;
-  for (int i = 0; i < 7; ++i) {
-    const std::string junk = "zz_junk_" + std::to_string(i);
-    fresh.intern_tuple(junk, Row{Value(i)});
-    fresh.intern_rule(junk);
-    fresh.intern_node(Value::str(junk));
+  // Same rules, table declarations reversed: every declared table lands
+  // on a different TableId in the reloading engine.
+  ndlog::Program scrambled = s.program;
+  std::reverse(scrambled.tables.begin(), scrambled.tables.end());
+  Engine reloaded(scrambled);
+  size_t moved = 0;
+  for (const ndlog::TableDecl& t : s.program.tables) {
+    moved += writer.catalog().id_of(t.name) != reloaded.catalog().id_of(t.name);
   }
-  fresh.load_checkpoint(e.log().checkpoint_entries(),
-                        e.log().checkpoint_names());
-  ASSERT_EQ(fresh.size(), want.size());
-  ASSERT_EQ(fresh.base_id(), want.size());
+  ASSERT_GT(moved, 1u) << "fixture did not scramble the id space";
 
-  std::vector<std::string> got;
-  fresh.for_each_event([&](const Event& ev) {
-    std::string line = fresh.to_string(ev);
-    for (EventId c : fresh.causes_of(ev)) line += " <" + std::to_string(c) + ">";
-    got.push_back(std::move(line));
-  });
-  EXPECT_EQ(got, want) << "decode leaked the writer's id space";
-  // And the loaded checkpoint re-serializes: a second-generation log
-  // loads the first copy's bytes and still agrees.
-  EventLog second;
-  second.load_checkpoint(fresh.checkpoint_entries(), fresh.checkpoint_names());
-  EXPECT_EQ(event_sequence_hash(second), event_sequence_hash(fresh));
+  storage::SegmentStore store(opt.segment_dir);
+  ASSERT_EQ(store.recovered_events(), writer.log().size());
+  EXPECT_GT(backtest::replay_base_stream(store, reloaded), 0u);
+  EXPECT_EQ(testutil::table_multisets(reloaded),
+            testutil::table_multisets(writer));
+  EXPECT_EQ(testutil::explore_all(s, reloaded), want_repairs);
 }
 
 // --- repair regression --------------------------------------------------

@@ -355,7 +355,8 @@ TEST(Phases, InternedIdsPreserveStringApi) {
 
 TEST(EnginePin, CountersSurviveCompactAndPublishDeltas) {
   set_enabled(true);
-  eval::Engine e(ndlog::parse_program(testutil::ring_program(6)));
+  eval::Engine e(ndlog::parse_program(testutil::ring_program(6)),
+                 testutil::with_segments("obs_engine_pin"));
   e.insert_batch(testutil::ring_trace(4, 8));
   const size_t steps = e.steps();
   const size_t firings = e.rule_firings();
@@ -370,7 +371,8 @@ TEST(EnginePin, CountersSurviveCompactAndPublishDeltas) {
   // Compaction must not disturb the engine accessors (the historical
   // inconsistency this subsystem fixes: counters survive compact() and
   // delta() makes windows over them well-defined).
-  e.log().compact(0);
+  EXPECT_GT(e.log().compact(0), 0u);
+  EXPECT_GT(e.log().base_id(), 0u);
   EXPECT_EQ(e.steps(), steps);
   EXPECT_EQ(e.rule_firings(), firings);
   // Re-publishing with no new work adds nothing.

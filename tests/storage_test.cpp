@@ -9,7 +9,10 @@
 //   - recovery continuation: recover -> replay -> set_spill -> keep
 //     appending equals one uninterrupted engine,
 //   - store mechanics: rotation at section boundaries, group-commit
-//     buffering, fsync policy knob.
+//     buffering, fsync policy knob,
+//   - hostile input: hand-built sections with valid CRCs but malformed
+//     entries or name records end the valid prefix cleanly, never read
+//     out of bounds (run under CHECK_ASAN=1).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "backtest/replay.h"
+#include "eval/ckpt_format.h"
 #include "eval/engine.h"
 #include "ndlog/parser.h"
 #include "scenarios/scenario.h"
@@ -39,16 +43,10 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
-// Canonical event line: the EventLog's exact to_string format plus the
-// cause list, so the comparison pins ids, node values, rows, rule names
-// AND causal links.
-std::string log_line(const eval::EventLog& log, const eval::Event& ev) {
-  std::string out = log.to_string(ev);
-  for (eval::EventId c : log.causes_of(ev)) out += " <" + std::to_string(c) + ">";
-  return out;
-}
+using testutil::log_lines;
 
-// The same line rebuilt from a standalone RawEvent — no log involved.
+// The testutil::log_lines line rebuilt from a standalone RawEvent — no
+// log involved.
 std::string raw_line(const eval::RawEvent& re) {
   std::string out = eval::to_string(re.kind);
   out += "(t=" + std::to_string(re.id + 1) + ", @" + re.node->to_string() +
@@ -56,13 +54,6 @@ std::string raw_line(const eval::RawEvent& re) {
   if (!re.rule.empty()) out += ", rule=" + std::string(re.rule);
   out += ")";
   for (eval::EventId c : re.causes) out += " <" + std::to_string(c) + ">";
-  return out;
-}
-
-std::vector<std::string> log_lines(const eval::EventLog& log) {
-  std::vector<std::string> out;
-  log.for_each_event(
-      [&](const eval::Event& ev) { out.push_back(log_line(log, ev)); });
   return out;
 }
 
@@ -106,7 +97,7 @@ TEST(SegmentStore, StandaloneReaderDecodesByteIdenticalSequence) {
       run_with_sections(e, trace, trace.size() / 7 + 1);
       ASSERT_EQ(e.log().live_size(), 0u);
       ASSERT_EQ(e.log().size(), want.size());
-      // Spill replay through the log agrees with the in-RAM reference.
+      // Spill replay through the log agrees with the uncompacted reference.
       EXPECT_EQ(log_lines(e.log()), want);
       ASSERT_GT(e.segments()->segment_count(), 1u)
           << "rotation never triggered: sweep is single-segment";
@@ -366,25 +357,16 @@ TEST(SegmentStore, RecoveryContinuationMatchesUninterruptedRun) {
 // plus a 4-bit rebase generation; every compaction drops the dead arena
 // prefix and re-stamps the live suffix under the next generation (wrapping
 // mod 16). Compact often enough for the generation counter to wrap several
-// times and the whole history — live suffix, RAM checkpoint, spilled
-// segments — must still decode byte-identically, cause lists included.
+// times and the whole history — re-stamped live suffix plus spilled
+// segments — must still decode byte-identically to an uncompacted twin,
+// cause lists included.
 TEST(SegmentStore, RebaseGenerationWrapRoundTrip) {
   const std::string dir = fresh_dir("rebase_wrap");
   SegmentStore store(dir, SegmentStoreOptions{});
 
   eval::EventLog ref;      // never compacted
-  eval::EventLog log;      // RAM checkpoint, compacted every round
   eval::EventLog spilled;  // identical appends, sections spill to the store
   spilled.set_spill(&store);
-
-  auto append_all = [&](eval::EventKind kind, const Value& node,
-                        const eval::Tuple& tup, eval::TagMask tags,
-                        const std::vector<eval::EventId>& causes,
-                        const std::string& rule) {
-    ref.append(kind, node, tup, tags, causes, rule);
-    log.append(kind, node, tup, tags, causes, rule);
-    spilled.append(kind, node, tup, tags, causes, rule);
-  };
 
   // 40 rounds x one rebase per compact = the 4-bit generation wraps twice
   // and ends mid-cycle, so stale-generation offsets would mis-decode both
@@ -400,34 +382,24 @@ TEST(SegmentStore, RebaseGenerationWrapRoundTrip) {
       const eval::Tuple tup{"T", {Value(1), Value(static_cast<int64_t>(n))}};
       const auto kind = k % 3 == 2 ? eval::EventKind::Derive
                                    : eval::EventKind::Insert;
-      append_all(kind, Value(1), tup, eval::TagMask{n % 4},
-                 kind == eval::EventKind::Derive ? causes
-                                                 : std::vector<eval::EventId>{},
-                 kind == eval::EventKind::Derive ? "rw" : std::string{});
+      const bool derive = kind == eval::EventKind::Derive;
+      const std::vector<eval::EventId> used =
+          derive ? causes : std::vector<eval::EventId>{};
+      const std::string rule = derive ? "rw" : std::string{};
+      ref.append(kind, Value(1), tup, eval::TagMask{n % 4}, used, rule);
+      spilled.append(kind, Value(1), tup, eval::TagMask{n % 4}, used, rule);
     }
-    log.compact(3);
-    spilled.compact(3);
-    ASSERT_EQ(log.base_id(), spilled.base_id());
+    ASSERT_EQ(spilled.compact(3), kPerRound - (round == 0 ? 3 : 0))
+        << "round " << round;
     if (round % 8 == 7) {
-      // Decode through the checkpoint + re-stamped live suffix mid-run,
-      // not only after the final rebase.
-      EXPECT_EQ(log_lines(log), log_lines(ref)) << "round " << round;
+      // Decode through the spilled prefix + re-stamped live suffix
+      // mid-run, not only after the final rebase.
+      EXPECT_EQ(log_lines(spilled), log_lines(ref)) << "round " << round;
     }
   }
-  ASSERT_GT(log.base_id(), 16u * kPerRound) << "generation never wrapped";
-  EXPECT_EQ(log_lines(log), log_lines(ref));
-  EXPECT_EQ(log_lines(spilled), log_lines(ref));
-
-  // The serialized RAM checkpoint alone rebuilds the compacted prefix in a
-  // fresh log (fresh interners: decode can't lean on shared ids).
-  eval::EventLog fresh;
-  fresh.load_checkpoint(log.checkpoint_entries(), log.checkpoint_names());
-  ASSERT_EQ(fresh.size(), log.base_id());
+  ASSERT_GT(spilled.base_id(), 16u * kPerRound) << "generation never wrapped";
   const std::vector<std::string> want = log_lines(ref);
-  const std::vector<std::string> got = log_lines(fresh);
-  ASSERT_LE(got.size(), want.size());
-  EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
-      << "checkpoint decode diverged from the uncompacted reference";
+  EXPECT_EQ(log_lines(spilled), want);
 
   // Seal the rest into the store: the standalone segment decoder (fresh
   // process, no EventLog) walks the identical sequence.
@@ -556,8 +528,8 @@ TEST(SegmentStore, UnusableDirectoryLatchesFailedAtAttach) {
   strict.on_error = ErrorPolicy::kFailStop;
   EXPECT_THROW(SegmentStore(path, strict), IoError);
 
-  // An engine handed the unusable path degrades to RAM checkpoints and
-  // keeps its full event sequence.
+  // An engine handed the unusable path has no checkpoint home: compact()
+  // moves nothing and the full event sequence stays live.
   eval::EngineOptions opt;
   opt.segment_dir = path;
   eval::Engine e(ndlog::parse_program("table T/2.\n"), opt);
@@ -566,9 +538,9 @@ TEST(SegmentStore, UnusableDirectoryLatchesFailedAtAttach) {
   for (int i = 0; i < 20; ++i) e.insert(eval::Tuple{"T", {Value(i), Value(i)}});
   const size_t logged = e.log().size();
   ASSERT_GE(logged, 20u);
-  e.log().compact(0);
+  EXPECT_EQ(e.log().compact(0), 0u);
   EXPECT_EQ(e.log().size(), logged);
-  EXPECT_EQ(e.log().live_size(), 0u);
+  EXPECT_EQ(e.log().live_size(), logged);
   size_t seen = 0;
   e.log().for_each_event([&](const eval::Event&) { ++seen; });
   EXPECT_EQ(seen, logged);
@@ -649,6 +621,171 @@ TEST(SegmentStore, ZeroLengthSegmentFileIsDroppedCleanly) {
     return true;
   });
   EXPECT_EQ(replayed, durable);
+}
+
+// --- hostile segment input ----------------------------------------------
+
+namespace ckpt = eval::ckpt;
+
+// Serialized entry with the given header fields followed by `payload`
+// verbatim; payload_len is what the header claims, not payload.size().
+std::vector<uint8_t> entry_bytes(uint16_t nvals, uint8_t ncauses,
+                                 uint32_t payload_len,
+                                 const std::vector<uint8_t>& payload,
+                                 uint16_t table_id = 0, uint8_t kind = 0) {
+  std::vector<uint8_t> out;
+  ckpt::put_u64(out, eval::kAllTags);
+  out.push_back(kind);
+  out.push_back(ncauses);
+  ckpt::put_u16(out, table_id);
+  ckpt::put_u16(out, ckpt::kNoRuleSerialized);
+  ckpt::put_u16(out, nvals);
+  ckpt::put_u16(out, 0);  // node id
+  ckpt::put_u32(out, payload_len);
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+std::vector<uint8_t> int_value(int64_t v) {
+  std::vector<uint8_t> out;
+  ckpt::put_value(out, Value(v));
+  return out;
+}
+
+// A well-formed one-value entry.
+std::vector<uint8_t> good_entry(int64_t v) {
+  return entry_bytes(1, 0, 9, int_value(v));
+}
+
+// Names for table 0 ("T") and node 0.
+std::vector<uint8_t> good_names() {
+  std::vector<uint8_t> out;
+  out.push_back(ckpt::kNameTable);
+  ckpt::put_u16(out, 0);
+  ckpt::put_u16(out, 1);
+  out.push_back('T');
+  out.push_back(ckpt::kNameNode);
+  ckpt::put_u16(out, 0);
+  ckpt::put_value(out, Value(1));
+  return out;
+}
+
+std::vector<uint8_t> concat(std::vector<uint8_t> a,
+                            const std::vector<uint8_t>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+// A segment file image built chunk by chunk with correct framing and
+// CRCs (append_chunk_header), so only the decoder's own bounds checks
+// stand between a malformed payload and an out-of-bounds read.
+struct SegmentImage {
+  std::vector<uint8_t> bytes{std::begin(kFileMagic), std::end(kFileMagic)};
+  uint64_t next_id = 0;
+  SegmentImage() {
+    ckpt::put_u16(bytes, kFormatVersion);
+    ckpt::put_u64(bytes, 0);
+  }
+  void chunk(uint8_t kind, uint32_t count, const std::vector<uint8_t>& payload) {
+    append_chunk_header(bytes, kind, next_id, count, payload.data(),
+                        static_cast<uint32_t>(payload.size()));
+    bytes.insert(bytes.end(), payload.begin(), payload.end());
+    if (kind == kChunkEntries) next_id += count;
+  }
+  void section(const std::vector<uint8_t>& names, uint32_t count,
+               const std::vector<uint8_t>& entries) {
+    chunk(kChunkNames, 0, names);
+    chunk(kChunkEntries, count, entries);
+  }
+};
+
+TEST(SegmentReader, HostileSectionsWithValidCrcsEndThePrefixCleanly) {
+  struct Shape {
+    const char* name;
+    std::vector<uint8_t> names;
+    uint32_t count;
+    std::vector<uint8_t> entries;
+  };
+  std::vector<uint8_t> long_string = {1};  // tag str, len 300, 4 bytes
+  ckpt::put_u16(long_string, 300);
+  long_string.insert(long_string.end(), {'a', 'b', 'c', 'd'});
+  std::vector<uint8_t> name_past_end = {ckpt::kNameTable, 0, 0};
+  ckpt::put_u16(name_past_end, 50);
+  name_past_end.push_back('T');
+  std::vector<uint8_t> node_past_end = {ckpt::kNameNode, 0, 0, 1};
+  ckpt::put_u16(node_past_end, 100);
+  const std::vector<uint8_t> names = good_names();
+  const std::vector<Shape> shapes = {
+      {"row values past the entry payload", names, 1,
+       entry_bytes(1000, 0, 9, int_value(7))},
+      {"cause ids past the entry payload", names, 1,
+       entry_bytes(1, 200, 9, int_value(7))},
+      {"entry header past the chunk end", names, 1,
+       std::vector<uint8_t>(10, 0)},
+      {"entry payload_len past the chunk end", names, 1,
+       entry_bytes(1, 0, 500, int_value(7))},
+      {"string value past the entry payload", names, 1,
+       entry_bytes(1, 0, static_cast<uint32_t>(long_string.size()),
+                   long_string)},
+      {"unknown value tag", names, 1, entry_bytes(1, 0, 9, {7, 0, 0, 0, 0,
+                                                           0, 0, 0, 0})},
+      {"values and causes short of payload_len", names, 1,
+       entry_bytes(1, 0, 17, concat(int_value(7), std::vector<uint8_t>(8)))},
+      {"trailing bytes after the last entry", names, 1,
+       concat(good_entry(7), {0, 0, 0, 0, 0})},
+      {"count beyond the entries present", names, 3, good_entry(7)},
+      {"unknown table id", names, 1, entry_bytes(1, 0, 9, int_value(7), 5)},
+      {"unknown event kind", names, 1,
+       entry_bytes(1, 0, 9, int_value(7), 0, 200)},
+      {"names record cut after its kind", concat(names, {ckpt::kNameRule}), 1,
+       good_entry(7)},
+      {"name bytes past the chunk end", concat(names, name_past_end), 1,
+       good_entry(7)},
+      {"node value past the chunk end", concat(names, node_past_end), 1,
+       good_entry(7)},
+      {"unknown name record kind", concat(names, {9, 0, 0, 0, 0}), 1,
+       good_entry(7)},
+  };
+  const std::string dir = fresh_dir("hostile");
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    const Shape& shape = shapes[i];
+    SCOPED_TRACE(shape.name);
+    // A good two-event section, the malformed one, then another good
+    // section that must not count: the valid prefix ends at the first.
+    SegmentImage img;
+    img.section(names, 2, concat(good_entry(1), good_entry(2)));
+    const size_t good_end = img.bytes.size();
+    img.section(shape.names, shape.count, shape.entries);
+    img.section(names, 1, good_entry(3));
+
+    auto expect_clean_stop = [&](const SegmentReader& r) {
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(r.events(), 2u);
+      EXPECT_EQ(r.valid_bytes(), good_end);
+      std::vector<int64_t> seen;
+      const size_t visited = r.for_each([&](const eval::RawEvent& re) {
+        EXPECT_EQ(re.table, "T");
+        seen.push_back((*re.row)[0].as_int());
+        return true;
+      });
+      EXPECT_EQ(visited, r.events());
+      EXPECT_EQ(seen, (std::vector<int64_t>{1, 2}));
+    };
+    // Exactly-sized heap copy, so a read past the image is an ASan
+    // heap-buffer-overflow rather than a read of spare capacity.
+    const std::vector<uint8_t> mem(img.bytes.begin(), img.bytes.end());
+    expect_clean_stop(SegmentReader(mem.data(), mem.size(), 0));
+
+    // The same bytes as a file: the mmap'd reader stops at the same
+    // point, and recovery truncates the file there.
+    const std::string path = dir + "/seg-" + std::to_string(i) + ".mpseg";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(reinterpret_cast<const char*>(img.bytes.data()),
+                static_cast<std::streamsize>(img.bytes.size()));
+    }
+    expect_clean_stop(SegmentReader(path));
+  }
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 // Shared helpers for the test suites (not part of the library).
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -12,6 +15,16 @@
 #include "scenarios/scenario.h"
 
 namespace mp::testutil {
+
+// `opt` with a segment store attached (EngineOptions::segment_dir) in a
+// freshly emptied directory under the test temp dir: the store is the
+// log's only checkpoint home, so tests that compact need one.
+inline eval::EngineOptions with_segments(const std::string& name,
+                                         eval::EngineOptions opt = {}) {
+  opt.segment_dir = ::testing::TempDir() + "mp_segments/" + name;
+  std::filesystem::remove_all(opt.segment_dir);
+  return opt;
+}
 
 // The repair explorer's output for every symptom of a scenario, one line
 // per candidate (cost + description + change count), so any drift in the
@@ -54,6 +67,21 @@ inline uint64_t event_sequence_hash(const eval::EventLog& log) {
   log.for_each_event(
       [&](const eval::Event& ev) { h = fnv1a(h, event_line(log, ev)); });
   return h;
+}
+
+// The full record (spilled prefix + live suffix), one line per event: the
+// log's to_string plus the cause list, so id, node, row, rule AND
+// causal-link drift all fail a comparison.
+inline std::vector<std::string> log_lines(const eval::EventLog& log) {
+  std::vector<std::string> out;
+  log.for_each_event([&](const eval::Event& ev) {
+    std::string line = log.to_string(ev);
+    for (eval::EventId c : log.causes_of(ev)) {
+      line += " <" + std::to_string(c) + ">";
+    }
+    out.push_back(std::move(line));
+  });
+  return out;
 }
 
 // Per-table row multisets across every node — the cross-engine table

@@ -56,7 +56,7 @@ TEST(TuplePool, HandlesAndRowsStableAcrossGrowth) {
 
 TEST(TuplePool, HandlesSurviveEventLogCompaction) {
   const scenario::Scenario s = scenario::q1_copy_paste({});
-  Engine e(s.program);
+  Engine e(s.program, testutil::with_segments("tuple_pool_compaction"));
   e.insert_batch(scenario::engine_trace(s, 600));
   ASSERT_GT(e.log().size(), 100u);
 
@@ -68,7 +68,8 @@ TEST(TuplePool, HandlesSurviveEventLogCompaction) {
   const size_t pool_size = e.log().pool().size();
   const uint64_t want_hash = testutil::event_sequence_hash(e.log());
 
-  e.log().compact(e.log().live_size() / 4);
+  EXPECT_GT(e.log().compact(e.log().live_size() / 4), 0u);
+  EXPECT_GT(e.log().base_id(), 0u);
   EXPECT_EQ(e.log().pool().size(), pool_size)
       << "compaction must never truncate the pool";
   // History handles recorded before compaction still resolve.
@@ -78,8 +79,8 @@ TEST(TuplePool, HandlesSurviveEventLogCompaction) {
       EXPECT_FALSE(e.log().materialize(ref).to_string().empty());
     }
   }
-  // Decoded checkpoint entries resolve to the same tuples as the live
-  // events they replaced.
+  // Spilled entries decoded from the segment store resolve to the same
+  // tuples as the live events they replaced.
   std::vector<std::string> after;
   e.log().for_each_event([&](const Event& ev) {
     after.push_back(e.log().tuple_of(ev).to_string());
