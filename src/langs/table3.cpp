@@ -15,21 +15,19 @@ namespace {
 using backtest::ReplayOutcome;
 using sdn::Field;
 
-// A language-agnostic run: build the scenario topology + workload (reused
-// from the NDlog scenarios so all three languages see identical networks),
-// drive the given controller factory, return metrics.
+// A language-agnostic run: a world on the scenario's static base (the
+// NDlog scenarios' builder, so all three languages see identical
+// networks) replaying the workload under the given controller factory.
 struct LangRun {
   ReplayOutcome outcome;
   std::vector<int64_t> learned;
 };
 
 template <typename MakeController>
-LangRun run_workload(const scenario::Scenario& s,
+LangRun run_workload(const std::shared_ptr<const sdn::WorldBase>& base,
                      const std::vector<sdn::Injection>& work,
                      MakeController make_controller) {
-  sdn::Network net;
-  sdn::Campus campus = sdn::build_campus(net, s.campus);
-  if (s.wire_app) s.wire_app(net, campus);
+  sdn::Network net(base);
   auto controller = make_controller(net);
   net.set_controller(controller.first.get());
   sdn::replay(net, work);
@@ -249,14 +247,12 @@ std::vector<LangCell> run_trema_scenarios() {
     LangCell cell;
     cell.scenario = s.id;
 
-    sdn::Network probe;
-    sdn::Campus campus = sdn::build_campus(probe, s.campus);
-    if (s.wire_app) s.wire_app(probe, campus);
-    const auto work = s.make_workload(probe);
+    const auto world_base = scenario::build_base(s);
+    const auto work = s.make_workload(world_base->net());
 
     auto run_with = [&](const imp::Program& prog,
                         std::optional<sdn::FlowEntry> manual) {
-      return run_workload(s, work, [&](sdn::Network& net) {
+      return run_workload(world_base, work, [&](sdn::Network& net) {
         if (manual) {
           net.install(lc.imp_symptom.sw, *manual);
         }
@@ -301,15 +297,13 @@ std::vector<LangCell> run_pyretic_scenarios() {
       continue;
     }
 
-    sdn::Network probe;
-    sdn::Campus campus = sdn::build_campus(probe, s.campus);
-    if (s.wire_app) s.wire_app(probe, campus);
-    const auto work = s.make_workload(probe);
+    const auto world_base = scenario::build_base(s);
+    const auto work = s.make_workload(world_base->net());
 
     auto run_with = [&](const netcore::PolicyPtr& policy,
                         std::vector<Field> fields,
                         std::optional<sdn::FlowEntry> manual) {
-      return run_workload(s, work, [&](sdn::Network& net) {
+      return run_workload(world_base, work, [&](sdn::Network& net) {
         if (manual) net.install(lc.nc_symptom.sw, *manual);
         auto ctrl = std::make_unique<netcore::NetcoreController>(
             net, policy, std::move(fields));

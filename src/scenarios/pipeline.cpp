@@ -7,18 +7,21 @@
 
 namespace mp::scenario {
 
-ScenarioRun::ScenarioRun(const Scenario& s, const ndlog::Program& program,
+ScenarioRun::ScenarioRun(const Scenario& s,
+                         std::shared_ptr<const sdn::WorldBase> base,
+                         const ndlog::Program& program,
                          eval::EngineOptions eopts)
     : scenario_(s) {
-  net_ = std::make_unique<sdn::Network>();
-  campus_ = sdn::build_campus(*net_, s.campus);
-  if (s.wire_app) s.wire_app(*net_, campus_);
-  net_->seal();
+  net_ = std::make_unique<sdn::Network>(std::move(base));
   engine_ = std::make_unique<eval::Engine>(program, eopts);
   controller_ = std::make_unique<sdn::NdlogController>(*net_, *engine_,
                                                        s.make_bindings());
   net_->set_controller(controller_.get());
 }
+
+ScenarioRun::ScenarioRun(const Scenario& s, const ndlog::Program& program,
+                         eval::EngineOptions eopts)
+    : ScenarioRun(s, build_base(s), program, eopts) {}
 
 void ScenarioRun::insert_config(
     const std::vector<std::pair<eval::Tuple, eval::TagMask>>& extra) {
@@ -54,19 +57,15 @@ void ScenarioRun::replay(const std::vector<sdn::Injection>& workload,
   net_->replay_batch(workload, memo);
 }
 
-ScenarioHarness::ScenarioHarness(const Scenario& s) : scenario_(s) {
-  // Workload generation needs the topology (host placement), so build a
-  // throwaway network first.
-  sdn::Network probe;
-  sdn::Campus campus = sdn::build_campus(probe, s.campus);
-  if (s.wire_app) s.wire_app(probe, campus);
-  workload_ = s.make_workload(probe);
-  memo_ = sdn::PathMemo(workload_.size());
-}
+ScenarioHarness::ScenarioHarness(const Scenario& s)
+    : scenario_(s),
+      base_(build_base(s)),
+      workload_(s.make_workload(base_->net())),
+      memo_(workload_.size()) {}
 
 ScenarioRun& ScenarioHarness::buggy_run() {
   if (!buggy_) {
-    buggy_ = std::make_unique<ScenarioRun>(scenario_, scenario_.program);
+    buggy_ = std::make_unique<ScenarioRun>(scenario_, base_, scenario_.program);
     buggy_->insert_config();
     buggy_->record(workload_, memo_);
   }
@@ -94,7 +93,8 @@ std::optional<ScenarioRun> ScenarioHarness::candidate_world(
   // Provenance recording is off during backtests: we only need metrics.
   eval::EngineOptions eopts;
   eopts.record_provenance = false;
-  std::optional<ScenarioRun> run(std::in_place, scenario_, *program, eopts);
+  std::optional<ScenarioRun> run(std::in_place, scenario_, base_, *program,
+                                 eopts);
 
   std::vector<std::pair<eval::Tuple, eval::TagMask>> inserts;
   for (const eval::Tuple& t : repair::candidate_insertions(cand)) {
@@ -143,7 +143,7 @@ ScenarioRun ScenarioHarness::joint_world(
   eval::EngineOptions eopts;
   eopts.record_provenance = false;
   eopts.tag_mode = true;
-  ScenarioRun run(scenario_, combined.program, eopts);
+  ScenarioRun run(scenario_, base_, combined.program, eopts);
   run.set_rule_restrictions(combined.rule_restrict);
   const eval::TagMask active =
       combined.candidate_count >= eval::kMaxTags

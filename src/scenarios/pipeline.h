@@ -14,12 +14,16 @@
 
 namespace mp::scenario {
 
-// One concrete simulation of a scenario under a given program. The
-// constructor builds the campus and wires the app, then seals the network
-// (sdn::Network::seal) before the engine and controller exist, so every
-// controller install, config insertions' included, marks its switch dirty.
+// One concrete simulation of a scenario under a given program: a world on
+// the scenario's static base (build_base) with its own engine and
+// controller. The world is sealed from the start (sdn::WorldBase), so
+// every controller install, config insertions' included, goes to its
+// dynamic layer and marks its switch dirty.
 class ScenarioRun {
  public:
+  ScenarioRun(const Scenario& s, std::shared_ptr<const sdn::WorldBase> base,
+              const ndlog::Program& program, eval::EngineOptions eopts = {});
+  // A world on a base of its own, build_base(s).
   ScenarioRun(const Scenario& s, const ndlog::Program& program,
               eval::EngineOptions eopts = {});
 
@@ -41,24 +45,24 @@ class ScenarioRun {
 
   sdn::Network& net() { return *net_; }
   eval::Engine& engine() { return *engine_; }
-  const sdn::Campus& campus() const { return campus_; }
 
  private:
   const Scenario& scenario_;
   std::unique_ptr<sdn::Network> net_;
   std::unique_ptr<eval::Engine> engine_;
   std::unique_ptr<sdn::NdlogController> controller_;
-  sdn::Campus campus_;
   bool config_inserted_ = false;
 };
 
-// ReplayHarness over a scenario; caches the workload, the baseline and
-// the workload's static-path memo. Candidate worlds replay through the
-// memo (sdn::Network::replay_batch), so a packet whose recorded walk met
-// only static rules is booked instead of walked wherever its path avoids
-// the world's dirty switches.
+// ReplayHarness over a scenario; caches the static base, the workload, the
+// baseline and the workload's static-path memo. The recorded world and
+// every candidate world run on the one base. Candidate worlds replay
+// through the memo (sdn::Network::replay_batch), so a packet whose
+// recorded walk met only static rules is booked instead of walked wherever
+// its path avoids the world's dirty switches.
 class ScenarioHarness : public backtest::ReplayHarness {
  public:
+  // Builds the base and synthesizes the workload on it.
   explicit ScenarioHarness(const Scenario& s);
 
   backtest::ReplayOutcome replay_baseline() override;
@@ -70,9 +74,9 @@ class ScenarioHarness : public backtest::ReplayHarness {
   std::vector<backtest::ReplayOutcome> replay_joint(
       const std::vector<repair::RepairCandidate>& cands) override;
   // Candidate replays build a private ScenarioRun each and only read the
-  // shared scenario/workload (plus the baseline and memo filled by the
-  // first replay_baseline() call), so the Backtester may run them on its
-  // pool.
+  // shared scenario, base and workload (plus the baseline and memo filled
+  // by the first replay_baseline() call), so the Backtester may run them
+  // on its pool.
   bool concurrent_replays() const override { return true; }
 
   // The world replay(cand) scores, built and configured but not replayed;
@@ -89,6 +93,7 @@ class ScenarioHarness : public backtest::ReplayHarness {
       ScenarioRun& run, const backtest::CombinedProgram& combined,
       size_t candidates);
 
+  const std::shared_ptr<const sdn::WorldBase>& base() const { return base_; }
   const std::vector<sdn::Injection>& workload() const { return workload_; }
   // Filled by buggy_run().
   const sdn::PathMemo& memo() const { return memo_; }
@@ -100,6 +105,7 @@ class ScenarioHarness : public backtest::ReplayHarness {
   const backtest::ReplayOutcome& baseline();
 
   const Scenario& scenario_;
+  std::shared_ptr<const sdn::WorldBase> base_;
   std::vector<sdn::Injection> workload_;
   sdn::PathMemo memo_;
   std::unique_ptr<ScenarioRun> buggy_;

@@ -4,13 +4,15 @@
 
 namespace mp::scenario {
 
+std::shared_ptr<const sdn::WorldBase> build_base(const Scenario& s) {
+  sdn::Network net;
+  const sdn::Campus campus = sdn::build_campus(net, s.campus);
+  if (s.wire_app) s.wire_app(net, campus);
+  return std::make_shared<const sdn::WorldBase>(std::move(net));
+}
+
 std::vector<eval::Tuple> engine_trace(const Scenario& s, size_t cap) {
-  // Workload generation needs the topology (host placement), so build a
-  // throwaway network first.
-  sdn::Network probe;
-  sdn::Campus campus = sdn::build_campus(probe, s.campus);
-  if (s.wire_app) s.wire_app(probe, campus);
-  const std::vector<sdn::Injection> work = s.make_workload(probe);
+  const std::vector<sdn::Injection> work = s.make_workload(build_base(s)->net());
   const sdn::ControllerBindings bindings = s.make_bindings();
   std::vector<eval::Tuple> trace = s.config_tuples;
   trace.reserve(std::min(cap, trace.size() + work.size()));

@@ -55,6 +55,11 @@ Scenario q5_mac_learning(const sdn::CampusOptions& campus = {});
 
 std::vector<Scenario> all_scenarios(const sdn::CampusOptions& campus = {});
 
+// The scenario's static world: build_campus plus wire_app, sealed into a
+// WorldBase. Workload synthesis reads it, and every world a ScenarioHarness
+// builds runs on it.
+std::shared_ptr<const sdn::WorldBase> build_base(const Scenario& s);
+
 // The scenario's engine-level tuple trace: config tuples followed by the
 // PacketIn encoding of every workload injection (the same encoding the
 // controller proxy applies on a flow-table miss), capped at `cap` tuples.

@@ -150,18 +150,17 @@ size_t FlowTable::hits(const Packet& p, int64_t in_port,
 }
 
 const FlowRule* FlowTable::lookup(const Packet& p, int64_t in_port,
-                                  eval::TagMask tag_bit) const {
-  uint32_t heads[kMaxShapes];
-  const size_t n = hits(p, in_port, heads);
-  uint32_t best = kNone;
-  for (size_t i = 0; i < n; ++i) {
-    for (uint32_t r = heads[i]; r != kNone; r = rules_[r].next) {
-      if ((rules_[r].tags & tag_bit) == 0) continue;
-      if (best == kNone || outranks(r, best)) best = r;
-      break;
-    }
-  }
-  return best == kNone ? nullptr : &rules_[best];
+                                  eval::TagMask tag_bit,
+                                  const FlowTable* later) const {
+  // The first rule partition hands any of the tags is the best-ranked one.
+  const FlowRule* best = nullptr;
+  partition(
+      p, in_port, tag_bit,
+      [&](const FlowRule& r, eval::TagMask) {
+        if (best == nullptr) best = &r;
+      },
+      later);
+  return best;
 }
 
 }  // namespace mp::sdn

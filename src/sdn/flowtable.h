@@ -6,8 +6,11 @@
 // `FlowRule` and classifies by tuple-space search: one exact-match hash
 // table per match shape (the set of fields a rule matches), with the rules
 // that share a shape and key chained in rank order. A lookup hashes the
-// packet once per shape and sweeps the hits in rank order. See
-// src/sdn/README.md for the contract and the memory layout.
+// packet once per shape and sweeps the hits in rank order. A lookup may
+// also sweep a second table, `later`, whose rules rank as if installed
+// after every rule of the first: a world's dynamic layer over the static
+// layer it shares (sdn::WorldBase). See src/sdn/README.md for the contract
+// and the memory layout.
 #pragma once
 
 #include <cstdint>
@@ -64,16 +67,19 @@ class FlowTable {
  public:
   void add(const FlowEntry& entry);
   // Highest-priority matching rule visible under `tag_bit`; ties resolve
-  // to the earliest-installed rule (switch-like behaviour).
+  // to the earliest-installed rule (switch-like behaviour). The rules of
+  // `later`, when given, rank as if installed after every rule here.
   const FlowRule* lookup(const Packet& p, int64_t in_port,
-                         eval::TagMask tag_bit = eval::kAllTags) const;
+                         eval::TagMask tag_bit = eval::kAllTags,
+                         const FlowTable* later = nullptr) const;
   // Partition `tags` by best matching rule: invokes cb(rule, submask)
   // once per distinct winning rule and returns the mask of tags with no
   // matching rule. This is what lets multi-query backtesting walk one
-  // shared path for all candidates that agree (Section 4.4).
+  // shared path for all candidates that agree (Section 4.4). `later` as
+  // for lookup.
   template <class Fn>
   eval::TagMask partition(const Packet& p, int64_t in_port, eval::TagMask tags,
-                          Fn&& cb) const;
+                          Fn&& cb, const FlowTable* later = nullptr) const;
   size_t size() const { return rules_.size(); }
 
  private:
@@ -103,6 +109,38 @@ class FlowTable {
                : a < b;
   }
 
+  // The rules of one table that match a packet, drawn in rank order.
+  class Sweep {
+   public:
+    Sweep(const FlowTable& t, const Packet& p, int64_t in_port)
+        : t_(t), n_(t.hits(p, in_port, heads_)) {}
+    // The best-ranked rule not drawn yet, or nullptr.
+    const FlowRule* next() {
+      size_t best = n_;
+      for (size_t i = 0; i < n_; ++i) {
+        if (heads_[i] != kNone &&
+            (best == n_ || t_.outranks(heads_[i], heads_[best])))
+          best = i;
+      }
+      if (best == n_) return nullptr;
+      const FlowRule& r = t_.rules_[heads_[best]];
+      heads_[best] = r.next;
+      return &r;
+    }
+
+   private:
+    const FlowTable& t_;
+    uint32_t heads_[kMaxShapes];  // per hit chain, the next rule or kNone
+    size_t n_;
+  };
+
+  // partition over this table and `later`: their sweeps merged, this
+  // table's rule first on equal priority.
+  template <class Fn>
+  eval::TagMask partition_merged(const Packet& p, int64_t in_port,
+                                 eval::TagMask tags, Fn& cb,
+                                 const FlowTable& later) const;
+
   std::vector<FlowRule> rules_;  // install order
   std::vector<int64_t> values_;  // match-value arena
   std::vector<Shape> shapes_;
@@ -110,22 +148,47 @@ class FlowTable {
 
 template <class Fn>
 eval::TagMask FlowTable::partition(const Packet& p, int64_t in_port,
-                                   eval::TagMask tags, Fn&& cb) const {
-  uint32_t heads[kMaxShapes];
-  const size_t n = hits(p, in_port, heads);
+                                   eval::TagMask tags, Fn&& cb,
+                                   const FlowTable* later) const {
+  if (later != nullptr) return partition_merged(p, in_port, tags, cb, *later);
+  Sweep sweep(*this, p, in_port);
   eval::TagMask remaining = tags;
   while (remaining != 0) {
-    size_t best = n;
-    for (size_t i = 0; i < n; ++i) {
-      if (heads[i] != kNone && (best == n || outranks(heads[i], heads[best])))
-        best = i;
-    }
-    if (best == n) break;
-    const FlowRule& r = rules_[heads[best]];
-    heads[best] = r.next;
-    const eval::TagMask sub = remaining & r.tags;
+    const FlowRule* r = sweep.next();
+    if (r == nullptr) break;
+    const eval::TagMask sub = remaining & r->tags;
     if (sub == 0) continue;
-    cb(r, sub);
+    cb(*r, sub);
+    remaining &= ~sub;
+  }
+  return remaining;
+}
+
+// Out of line, so that the single-table sweep above, which every hop at a
+// clean switch takes, stays small enough to inline into the forwarding
+// loop. A two-layer loop in its place measured 6-12% slower per clean hop
+// (36-switch campus, 4-vCPU x86-64).
+template <class Fn>
+[[gnu::noinline]] eval::TagMask FlowTable::partition_merged(
+    const Packet& p, int64_t in_port, eval::TagMask tags, Fn& cb,
+    const FlowTable& later) const {
+  Sweep first(*this, p, in_port);
+  Sweep second(later, p, in_port);
+  const FlowRule* a = first.next();
+  const FlowRule* b = second.next();
+  eval::TagMask remaining = tags;
+  while (remaining != 0 && (a != nullptr || b != nullptr)) {
+    const FlowRule* r;
+    if (b == nullptr || (a != nullptr && a->priority >= b->priority)) {
+      r = a;
+      a = first.next();
+    } else {
+      r = b;
+      b = second.next();
+    }
+    const eval::TagMask sub = remaining & r->tags;
+    if (sub == 0) continue;
+    cb(*r, sub);
     remaining &= ~sub;
   }
   return remaining;

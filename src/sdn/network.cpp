@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
+#include <utility>
 
 #include "obs/obs.h"
 
@@ -33,7 +35,47 @@ void for_each_tag(eval::TagMask mask, Fn&& fn) {
 
 }  // namespace
 
+Network::Network(std::shared_ptr<const WorldBase> base)
+    : base_(std::move(base)) {
+  if (base_ == nullptr) throw std::invalid_argument("Network: null base");
+  sealed_ = true;
+  sealed_switches_ = base_->net().switch_count();
+}
+
+WorldBase::WorldBase(Network net) : net_(std::move(net)) {
+  if (net_.base() != nullptr)
+    throw std::invalid_argument("WorldBase: the network is on a base");
+  net_.seal();
+  if (obs::enabled()) {
+    static obs::Counter& builds =
+        obs::Registry::global().counter("sdn.base.builds");
+    builds.add(1);
+  }
+}
+
+const Network& Network::topology() const {
+  return base_ != nullptr ? base_->net() : *this;
+}
+
+void Network::own_topology(const char* op) const {
+  if (base_ != nullptr) {
+    throw std::logic_error(std::string("Network::") + op +
+                           ": a world on a WorldBase shares its topology");
+  }
+}
+
+const FlowTable* Network::dynamic_layer(const Switch& s) const {
+  // Only a dirty switch can have one; a self-built world has none.
+  if ((dirty_ & sig_bit(s)) == 0 || s.dense() >= dynamic_.size())
+    return nullptr;
+  const FlowTable& t = dynamic_[s.dense()];
+  return t.size() == 0 ? nullptr : &t;
+}
+
+// add_host, link and external change the topology through add_switch
+// first, so on a base they throw before changing anything.
 Switch& Network::add_switch(int64_t id) {
+  own_topology("add_switch");
   auto [it, inserted] =
       switches_.try_emplace(id, id, static_cast<uint32_t>(switches_.size()));
   if (inserted) mark_dirty(it->second);
@@ -41,13 +83,15 @@ Switch& Network::add_switch(int64_t id) {
 }
 
 Switch* Network::find_switch(int64_t id) {
+  own_topology("find_switch");
   auto it = switches_.find(id);
   return it == switches_.end() ? nullptr : &it->second;
 }
 
 const Switch* Network::find_switch(int64_t id) const {
-  auto it = switches_.find(id);
-  return it == switches_.end() ? nullptr : &it->second;
+  const auto& switches = topology().switches_;
+  auto it = switches.find(id);
+  return it == switches.end() ? nullptr : &it->second;
 }
 
 Host& Network::add_host(Host h) {
@@ -59,21 +103,22 @@ Host& Network::add_host(Host h) {
 }
 
 const Host* Network::host_by_ip(int64_t ip) const {
-  for (const Host& h : hosts_)
+  for (const Host& h : hosts())
     if (h.ip == ip) return &h;
   return nullptr;
 }
 
 const Host* Network::host_by_id(int64_t id) const {
-  for (const Host& h : hosts_)
+  for (const Host& h : hosts())
     if (h.id == id) return &h;
   return nullptr;
 }
 
 std::vector<int64_t> Network::switch_ids() const {
+  const auto& switches = topology().switches_;
   std::vector<int64_t> out;
-  out.reserve(switches_.size());
-  for (const auto& [id, sw] : switches_) out.push_back(id);
+  out.reserve(switches.size());
+  for (const auto& [id, sw] : switches) out.push_back(id);
   return out;
 }
 
@@ -103,11 +148,16 @@ void Network::mark_dirty(const Switch& s) {
 }
 
 void Network::install(int64_t sw, FlowEntry entry) {
-  Switch* s = find_switch(sw);
+  const Switch* s = std::as_const(*this).find_switch(sw);
   if (s == nullptr) return;
   ++stats_.flow_mods;
   recorder_.record_ctrl(CtrlMsgKind::FlowMod, sw, clock_);
-  s->table().add(std::move(entry));
+  if (base_ == nullptr) {
+    switches_.find(sw)->second.table().add(entry);
+  } else {
+    if (dynamic_.empty()) dynamic_.resize(sealed_switches_);
+    dynamic_[s->dense()].add(entry);
+  }
   mark_dirty(*s);
 }
 
@@ -327,7 +377,7 @@ uint64_t Network::walk(int64_t sw, int64_t in_port, const Packet& p) {
       }
       --hop_budget;
       ++stats_.hops;
-      const Switch* s = find_switch(where.first);
+      const Switch* s = std::as_const(*this).find_switch(where.first);
       if (s == nullptr) {
         static_walk = false;
         drop(tags);
@@ -335,13 +385,15 @@ uint64_t Network::walk(int64_t sw, int64_t in_port, const Packet& p) {
       }
       sig |= sig_bit(*s);
       const eval::TagMask missed = s->table().partition(
-          p, where.second, tags, [&](const FlowRule& r, eval::TagMask sub) {
+          p, where.second, tags,
+          [&](const FlowRule& r, eval::TagMask sub) {
             if (r.action.kind == Action::Kind::Drop) {
               drop(sub);
             } else if (const PortPeer* next = egress(*s, r.action.port, sub)) {
               work.emplace_back(Where{next->peer, next->peer_port}, sub);
             }
-          });
+          },
+          dynamic_layer(*s));
       if (missed) {
         static_walk = false;
         misses[where] |= missed;
@@ -369,7 +421,7 @@ uint64_t Network::walk(int64_t sw, int64_t in_port, const Packet& p) {
         const eval::TagMask sub = unreleased & out.tags;
         if (sub == 0) continue;
         unreleased &= ~sub;
-        const Switch* s = find_switch(where.first);
+        const Switch* s = std::as_const(*this).find_switch(where.first);
         if (s == nullptr) {
           drop(sub);
         } else if (const PortPeer* next = egress(*s, out.port, sub)) {

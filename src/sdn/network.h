@@ -9,15 +9,20 @@
 // forwarding is resolved per tag; the controller is still invoked only
 // once per distinct miss, with the mask of tags that missed (Section 4.4).
 //
-// Static-path memo: a world's static base (topology plus every rule
-// installed before seal()) is the same in every world of a scenario, so a
-// packet whose walk meets only static rules walks the same path in each of
-// them. PathMemo keeps that walk per workload position; see
-// src/sdn/README.md, "Static-path memo".
+// World base: a world's static base (topology plus every rule installed
+// before seal()) is the same in every world of a scenario. A WorldBase
+// holds it once, and every world built on it owns only its dynamic layer:
+// the rules installed after, its dirty marks, tallies and logs. See
+// src/sdn/README.md, "World base".
+//
+// Static-path memo: a packet whose walk meets only static rules walks the
+// same path in every world of a scenario. PathMemo keeps that walk per
+// workload position; see src/sdn/README.md, "Static-path memo".
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -76,16 +81,27 @@ class PathMemo {
   size_t entries_ = 0;
 };
 
+class WorldBase;
+
 class Network {
  public:
+  // A self-built world: empty, filled through add_switch, link, external,
+  // add_host and Switch::table(), and optionally sealed in place.
+  Network() = default;
+  // A world on `base`, sealed from the start: it reads the base's topology
+  // and static rules and owns only what it installs. Its topology is the
+  // base's, so add_switch, link, external, add_host and the non-const
+  // find_switch throw std::logic_error.
+  explicit Network(std::shared_ptr<const WorldBase> base);
+
   Switch& add_switch(int64_t id);
   Switch* find_switch(int64_t id);
   const Switch* find_switch(int64_t id) const;
   Host& add_host(Host h);  // also connects the switch port to the host
   const Host* host_by_ip(int64_t ip) const;
   const Host* host_by_id(int64_t id) const;
-  const std::vector<Host>& hosts() const { return hosts_; }
-  size_t switch_count() const { return switches_.size(); }
+  const std::vector<Host>& hosts() const { return topology().hosts_; }
+  size_t switch_count() const { return topology().switches_.size(); }
   std::vector<int64_t> switch_ids() const;  // ascending
 
   // Bidirectional switch-to-switch link.
@@ -107,8 +123,10 @@ class Network {
   // Ends the static base: from here on every install, and any topology
   // change, marks the switches it touches dirty. Rules added straight
   // through Switch::table() after this are not seen, so they must not be.
-  // Only the first call counts.
+  // Only the first call counts; a world on a base is already sealed.
   void seal();
+  // The shared static layer this world is built on; null if self-built.
+  const std::shared_ptr<const WorldBase>& base() const { return base_; }
   // sdn::replay(*this, work) in a sealed world that also fills `memo`
   // (one slot per position of `work`) with every walk that did not miss
   // and visited only clean switches.
@@ -153,6 +171,13 @@ class Network {
   // Returns the PathMemo slot of the walk, or 0 when it cannot be
   // memoized.
   uint64_t walk(int64_t sw, int64_t in_port, const Packet& p);
+  // Where the switches, ports and hosts live: the base's network, or this
+  // one when self-built.
+  const Network& topology() const;
+  // Throws std::logic_error when this world is on a base.
+  void own_topology(const char* op) const;
+  // The dynamic layer `s` has in a world on a base, or nullptr.
+  const FlowTable* dynamic_layer(const Switch& s) const;
   void mark_dirty(const Switch& s);
   // Terminal outcomes for every world in `tags`.
   void deliver(int64_t host, int64_t dpt, eval::TagMask tags);
@@ -160,6 +185,12 @@ class Network {
   // Moves the per-key tallies in `pending` into `st`.
   void fold(std::vector<uint64_t>& pending, DeliveryStats& st) const;
 
+  // Null for a self-built world, which keeps its topology and every rule
+  // in switches_ and hosts_. A world on a base leaves both empty and keeps
+  // each switch's post-seal rules in dynamic_, indexed by dense id
+  // (allocated at the first install).
+  std::shared_ptr<const WorldBase> base_;
+  std::vector<FlowTable> dynamic_;
   std::map<int64_t, Switch> switches_;
   std::vector<Host> hosts_;
   ControllerIface* controller_ = nullptr;
@@ -190,6 +221,24 @@ class Network {
     eval::TagMask tags;
   };
   std::vector<PendingOut> pending_outs_;
+};
+
+// The static layer every world of a scenario shares: a network's switches,
+// ports, hosts and every rule installed before it was sealed, with their
+// tuple-space indexes. Immutable once built, so worlds on several threads
+// read it without locks. Held by shared_ptr<const WorldBase>; see
+// src/sdn/README.md, "World base".
+class WorldBase {
+ public:
+  // Seals `net`, a self-built network, and keeps it as the static layer.
+  // Counts one sdn.base.builds.
+  explicit WorldBase(Network net);
+  // The sealed network, e.g. for workload synthesis. Its own tallies and
+  // logs stay empty: worlds replay on the base, never in it.
+  const Network& net() const { return net_; }
+
+ private:
+  Network net_;
 };
 
 }  // namespace mp::sdn

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -129,6 +130,42 @@ TEST(BacktesterPool, MemoizedReplaysOnThePoolMatchSequentialAndWalk) {
     EXPECT_EQ(report(pooled, 4), want) << s.id;
     EXPECT_GT(pooled.memo().entries(), 0u) << s.id;
   }
+}
+
+// Every sequential candidate world is built on the harness's one
+// WorldBase, which the pool's workers read at once: pooled replays must
+// equal the single-threaded run entry for entry, and leave the base's
+// rules as they were. Under CHECK_TSAN=1 this is the race check of the
+// shared const base.
+TEST(BacktesterPool, PooledWorldsOnOneSharedBaseMatchSingleThreaded) {
+  const scenario::Scenario s = scenario::q2_forwarding({});
+  scenario::PipelineOptions opt;
+  opt.multiquery = false;
+  opt.max_backtested = 8;
+  const std::vector<repair::RepairCandidate> cands =
+      scenario::run_pipeline(s, opt).generation.candidates;
+  ASSERT_GT(cands.size(), 1u);
+  auto static_rules = [](const sdn::Network& net) {
+    size_t n = 0;
+    for (int64_t id : net.switch_ids())
+      n += net.find_switch(id)->table().size();
+    return n;
+  };
+  scenario::ScenarioHarness single(s);
+  scenario::ScenarioHarness pooled(s);
+  const size_t rules = static_rules(pooled.base()->net());
+  for (const repair::RepairCandidate& c : cands) {
+    std::optional<scenario::ScenarioRun> world = pooled.candidate_world(c);
+    if (world) EXPECT_EQ(world->net().base(), pooled.base());
+  }
+  auto report = [&](scenario::ScenarioHarness& harness, size_t shards) {
+    backtest::BacktestConfig cfg;
+    cfg.shards = shards;
+    return memo_test::report_text(
+        backtest::Backtester(cfg).run(harness, cands));
+  };
+  EXPECT_EQ(report(pooled, 4), report(single, 1));
+  EXPECT_EQ(static_rules(pooled.base()->net()), rules);
 }
 
 // The fork/join primitive under the candidate-replay pool

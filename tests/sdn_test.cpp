@@ -1,6 +1,10 @@
 // Tests for the SDN simulator substrate and the backtest machinery.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <utility>
+
 #include "backtest/backtester.h"
 #include "backtest/multiquery.h"
 #include "ndlog/parser.h"
@@ -554,20 +558,30 @@ FlowEntry random_entry(Rng& rng, int64_t port, bool wide) {
 
 class PartitionProperty : public ::testing::TestWithParam<uint64_t> {};
 
+// Two layers, as a world on a WorldBase classifies: a static table and a
+// dynamic one whose rules rank as if installed after every static rule.
+// The oracle scans both in that concatenated install order, so across the
+// layers equal priorities go to the static rule. Both layers draw
+// priorities from -2..1 (dynamic installs at negative priority, ties
+// across layers) and partial tag masks, and the dynamic layer grows after
+// lookups.
 TEST_P(PartitionProperty, MatchesLinearScan) {
   Rng rng(GetParam());
   const bool wide = rng.chance(0.3);
   FlowTable ft;
+  FlowTable dynamic;
+  const FlowTable* later = nullptr;
   LinearOracle oracle;
   int64_t port = 0;
-  auto install = [&](size_t n) {
+  auto install = [&](FlowTable& table, size_t n) {
     for (size_t i = 0; i < n; ++i) {
       oracle.entries.push_back(random_entry(rng, port++, wide));
-      ft.add(oracle.entries.back());
+      table.add(oracle.entries.back());
     }
   };
   auto check = [&] {
-    ASSERT_EQ(ft.size(), oracle.entries.size());
+    ASSERT_EQ(ft.size() + (later != nullptr ? later->size() : 0),
+              oracle.entries.size());
     for (int trial = 0; trial < 32; ++trial) {
       Packet p;
       p.dpt = static_cast<int64_t>(rng.below(3) * 27 + 26);
@@ -580,17 +594,19 @@ TEST_P(PartitionProperty, MatchesLinearScan) {
           oracle.partition(p, in_port, tags, want);
       std::map<int64_t, eval::TagMask> got;
       const eval::TagMask missing = ft.partition(
-          p, in_port, tags, [&](const FlowRule& r, eval::TagMask sub) {
+          p, in_port, tags,
+          [&](const FlowRule& r, eval::TagMask sub) {
             EXPECT_EQ(got.count(r.action.port), 0u)
                 << "one callback per winning rule";
             got[r.action.port] |= sub;
-          });
+          },
+          later);
       EXPECT_EQ(missing, want_missing);
       EXPECT_EQ(got, want);
       for (size_t b = 0; b < eval::kMaxTags; ++b) {
         const eval::TagMask bit = eval::TagMask{1} << b;
         const FlowEntry* e = oracle.lookup(p, in_port, bit);
-        const FlowRule* r = ft.lookup(p, in_port, bit);
+        const FlowRule* r = ft.lookup(p, in_port, bit, later);
         ASSERT_EQ(r == nullptr, e == nullptr) << "tag " << b;
         if (r != nullptr) {
           EXPECT_EQ(r->action.port, e->action.port);
@@ -598,11 +614,63 @@ TEST_P(PartitionProperty, MatchesLinearScan) {
       }
     }
   };
-  install(3 + rng.below(wide ? 60 : 14));
+  install(ft, 3 + rng.below(wide ? 60 : 14));
   check();
   // Rules added later rank behind the earlier ones on ties.
-  install(1 + rng.below(10));
+  install(ft, 1 + rng.below(10));
   check();
+  // An empty dynamic layer changes nothing; then it grows between lookups.
+  later = &dynamic;
+  check();
+  install(dynamic, 1 + rng.below(10));
+  check();
+  install(dynamic, 1 + rng.below(10));
+  check();
+}
+
+// The rank across layers, pinned by hand: priority first, the static rule
+// on equal priority, and per tag where the static rule is invisible.
+TEST(FlowTable, LaterLayerRanksAfterOnEqualPriority) {
+  FlowTable fixed;
+  FlowTable dynamic;
+  FlowEntry route;
+  route.match = {{Field::Dip, Value(42)}};
+  route.priority = -1;
+  route.tags = 0b01;
+  route.action = Action::output(1);
+  fixed.add(route);
+  FlowEntry tie = route;
+  tie.tags = eval::kAllTags;
+  tie.action = Action::output(2);
+  dynamic.add(tie);
+  Packet p;
+  p.dip = 42;
+  EXPECT_EQ(fixed.lookup(p, 0, 0b01, &dynamic)->action.port, 1);
+  EXPECT_EQ(fixed.lookup(p, 0, 0b10, &dynamic)->action.port, 2);
+  FlowEntry low = tie;
+  low.match.clear();
+  low.priority = -5;
+  low.action = Action::output(3);
+  dynamic.add(low);
+  p.dip = 7;
+  EXPECT_EQ(fixed.lookup(p, 0, 0b01, &dynamic)->action.port, 3);
+  FlowEntry high = tie;
+  high.priority = 0;
+  high.action = Action::output(4);
+  dynamic.add(high);
+  p.dip = 42;
+  EXPECT_EQ(fixed.lookup(p, 0, 0b01, &dynamic)->action.port, 4);
+  std::map<int64_t, eval::TagMask> got;
+  EXPECT_EQ(fixed.partition(
+                p, 0, 0b111,
+                [&](const FlowRule& r, eval::TagMask sub) {
+                  got[r.action.port] |= sub;
+                },
+                &dynamic),
+            0u);
+  EXPECT_EQ(got, (std::map<int64_t, eval::TagMask>{{4, 0b111}}));
+  EXPECT_EQ(fixed.size(), 1u);
+  EXPECT_EQ(dynamic.size(), 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTables, PartitionProperty,
@@ -880,6 +948,144 @@ TEST(PathMemo, RandomNetworksWithMidStreamInstallsMatchWalk) {
   EXPECT_GT(entries, 0u);
   EXPECT_GT(hits, 0u);
   EXPECT_GT(walks, 0u) << "no install ever landed on a memoized path";
+}
+
+// --- world base (src/sdn/README.md, "World base") ----------------------------
+
+// Every rule of every switch of `net`, counted.
+size_t rule_count(const Network& net) {
+  size_t n = 0;
+  for (int64_t id : net.switch_ids()) n += net.find_switch(id)->table().size();
+  return n;
+}
+
+// A world on a shared base must behave exactly like a self-built world
+// with the same static rules, whose installs land in the same table as
+// them: the same statistics per tag, hops, control log and clock, walked
+// or booked from a memo, in plain and tag mode. The worlds churn their
+// tables mid-stream (the memo property's generator and controller), and
+// none of it reaches the base.
+TEST(WorldBase, ForkedWorldsMatchSelfBuiltOnRandomNetworks) {
+  size_t forked_installs = 0;
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Network static_net;
+    const std::vector<int64_t> ips = build_random_net(static_net, seed);
+    const auto base = std::make_shared<const WorldBase>(std::move(static_net));
+    const size_t static_rules = rule_count(base->net());
+    const std::vector<Injection> work = random_work(base->net(), ips, seed);
+    PathMemo memo;
+    {
+      Network filler(base);
+      ChurnController ctrl(filler, seed * 3 + 1, ips);
+      filler.set_controller(&ctrl);
+      filler.record_batch(work, memo);
+    }
+    const eval::TagMask active = (Rng(seed).next() & 0xF) | 1;
+    for (const bool tagged : {false, true}) {
+      for (const bool memoized : {false, true}) {
+        const std::string where = std::string(tagged ? "tagged" : "plain") +
+                                  (memoized ? " memoized" : " walked");
+        Network forked(base);
+        Network self_built;
+        build_random_net(self_built, seed);
+        self_built.seal();
+        std::vector<std::unique_ptr<ChurnController>> ctrls;
+        for (Network* net : {&forked, &self_built}) {
+          ctrls.push_back(
+              std::make_unique<ChurnController>(*net, seed * 3 + 2, ips));
+          net->set_controller(ctrls.back().get());
+          if (tagged) net->set_tag_mode(true, active);
+        }
+        // Drops that tie with static routes on priority: installed later,
+        // they must lose to the static rule in both worlds.
+        Rng tie_rng(seed);
+        const std::vector<int64_t> ids = base->net().switch_ids();
+        for (int k = 0; k < 3; ++k) {
+          FlowEntry tie;
+          tie.match = {{Field::Dip, Value(ips[tie_rng.below(ips.size())])}};
+          tie.priority = -1;
+          tie.action = Action::drop();
+          const int64_t sw = ids[tie_rng.below(ids.size())];
+          forked.install(sw, tie);
+          self_built.install(sw, tie);
+        }
+        if (memoized) {
+          forked.replay_batch(work, memo);
+          self_built.replay_batch(work, memo);
+        } else {
+          replay(forked, work);
+          replay(self_built, work);
+        }
+        memo_test::expect_same_world(forked, self_built, tagged ? 4 : 0,
+                                     where);
+        EXPECT_EQ(forked.memo_hits(), self_built.memo_hits()) << where;
+        EXPECT_EQ(forked.memo_walks(), self_built.memo_walks()) << where;
+        EXPECT_EQ(rule_count(self_built),
+                  static_rules + self_built.stats().flow_mods)
+            << where;
+        forked_installs += forked.stats().flow_mods;
+      }
+    }
+    EXPECT_EQ(rule_count(base->net()), static_rules);
+  }
+  EXPECT_GT(forked_installs, 0u);
+}
+
+// The post-seal topology contract for a world on a base: the topology is
+// the base's, so every call that would change it throws before changing
+// anything, in the world or in the base. Installs stay in the world.
+TEST(WorldBase, ForkedWorldRejectsTopologyChangesAndKeepsInstallsLocal) {
+  const std::vector<Host> hosts = {{1, "A", 41, 0, 1, 3}, {2, "B", 42, 0, 4, 3}};
+  const std::vector<Injection> work = {send(1, 42), send(4, 41), send(2, 42)};
+  Network chain;
+  build_chain(chain, 4, hosts);
+  const auto base = std::make_shared<const WorldBase>(std::move(chain));
+  const size_t static_rules = rule_count(base->net());
+  PathMemo memo;
+  Network filler(base);
+  filler.record_batch(work, memo);
+  EXPECT_EQ(memo.entries(), work.size());
+
+  Network world(base);
+  EXPECT_EQ(world.base(), base);
+  EXPECT_THROW(world.add_switch(99), std::logic_error);
+  EXPECT_THROW(world.add_switch(1), std::logic_error);
+  EXPECT_THROW(world.link(1, 7, 2, 7), std::logic_error);
+  EXPECT_THROW(world.external(1, 7), std::logic_error);
+  EXPECT_THROW(world.add_host({3, "C", 43, 0, 2, 5}), std::logic_error);
+  EXPECT_THROW(world.find_switch(1), std::logic_error);
+  world.seal();
+  EXPECT_EQ(world.switch_count(), 4u);
+  EXPECT_EQ(world.hosts().size(), hosts.size());
+  EXPECT_EQ(std::as_const(world).find_switch(1)->ports().size(),
+            base->net().find_switch(1)->ports().size());
+  // No switch was marked dirty: every memoized packet is booked.
+  world.replay_batch(work, memo);
+  EXPECT_EQ(world.memo_hits(), work.size());
+
+  // An install lands in this world's dynamic layer only and marks its
+  // switch dirty, at any priority.
+  Network diverted(base);
+  FlowEntry low;
+  low.priority = -5;
+  low.action = Action::drop();
+  diverted.install(4, low);
+  FlowEntry high = low;
+  high.priority = 5;
+  diverted.install(1, high);
+  diverted.replay_batch(work, memo);
+  EXPECT_EQ(diverted.memo_walks(), work.size());
+  EXPECT_EQ(diverted.stats().dropped, 2u);  // the packets through switch 1
+  EXPECT_EQ(diverted.stats().delivered, 1u);
+  EXPECT_EQ(rule_count(base->net()), static_rules);
+  Network fresh(base);
+  replay(fresh, work);
+  memo_test::expect_same_world(fresh, world, 0, "untouched by diverted");
+
+  // A base is built from a self-built network only.
+  EXPECT_THROW((void)WorldBase{Network{base}}, std::invalid_argument);
+  EXPECT_THROW((void)Network{nullptr}, std::invalid_argument);
 }
 
 }  // namespace

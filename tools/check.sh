@@ -27,7 +27,9 @@
 # Between the smoke and the bench smoke, the metrics gate reruns the Q1
 # pipeline with --metrics-out and validates the obs snapshot JSON
 # (parseable, core eval.engine.* counters, sdn.memo.hits and repair
-# latency histograms present and non-zero, per-scenario delta sane) — so
+# latency histograms present and non-zero, per-scenario delta sane, and
+# exactly one sdn.base.builds per pipeline: every world of a scenario runs
+# on one static base, src/sdn/README.md "World base") — so
 # the bench floor is always measured with observability enabled. The
 # trace gate then reruns it with --trace-out and checks that each traced
 # interval is recorded once, by one scope (src/obs/span.h): one
@@ -118,6 +120,10 @@ for name in core_hists:
 q1 = doc["scenarios"]["Q1"]
 assert q1["histograms"]["scenario.pipeline.latency_ns"]["count"] == 1, \
     "per-scenario delta should hold exactly one pipeline run"
+# One static build per pipeline: the recorded world and every candidate
+# world share the harness's WorldBase (src/sdn/README.md, "World base").
+builds = q1["counters"].get("sdn.base.builds", 0)
+assert builds == 1, f"sdn.base.builds per pipeline: {builds}, want exactly 1"
 print(f"metrics gate: {len(counters)} counters, {len(hists)} histograms, "
       "core instruments present")
 EOF
