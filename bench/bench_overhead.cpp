@@ -516,7 +516,7 @@ void BM_SegmentReload(benchmark::State& state) {
   size_t sink = 0;
   for (auto _ : state) {
     storage::SegmentStore store(dir);
-    store.replay_raw([&](const eval::RawEvent& re) {
+    store.replay_raw([&](const eval::EventView& re) {
       sink += re.causes.size() + re.row->size();
       return true;
     });

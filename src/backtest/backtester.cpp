@@ -73,12 +73,7 @@ BacktestReport Backtester::run(
     e.outcome = outcomes[i];
     e.effective = e.outcome.valid && e.outcome.symptom_fixed;
     e.ks = compare(baseline, e.outcome, cfg_.alpha);
-    // Control-plane load gate: repairs that flood the controller with
-    // PacketIns (e.g. retargeting a FlowMod-producing rule, Q4) are side
-    // effects the per-host KS cannot see.
-    const bool ctrl_ok =
-        e.outcome.packet_ins <= baseline.packet_ins * 2 + 16;
-    e.accepted = e.effective && !e.ks.significant && ctrl_ok;
+    e.accepted = e.effective && side_effect_free(baseline, e.outcome, e.ks);
     e.candidate.effective = e.effective;
     e.candidate.accepted = e.accepted;
     e.candidate.ks_statistic = e.ks.statistic;

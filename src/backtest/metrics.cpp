@@ -17,4 +17,10 @@ KsResult compare(const ReplayOutcome& baseline, const ReplayOutcome& repaired,
   return ks_test(baseline.per_host, repaired.per_host, alpha);
 }
 
+bool side_effect_free(const ReplayOutcome& baseline,
+                      const ReplayOutcome& repaired, const KsResult& ks) {
+  return !ks.significant &&
+         repaired.packet_ins <= baseline.packet_ins * 2 + 16;
+}
+
 }  // namespace mp::backtest

@@ -26,4 +26,14 @@ ReplayOutcome outcome_from_stats(const sdn::DeliveryStats& stats);
 KsResult compare(const ReplayOutcome& baseline, const ReplayOutcome& repaired,
                  double alpha = 0.05);
 
+// The backtest acceptance rule for an effective candidate: no side
+// effects the tests can see. `ks` is compare(baseline, repaired): the
+// per-host distribution must not differ significantly. The control-plane
+// load must stay within twice the baseline's PacketIns plus slack:
+// repairs that flood the controller (e.g. retargeting a FlowMod-producing
+// rule, Q4) are side effects the per-host KS cannot see. The Backtester
+// and the Table 3 runner (src/langs) both gate on this.
+bool side_effect_free(const ReplayOutcome& baseline,
+                      const ReplayOutcome& repaired, const KsResult& ks);
+
 }  // namespace mp::backtest

@@ -21,11 +21,16 @@ const char* to_string(EventKind k) {
   return "?";
 }
 
-std::string EventLog::to_string(const Event& e) const {
-  std::string out = mp::eval::to_string(e.kind);
-  out += "(t=" + std::to_string(e.id + 1) + ", @" +
-         node_value(e.node).to_string() + ", " + tuple_of(e).to_string();
-  if (e.rule != kNoRule) out += ", rule=" + rule_name(e.rule);
+std::string to_string(const EventView& e) {
+  std::string out = to_string(e.kind);
+  out += "(t=" + std::to_string(e.id + 1) + ", @" + e.node->to_string() +
+         ", ";
+  out += e.table;
+  out += row_to_string(*e.row);
+  if (!e.rule.empty()) {
+    out += ", rule=";
+    out += e.rule;
+  }
   out += ")";
   return out;
 }
@@ -52,24 +57,6 @@ EventId EventLog::append(EventKind kind, const Value& node, const Tuple& tuple,
   return append(kind, node, intern_tuple(tuple), tags,
                 std::span<const EventId>(causes),
                 rule.empty() ? kNoRule : intern_rule(rule));
-}
-
-std::span<const EventId> EventLog::causes_of(const Event& e) const {
-  if (e.ncauses == 0) return {};
-  if (e.causes_begin & kDecodedCauseTag) {
-    // Spill-decoded event: causes live in the producing walk's reader
-    // buffer, published through the cursor-buffer registry slot the low
-    // bits name.
-    const EventId* buf = cursor_bufs_[e.causes_begin & ~kDecodedCauseTag];
-    return {buf, e.ncauses};
-  }
-  if (e.gen != gen_) {
-    // A copy of a live event taken before a cause-arena rebase: its
-    // offset no longer addresses its causes. The causes are reachable
-    // through the spilled prefix (for_each_event) instead.
-    return {};
-  }
-  return {cause_arena_.data() + e.causes_begin, e.ncauses};
 }
 
 size_t EventLog::add_derivation(RuleId rule, TupleRef head,
@@ -195,7 +182,7 @@ void EventLog::serialize(const Event& e, std::vector<uint8_t>& out) const {
   ckpt::put_u32(out,
                 static_cast<uint32_t>(serialized_bytes(e) - ckpt::kHeaderBytes));
   for (const Value& v : row) ckpt::put_value(out, v);
-  for (EventId c : causes_of(e)) ckpt::put_u64(out, c);
+  for (EventId c : arena_causes(e)) ckpt::put_u64(out, c);
 }
 
 bool EventLog::fits_checkpoint_format(const Event& e) const {
@@ -279,21 +266,14 @@ void EventLog::drop_live_prefix(size_t n) {
   base_id_ += n;
   // Rebase: erase the cause-arena prefix the erased events owned and shift
   // the live events' offsets back down to 0 (offsets are u32 and
-  // arena-relative, so the arena never creeps toward the 2^31 tag bit).
-  // The generation tag bumps so Event copies taken before the rebase read
-  // as stale — causes_of() returns empty — instead of aliasing whatever
-  // now lives at their old offset.
+  // arena-relative, so they never grow past the live arena size).
   const uint32_t cut = events_.empty()
                            ? static_cast<uint32_t>(cause_arena_.size())
                            : events_.front().causes_begin;
   if (cut == 0) return;
   cause_arena_.erase(cause_arena_.begin(),
                      cause_arena_.begin() + static_cast<ptrdiff_t>(cut));
-  gen_ = (gen_ + 1) & 0xf;
-  for (Event& e : events_) {
-    e.causes_begin -= cut;
-    e.gen = gen_ & 0xf;
-  }
+  for (Event& e : events_) e.causes_begin -= cut;
 }
 
 size_t EventLog::byte_estimate() const {
@@ -319,66 +299,26 @@ size_t EventLog::byte_estimate() const {
   return total;
 }
 
-void EventLog::replay_spilled(
-    const std::function<void(const Event&)>& fn) const {
-  // A self-spilled prefix references only names/nodes/rows this log
-  // interned before compacting them, and no interner is ever truncated —
-  // so reconstruction is pure const lookup, never an intern. One-entry
-  // caches absorb the long same-table / same-node runs typical of
-  // homogeneous streams without per-event string allocation.
-  std::string last_table;
-  TableId last_tid = ndlog::Catalog::kNoTable;
-  std::string last_rule;
-  RuleId last_rule_id = kNoRule;
-  Value last_node;
-  NodeRef last_node_ref = kNoNode;
-  const uint32_t slot = acquire_cursor_slot();
-  spill_->replay_raw([&](const RawEvent& re) {
-    if (last_tid == ndlog::Catalog::kNoTable || last_table != re.table) {
-      last_table.assign(re.table);
-      last_tid = names().id_of(last_table);
-      assert(last_tid != ndlog::Catalog::kNoTable);
-    }
-    Event e;
-    e.id = re.id;
-    e.tags = re.tags;
-    e.kind = re.kind;
-    e.tuple = pool_.find(last_tid, *re.row);
-    assert(e.tuple != kNoTupleRef);
-    if (re.rule.empty()) {
-      e.rule = kNoRule;
-    } else {
-      if (last_rule_id == kNoRule || last_rule != re.rule) {
-        last_rule.assign(re.rule);
-        const auto it = rule_ids_.find(last_rule);
-        assert(it != rule_ids_.end());
-        last_rule_id = it->second;
-      }
-      e.rule = last_rule_id;
-    }
-    if (last_node_ref == kNoNode || !(last_node == *re.node)) {
-      last_node = *re.node;
-      const auto it = node_ids_.find(last_node);
-      assert(it != node_ids_.end());
-      last_node_ref = it->second;
-    }
-    e.node = last_node_ref;
-    e.ncauses = static_cast<uint8_t>(re.causes.size());
-    // The reader's cause buffer is stable until its next decode, which
-    // happens only after fn returns; publish it through a registry slot
-    // held for the whole replay.
-    cursor_bufs_[slot] = re.causes.data();
-    e.causes_begin = kDecodedCauseTag | slot;
-    fn(e);
-    return true;
-  });
-  release_cursor_slot(slot);
-}
-
 void EventLog::for_each_event(
-    const std::function<void(const Event&)>& fn) const {
-  if (spill_ != nullptr) replay_spilled(fn);
-  for (const Event& e : events_) fn(e);
+    const std::function<void(const EventView&)>& fn) const {
+  if (spill_ != nullptr) {
+    spill_->replay_raw([&](const EventView& v) {
+      fn(v);
+      return true;
+    });
+  }
+  EventView v;
+  for (const Event& e : events_) {
+    v.id = e.id;
+    v.tags = e.tags;
+    v.kind = e.kind;
+    v.table = names().name_of(pool_.table(e.tuple));
+    v.rule = rule_name(e.rule);
+    v.node = &node_value(e.node);
+    v.row = &pool_.row(e.tuple);
+    v.causes = arena_causes(e);
+    fn(v);
+  }
 }
 
 void EventLog::set_spill(CheckpointSink* sink) {
@@ -399,7 +339,6 @@ void EventLog::set_spill(CheckpointSink* sink) {
 void EventLog::clear() {
   events_.clear();
   cause_arena_.clear();
-  gen_ = 0;
   derivations_.clear();
   body_arena_.clear();
   head_index_.clear();

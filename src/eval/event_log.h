@@ -35,10 +35,12 @@
 // 16-bit ids. Without a usable sink (none attached, or one that latched
 // failed()) compact() moves nothing and the events stay live: durability
 // is lost, never events. Ids stay stable across compaction — the id space
-// is [0, size()), of which [base_id(), size()) is held live — and replay
-// (backtest::replay_base_stream) walks the spilled prefix plus the live
-// suffix through for_each_event(), decoding the prefix with the sink's
-// standalone reader (storage::SegmentReader, the one checkpoint decoder).
+// is [0, size()), of which [base_id(), size()) is held live. The record
+// has one reading contract: for_each_event() hands every event, spilled
+// or live, to its callback as an EventView — the spilled prefix straight
+// from the sink's standalone reader (storage::SegmentReader, the one
+// checkpoint decoder), the live suffix as views over the pool, catalog,
+// interners and cause arena.
 // TupleRefs survive compaction: the pool is never truncated, so handles
 // held by the history store or table entries remain valid (pinned by
 // tests/tuple_pool_test.cpp).
@@ -94,47 +96,32 @@ enum class EventKind : uint8_t {
 
 const char* to_string(EventKind k);
 
-// Tag bit marking a spill-decoded Event whose causes live outside the
-// arena: the low 31 bits of causes_begin then hold a slot index into the
-// log's cursor-buffer registry (cursor_bufs_), where the producing walk of
-// the spilled prefix publishes the address of its reader's cause buffer.
-// Every walk holds its own slot, so a span taken from one walk survives
-// a nested walk of the same prefix — the indirection exists because a
-// 64-bit pointer does not fit the 32-bit field. The bit is unreachable as
-// a real arena offset (append asserts the arena stays below 2^31 ids).
-inline constexpr uint32_t kDecodedCauseTag = 1u << 31;
-
 // 32-byte event record (wave 3; was 40 bytes, before that 48).
 //   - No timestamp field: append assigns logical times 1, 2, 3, ... in id
 //     order, so an event's time is always id + 1 (event_time()).
 //   - causes_begin is a u32 offset RELATIVE to the current start of the
 //     cause arena. compact() rebases live offsets to 0 when it drops the
 //     arena prefix, so offsets never grow past the live arena size.
-//   - gen is the log's 4-bit rebase generation: every rebase bumps it and
-//     re-stamps the live events, so causes_of() can reject a stale COPY of
-//     an event taken before a rebase (its offset now points at the wrong
-//     ids). Live references are always current. The counter wraps mod 16 —
-//     detection of copies held across 16+ rebases is best-effort, which
-//     matches the old `causes_begin < cause_base_` check (it too passed
-//     stale copies whose absolute offset happened to stay above the base).
 //   - rule is the u16 id space the checkpoint format always used
 //     (kNoRule == 0xffff fits); ncauses is capped at 255 by append (causes
 //     per event = rule body size or 1).
+// Event is the storage format of the live suffix (events()); the full
+// record, spilled prefix included, reads back as EventViews
+// (for_each_event).
 struct Event {
   EventId id = kNoEvent;
   TagMask tags = kAllTags;
-  uint32_t causes_begin = 0;     // arena-relative offset, or
-                                 // kDecodedCauseTag | cursor-buffer slot
+  uint32_t causes_begin = 0;     // cause-arena-relative offset
   NodeRef node = kNoNode;        // where it happened (EventLog::node_value)
   TupleRef tuple = kNoTupleRef;  // into the owning log's TuplePool
   uint16_t rule = static_cast<uint16_t>(kNoRule);  // for Derive/Underive
   uint8_t ncauses = 0;           // direct causal predecessors
-  EventKind kind : 4 {EventKind::Insert};
-  uint8_t gen : 4 {0};           // cause-arena rebase generation
+  EventKind kind = EventKind::Insert;
 };
-// The live suffix is a vector<Event> appended to on every recorded step;
-// trivial copyability keeps its geometric growth a memmove, and the exact
-// 32-byte size keeps two events per cache line on the append hot path.
+// The live suffix is a std::deque<Event> appended to on every recorded
+// step: growth adds a block and never moves an event, trivial
+// copyability keeps each push_back a plain store, and the exact 32-byte
+// size keeps two events per cache line on the append hot path.
 static_assert(std::is_trivially_copyable_v<Event>);
 static_assert(sizeof(Event) == 32);
 
@@ -160,28 +147,34 @@ struct DerivRecord {
   bool live = true;  // false once the derivation has been retracted
 };
 
-// A checkpoint entry decoded with no pool, catalog or engine attached:
-// names and location values are materialized from the section's own
-// string-table records. This is what the durable segment store's
-// standalone reader yields (storage::SegmentReader) and what the EventLog
-// looks up as pool-backed Events when replaying its spilled prefix.
-// Views point into the producing reader's scratch and are valid only
-// until it decodes the next entry.
-struct RawEvent {
+// One event of the record as every reader sees it, whether it is live or
+// spilled: names, location and row resolved to values, causes inline.
+// EventLog::for_each_event builds live views over the log's catalog,
+// interners, pool and cause arena; the durable segment store's standalone
+// reader (storage::SegmentReader) builds spilled views from a section's
+// own string-table records, with no pool, catalog or engine attached.
+// Every member points into its producer's storage and is valid only for
+// the callback the view is passed to; a nested walk gets views of its own.
+struct EventView {
   EventId id = kNoEvent;         // time - 1 (times are dense in id order)
   TagMask tags = kAllTags;
   EventKind kind = EventKind::Insert;
   std::string_view table;
   std::string_view rule;         // empty = no rule
   const Value* node = nullptr;   // where it happened
-  const Row* row = nullptr;      // decoded row values
+  const Row* row = nullptr;      // the tuple's values
   std::span<const EventId> causes;
 };
 
+// The canonical one-line form of an event,
+// `KIND(t=<id+1>, @<node>, <table>(<row>)[, rule=<rule>])` (causes are
+// not part of it).
+std::string to_string(const EventView& e);
+
 // The home for compacted checkpoint sections. src/storage implements this
 // over append-only segment files; the log hands every compact() section
-// to the sink (dropping the live Events) and streams the spilled prefix
-// back through replay_raw() when walking the full record.
+// to the sink (dropping the live Events), and for_each_event streams the
+// spilled prefix back through replay_raw() as EventViews.
 class CheckpointSink {
  public:
   virtual ~CheckpointSink() = default;
@@ -203,7 +196,7 @@ class CheckpointSink {
   virtual bool failed() const { return false; }
   // Streams events [0, events()) in id order; `fn` returns false to stop.
   virtual void replay_raw(
-      const std::function<bool(const RawEvent&)>& fn) const = 0;
+      const std::function<bool(const EventView&)>& fn) const = 0;
   // Events held (contiguous id range [0, events())).
   virtual size_t events() const = 0;
   // On-disk footprint in bytes (file headers and chunk framing included).
@@ -285,8 +278,8 @@ class EventLog {
     assert(causes.size() <= 0xff);
     if (causes.size() > 0xff) causes = causes.first(0xff);
     assert(rule == kNoRule || rule < kNoRule);
-    // Arena offsets must stay below the decoded-cause tag bit.
-    assert(cause_arena_.size() + causes.size() < kDecodedCauseTag);
+    // Arena offsets are u32 (drop_live_prefix rebases them toward 0).
+    assert(cause_arena_.size() + causes.size() <= UINT32_MAX);
     const EventId id = size();
     // Build the record in registers and push it in one store: emplace_back()
     // followed by field-at-a-time writes costs a zero-init plus scattered
@@ -300,22 +293,8 @@ class EventLog {
     e.rule = static_cast<uint16_t>(rule);
     e.ncauses = static_cast<uint8_t>(causes.size());
     e.kind = kind;
-    e.gen = gen_;
     events_.push_back(e);
-    // `causes` may alias this log's own arena (a span from causes_of(),
-    // the natural way to duplicate an event): copy by index so push_back's
-    // reallocation cannot invalidate the source mid-copy.
-    const EventId* arena_begin = cause_arena_.data();
-    if (!causes.empty() && causes.data() >= arena_begin &&
-        causes.data() < arena_begin + cause_arena_.size()) {
-      const size_t off = static_cast<size_t>(causes.data() - arena_begin);
-      const size_t n = causes.size();
-      for (size_t i = 0; i < n; ++i) {
-        cause_arena_.push_back(cause_arena_[off + i]);
-      }
-    } else {
-      cause_arena_.insert(cause_arena_.end(), causes.begin(), causes.end());
-    }
+    cause_arena_.insert(cause_arena_.end(), causes.begin(), causes.end());
     return id;
   }
   // Value-node form (interns the location first).
@@ -345,16 +324,6 @@ class EventLog {
     assert(id >= base_id_ && id - base_id_ < events_.size());
     return events_[id - base_id_];
   }
-  // Causal predecessors of `e`. For live events (and copies of them) the
-  // span points into the cause arena: valid until the next append (which
-  // may reallocate the arena) or compact (which may drop the prefix —
-  // a copy of an event compacted since it was taken yields an empty
-  // span; resolve through for_each_event instead). For spill-decoded
-  // events the span points into the producing walk's segment-reader
-  // buffer: valid until THAT walk decodes its next entry, so nested
-  // iteration — holding one walk's causes while another walks the
-  // spilled prefix — is safe (pinned by history_test).
-  std::span<const EventId> causes_of(const Event& e) const;
 
   // Handle resolution.
   const Row& row_of(TupleRef r) const { return pool_.row(r); }
@@ -366,8 +335,6 @@ class EventLog {
     return Tuple{table_name(r), pool_.row(r)};
   }
   Tuple tuple_of(const Event& e) const { return materialize(e.tuple); }
-  // Exact pre-pool Event::to_string() formatting (replay / trace output).
-  std::string to_string(const Event& e) const;
 
   const std::vector<DerivRecord>& derivations() const { return derivations_; }
   DerivRecord& derivation(size_t idx) { return derivations_[idx]; }
@@ -446,10 +413,12 @@ class EventLog {
   // densely in append order, so this is id + 1.
   Time event_time(EventId id) const { return id + 1; }
 
-  // Walks the full event sequence in id order: the spilled prefix (sink
-  // replay, resolved against this log's pool), then the live suffix in
-  // place. Each decoded Event is valid only for the duration of the call.
-  void for_each_event(const std::function<void(const Event&)>& fn) const;
+  // Walks the full event sequence in id order as EventViews: the spilled
+  // prefix straight from the sink's replay_raw, then the live suffix.
+  // Each view (its causes included) is valid only for the duration of
+  // the call; nested walks each hold their own, so a view survives a
+  // complete inner walk (pinned by history_test).
+  void for_each_event(const std::function<void(const EventView&)>& fn) const;
 
   // Attaches (or detaches, with nullptr) the checkpoint sink. Live events
   // the sink already holds (recovery continuation: the caller replayed
@@ -481,13 +450,13 @@ class EventLog {
   const ndlog::Catalog& names() const { return *names_; }
   bool fits_checkpoint_format(const Event& e) const;
   void serialize(const Event& e, std::vector<uint8_t>& out) const;
+  // A live event's causal predecessors: its run in the cause arena.
+  std::span<const EventId> arena_causes(const Event& e) const {
+    return {cause_arena_.data() + e.causes_begin, e.ncauses};
+  }
   // Erases the oldest `n` live Event structs (after they became durable)
   // and drops the cause-arena prefix they owned.
   void drop_live_prefix(size_t n);
-  // Streams the sink's events through fn as pool-backed Events (every
-  // name/node/tuple in a self-spilled prefix is already interned, so this
-  // is pure lookup — never an intern).
-  void replay_spilled(const std::function<void(const Event&)>& fn) const;
 
   ndlog::Catalog* names_ = nullptr;  // attached or own_names_.get()
   std::unique_ptr<ndlog::Catalog> own_names_;
@@ -506,10 +475,9 @@ class EventLog {
   std::deque<Event> events_;  // live suffix; events_[i].id == base_id_ + i
   // Cause arena: every event's causes are one contiguous run, addressed by
   // arena-relative u32 offsets. Compaction drops the prefix below the
-  // first live event and rebases the live offsets back to 0, bumping gen_
-  // and re-stamping the live events (drop_live_prefix).
+  // first live event and rebases the live offsets back to 0
+  // (drop_live_prefix).
   std::vector<EventId> cause_arena_;
-  uint8_t gen_ = 0;  // rebase generation, wraps mod 16 (Event::gen)
   std::vector<DerivRecord> derivations_;
   std::vector<TupleRef> body_arena_;  // DerivRecord body refs
   // Derivation indexes addressed directly by the dense TupleRef (the pool
@@ -529,26 +497,6 @@ class EventLog {
 
   CheckpointSink* spill_ = nullptr;
   EventId base_id_ = 0;
-
-  // Cursor-buffer registry (see kDecodedCauseTag): slot -> current cause
-  // buffer of the walk holding it. Mutable because decoding is a const
-  // read of the log. The free list recycles released slots so the
-  // registry stays as small as the peak number of nested walks.
-  uint32_t acquire_cursor_slot() const {
-    if (!cursor_free_.empty()) {
-      const uint32_t s = cursor_free_.back();
-      cursor_free_.pop_back();
-      return s;
-    }
-    cursor_bufs_.push_back(nullptr);
-    return static_cast<uint32_t>(cursor_bufs_.size() - 1);
-  }
-  void release_cursor_slot(uint32_t slot) const {
-    cursor_bufs_[slot] = nullptr;
-    cursor_free_.push_back(slot);
-  }
-  mutable std::vector<const EventId*> cursor_bufs_;
-  mutable std::vector<uint32_t> cursor_free_;
 };
 
 }  // namespace mp::eval

@@ -1,86 +1,20 @@
 #include "langs/imp/parser.h"
 
-#include <cctype>
-#include <charconv>
 #include <vector>
+
+#include "langs/lexer.h"
 
 namespace mp::imp {
 
 namespace {
 
-struct Tok {
-  enum class Kind : uint8_t { Ident, Int, Punct, End } kind = Kind::End;
-  std::string text;
-  int64_t ival = 0;
-};
+using langs::Tok;
 
-std::vector<Tok> lex(std::string_view src) {
-  std::vector<Tok> out;
-  size_t i = 0;
-  while (i < src.size()) {
-    const char c = src[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    if (c == '#') {  // comment to end of line
-      while (i < src.size() && src[i] != '\n') ++i;
-      continue;
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t start = i;
-      while (i < src.size() && (std::isalnum(static_cast<unsigned char>(src[i])) ||
-                                src[i] == '_')) {
-        ++i;
-      }
-      out.push_back({Tok::Kind::Ident, std::string(src.substr(start, i - start)), 0});
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '-' && i + 1 < src.size() &&
-         std::isdigit(static_cast<unsigned char>(src[i + 1])))) {
-      size_t start = i;
-      ++i;
-      while (i < src.size() && std::isdigit(static_cast<unsigned char>(src[i]))) ++i;
-      Tok t{Tok::Kind::Int, std::string(src.substr(start, i - start)), 0};
-      if (std::from_chars(src.data() + start, src.data() + i, t.ival).ec !=
-          std::errc{}) {
-        throw ImpParseError("integer literal out of range: " + t.text);
-      }
-      out.push_back(std::move(t));
-      continue;
-    }
-    // Two-character punctuation first.
-    static const char* two[] = {"==", "!=", "<=", ">=", "&&"};
-    bool matched = false;
-    for (const char* op : two) {
-      if (src.substr(i, 2) == op) {
-        out.push_back({Tok::Kind::Punct, op, 0});
-        i += 2;
-        matched = true;
-        break;
-      }
-    }
-    if (matched) continue;
-    out.push_back({Tok::Kind::Punct, std::string(1, c), 0});
-    ++i;
-  }
-  out.push_back({Tok::Kind::End, "", 0});
-  return out;
-}
-
-sdn::Field field_by_name(const std::string& name) {
-  for (sdn::Field f : {sdn::Field::InPort, sdn::Field::Sip, sdn::Field::Dip,
-                       sdn::Field::Smc, sdn::Field::Dmc, sdn::Field::Spt,
-                       sdn::Field::Dpt, sdn::Field::Proto, sdn::Field::Bucket}) {
-    if (name == sdn::to_string(f)) return f;
-  }
-  throw ImpParseError("unknown packet field: " + name);
-}
-
-class Parser {
+class Parser : langs::TokenCursor<ImpParseError> {
  public:
-  explicit Parser(std::string_view src) : toks_(lex(src)) {}
+  explicit Parser(std::string_view src)
+      : TokenCursor(src, {"==", "!=", "<=", ">=", "&&"},
+                    "unknown packet field: ") {}
 
   Program parse() {
     Program p;
@@ -98,27 +32,6 @@ class Parser {
   }
 
  private:
-  const Tok& cur() const { return toks_[pos_]; }
-  bool at_punct(const std::string& s) const {
-    return cur().kind == Tok::Kind::Punct && cur().text == s;
-  }
-  bool at_ident(const std::string& s) const {
-    return cur().kind == Tok::Kind::Ident && cur().text == s;
-  }
-  void expect_punct(const std::string& s) {
-    if (!at_punct(s)) throw ImpParseError("expected '" + s + "', found '" + cur().text + "'");
-    ++pos_;
-  }
-  std::string expect_ident(const std::string& want = "") {
-    if (cur().kind != Tok::Kind::Ident ||
-        (!want.empty() && cur().text != want)) {
-      throw ImpParseError("expected identifier" +
-                          (want.empty() ? "" : " '" + want + "'") +
-                          ", found '" + cur().text + "'");
-    }
-    return toks_[pos_++].text;
-  }
-
   Operand operand() {
     if (cur().kind == Tok::Kind::Int) {
       return Operand::literal(toks_[pos_++].ival);
@@ -192,9 +105,6 @@ class Parser {
     expect_punct("}");
     return b;
   }
-
-  std::vector<Tok> toks_;
-  size_t pos_ = 0;
 };
 
 }  // namespace

@@ -232,10 +232,9 @@ LangCase make_case(const scenario::Scenario& s) {
   return c;
 }
 
+// The Backtester's acceptance rule, at its default alpha.
 bool gate(const ReplayOutcome& out, const ReplayOutcome& base) {
-  const KsResult ks = ks_test(out.per_host, base.per_host);
-  const bool ctrl_ok = out.packet_ins <= base.packet_ins * 2 + 16;
-  return !ks.significant && ctrl_ok;
+  return backtest::side_effect_free(base, out, backtest::compare(base, out));
 }
 
 }  // namespace

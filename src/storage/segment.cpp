@@ -100,7 +100,7 @@ void SegmentReader::validate() {
 }
 
 size_t SegmentReader::for_each(
-    const std::function<bool(const eval::RawEvent&)>& fn) const {
+    const std::function<bool(const eval::EventView&)>& fn) const {
   if (!ok_) return 0;
   size_t visited = 0;
   walk(valid_bytes_, &fn, visited);
@@ -155,7 +155,7 @@ bool decode_names(const uint8_t* p, const uint8_t* end, SectionNames& out) {
 // its header or payload runs past `end`, its kind or an id is unknown, or
 // its values plus causes do not fill payload_len exactly.
 const uint8_t* decode_entry(const uint8_t* p, const uint8_t* end,
-                            const SectionNames& names, eval::RawEvent& re,
+                            const SectionNames& names, eval::EventView& re,
                             Row* row, std::vector<eval::EventId>* causes) {
   if (static_cast<size_t>(end - p) < ckpt::kHeaderBytes) return nullptr;
   const uint8_t kind = p[ckpt::kKindOffset];
@@ -241,7 +241,7 @@ size_t SegmentReader::walk(size_t limit, const EventFn* fn,
       // A section counts only if all `count` entries decode and exactly
       // fill the payload.
       for (uint32_t i = 0; i < count && p != nullptr; ++i) {
-        eval::RawEvent re;
+        eval::EventView re;
         re.id = chunk_first + i;  // v2 entries carry no time
         p = decode_entry(p, end, names, re, fn != nullptr ? &row : nullptr,
                          fn != nullptr ? &causes : nullptr);

@@ -103,10 +103,10 @@ class SegmentReader {
 
   // Streams the valid prefix's events in id order; `fn` returns false to
   // stop. Returns the number of events visited.
-  size_t for_each(const std::function<bool(const eval::RawEvent&)>& fn) const;
+  size_t for_each(const std::function<bool(const eval::EventView&)>& fn) const;
 
  private:
-  using EventFn = std::function<bool(const eval::RawEvent&)>;
+  using EventFn = std::function<bool(const eval::EventView&)>;
   void validate();
   // The one chunk walk behind validate() (fn null: check CRCs, count
   // events) and for_each() (stream events through fn): decodes chunks

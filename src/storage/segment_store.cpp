@@ -359,7 +359,7 @@ bool SegmentStore::append_section(eval::EventId first_id, size_t count,
 }
 
 void SegmentStore::replay_raw(
-    const std::function<bool(const eval::RawEvent&)>& fn) const {
+    const std::function<bool(const eval::EventView&)>& fn) const {
   flush(false);  // readers mmap the files; pending bytes must be visible
   // `next` is the only id accepted: duplicates below it (a partially
   // flushed buffer re-decoded from RAM) are skipped, and a gap above it
@@ -367,7 +367,7 @@ void SegmentStore::replay_raw(
   // contiguous prefix instead of replaying a hole.
   uint64_t next = 0;
   bool stopped = false;
-  auto emit = [&](const eval::RawEvent& re) {
+  auto emit = [&](const eval::EventView& re) {
     if (re.id < next) return true;
     if (re.id != next) return false;
     ++next;

@@ -94,7 +94,7 @@ class SegmentStore final : public eval::CheckpointSink {
                       std::span<const uint8_t> entries,
                       std::span<const uint8_t> names) override;
   void replay_raw(
-      const std::function<bool(const eval::RawEvent&)>& fn) const override;
+      const std::function<bool(const eval::EventView&)>& fn) const override;
   size_t events() const override { return events_; }
   // Durable footprint: flushed file bytes plus the pending group buffer.
   size_t bytes() const override { return disk_bytes_ + buffer_.size(); }

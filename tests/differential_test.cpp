@@ -273,6 +273,15 @@ TEST(Differential, SegmentReloadMatchesUncompactedRunOnAllScenarios) {
 
     const EngineSnapshot want = run_trace(s, trace, 64);
     EXPECT_GT(want.firings, 0u);
+    // The full history of the same never-compacted run, cause lists
+    // included.
+    eval::Engine plain(s.program);
+    for (size_t i = 0; i < trace.size(); i += 64) {
+      const size_t n = std::min<size_t>(64, trace.size() - i);
+      plain.insert_batch(std::span<const eval::Tuple>(trace.data() + i, n));
+    }
+    const std::vector<std::string> want_lines =
+        testutil::log_lines(plain.log());
 
     const std::string dir =
         ::testing::TempDir() + "mp_differential_segments/" + s.id;
@@ -292,14 +301,17 @@ TEST(Differential, SegmentReloadMatchesUncompactedRunOnAllScenarios) {
       EXPECT_GT(engine.log().base_id(), 0u)
           << "auto-compaction never spilled: the row pins nothing";
       expect_equal(snapshot(engine), want, s.id + " spilled");
+      EXPECT_EQ(testutil::log_lines(engine.log()), want_lines);
       engine.log().compact(0);  // seal the full history into the store
       EXPECT_EQ(testutil::event_sequence_hash(engine.log()),
                 want.event_sequence_hash)
           << "fully-spilled log must still walk the identical sequence";
+      EXPECT_EQ(testutil::log_lines(engine.log()), want_lines);
     }
 
     storage::SegmentStore store(dir);
     EXPECT_EQ(store.recovered_events(), want.log_events);
+    EXPECT_EQ(testutil::store_lines(store), want_lines);
     eval::Engine rebuilt(s.program);
     const size_t applied = backtest::replay_base_stream(store, rebuilt);
     EXPECT_GT(applied, 0u);

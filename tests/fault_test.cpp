@@ -50,25 +50,7 @@ std::string fresh_dir(const std::string& name) {
 }
 
 using testutil::log_lines;
-
-std::string raw_line(const eval::RawEvent& re) {
-  std::string out = eval::to_string(re.kind);
-  out += "(t=" + std::to_string(re.id + 1) + ", @" + re.node->to_string() +
-         ", " + eval::Tuple{std::string(re.table), *re.row}.to_string();
-  if (!re.rule.empty()) out += ", rule=" + std::string(re.rule);
-  out += ")";
-  for (eval::EventId c : re.causes) out += " <" + std::to_string(c) + ">";
-  return out;
-}
-
-std::vector<std::string> store_lines(const SegmentStore& store) {
-  std::vector<std::string> out;
-  store.replay_raw([&](const eval::RawEvent& re) {
-    out.push_back(raw_line(re));
-    return true;
-  });
-  return out;
-}
+using testutil::store_lines;
 
 ndlog::Program ring_prog() {
   return ndlog::parse_program(testutil::ring_program(24));

@@ -229,7 +229,8 @@ class RefusingSink final : public CheckpointSink {
     return false;
   }
   bool failed() const override { return failed_; }
-  void replay_raw(const std::function<bool(const RawEvent&)>&) const override {}
+  void replay_raw(
+      const std::function<bool(const EventView&)>&) const override {}
   size_t events() const override { return 0; }
   size_t bytes() const override { return 0; }
   size_t offers = 0;
@@ -334,12 +335,13 @@ TEST(EventLogCheckpoint, CompactedDeleteEventsReplayToo) {
   EXPECT_EQ(event_sequence_hash(rebuilt.log()), want_hash);
 }
 
-// Regression (PR 7): a decoded event's cause span used to point into one
-// shared mutable scratch vector that the next decode silently clobbered,
-// so nested iteration — holding one spilled event's causes while walking
-// the rest of the spilled prefix — read garbage. Each for_each_event
-// pass now publishes its own reader's buffer through its own registry
-// slot; the outer span must survive a full inner pass untouched.
+// Regression: a decoded event's cause span used to point into one shared
+// mutable scratch vector that the next decode silently clobbered, so
+// nested iteration — holding one spilled event's causes while walking the
+// rest of the spilled prefix — read garbage. Every for_each_event walk
+// decodes through a segment reader of its own; the outer view's causes
+// must survive a full inner walk untouched. (A span left dangling by the
+// inner walk is a heap-use-after-free that only an ASan build reports.)
 TEST(EventLogCheckpoint, DecodedCausesSurviveInterleavedDecodes) {
   const scenario::Scenario s = scenario::q1_copy_paste({});
   Engine e(s.program, testutil::with_segments("history_interleaved"));
@@ -351,9 +353,8 @@ TEST(EventLogCheckpoint, DecodedCausesSurviveInterleavedDecodes) {
 
   // Ground truth, collected one event per decode (no interleaving).
   std::map<EventId, std::vector<EventId>> want;
-  log.for_each_event([&](const Event& ev) {
-    const auto c = log.causes_of(ev);
-    want[ev.id].assign(c.begin(), c.end());
+  log.for_each_event([&](const EventView& ev) {
+    want[ev.id].assign(ev.causes.begin(), ev.causes.end());
   });
   size_t with_causes = 0;
   for (const auto& [id, c] : want) with_causes += c.empty() ? 0 : 1;
@@ -363,12 +364,12 @@ TEST(EventLogCheckpoint, DecodedCausesSurviveInterleavedDecodes) {
   // a complete inner decode pass over the same spilled prefix, then read
   // the outer span.
   size_t checked = 0;
-  log.for_each_event([&](const Event& outer) {
-    const auto span = log.causes_of(outer);
+  log.for_each_event([&](const EventView& outer) {
+    const std::span<const EventId> span = outer.causes;
     if (span.empty()) return;
     uint64_t inner_sum = 0;
-    log.for_each_event([&](const Event& inner) {
-      for (EventId c : log.causes_of(inner)) inner_sum += c;
+    log.for_each_event([&](const EventView& inner) {
+      for (EventId c : inner.causes) inner_sum += c;
     });
     ASSERT_GT(inner_sum, 0u);
     EXPECT_TRUE(std::equal(span.begin(), span.end(), want[outer.id].begin(),

@@ -44,27 +44,7 @@ std::string fresh_dir(const std::string& name) {
 }
 
 using testutil::log_lines;
-
-// The testutil::log_lines line rebuilt from a standalone RawEvent — no
-// log involved.
-std::string raw_line(const eval::RawEvent& re) {
-  std::string out = eval::to_string(re.kind);
-  out += "(t=" + std::to_string(re.id + 1) + ", @" + re.node->to_string() +
-         ", " + eval::Tuple{std::string(re.table), *re.row}.to_string();
-  if (!re.rule.empty()) out += ", rule=" + std::string(re.rule);
-  out += ")";
-  for (eval::EventId c : re.causes) out += " <" + std::to_string(c) + ">";
-  return out;
-}
-
-std::vector<std::string> store_lines(const SegmentStore& store) {
-  std::vector<std::string> out;
-  store.replay_raw([&](const eval::RawEvent& re) {
-    out.push_back(raw_line(re));
-    return true;
-  });
-  return out;
-}
+using testutil::store_lines;
 
 // Inserts a scenario trace in chunks, compacting after each so the store
 // accumulates several self-contained sections.
@@ -167,11 +147,12 @@ struct BaseEv {
 std::vector<BaseEv> base_stream(const eval::EventLog& log) {
   std::vector<BaseEv> out;
   size_t idx = 0;
-  log.for_each_event([&](const eval::Event& ev) {
+  log.for_each_event([&](const eval::EventView& ev) {
+    const eval::Tuple t{std::string(ev.table), *ev.row};
     if (ev.kind == eval::EventKind::Insert) {
-      out.push_back(BaseEv{idx, true, log.tuple_of(ev), ev.tags});
+      out.push_back(BaseEv{idx, true, t, ev.tags});
     } else if (ev.kind == eval::EventKind::Delete) {
-      out.push_back(BaseEv{idx, false, log.tuple_of(ev), ev.tags});
+      out.push_back(BaseEv{idx, false, t, ev.tags});
     }
     ++idx;
   });
@@ -277,8 +258,8 @@ TEST(SegmentStore, CrashRecoverySweepRecoversDurablePrefixAtEveryOffset) {
       ASSERT_LE(sealed_events + k, ref_lines.size());
       size_t at = sealed_events;
       bool lines_ok = true;
-      r.for_each([&](const eval::RawEvent& re) {
-        lines_ok = lines_ok && raw_line(re) == ref_lines[at];
+      r.for_each([&](const eval::EventView& re) {
+        lines_ok = lines_ok && testutil::record_line(re) == ref_lines[at];
         ++at;
         return lines_ok;
       });
@@ -351,26 +332,24 @@ TEST(SegmentStore, RecoveryContinuationMatchesUninterruptedRun) {
   EXPECT_EQ(store_lines(store), log_lines(ref.log()));
 }
 
-// --- cause-arena rebase generations -------------------------------------
+// --- cause-arena rebases ------------------------------------------------
 
-// The 32-byte Event stores its cause run as an arena-relative u32 offset
-// plus a 4-bit rebase generation; every compaction drops the dead arena
-// prefix and re-stamps the live suffix under the next generation (wrapping
-// mod 16). Compact often enough for the generation counter to wrap several
-// times and the whole history — re-stamped live suffix plus spilled
-// segments — must still decode byte-identically to an uncompacted twin,
-// cause lists included.
-TEST(SegmentStore, RebaseGenerationWrapRoundTrip) {
-  const std::string dir = fresh_dir("rebase_wrap");
+// The 32-byte Event stores its cause run as an arena-relative u32 offset;
+// every compaction drops the dead arena prefix and rebases the live
+// suffix's offsets back toward 0. Compact 40 times, each a rebase, and
+// the whole history — rebased live suffix plus spilled segments — must
+// still decode byte-identically to an uncompacted twin, cause lists
+// included.
+TEST(SegmentStore, RepeatedRebaseRoundTrip) {
+  const std::string dir = fresh_dir("rebase_round_trip");
   SegmentStore store(dir, SegmentStoreOptions{});
 
   eval::EventLog ref;      // never compacted
   eval::EventLog spilled;  // identical appends, sections spill to the store
   spilled.set_spill(&store);
 
-  // 40 rounds x one rebase per compact = the 4-bit generation wraps twice
-  // and ends mid-cycle, so stale-generation offsets would mis-decode both
-  // early and late in the run.
+  // 40 rounds x one rebase per compact; every event past the first few
+  // has causes reaching back into already-compacted ids.
   constexpr size_t kRounds = 40;
   constexpr size_t kPerRound = 6;
   for (size_t round = 0; round < kRounds; ++round) {
@@ -392,12 +371,12 @@ TEST(SegmentStore, RebaseGenerationWrapRoundTrip) {
     ASSERT_EQ(spilled.compact(3), kPerRound - (round == 0 ? 3 : 0))
         << "round " << round;
     if (round % 8 == 7) {
-      // Decode through the spilled prefix + re-stamped live suffix
-      // mid-run, not only after the final rebase.
+      // Decode through the spilled prefix + rebased live suffix mid-run,
+      // not only after the final rebase.
       EXPECT_EQ(log_lines(spilled), log_lines(ref)) << "round " << round;
     }
   }
-  ASSERT_GT(spilled.base_id(), 16u * kPerRound) << "generation never wrapped";
+  ASSERT_EQ(spilled.base_id(), kRounds * kPerRound - 3);
   const std::vector<std::string> want = log_lines(ref);
   EXPECT_EQ(log_lines(spilled), want);
 
@@ -516,7 +495,7 @@ TEST(SegmentStore, UnusableDirectoryLatchesFailedAtAttach) {
   std::vector<uint8_t> none;
   EXPECT_FALSE(store.append_section(0, 0, none, none));
   size_t replayed = 0;
-  store.replay_raw([&](const eval::RawEvent&) {
+  store.replay_raw([&](const eval::EventView&) {
     ++replayed;
     return true;
   });
@@ -542,7 +521,7 @@ TEST(SegmentStore, UnusableDirectoryLatchesFailedAtAttach) {
   EXPECT_EQ(e.log().size(), logged);
   EXPECT_EQ(e.log().live_size(), logged);
   size_t seen = 0;
-  e.log().for_each_event([&](const eval::Event&) { ++seen; });
+  e.log().for_each_event([&](const eval::EventView&) { ++seen; });
   EXPECT_EQ(seen, logged);
 }
 
@@ -570,7 +549,7 @@ TEST(SegmentStore, SegmentDeletedUnderOpenReaderStaysReadable) {
   ASSERT_TRUE(open_reader.ok());
   fs::remove(dir + "/seg-000001.mpseg");
   size_t via_open = 0;
-  open_reader.for_each([&](const eval::RawEvent&) {
+  open_reader.for_each([&](const eval::EventView&) {
     ++via_open;
     return true;
   });
@@ -580,7 +559,7 @@ TEST(SegmentStore, SegmentDeletedUnderOpenReaderStaysReadable) {
   // contiguous prefix — never skip over it into later segments.
   size_t replayed = 0;
   eval::EventId last = 0;
-  store.replay_raw([&](const eval::RawEvent& re) {
+  store.replay_raw([&](const eval::EventView& re) {
     last = re.id;
     ++replayed;
     return true;
@@ -616,7 +595,7 @@ TEST(SegmentStore, ZeroLengthSegmentFileIsDroppedCleanly) {
   // And the store resumes appending exactly where the prefix ends: the
   // continuation run equals an uninterrupted one (id continuity).
   size_t replayed = 0;
-  store.replay_raw([&](const eval::RawEvent&) {
+  store.replay_raw([&](const eval::EventView&) {
     ++replayed;
     return true;
   });
@@ -763,7 +742,7 @@ TEST(SegmentReader, HostileSectionsWithValidCrcsEndThePrefixCleanly) {
       EXPECT_EQ(r.events(), 2u);
       EXPECT_EQ(r.valid_bytes(), good_end);
       std::vector<int64_t> seen;
-      const size_t visited = r.for_each([&](const eval::RawEvent& re) {
+      const size_t visited = r.for_each([&](const eval::EventView& re) {
         EXPECT_EQ(re.table, "T");
         seen.push_back((*re.row)[0].as_int());
         return true;

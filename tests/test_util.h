@@ -13,6 +13,7 @@
 #include "eval/event_log.h"
 #include "repair/forest.h"
 #include "scenarios/scenario.h"
+#include "storage/segment_store.h"
 
 namespace mp::testutil {
 
@@ -51,12 +52,10 @@ inline uint64_t fnv1a(uint64_t h, const std::string& line) {
   return h;
 }
 
-// Events carry interned TupleRefs; the canonical line materializes the
-// tuple through the owning log.
-inline std::string event_line(const eval::EventLog& log,
-                              const eval::Event& ev) {
-  return std::string(eval::to_string(ev.kind)) + " " +
-         log.tuple_of(ev).to_string();
+// The (kind, tuple) line of one event, as the sequence hash reads it.
+inline std::string event_line(const eval::EventView& ev) {
+  return std::string(eval::to_string(ev.kind)) + " " + std::string(ev.table) +
+         row_to_string(*ev.row);
 }
 
 // FNV-1a over the (kind, tuple) event sequence of the full log,
@@ -65,21 +64,37 @@ inline std::string event_line(const eval::EventLog& log,
 inline uint64_t event_sequence_hash(const eval::EventLog& log) {
   uint64_t h = 1469598103934665603ull;
   log.for_each_event(
-      [&](const eval::Event& ev) { h = fnv1a(h, event_line(log, ev)); });
+      [&](const eval::EventView& ev) { h = fnv1a(h, event_line(ev)); });
   return h;
 }
 
-// The full record (spilled prefix + live suffix), one line per event: the
-// log's to_string plus the cause list, so id, node, row, rule AND
-// causal-link drift all fail a comparison.
+// The canonical line of one event: eval::to_string plus the cause list,
+// so id, node, row, rule AND causal-link drift all fail a comparison.
+// Live and spilled events, from a log or straight from a segment store,
+// all print through here.
+inline std::string record_line(const eval::EventView& ev) {
+  std::string line = eval::to_string(ev);
+  for (eval::EventId c : ev.causes) line += " <" + std::to_string(c) + ">";
+  return line;
+}
+
+// The full record (spilled prefix + live suffix), one record_line per
+// event.
 inline std::vector<std::string> log_lines(const eval::EventLog& log) {
   std::vector<std::string> out;
-  log.for_each_event([&](const eval::Event& ev) {
-    std::string line = log.to_string(ev);
-    for (eval::EventId c : log.causes_of(ev)) {
-      line += " <" + std::to_string(c) + ">";
-    }
-    out.push_back(std::move(line));
+  log.for_each_event(
+      [&](const eval::EventView& ev) { out.push_back(record_line(ev)); });
+  return out;
+}
+
+// The same lines decoded by the standalone segment reader — no log, pool
+// or catalog involved.
+inline std::vector<std::string> store_lines(
+    const storage::SegmentStore& store) {
+  std::vector<std::string> out;
+  store.replay_raw([&](const eval::EventView& ev) {
+    out.push_back(record_line(ev));
+    return true;
   });
   return out;
 }

@@ -55,10 +55,15 @@
 # runs the whole tier-1 gate under AddressSanitizer and UBSan (candidate
 # programs splice rule copies that share the base program's names and
 # expression trees; parsers and segment decoders read outside input).
-# It gates storage_test's SegmentReader.HostileSectionsWithValidCrcs-
-# EndThePrefixCleanly: CRC-valid segment sections whose entries and name
-# records lie about their lengths and counts must end the valid prefix
-# without an out-of-bounds read, which only ASan can see:
+# It gates two tests whose failure mode only ASan can see:
+#   - storage_test's SegmentReader.HostileSectionsWithValidCrcs-
+#     EndThePrefixCleanly: CRC-valid segment sections whose entries and
+#     name records lie about their lengths and counts must end the valid
+#     prefix without an out-of-bounds read;
+#   - history_test's EventLogCheckpoint.DecodedCausesSurviveInterleaved-
+#     Decodes, the nested-walk test: an outer EventLog::for_each_event
+#     view holds its causes span across a complete inner walk, and a span
+#     left dangling by that inner walk is a heap-use-after-free.
 #   CHECK_ASAN=1 tools/check.sh
 # With CHECK_FAULTS=1 the script additionally configures a side build
 # directory with -DMP_FAULTS=ON (failpoints compiled in, src/fault) and
