@@ -105,13 +105,12 @@ void BM_PacketInProcessing(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketInProcessing)->Arg(0)->Arg(1);
 
-// The same workload arriving in bursts through insert_batch, which
-// amortizes secondary-index maintenance and table interning across each
-// burst. This is the arrival model the batched entry point exists for — a
-// switch delivers packet-in messages in batches, not one syscall each —
-// measured on the identical program and tuple stream as
-// BM_PacketInProcessing so the two rows are directly comparable.
-// range(0) toggles provenance recording.
+// The same workload arriving in bursts through insert_batch, which is
+// insert() per tuple with one auto-compaction check per burst (a switch
+// delivers packet-in messages in batches, not one syscall each), measured
+// on the identical program and tuple stream as BM_PacketInProcessing so
+// the two rows are directly comparable. range(0) toggles provenance
+// recording.
 void BM_PacketInBatchedArrival(benchmark::State& state) {
   constexpr size_t kBurst = 64;
   eval::EngineOptions opt;
@@ -252,15 +251,13 @@ BENCHMARK(BM_JoinHeavyRuleFiring)
     ->Args({8192, 1});
 
 // Bulk-loading the join-heavy base tables into a fresh engine (the config
-// load / backtest-replay pattern): one insert_batch vs. the equivalent
-// single-insert loop over the same tuples. The batch path dispatches each
-// staged tuple directly (no work-queue round trip or Tuple copy), caches
-// table interning across the staging loop, and defers secondary-index
-// maintenance to one bulk pass per table; both paths reach the identical
-// fixpoint (see tests/batch_test.cpp). Engine construction is excluded via
-// manual timing so iterations stay stationary. range(0) = rows per table,
-// range(1) selects the path. tools/run_bench.sh records both throughputs
-// in BENCH_engine.json.
+// load pattern): one insert_batch vs. the equivalent single-insert loop
+// over the same tuples. insert_batch is that loop with one auto-compaction
+// check at the end, so the two rows should agree within noise; both paths
+// reach the identical fixpoint (see tests/batch_test.cpp). Engine
+// construction is excluded via manual timing so iterations stay
+// stationary. range(0) = rows per table, range(1) selects the path.
+// tools/run_bench.sh records both throughputs in BENCH_engine.json.
 void BM_JoinHeavyBatchInsert(benchmark::State& state) {
   const int64_t n = state.range(0);
   const bool batched = state.range(1) != 0;

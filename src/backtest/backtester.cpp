@@ -74,9 +74,6 @@ BacktestReport Backtester::run(
     e.effective = e.outcome.valid && e.outcome.symptom_fixed;
     e.ks = compare(baseline, e.outcome, cfg_.alpha);
     e.accepted = e.effective && side_effect_free(baseline, e.outcome, e.ks);
-    e.candidate.effective = e.effective;
-    e.candidate.accepted = e.accepted;
-    e.candidate.ks_statistic = e.ks.statistic;
     if (e.effective) ++report.effective_count;
     if (e.accepted) ++report.accepted_count;
     report.entries.push_back(std::move(e));

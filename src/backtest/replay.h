@@ -17,9 +17,10 @@ namespace mp::backtest {
 // order (the recorded tag masks ride along for tag-mode engines). Reads
 // the log through EventLog::for_each_event, so a compacted log replays
 // its spilled prefix (decoded from the segment store) and live suffix
-// identically to an uncompacted one. This is how backtests rebuild base
-// state from a recorded run without re-running the simulation. Returns
-// the number of log events applied.
+// identically to an uncompacted one. The backtester does not use it (its
+// worlds re-run the simulation); it is the tests' oracle that a recorded
+// log, compacted or not, holds enough to rebuild the engine state that
+// produced it. Returns the number of log events applied.
 size_t replay_base_stream(const eval::EventLog& log, eval::Engine& into);
 
 // Same, streaming straight from durable segment files (mmap-backed, see

@@ -75,46 +75,21 @@ Entry& TableStore::insert_ref(TupleRef ref) {
   entries_[slot].ref = ref;
   map_put(ref, slot);
   ++live_;
-  if (index_specs_ != nullptr) {
-    if (deferred_) {
-      index_backlog_.push_back(slot);
-    } else {
-      add_to_indexes(slot);
-    }
-  }
+  if (index_specs_ != nullptr) add_to_indexes(slot);
   return entries_[slot];
 }
 
 void TableStore::erase_ref(TupleRef ref) {
   const uint32_t slot = lookup_slot(ref);
   if (slot == kNoSlot) return;
-  if (index_specs_ != nullptr) {
-    // Flush before unindexing: the victim may still sit in the backlog,
-    // and a backlog slot must never dangle past the entry's lifetime
-    // (the slot id is reused by the next insert).
-    if (!index_backlog_.empty()) flush_index_backlog();
-    remove_from_indexes(slot);
-  }
+  if (index_specs_ != nullptr) remove_from_indexes(slot);
   map_erase(ref);
   slot_refs_[slot] = kNoTupleRef;
   free_slots_.push_back(slot);
   --live_;
 }
 
-void TableStore::set_deferred_indexing(bool on) {
-  deferred_ = on;
-  if (!on && !index_backlog_.empty()) flush_index_backlog();
-}
-
-void TableStore::flush_index_backlog() const {
-  // No pre-reserve: repeated flushes on a growing index would force a
-  // full rehash per flush (the bucket count is already grown geometrically
-  // by the inserts themselves).
-  for (uint32_t slot : index_backlog_) add_to_indexes(slot);
-  index_backlog_.clear();
-}
-
-void TableStore::add_to_indexes(uint32_t slot) const {
+void TableStore::add_to_indexes(uint32_t slot) {
   const Row& row = pool_->row(slot_refs_[slot]);
   Row key;
   for (size_t i = 0; i < index_specs_->size(); ++i) {

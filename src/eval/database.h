@@ -100,21 +100,11 @@ class TableStore {
   Entry& entry_at(uint32_t slot) { return entries_[slot]; }
   size_t size() const { return live_; }
 
-  // Deferred index maintenance (Engine::insert_batch): while on, insert()
-  // queues newly created slots in a backlog instead of updating every
-  // secondary index per row; the backlog is applied in one bulk pass by
-  // flush_index_backlog(), which runs automatically on the first
-  // probe/erase (so index consumers can never observe a stale index) and
-  // when deferral is switched off.
-  void set_deferred_indexing(bool on);
-  bool deferred_indexing() const { return deferred_; }
-  bool has_index_backlog() const { return !index_backlog_.empty(); }
-  void flush_index_backlog() const;
-
   // Slots whose row's projection onto index `index_id`'s columns equals
-  // `key`; nullptr when the bucket is empty.
+  // `key`; nullptr when the bucket is empty. Every secondary index is
+  // updated as its row is inserted or erased, so a probe always sees the
+  // current slots.
   const Bucket* probe(size_t index_id, const Row& key) const {
-    if (!index_backlog_.empty()) flush_index_backlog();
     const auto& ix = indexes_[index_id];
     auto it = ix.find(key);
     return it == ix.end() ? nullptr : &it->second;
@@ -130,7 +120,7 @@ class TableStore {
   void unindex_key(const Row& key) { key_index_.erase(key); }
 
  private:
-  void add_to_indexes(uint32_t slot) const;
+  void add_to_indexes(uint32_t slot);
   void remove_from_indexes(uint32_t slot);
 
   // Open-addressed ref -> slot map, following the TuplePool bucket idiom:
@@ -155,11 +145,7 @@ class TableStore {
   size_t map_count_ = 0;
 
   const std::vector<std::vector<uint32_t>>* index_specs_ = nullptr;
-  // The secondary indexes are a cache over the slots: mutable so the lazy
-  // backlog flush can run from const probes.
-  mutable std::vector<std::unordered_map<Row, Bucket, RowHash>> indexes_;
-  mutable std::vector<uint32_t> index_backlog_;  // slots
-  bool deferred_ = false;
+  std::vector<std::unordered_map<Row, Bucket, RowHash>> indexes_;
   std::unordered_map<Row, TupleRef, RowHash> key_index_;
 };
 

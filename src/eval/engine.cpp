@@ -21,17 +21,7 @@ bool eval_expr(const ndlog::Expr& e, const Env& env, Value& out) {
     case Expr::Kind::Binary: {
       Value a, b;
       if (!eval_expr(*e.lhs(), env, a) || !eval_expr(*e.rhs(), env, b)) return false;
-      if (!a.is_int() || !b.is_int()) return false;
-      switch (e.op()) {
-        case ndlog::ArithOp::Add: out = Value(a.as_int() + b.as_int()); return true;
-        case ndlog::ArithOp::Sub: out = Value(a.as_int() - b.as_int()); return true;
-        case ndlog::ArithOp::Mul: out = Value(a.as_int() * b.as_int()); return true;
-        case ndlog::ArithOp::Div:
-          if (b.as_int() == 0) return false;
-          out = Value(a.as_int() / b.as_int());
-          return true;
-      }
-      return false;
+      return ndlog::arith_eval(e.op(), a, b, out);
     }
   }
   return false;
@@ -249,6 +239,11 @@ void Engine::dispatch_external(const Tuple& t, TableId tid, TagMask tags,
 }
 
 void Engine::insert(const Tuple& t, TagMask tags) {
+  insert_one(t, tags);
+  maybe_autocompact();
+}
+
+void Engine::insert_one(const Tuple& t, TagMask tags) {
   if (!opt_.tag_mode) tags = kAllTags;
   const TableId tid = intern_extern_table(t.table);
   EventId cause = kNoEvent;
@@ -260,34 +255,15 @@ void Engine::insert(const Tuple& t, TagMask tags) {
     cause = log_.append(EventKind::Insert, nref, ref, tags);
   }
   dispatch_external(t, tid, tags, cause, ref, nref);
-  maybe_autocompact();
 }
 
-// Closes the bulk bracket on unwind so an exception thrown mid-batch (an
-// on_appear callback) cannot leak bulk_depth_ and leave stores in
-// deferred-indexing mode forever.
-struct Engine::BulkBracket {
-  Engine& e;
-  explicit BulkBracket(Engine& eng) : e(eng) { e.begin_bulk(); }
-  ~BulkBracket() { e.end_bulk(); }
-};
-
-// Both overloads stage through insert(): inside the bulk bracket its
-// maybe_autocompact() is a no-op, so compaction runs once, after the
-// bracket closes (it needs bulk_depth_ 0).
 void Engine::insert_batch(std::span<const Tuple> batch, TagMask tags) {
-  {
-    BulkBracket bulk(*this);
-    for (const Tuple& t : batch) insert(t, tags);
-  }
+  for (const Tuple& t : batch) insert_one(t, tags);
   maybe_autocompact();
 }
 
 void Engine::insert_batch(std::span<const std::pair<Tuple, TagMask>> batch) {
-  {
-    BulkBracket bulk(*this);
-    for (const auto& [t, tags] : batch) insert(t, tags);
-  }
+  for (const auto& [t, tags] : batch) insert_one(t, tags);
   maybe_autocompact();
 }
 
@@ -323,9 +299,8 @@ void Engine::remove_one(const Tuple& t) {
 void Engine::maybe_autocompact() {
   if (opt_.compact_after_events == 0) return;
   // Only at a true top level: never mid-fixpoint (events later in the
-  // drain may reference live entries) and never inside an enclosing batch
-  // (the outermost end flushes once).
-  if (running_ || bulk_depth_ > 0) return;
+  // drain may reference live entries).
+  if (running_) return;
   // Without a usable sink compact() would move nothing; a degraded store
   // costs no work per insert.
   const CheckpointSink* sink = log_.spill();
@@ -333,15 +308,6 @@ void Engine::maybe_autocompact() {
   if (log_.live_size() > opt_.compact_after_events) {
     log_.compact(opt_.compact_keep_live);
   }
-}
-
-void Engine::begin_bulk() { ++bulk_depth_; }
-
-void Engine::end_bulk() {
-  if (--bulk_depth_ > 0) return;
-  // One bulk index pass per store touched while the batch was staged.
-  for (TableStore* store : bulk_stores_) store->set_deferred_indexing(false);
-  bulk_stores_.clear();
 }
 
 bool Engine::exists(const Value& node, const std::string& table,
@@ -476,10 +442,6 @@ void Engine::handle_appear(const Tuple& tuple, TableId table_id, TagMask tags,
 
   if (!is_event) {
     TableStore& store = node_db(node).store(table_id);
-    if (bulk_depth_ > 0 && !store.deferred_indexing()) {
-      store.set_deferred_indexing(true);
-      bulk_stores_.push_back(&store);
-    }
 
     // Primary-key replacement: displace an existing row with the same key.
     const ndlog::TableDecl& decl = catalog_.decl(table_id);
@@ -734,17 +696,17 @@ void Engine::finish_rule(const CompiledRule& cr, const ndlog::Rule& rule,
   }
   ++firings_;
   if (opt_.record_provenance) {
-    derive(cr, rule, node, nref, std::move(head), mask, cause_scratch_,
+    derive(cr, node, nref, std::move(head), mask, cause_scratch_,
            body_scratch_);
   } else {
-    derive(cr, rule, node, nref, std::move(head), mask, {}, {});
+    derive(cr, node, nref, std::move(head), mask, {}, {});
   }
   frame_.undo_to(m);
 }
 
-void Engine::derive(const CompiledRule& cr, const ndlog::Rule& rule,
-                    const Value& src_node, NodeRef src_ref, Tuple head,
-                    TagMask mask, std::span<const EventId> cause_events,
+void Engine::derive(const CompiledRule& cr, const Value& src_node,
+                    NodeRef src_ref, Tuple head, TagMask mask,
+                    std::span<const EventId> cause_events,
                     std::span<const TupleRef> body_refs) {
   EventId derive_ev = kNoEvent;
   TupleRef href = kNoTupleRef;
@@ -753,7 +715,7 @@ void Engine::derive(const CompiledRule& cr, const ndlog::Rule& rule,
     href = log_.pool().intern(cr.head_table, head.row);
     derive_ev = log_.append(EventKind::Derive, src_ref, href, mask,
                             cause_events, cr.log_rule);
-    // body_refs[i] corresponds to rule.body[i] (the repair engine's
+    // body_refs[i] corresponds to the rule's body[i] (the repair engine's
     // symbolic re-execution relies on this alignment).
     log_.add_derivation(cr.log_rule, href, body_refs, derive_ev);
   }

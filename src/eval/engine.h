@@ -31,8 +31,9 @@
 // - All activity is recorded in the EventLog for provenance and replay.
 // - One firing path: every appearance, external or derived, is handled
 //   tuple-at-a-time (handle_appear -> fire_rules -> exec_step ->
-//   finish_rule). insert_batch amortizes index maintenance and table
-//   interning around that path; it never changes the evaluation order.
+//   finish_rule). insert_batch is insert() in a loop with one
+//   auto-compaction check at the end; it never changes the evaluation
+//   order.
 #pragma once
 
 #include <deque>
@@ -61,7 +62,8 @@ namespace mp::eval {
 using Env = std::unordered_map<std::string, Value>;
 
 // Evaluates an expression under bindings; returns false if a variable is
-// unbound or arithmetic is invalid (e.g. division by zero, string arith).
+// unbound or arithmetic is invalid (ndlog::arith_eval: division by zero,
+// int64 overflow, string arith).
 bool eval_expr(const ndlog::Expr& e, const Env& env, Value& out);
 
 struct EngineOptions {
@@ -121,16 +123,12 @@ class Engine {
   // with insert() — identical final table states, EventLog contents (and
   // order), derivation records and firing counts — which the differential
   // harness (tests/batch_test.cpp, tests/differential_test.cpp) enforces.
-  // The batch win is amortization, not a different evaluation order: every
-  // store touched by the batch switches to deferred secondary-index
-  // maintenance (one bulk pass per store, flushed lazily on probe and at
-  // batch end; see TableStore::set_deferred_indexing), and table interning
-  // is cached across the staging loop. Each staged tuple's derived closure
-  // still runs to fixpoint before the next tuple is staged: letting queued
-  // derived appearances race later batch tuples would change key-
-  // replacement winners (last-appearance-wins is order-dependent) and
-  // orphan tuples whose producing derivation was cascaded away while they
-  // were still queued.
+  // It is that loop, with the auto-compaction check run once, after the
+  // last tuple. Each tuple's derived closure runs to fixpoint before the
+  // next tuple is inserted: letting queued derived appearances race later
+  // batch tuples would change key-replacement winners (last-appearance-wins
+  // is order-dependent) and orphan tuples whose producing derivation was
+  // cascaded away while they were still queued.
   void insert_batch(std::span<const Tuple> batch, TagMask tags = kAllTags);
   // Same, with a per-tuple tag mask (multi-query candidate insertion).
   void insert_batch(std::span<const std::pair<Tuple, TagMask>> batch);
@@ -217,22 +215,19 @@ class Engine {
   TableId intern_extern_table(const std::string& name);
   Row acquire_row();
   void release_row(Row&& row);
-  // External-tuple dispatch for insert (insert_batch stages through
-  // insert): handle_appear in place at a true top level — no queue round
-  // trip or Tuple copy — falling back to the queue when re-entrant.
+  // insert() without the auto-compaction check; insert_batch loops over it.
+  void insert_one(const Tuple& t, TagMask tags);
+  // External-tuple dispatch for insert_one: handle_appear in place at a
+  // true top level — no queue round trip or Tuple copy — falling back to
+  // the queue when re-entrant.
   void dispatch_external(const Tuple& t, TableId tid, TagMask tags,
                          EventId cause, TupleRef ref, NodeRef nref);
   void enqueue_appear(Tuple t, TableId tid, TagMask tags, EventId cause,
                       TupleRef ref, NodeRef nref);
   void remove_one(const Tuple& t);
-  // Bulk (deferred-index) mode brackets for insert_batch; nestable so
-  // re-entrant batches from callbacks flush once, at the outermost end.
-  void begin_bulk();
-  void end_bulk();
   // Applies the EngineOptions auto-compaction policy; called when a
   // top-level mutation (never a nested or mid-fixpoint one) completes.
   void maybe_autocompact();
-  struct BulkBracket;  // RAII begin_bulk/end_bulk (defined in engine.cpp)
   void run_queue();
   // The drain loop proper; run_queue wraps it in the running_ bracket and
   // an unwind path (reset + queue discard) for exceptions thrown by
@@ -256,9 +251,8 @@ class Engine {
   // some selection failed (prune this join branch).
   bool eval_pushed_sels(const CompiledRule& cr,
                         const std::vector<uint32_t>& sels);
-  void derive(const CompiledRule& cr, const ndlog::Rule& rule,
-              const Value& src_node, NodeRef src_ref, Tuple head, TagMask mask,
-              std::span<const EventId> cause_events,
+  void derive(const CompiledRule& cr, const Value& src_node, NodeRef src_ref,
+              Tuple head, TagMask mask, std::span<const EventId> cause_events,
               std::span<const TupleRef> body_refs);
   void retract(const Value& node, TableId tid, TupleRef ref);
 
@@ -329,10 +323,6 @@ class Engine {
   std::string extern_name_cache_;
   TableId extern_id_cache_ = 0;
   bool extern_cache_valid_ = false;
-  // Bulk-mode state: stores switched to deferred indexing by the current
-  // insert_batch (flushed when the outermost batch finishes).
-  int bulk_depth_ = 0;
-  std::vector<TableStore*> bulk_stores_;
   bool diverged_ = false;
   size_t steps_ = 0;
   size_t firings_ = 0;

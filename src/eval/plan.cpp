@@ -20,17 +20,7 @@ bool SlotExpr::eval_node(const Frame& f, int32_t idx, Value& out) const {
     case ndlog::Expr::Kind::Binary: {
       Value a, b;
       if (!eval_node(f, n.lhs, a) || !eval_node(f, n.rhs, b)) return false;
-      if (!a.is_int() || !b.is_int()) return false;
-      switch (n.op) {
-        case ndlog::ArithOp::Add: out = Value(a.as_int() + b.as_int()); return true;
-        case ndlog::ArithOp::Sub: out = Value(a.as_int() - b.as_int()); return true;
-        case ndlog::ArithOp::Mul: out = Value(a.as_int() * b.as_int()); return true;
-        case ndlog::ArithOp::Div:
-          if (b.as_int() == 0) return false;
-          out = Value(a.as_int() / b.as_int());
-          return true;
-      }
-      return false;
+      return ndlog::arith_eval(n.op, a, b, out);
     }
   }
   return false;

@@ -1,5 +1,7 @@
 #include "ndlog/ast.h"
 
+#include <limits>
+
 namespace mp::ndlog {
 
 std::string to_string(CmpOp op) {
@@ -34,6 +36,32 @@ bool cmp_eval(CmpOp op, const Value& a, const Value& b) {
     case CmpOp::Ge: return !(a < b);
   }
   return false;
+}
+
+bool arith_eval(ArithOp op, const Value& a, const Value& b, Value& out) {
+  if (!a.is_int() || !b.is_int()) return false;
+  const int64_t x = a.as_int();
+  const int64_t y = b.as_int();
+  int64_t r = 0;
+  switch (op) {
+    case ArithOp::Add:
+      if (__builtin_add_overflow(x, y, &r)) return false;
+      break;
+    case ArithOp::Sub:
+      if (__builtin_sub_overflow(x, y, &r)) return false;
+      break;
+    case ArithOp::Mul:
+      if (__builtin_mul_overflow(x, y, &r)) return false;
+      break;
+    case ArithOp::Div:
+      if (y == 0 || (x == std::numeric_limits<int64_t>::min() && y == -1)) {
+        return false;
+      }
+      r = x / y;
+      break;
+  }
+  out = Value(r);
+  return true;
 }
 
 const std::vector<CmpOp>& all_cmp_ops() {

@@ -24,6 +24,10 @@ std::string to_string(CmpOp op);
 std::string to_string(ArithOp op);
 // Evaluate `a op b` over values; integer comparison or string equality.
 bool cmp_eval(CmpOp op, const Value& a, const Value& b);
+// Evaluate `a op b` into `out` over integers. False (and `out` untouched)
+// when an operand is not an integer, on division by zero and when the
+// int64 result would overflow (INT64_MIN / -1 included).
+bool arith_eval(ArithOp op, const Value& a, const Value& b, Value& out);
 // All six comparison operators, for operator-mutation repairs.
 const std::vector<CmpOp>& all_cmp_ops();
 CmpOp negate(CmpOp op);

@@ -12,7 +12,6 @@ namespace mp::obs {
 
 namespace {
 
-std::atomic<bool> g_trace_enabled{true};
 std::atomic<uint64_t> g_dropped{0};
 std::atomic<size_t> g_capacity{8192};
 
@@ -54,12 +53,6 @@ ThreadBuffer& local_buffer() {
 
 }  // namespace
 
-bool trace_enabled() {
-  return g_trace_enabled.load(std::memory_order_relaxed);
-}
-void set_trace_enabled(bool on) {
-  g_trace_enabled.store(on, std::memory_order_relaxed);
-}
 uint64_t dropped_spans() { return g_dropped.load(std::memory_order_relaxed); }
 void set_span_capacity(size_t records) {
   g_capacity.store(records == 0 ? 1 : records, std::memory_order_relaxed);

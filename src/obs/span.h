@@ -22,9 +22,9 @@
 // the same merged trace (pinned by tests/obs_test.cpp). write_trace_json
 // renders a drain as a JSON-lines trace log.
 //
-// Span recording honours obs::enabled() plus a trace-specific switch
-// (set_trace_enabled). A full ring drops new records and counts them in
-// dropped_spans() — tracing is bounded, never a memory leak.
+// Spans record whenever obs::enabled() is on. A full ring drops new
+// records and counts them in dropped_spans() — tracing is bounded, never a
+// memory leak.
 #pragma once
 
 #include <atomic>
@@ -47,12 +47,6 @@ struct SpanRecord {
   uint32_t thread = 0;  // buffer registration index
   uint64_t seq = 0;     // per-thread record sequence
 };
-
-// Trace master switch (independent of the metrics switch; both must be on
-// for spans to record). Default on — only traced phases record spans, and
-// those are coarse scopes.
-bool trace_enabled();
-void set_trace_enabled(bool on);
 
 // Monotonic nanoseconds (steady clock).
 inline uint64_t now_ns() {
@@ -127,7 +121,7 @@ class Scope {
     }
     if (traced_ != nullptr && enabled()) {
       traced_->latency().record(dur_ns);
-      if (trace_enabled()) record_span(phase_, start_ns_, dur_ns);
+      record_span(phase_, start_ns_, dur_ns);
     }
   }
   Scope(const Scope&) = delete;

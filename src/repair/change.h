@@ -71,10 +71,6 @@ struct RepairCandidate {
   std::vector<Change> changes;
   double cost = 0.0;
   std::string description;
-  // Filled by the backtester:
-  bool effective = false;
-  bool accepted = false;
-  double ks_statistic = 0.0;
 
   std::string describe(const ndlog::Program& p) const;
 };

@@ -156,7 +156,9 @@ TEST(BacktesterPool, PooledWorldsOnOneSharedBaseMatchSingleThreaded) {
   const size_t rules = static_rules(pooled.base()->net());
   for (const repair::RepairCandidate& c : cands) {
     std::optional<scenario::ScenarioRun> world = pooled.candidate_world(c);
-    if (world) EXPECT_EQ(world->net().base(), pooled.base());
+    if (world) {
+      EXPECT_EQ(world->net().base(), pooled.base());
+    }
   }
   auto report = [&](scenario::ScenarioHarness& harness, size_t shards) {
     backtest::BacktestConfig cfg;

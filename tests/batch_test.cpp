@@ -1,10 +1,9 @@
 // Batched insertion/removal (Engine::insert_batch / Engine::remove_batch):
 // the batched paths must reach the same fixpoint as tuple-at-a-time
 // insertion — identical final table states, event-log lengths, derivation
-// records and firing counts — while deferring secondary-index maintenance
-// to one bulk pass per touched store. Also covers TableStore's deferred
-// indexing directly, the duplicate-insert index discipline, and the
-// event-log base-stream replay built on top of the batch API.
+// records and firing counts. Also covers TableStore's index maintenance on
+// erase, the duplicate-insert index discipline, and the event-log
+// base-stream replay built on top of the batch API.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -205,42 +204,23 @@ TEST(Engine, DuplicateInsertDoesNotDuplicateJoinMatches) {
   EXPECT_FALSE(e.exists(Value(1), "Out", {Value(1), Value(5)}));
 }
 
-// --- deferred indexing ------------------------------------------------
+// --- index maintenance -----------------------------------------------
 
-TEST(TableStore, DeferredIndexingFlushesOnProbe) {
+TEST(TableStore, EraseKeepsBucketMateIndexed) {
   std::vector<std::vector<uint32_t>> specs{{0}};
   TuplePool pool;
   TableStore s;
   s.attach(&pool, 0);
   s.configure_indexes(&specs);
-  s.set_deferred_indexing(true);
   s.insert({Value(1), Value(10)}).support += 1;
   s.insert({Value(1), Value(11)}).support += 1;
-  s.insert({Value(2), Value(12)}).support += 1;
-  EXPECT_TRUE(s.has_index_backlog());
-  const TableStore::Bucket* b = s.probe(0, {Value(1)});
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(b->size(), 2u) << "probe must see backlogged rows";
-  EXPECT_FALSE(s.has_index_backlog());
-}
-
-TEST(TableStore, DeferredIndexingFlushesBeforeErase) {
-  std::vector<std::vector<uint32_t>> specs{{0}};
-  TuplePool pool;
-  TableStore s;
-  s.attach(&pool, 0);
-  s.configure_indexes(&specs);
-  s.set_deferred_indexing(true);
-  s.insert({Value(1), Value(10)}).support += 1;
-  s.insert({Value(1), Value(11)}).support += 1;
-  // Erasing a row that is still in the backlog must not leave a dangling
-  // backlog pointer or a stale bucket entry.
+  // Erasing one row of a two-row bucket must leave the other row indexed
+  // and no stale bucket entry behind.
   s.erase({Value(1), Value(10)});
   const TableStore::Bucket* b = s.probe(0, {Value(1)});
   ASSERT_NE(b, nullptr);
-  EXPECT_EQ(b->size(), 1u);
-  s.set_deferred_indexing(false);
-  EXPECT_FALSE(s.has_index_backlog());
+  ASSERT_EQ(b->size(), 1u);
+  EXPECT_EQ(s.row_at((*b)[0]), Row({Value(1), Value(11)}));
 }
 
 // --- randomized differential property ---------------------------------

@@ -3,6 +3,7 @@
 // cross-node messages, tag mode, and provenance graphs.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -161,6 +162,47 @@ TEST(Engine, ArithmeticAndDivisionByZero) {
   EXPECT_TRUE(e.exists(Value(1), "A", {Value(1), Value(5)}));
   e.insert(t("B", {Value(1), Value(10), Value(0)}));  // div by zero: no fire
   EXPECT_EQ(e.rows(Value(1), "A").size(), 1u);
+}
+
+// Signed int64 overflow is a failed evaluation, like division by zero: the
+// rule does not fire (and no undefined behaviour runs, which UBSan checks
+// in the sanitizer build). Covers the engine's compiled expressions and
+// eval_expr, the repair path's evaluator.
+TEST(Engine, ArithmeticOverflowDoesNotFire) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  struct Case {
+    char op;
+    int64_t p, q;
+    bool fits;
+  };
+  const std::vector<Case> cases = {
+      {'+', kMax, 1, false},  {'+', kMin, -1, false}, {'+', kMax, 0, true},
+      {'-', kMin, 1, false},  {'-', kMax, -1, false}, {'-', 0, kMax, true},
+      {'*', kMax, 2, false},  {'*', kMin, -1, false}, {'*', kMin, 1, true},
+      {'/', kMin, -1, false}, {'/', kMin, 1, true},   {'/', kMax, -1, true},
+  };
+  for (const Case& c : cases) {
+    const std::string op(1, c.op);
+    SCOPED_TRACE(std::to_string(c.p) + " " + op + " " + std::to_string(c.q));
+    const ndlog::Program prog = ndlog::parse_program(
+        "table A/2.\nevent B/3.\nr1 A(@X,R) :- B(@X,P,Q), R := P " + op +
+        " Q.");
+    Engine e(prog);
+    e.insert(t("B", {Value(1), Value(c.p), Value(c.q)}));
+    EXPECT_EQ(e.rows(Value(1), "A").size(), c.fits ? 1u : 0u);
+
+    const Env env = {{"P", Value(c.p)}, {"Q", Value(c.q)}};
+    Value out;
+    EXPECT_EQ(eval_expr(*prog.rules[0].assigns[0].expr, env, out), c.fits);
+  }
+  // The INT64_MIN / -1 program that used to trap with SIGFPE.
+  Engine e(ndlog::parse_program(
+      "table A/2.\nevent B/2.\n"
+      "r1 A(@X,Q) :- B(@X,P), M := 0 - 9223372036854775807, N := M - P, "
+      "D := 0 - 1, Q := N / D."));
+  e.insert(t("B", {Value(1), Value(1)}));
+  EXPECT_TRUE(e.rows(Value(1), "A").empty());
 }
 
 TEST(Engine, TagModeIntersectsBodyMasks) {

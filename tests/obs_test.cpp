@@ -192,7 +192,6 @@ TEST(Snapshot, JsonParsesAndHasSections) {
 }
 
 TEST(Spans, DeterministicMergeAcrossThreads) {
-  set_trace_enabled(true);
   drain_all_spans();  // clear anything earlier tests recorded
   const PhaseId p = phase_id("test.span.merge");
   // Two injector threads with interleaved synthetic timestamps plus the
@@ -222,7 +221,6 @@ TEST(Spans, DeterministicMergeAcrossThreads) {
 }
 
 TEST(Spans, FullRingDropsAndCounts) {
-  set_trace_enabled(true);
   const uint64_t dropped_before = dropped_spans();
   set_span_capacity(4);
   const PhaseId p = phase_id("test.span.drop");
@@ -260,7 +258,6 @@ uint64_t clock_ns(const mp::PhaseClock& clock, PhaseId phase) {
 
 TEST(Scope, TracedFeedsClockSpanAndHistogramOnce) {
   set_enabled(true);
-  set_trace_enabled(true);
   drain_all_spans();
   const TracedPhase phase("test.scope.traced");
   mp::PhaseClock clock;
@@ -280,7 +277,6 @@ TEST(Scope, TracedFeedsClockSpanAndHistogramOnce) {
 
 TEST(Scope, ClockOnlyPublishesNothing) {
   set_enabled(true);
-  set_trace_enabled(true);
   drain_all_spans();
   const PhaseId phase = phase_id("test.scope.clock_only");
   mp::PhaseClock clock;
@@ -296,7 +292,6 @@ TEST(Scope, ClockOnlyPublishesNothing) {
 }
 
 TEST(Scope, DisabledObsStillFeedsTheClock) {
-  set_trace_enabled(true);
   drain_all_spans();
   const TracedPhase traced("test.scope.off_traced");
   const PhaseId clock_only = phase_id("test.scope.off_clock_only");
@@ -319,7 +314,6 @@ TEST(Scope, DisabledObsStillFeedsTheClock) {
 
 TEST(Scope, NullClockIsAllowed) {
   set_enabled(true);
-  set_trace_enabled(true);
   drain_all_spans();
   const TracedPhase traced("test.scope.null_clock");
   {

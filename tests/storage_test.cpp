@@ -565,7 +565,9 @@ TEST(SegmentStore, SegmentDeletedUnderOpenReaderStaysReadable) {
     return true;
   });
   EXPECT_EQ(replayed, first_events);
-  if (replayed > 0) EXPECT_EQ(last, first_events - 1);
+  if (replayed > 0) {
+    EXPECT_EQ(last, first_events - 1);
+  }
 }
 
 TEST(SegmentStore, ZeroLengthSegmentFileIsDroppedCleanly) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,23 +57,34 @@ TEST(TuplePool, HandlesAndRowsStableAcrossGrowth) {
 
 TEST(TuplePool, HandlesSurviveEventLogCompaction) {
   const scenario::Scenario s = scenario::q1_copy_paste({});
-  Engine e(s.program, testutil::with_segments("tuple_pool_compaction"));
-  e.insert_batch(scenario::engine_trace(s, 600));
-  ASSERT_GT(e.log().size(), 100u);
-
-  // Snapshot every live event's handle resolution before compacting.
+  const std::vector<Tuple> trace = scenario::engine_trace(s, 600);
+  // The reference run never compacts: its log is the full history the
+  // compacting run must still read back.
+  Engine ref(s.program);
+  ref.insert_batch(trace);
   std::vector<std::string> before;
-  for (const Event& ev : e.log().events()) {
-    before.push_back(e.log().tuple_of(ev).to_string());
+  for (const Event& ev : ref.log().events()) {
+    before.push_back(ref.log().tuple_of(ev).to_string());
   }
-  const size_t pool_size = e.log().pool().size();
-  const uint64_t want_hash = testutil::event_sequence_hash(e.log());
-  const std::vector<std::string> want_lines = testutil::log_lines(e.log());
+  const uint64_t want_hash = testutil::event_sequence_hash(ref.log());
+  const std::vector<std::string> want_lines = testutil::log_lines(ref.log());
 
-  EXPECT_GT(e.log().compact(e.log().live_size() / 4), 0u);
-  EXPECT_GT(e.log().base_id(), 0u);
-  EXPECT_EQ(e.log().pool().size(), pool_size)
-      << "compaction must never truncate the pool";
+  // Two compactions with traffic in between: the events appended after
+  // the first one share the cause arena with its survivors, and the
+  // second one serializes those survivors from their rebased offsets.
+  Engine e(s.program, testutil::with_segments("tuple_pool_compaction"));
+  const std::span<const Tuple> all(trace);
+  const size_t half = trace.size() / 2;
+  for (const std::span<const Tuple> part : {all.first(half), all.subspan(half)}) {
+    e.insert_batch(part);
+    ASSERT_GT(e.log().live_size(), 100u);
+    const size_t pool_size = e.log().pool().size();
+    const auto base_before = e.log().base_id();
+    EXPECT_GT(e.log().compact(e.log().live_size() / 4), 0u);
+    EXPECT_GT(e.log().base_id(), base_before);
+    EXPECT_EQ(e.log().pool().size(), pool_size)
+        << "compaction must never truncate the pool";
+  }
   // History handles recorded before compaction still resolve.
   for (ndlog::Catalog::TableId id = 0; id < e.catalog().size(); ++id) {
     for (TupleRef ref : e.history().rows(id)) {

@@ -77,7 +77,9 @@ set -euo pipefail
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${1:-$REPO_ROOT/build}"
 
-cmake -B "$BUILD_DIR" -S "$REPO_ROOT"
+# Warning gate: the main build compiles with -Wall -Wextra (root
+# CMakeLists.txt) and treats every warning as an error.
+cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$BUILD_DIR" -j
 
 (cd "$BUILD_DIR" && ctest -L tier1 --output-on-failure -j)

@@ -123,7 +123,7 @@ for arg, key in ((0, "provenance_off"), (1, "provenance_on")):
         if b.get("bytes_per_event") is not None:
             packetin[key]["bytes_per_event"] = b["bytes_per_event"]
 # The same workload arriving in 64-tuple bursts through insert_batch
-# (index maintenance and table interning amortized per burst).
+# (insert() per tuple, one auto-compaction check per burst).
 for arg, key in ((0, "batched_provenance_off"), (1, "batched_provenance_on")):
     b = results.get(f"BM_PacketInBatchedArrival/{arg}")
     if b:
