@@ -1,6 +1,8 @@
 #include "eval/engine.h"
 
+#include <algorithm>
 #include <iterator>
+#include <numeric>
 
 #include "obs/obs.h"
 
@@ -48,6 +50,12 @@ Engine::Engine(ndlog::Program program, EngineOptions opt)
   history_.attach(&catalog_, &log_.pool(), opt_.use_indexes);
   triggers_by_table_.resize(catalog_.size());
   rule_restrict_.assign(program_.rules.size(), kAllTags);
+  rules_by_name_.resize(compiled_.size());
+  std::iota(rules_by_name_.begin(), rules_by_name_.end(), 0u);
+  std::stable_sort(rules_by_name_.begin(), rules_by_name_.end(),
+                   [&](uint32_t a, uint32_t b) {
+                     return compiled_[a].log_rule < compiled_[b].log_rule;
+                   });
   for (size_t r = 0; r < program_.rules.size(); ++r) {
     for (size_t b = 0; b < program_.rules[r].body.size(); ++b) {
       const TableId tid = catalog_.id_of(program_.rules[r].body[b].table);
@@ -384,9 +392,12 @@ void Engine::run_callbacks(TableId tid, const Tuple& t, TagMask tags) {
 void Engine::set_rule_restrict(const std::string& rule, TagMask mask) {
   // By name, not by index: duplicate rule names (invalid but possible in
   // candidate programs) must all be restricted.
-  for (size_t r = 0; r < program_.rules.size(); ++r) {
-    if (program_.rules[r].name == rule) rule_restrict_[r] = mask;
-  }
+  const RuleId id = log_.find_rule(rule);
+  auto it = std::lower_bound(
+      rules_by_name_.begin(), rules_by_name_.end(), id,
+      [&](uint32_t r, RuleId want) { return compiled_[r].log_rule < want; });
+  for (; it != rules_by_name_.end() && compiled_[*it].log_rule == id; ++it)
+    rule_restrict_[*it] = mask;
 }
 
 void Engine::enqueue_appear(Tuple t, TableId tid, TagMask tags, EventId cause,

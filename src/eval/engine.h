@@ -285,6 +285,9 @@ class Engine {
   void build_trigger_index(TriggerIndex& ti) const;
   std::vector<TriggerIndex> triggers_by_table_;
   std::vector<TagMask> rule_restrict_;  // per rule idx, default kAllTags
+  // Every rule idx, ordered by its name's log_rule id (ties by idx), so
+  // set_rule_restrict finds all rules of one name by binary search.
+  std::vector<uint32_t> rules_by_name_;
   std::map<Value, Database> nodes_;
   // Two-entry node-db cache (keys point at map nodes, which are stable —
   // nodes are never erased). Two entries, not one: an external insert's

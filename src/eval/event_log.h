@@ -227,6 +227,11 @@ class EventLog {
 
   // --- interning --------------------------------------------------------
   RuleId intern_rule(const std::string& name);
+  // The id of an interned rule name, or kNoRule.
+  RuleId find_rule(const std::string& name) const {
+    auto it = rule_ids_.find(name);
+    return it == rule_ids_.end() ? kNoRule : it->second;
+  }
   const std::string& rule_name(RuleId id) const {
     static const std::string kEmpty;
     return id == kNoRule ? kEmpty : rule_names_[id];

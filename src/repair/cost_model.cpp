@@ -19,29 +19,28 @@ const Value* site_constant(const Change& c, const ndlog::Program& p) {
   return &(*slot)->cval();
 }
 
+// Whether a change replaces the constant at its site by a neighbouring
+// integer (an off-by-one edit). A difference that leaves int64 is far.
+bool near_edit(const Change& c, const ndlog::Program& p) {
+  const Value* old = site_constant(c, p);
+  if (old == nullptr || !old->is_int() || !c.new_value.is_int()) return false;
+  int64_t d;
+  if (__builtin_sub_overflow(old->as_int(), c.new_value.as_int(), &d))
+    return false;
+  return d == 1 || d == -1;
+}
+
 }  // namespace
 
 double CostModel::cost(const Change& c, const ndlog::Program& p) const {
   switch (c.kind) {
-    case ChangeKind::ChangeSelConst: {
-      const Value* old = site_constant(c, p);
-      if (old != nullptr && old->is_int() && c.new_value.is_int() &&
-          std::llabs(old->as_int() - c.new_value.as_int()) == 1) {
-        return change_const_near;
-      }
-      return change_const_base;
-    }
+    case ChangeKind::ChangeSelConst:
+      return near_edit(c, p) ? change_const_near : change_const_base;
     case ChangeKind::ChangeSelOp: return change_op;
     case ChangeKind::ChangeSelVar: return change_var;
     case ChangeKind::DeleteSel: return delete_sel;
-    case ChangeKind::ChangeAssignConst: {
-      const Value* old = site_constant(c, p);
-      if (old != nullptr && old->is_int() && c.new_value.is_int() &&
-          std::llabs(old->as_int() - c.new_value.as_int()) == 1) {
-        return change_const_near + 0.5;
-      }
-      return change_assign_const;
-    }
+    case ChangeKind::ChangeAssignConst:
+      return near_edit(c, p) ? change_const_near + 0.5 : change_assign_const;
     case ChangeKind::ChangeAssignVar: return change_assign_var;
     case ChangeKind::DeleteBodyAtom: return delete_atom;
     case ChangeKind::ChangeHeadTable:

@@ -7,8 +7,6 @@
 // pops partial trees in cost order, so candidates emerge cheapest-first.
 #pragma once
 
-#include <cstdlib>
-
 #include "repair/change.h"
 
 namespace mp::repair {

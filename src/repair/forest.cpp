@@ -91,6 +91,14 @@ void push_unique(std::vector<Value>& vals, const Value& v, size_t cap) {
   vals.push_back(v);
 }
 
+// The constant v + d, or nullopt when it leaves int64 (v comes from
+// history, i.e. from traffic, and may sit at either limit).
+std::optional<Value> offset(int64_t v, int64_t d) {
+  int64_t r;
+  if (__builtin_add_overflow(v, d, &r)) return std::nullopt;
+  return Value(r);
+}
+
 }  // namespace
 
 ForestExplorer::ForestExplorer(const eval::Engine& engine,
@@ -634,14 +642,16 @@ std::vector<Change> ForestExplorer::selection_fix_options(const Rule& rule,
       }
       // Direct minimal-edit value.
       const int64_t xi = x.as_int();
+      std::optional<Value> direct;
       switch (op) {
-        case CmpOp::Eq: push_unique(candidates, Value(xi), cfg_.max_const_variants); break;
-        case CmpOp::Ne: push_unique(candidates, Value(xi + 1), cfg_.max_const_variants); break;
-        case CmpOp::Lt: push_unique(candidates, Value(xi + 1), cfg_.max_const_variants); break;
-        case CmpOp::Le: push_unique(candidates, Value(xi), cfg_.max_const_variants); break;
-        case CmpOp::Gt: push_unique(candidates, Value(xi - 1), cfg_.max_const_variants); break;
-        case CmpOp::Ge: push_unique(candidates, Value(xi), cfg_.max_const_variants); break;
+        case CmpOp::Eq: direct = Value(xi); break;
+        case CmpOp::Ne: direct = offset(xi, 1); break;
+        case CmpOp::Lt: direct = offset(xi, 1); break;
+        case CmpOp::Le: direct = Value(xi); break;
+        case CmpOp::Gt: direct = offset(xi, -1); break;
+        case CmpOp::Ge: direct = Value(xi); break;
       }
+      if (direct) push_unique(candidates, *direct, cfg_.max_const_variants);
       // Domain variants: historical values of the value-side variable
       // suggest looser constants (the paper's Sip<16 / Sip<99 flavours).
       if (sel.lhs->is_var() || sel.rhs->is_var()) {
@@ -649,16 +659,16 @@ std::vector<Change> ForestExplorer::selection_fix_options(const Rule& rule,
         if (vside->is_var()) {
           for (const Value& v : domain_of_var(rule, vside->var_name())) {
             if (!v.is_int()) continue;
-            Value cand;
+            std::optional<Value> cand;
             switch (op) {
-              case CmpOp::Lt: cand = Value(v.as_int() + 1); break;
+              case CmpOp::Lt: cand = offset(v.as_int(), 1); break;
               case CmpOp::Le: cand = Value(v.as_int()); break;
-              case CmpOp::Gt: cand = Value(v.as_int() - 1); break;
+              case CmpOp::Gt: cand = offset(v.as_int(), -1); break;
               case CmpOp::Ge: cand = Value(v.as_int()); break;
               default: continue;
             }
-            if (ndlog::cmp_eval(op, x, cand)) {
-              push_unique(candidates, cand, cfg_.max_const_variants);
+            if (cand && ndlog::cmp_eval(op, x, *cand)) {
+              push_unique(candidates, *cand, cfg_.max_const_variants);
             }
           }
         }

@@ -19,10 +19,6 @@ ScenarioRun::ScenarioRun(const Scenario& s,
   net_->set_controller(controller_.get());
 }
 
-ScenarioRun::ScenarioRun(const Scenario& s, const ndlog::Program& program,
-                         eval::EngineOptions eopts)
-    : ScenarioRun(s, build_base(s), program, eopts) {}
-
 void ScenarioRun::insert_config(
     const std::vector<std::pair<eval::Tuple, eval::TagMask>>& extra) {
   if (!config_inserted_) {

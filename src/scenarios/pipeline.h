@@ -15,17 +15,13 @@
 namespace mp::scenario {
 
 // One concrete simulation of a scenario under a given program: a world on
-// the scenario's static base (build_base) with its own engine and
-// controller. The world is sealed from the start (sdn::WorldBase), so
-// every controller install, config insertions' included, goes to its
-// dynamic layer and marks its switch dirty.
+// a static base of the scenario (build_base) with its own engine and
+// controller. Every controller install, config insertions' included, goes
+// to the world's dynamic layer and marks its switch dirty (sdn::WorldBase).
 class ScenarioRun {
  public:
   ScenarioRun(const Scenario& s, std::shared_ptr<const sdn::WorldBase> base,
               const ndlog::Program& program, eval::EngineOptions eopts = {});
-  // A world on a base of its own, build_base(s).
-  ScenarioRun(const Scenario& s, const ndlog::Program& program,
-              eval::EngineOptions eopts = {});
 
   // Extra tagged base tuples (candidate insertions) + tagged config.
   void insert_config(
@@ -39,7 +35,8 @@ class ScenarioRun {
   // replay(workload) that also fills `memo` with the workload's static
   // paths (the recorded incident).
   void record(const std::vector<sdn::Injection>& workload, sdn::PathMemo& memo);
-  // replay(workload) that books memoized packets from `memo`.
+  // replay(workload) that books memoized packets from `memo`, which is
+  // used only when a world on this world's base filled it.
   void replay(const std::vector<sdn::Injection>& workload,
               const sdn::PathMemo& memo);
 

@@ -55,9 +55,10 @@ Scenario q5_mac_learning(const sdn::CampusOptions& campus = {});
 
 std::vector<Scenario> all_scenarios(const sdn::CampusOptions& campus = {});
 
-// The scenario's static world: build_campus plus wire_app, sealed into a
-// WorldBase. Workload synthesis reads it, and every world a ScenarioHarness
-// builds runs on it.
+// The scenario's static world: build_campus plus wire_app, kept as a
+// WorldBase. Workload synthesis reads it, and every ScenarioRun world runs
+// on a base built here (a ScenarioHarness's worlds all on the one it
+// keeps).
 std::shared_ptr<const sdn::WorldBase> build_base(const Scenario& s);
 
 // The scenario's engine-level tuple trace: config tuples followed by the

@@ -38,14 +38,11 @@ void for_each_tag(eval::TagMask mask, Fn&& fn) {
 Network::Network(std::shared_ptr<const WorldBase> base)
     : base_(std::move(base)) {
   if (base_ == nullptr) throw std::invalid_argument("Network: null base");
-  sealed_ = true;
-  sealed_switches_ = base_->net().switch_count();
 }
 
 WorldBase::WorldBase(Network net) : net_(std::move(net)) {
   if (net_.base() != nullptr)
     throw std::invalid_argument("WorldBase: the network is on a base");
-  net_.seal();
   if (obs::enabled()) {
     static obs::Counter& builds =
         obs::Registry::global().counter("sdn.base.builds");
@@ -76,10 +73,8 @@ const FlowTable* Network::dynamic_layer(const Switch& s) const {
 // first, so on a base they throw before changing anything.
 Switch& Network::add_switch(int64_t id) {
   own_topology("add_switch");
-  auto [it, inserted] =
-      switches_.try_emplace(id, id, static_cast<uint32_t>(switches_.size()));
-  if (inserted) mark_dirty(it->second);
-  return it->second;
+  return switches_.try_emplace(id, id, static_cast<uint32_t>(switches_.size()))
+      .first->second;
 }
 
 Switch* Network::find_switch(int64_t id) {
@@ -97,7 +92,6 @@ const Switch* Network::find_switch(int64_t id) const {
 Host& Network::add_host(Host h) {
   Switch& sw = add_switch(h.sw);
   sw.connect(h.port, PortPeer{PortPeer::Kind::Host, h.id, 0});
-  mark_dirty(sw);
   hosts_.push_back(std::move(h));
   return hosts_.back();
 }
@@ -123,28 +117,14 @@ std::vector<int64_t> Network::switch_ids() const {
 }
 
 void Network::link(int64_t sw_a, int64_t port_a, int64_t sw_b, int64_t port_b) {
-  Switch& a = add_switch(sw_a);
-  a.connect(port_a, PortPeer{PortPeer::Kind::Switch, sw_b, port_b});
-  mark_dirty(a);
-  Switch& b = add_switch(sw_b);
-  b.connect(port_b, PortPeer{PortPeer::Kind::Switch, sw_a, port_a});
-  mark_dirty(b);
+  add_switch(sw_a).connect(port_a,
+                           PortPeer{PortPeer::Kind::Switch, sw_b, port_b});
+  add_switch(sw_b).connect(port_b,
+                           PortPeer{PortPeer::Kind::Switch, sw_a, port_a});
 }
 
 void Network::external(int64_t sw, int64_t port) {
-  Switch& s = add_switch(sw);
-  s.connect(port, PortPeer{PortPeer::Kind::External, 0, 0});
-  mark_dirty(s);
-}
-
-void Network::seal() {
-  if (sealed_) return;
-  sealed_ = true;
-  sealed_switches_ = switches_.size();
-}
-
-void Network::mark_dirty(const Switch& s) {
-  if (sealed_) dirty_ |= sig_bit(s);
+  add_switch(sw).connect(port, PortPeer{PortPeer::Kind::External, 0, 0});
 }
 
 void Network::install(int64_t sw, FlowEntry entry) {
@@ -154,11 +134,11 @@ void Network::install(int64_t sw, FlowEntry entry) {
   recorder_.record_ctrl(CtrlMsgKind::FlowMod, sw, clock_);
   if (base_ == nullptr) {
     switches_.find(sw)->second.table().add(entry);
-  } else {
-    if (dynamic_.empty()) dynamic_.resize(sealed_switches_);
-    dynamic_[s->dense()].add(entry);
+    return;
   }
-  mark_dirty(*s);
+  if (dynamic_.empty()) dynamic_.resize(base_->net().switch_count());
+  dynamic_[s->dense()].add(entry);
+  dirty_ |= sig_bit(*s);
 }
 
 void Network::packet_out(int64_t sw, int64_t port, eval::TagMask tags) {
@@ -241,9 +221,9 @@ void Network::count(size_t DeliveryStats::*counter, eval::TagMask tags) {
 void Network::record_batch(const std::vector<Injection>& work, PathMemo& memo) {
   // Only a plain-mode walk proves a path holds for every tag: one outcome
   // from a kAllTags start means every hop's winning rule carries kAllTags.
-  const bool fill = sealed_ && !tag_mode_;
+  const bool fill = base_ != nullptr && !tag_mode_;
   memo.slots_.assign(work.size(), 0);
-  memo.switches_ = fill ? sealed_switches_ : 0;
+  memo.base_ = fill ? base_ : nullptr;
   memo.entries_ = 0;
   for (size_t i = 0; i < work.size(); ++i) {
     const Injection& inj = work[i];
@@ -264,7 +244,7 @@ void Network::record_batch(const std::vector<Injection>& work, PathMemo& memo) {
 void Network::replay_batch(const std::vector<Injection>& work,
                            const PathMemo& memo) {
   const eval::TagMask tags = tag_mode_ ? active_tags_ : eval::kAllTags;
-  if (!sealed_ || memo.switches_ != sealed_switches_ ||
+  if (memo.base_ == nullptr || memo.base_ != base_ ||
       memo.slots_.size() != work.size() || tags == 0) {
     for (const Injection& inj : work) inject(inj.sw, inj.port, inj.packet);
     return;

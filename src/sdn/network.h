@@ -10,13 +10,13 @@
 // once per distinct miss, with the mask of tags that missed (Section 4.4).
 //
 // World base: a world's static base (topology plus every rule installed
-// before seal()) is the same in every world of a scenario. A WorldBase
-// holds it once, and every world built on it owns only its dynamic layer:
-// the rules installed after, its dirty marks, tallies and logs. See
-// src/sdn/README.md, "World base".
+// while it was built) is the same in every world of a scenario. A
+// WorldBase holds it once, and every world built on it owns only its
+// dynamic layer: the rules it installs, its dirty marks, tallies and logs.
+// See src/sdn/README.md, "World base".
 //
 // Static-path memo: a packet whose walk meets only static rules walks the
-// same path in every world of a scenario. PathMemo keeps that walk per
+// same path in every world on a base. PathMemo keeps that walk per
 // workload position; see src/sdn/README.md, "Static-path memo".
 #pragma once
 
@@ -63,10 +63,13 @@ struct DeliveryStats {
   size_t hops = 0;
 };
 
-// Per workload position, the outcome of a sealed world's walk that met
-// only static rules, packed into 8 bytes (0 = not memoized). Filled by
-// Network::record_batch and read-only afterwards, so concurrent replays
-// may share it.
+class WorldBase;
+
+// Per workload position, the outcome of a walk that met only static rules
+// in a world on a WorldBase, packed into 8 bytes (0 = not memoized).
+// Filled by Network::record_batch and read-only afterwards, so concurrent
+// replays may share it. It is valid only on the base of the world that
+// filled it.
 class PathMemo {
  public:
   PathMemo() = default;
@@ -77,21 +80,21 @@ class PathMemo {
  private:
   friend class Network;
   std::vector<uint64_t> slots_;
-  size_t switches_ = 0;  // the filling world's sealed switch count
+  // The filling world's base; null when nothing was memoized.
+  std::shared_ptr<const WorldBase> base_;
   size_t entries_ = 0;
 };
-
-class WorldBase;
 
 class Network {
  public:
   // A self-built world: empty, filled through add_switch, link, external,
-  // add_host and Switch::table(), and optionally sealed in place.
+  // add_host and Switch::table(). It walks every packet; its main use is
+  // to become a WorldBase.
   Network() = default;
-  // A world on `base`, sealed from the start: it reads the base's topology
-  // and static rules and owns only what it installs. Its topology is the
-  // base's, so add_switch, link, external, add_host and the non-const
-  // find_switch throw std::logic_error.
+  // A world on `base`: it reads the base's topology and static rules and
+  // owns only what it installs, marking each switch it installs on dirty.
+  // Its topology is the base's, so add_switch, link, external, add_host
+  // and the non-const find_switch throw std::logic_error.
   explicit Network(std::shared_ptr<const WorldBase> base);
 
   Switch& add_switch(int64_t id);
@@ -120,21 +123,17 @@ class Network {
   // the controller on misses. Advances the clock by one.
   void inject(int64_t sw, int64_t in_port, const Packet& p);
 
-  // Ends the static base: from here on every install, and any topology
-  // change, marks the switches it touches dirty. Rules added straight
-  // through Switch::table() after this are not seen, so they must not be.
-  // Only the first call counts; a world on a base is already sealed.
-  void seal();
   // The shared static layer this world is built on; null if self-built.
   const std::shared_ptr<const WorldBase>& base() const { return base_; }
-  // sdn::replay(*this, work) in a sealed world that also fills `memo`
-  // (one slot per position of `work`) with every walk that did not miss
-  // and visited only clean switches.
+  // sdn::replay(*this, work) that also fills `memo` (one slot per position
+  // of `work`) with every walk that did not miss and visited only clean
+  // switches, when this world is on a base and not in tag mode; otherwise
+  // `memo` is left empty.
   void record_batch(const std::vector<Injection>& work, PathMemo& memo);
   // sdn::replay(*this, work) that books each memoized packet whose path
   // avoids every dirty switch from `memo` instead of walking it: the same
-  // clock, statistics and logs. `memo` is used only when this world is
-  // sealed with the filling world's switch count and `work` has its size.
+  // clock, statistics and logs. `memo` is used only when this world is on
+  // the base of the world that filled it and `work` has its size.
   void replay_batch(const std::vector<Injection>& work, const PathMemo& memo);
   // Memoized packets booked from, or walked past, a PathMemo.
   size_t memo_hits() const { return memo_hits_; }
@@ -178,7 +177,6 @@ class Network {
   void own_topology(const char* op) const;
   // The dynamic layer `s` has in a world on a base, or nullptr.
   const FlowTable* dynamic_layer(const Switch& s) const;
-  void mark_dirty(const Switch& s);
   // Terminal outcomes for every world in `tags`.
   void deliver(int64_t host, int64_t dpt, eval::TagMask tags);
   void count(size_t DeliveryStats::*counter, eval::TagMask tags);
@@ -187,7 +185,7 @@ class Network {
 
   // Null for a self-built world, which keeps its topology and every rule
   // in switches_ and hosts_. A world on a base leaves both empty and keeps
-  // each switch's post-seal rules in dynamic_, indexed by dense id
+  // each switch's installed rules in dynamic_, indexed by dense id
   // (allocated at the first install).
   std::shared_ptr<const WorldBase> base_;
   std::vector<FlowTable> dynamic_;
@@ -206,9 +204,8 @@ class Network {
   uint64_t clock_ = 0;
   bool tag_mode_ = false;
   eval::TagMask active_tags_ = eval::kAllTags;
-  bool sealed_ = false;
-  size_t sealed_switches_ = 0;
-  // Bit min(dense id, 39) of every switch changed since seal().
+  // In a world on a base, bit min(dense id, 39) of every switch it
+  // installed on; always 0 in a self-built world.
   uint64_t dirty_ = 0;
   size_t memo_hits_ = 0;
   size_t memo_walks_ = 0;
@@ -223,17 +220,17 @@ class Network {
   std::vector<PendingOut> pending_outs_;
 };
 
-// The static layer every world of a scenario shares: a network's switches,
-// ports, hosts and every rule installed before it was sealed, with their
+// The static layer every world of a scenario shares: a self-built
+// network's switches, ports, hosts and every rule it holds, with their
 // tuple-space indexes. Immutable once built, so worlds on several threads
 // read it without locks. Held by shared_ptr<const WorldBase>; see
 // src/sdn/README.md, "World base".
 class WorldBase {
  public:
-  // Seals `net`, a self-built network, and keeps it as the static layer.
-  // Counts one sdn.base.builds.
+  // Keeps `net`, a self-built network, as the static layer. Counts one
+  // sdn.base.builds.
   explicit WorldBase(Network net);
-  // The sealed network, e.g. for workload synthesis. Its own tallies and
+  // The base's network, e.g. for workload synthesis. Its own tallies and
   // logs stay empty: worlds replay on the base, never in it.
   const Network& net() const { return net_; }
 

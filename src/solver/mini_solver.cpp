@@ -69,6 +69,14 @@ struct Problem {
   ClassDomain& dom(size_t cls) { return domains[cls]; }
 };
 
+// v + d, or nullopt when that leaves int64: a bound that cannot be
+// represented makes the problem infeasible.
+std::optional<int64_t> offset(int64_t v, int64_t d) {
+  int64_t r;
+  if (__builtin_add_overflow(v, d, &r)) return std::nullopt;
+  return r;
+}
+
 // Returns false on contradiction.
 bool apply_const_constraint(Problem& p, size_t cls, ndlog::CmpOp op,
                             const Value& v) {
@@ -97,15 +105,21 @@ bool apply_const_constraint(Problem& p, size_t cls, ndlog::CmpOp op,
     case ndlog::CmpOp::Ne:
       d.excluded.insert(c);
       break;
-    case ndlog::CmpOp::Lt:
-      d.hi = std::min(d.hi, c - 1);
+    case ndlog::CmpOp::Lt: {
+      const std::optional<int64_t> below = offset(c, -1);
+      if (!below) return false;
+      d.hi = std::min(d.hi, *below);
       break;
+    }
     case ndlog::CmpOp::Le:
       d.hi = std::min(d.hi, c);
       break;
-    case ndlog::CmpOp::Gt:
-      d.lo = std::max(d.lo, c + 1);
+    case ndlog::CmpOp::Gt: {
+      const std::optional<int64_t> above = offset(c, 1);
+      if (!above) return false;
+      d.lo = std::max(d.lo, *above);
       break;
+    }
     case ndlog::CmpOp::Ge:
       d.lo = std::max(d.lo, c);
       break;
@@ -175,24 +189,29 @@ bool propagate(Problem& p) {
     for (const auto& cc : p.cmps) {
       ClassDomain& da = p.dom(cc.a);
       ClassDomain& db = p.dom(cc.b);
-      auto tighten = [&changed](int64_t& slot, int64_t v, bool is_lo) {
-        if (is_lo ? v > slot : v < slot) {
-          slot = v;
+      // False when the new bound cannot be represented.
+      auto tighten = [&changed](int64_t& slot, std::optional<int64_t> v,
+                                bool is_lo) {
+        if (!v) return false;
+        if (is_lo ? *v > slot : *v < slot) {
+          slot = *v;
           changed = true;
         }
+        return true;
       };
+      bool ok = true;
       switch (cc.op) {
         case ndlog::CmpOp::Lt:  // a < b
-          tighten(da.hi, db.hi - 1, false);
-          tighten(db.lo, da.lo + 1, true);
+          ok = tighten(da.hi, offset(db.hi, -1), false) &&
+               tighten(db.lo, offset(da.lo, 1), true);
           break;
         case ndlog::CmpOp::Le:
           tighten(da.hi, db.hi, false);
           tighten(db.lo, da.lo, true);
           break;
         case ndlog::CmpOp::Gt:  // a > b
-          tighten(da.lo, db.lo + 1, true);
-          tighten(db.hi, da.hi - 1, false);
+          ok = tighten(da.lo, offset(db.lo, 1), true) &&
+               tighten(db.hi, offset(da.hi, -1), false);
           break;
         case ndlog::CmpOp::Ge:
           tighten(da.lo, db.lo, true);
@@ -202,6 +221,7 @@ bool propagate(Problem& p) {
         case ndlog::CmpOp::Eq:
           break;
       }
+      if (!ok) return false;
       if (da.lo > da.hi && !da.pinned_str) return false;
       if (db.lo > db.hi && !db.pinned_str) return false;
     }
@@ -242,21 +262,23 @@ bool assign_classes(Problem& p, const std::vector<size_t>& classes, size_t at,
     }
   } else {
     // Prefer small-magnitude feasible integers (0 if unconstrained), then a
-    // few from the top of the interval so a<b chains can resolve.
+    // few from the top of the interval so a<b chains can resolve. Neither
+    // walk steps past the interval, so a bound at an int64 limit is safe.
     int64_t v = std::clamp<int64_t>(0, d.lo, d.hi);
-    for (int tries = 0; tries < 64 && v <= d.hi; ++tries) {
-      while (v <= d.hi && d.excluded.count(v)) ++v;
-      if (v > d.hi) break;
+    for (int tries = 0; tries < 64; ++tries) {
+      while (v < d.hi && d.excluded.count(v)) ++v;
+      if (d.excluded.count(v)) break;
       ClassAssign a;
       a.ival = v;
       candidates.push_back(a);
+      if (v == d.hi) break;
       ++v;
     }
     if (d.hi != d.lo && candidates.size() < 72 && d.hi < kHiDefault) {
       int64_t w = d.hi;
-      for (int tries = 0; tries < 8 && w >= d.lo; ++tries) {
-        while (w >= d.lo && d.excluded.count(w)) --w;
-        if (w < d.lo) break;
+      for (int tries = 0; tries < 8; ++tries) {
+        while (w > d.lo && d.excluded.count(w)) --w;
+        if (d.excluded.count(w)) break;
         ClassAssign a;
         a.ival = w;
         bool dup = false;
@@ -264,6 +286,7 @@ bool assign_classes(Problem& p, const std::vector<size_t>& classes, size_t at,
           if (!c.is_str && c.ival == w) { dup = true; break; }
         }
         if (!dup) candidates.push_back(a);
+        if (w == d.lo) break;
         --w;
       }
     }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
+#include <tuple>
 
 #include "eval/engine.h"
 #include "meta/extract.h"
@@ -215,6 +217,51 @@ TEST(Solver, NegationFindsViolation) {
   auto a = MiniSolver::solve_negation(keep, negate);
   ASSERT_TRUE(a);
   EXPECT_FALSE(ndlog::cmp_eval(CmpOp::Lt, Value(6), a->at("K")));
+}
+
+// Constants at the int64 limits. A strict bound past a limit cannot be
+// represented, so the problem is infeasible rather than wrapped around;
+// bounds at a limit that can be met are, without stepping past it.
+TEST(Solver, BoundsAtInt64Limits) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  auto solve = [](int64_t x, CmpOp op) {
+    ConstraintPool pool;
+    pool.add(Term::constant(Value(x)), op, Term::variable("K"));
+    return MiniSolver::solve(pool);
+  };
+  EXPECT_FALSE(solve(kMax, CmpOp::Lt));  // K > kMax
+  EXPECT_FALSE(solve(kMin, CmpOp::Gt));  // K < kMin
+  ConstraintPool past_max;
+  past_max.add(Term::variable("K"), CmpOp::Gt, Term::constant(Value(kMax)));
+  EXPECT_FALSE(MiniSolver::satisfiable(past_max));
+  ConstraintPool past_min;
+  past_min.add(Term::variable("K"), CmpOp::Lt, Term::constant(Value(kMin)));
+  EXPECT_FALSE(MiniSolver::satisfiable(past_min));
+  // Ordered through another variable: b < a <= kMin, b > a >= kMax.
+  for (const auto& [op, bound, limit] :
+       {std::tuple{CmpOp::Lt, CmpOp::Le, kMin},
+        std::tuple{CmpOp::Gt, CmpOp::Ge, kMax}}) {
+    ConstraintPool chain;
+    chain.add(Term::variable("b"), op, Term::variable("a"));
+    chain.add(Term::variable("a"), bound, Term::constant(Value(limit)));
+    EXPECT_FALSE(MiniSolver::satisfiable(chain)) << limit;
+  }
+  for (const auto& [x, op] :
+       {std::pair{kMax, CmpOp::Ge}, std::pair{kMax, CmpOp::Ne},
+        std::pair{kMin, CmpOp::Le}, std::pair{kMin, CmpOp::Ne}}) {
+    const auto a = solve(x, op);
+    ASSERT_TRUE(a) << x << " " << ndlog::to_string(op);
+    EXPECT_TRUE(ndlog::cmp_eval(op, Value(x), a->at("K")));
+  }
+  // The repair engine's break path: violate (x >= K) at kMax, (x <= K)
+  // at kMin.
+  for (const auto& [x, op] :
+       {std::pair{kMax, CmpOp::Ge}, std::pair{kMin, CmpOp::Le}}) {
+    ConstraintPool keep, negate;
+    negate.add(Term::constant(Value(x)), op, Term::variable("K"));
+    EXPECT_FALSE(MiniSolver::solve_negation(keep, negate)) << x;
+  }
 }
 
 // Property sweep: for every operator and constant, the solved value must

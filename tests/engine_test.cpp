@@ -703,15 +703,20 @@ TEST(EnginePlan, RuleRestrictAppliesToAllRulesSharingAName) {
   EngineOptions opt;
   opt.tag_mode = true;
   // Duplicate rule names are invalid programs but candidate generation can
-  // produce them; the restriction must mask every rule with the name.
+  // produce them; the restriction must mask every rule with the name, also
+  // with another rule between them. An unknown name changes nothing.
   Engine e(ndlog::parse_program(
-               "table A/2.\ntable B/2.\nevent T/2.\n"
-               "r1 A(@X,Q) :- T(@X,Q).\nr1 B(@X,Q) :- T(@X,Q).\n"),
+               "table A/2.\ntable B/2.\ntable C/2.\nevent T/2.\n"
+               "r1 A(@X,Q) :- T(@X,Q).\nr2 C(@X,Q) :- T(@X,Q).\n"
+               "r1 B(@X,Q) :- T(@X,Q).\n"),
            opt);
   e.set_rule_restrict("r1", 0);
-  e.insert(t("T", {Value(1), Value(5)}), 0b1);
+  e.set_rule_restrict("r2", 0b10);
+  e.set_rule_restrict("r3", 0);
+  e.insert(t("T", {Value(1), Value(5)}), 0b11);
   EXPECT_TRUE(e.rows(Value(1), "A").empty());
   EXPECT_TRUE(e.rows(Value(1), "B").empty());
+  EXPECT_EQ(e.tags_of(Value(1), "C", {Value(1), Value(5)}), TagMask{0b10});
 }
 
 TEST(EnginePlan, RemoveOfAbsentTableDoesNotCreateStore) {

@@ -7,6 +7,8 @@
 // and silently degrades every positive-symptom repair to rule deletion.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -135,6 +137,59 @@ TEST(ForestRegression, AssignmentReExecutionUsesAlignedEnvironment) {
   // W > 2 can only be proposed for breaking if W was reconstructed as 9
   // through the Mid atom at body position 1.
   EXPECT_TRUE(saw_selection_edit);
+}
+
+// Selections whose observed value sits at an int64 limit (history values
+// come from traffic). A constant that would leave int64 is not proposed,
+// and every proposed constant gives the selection the verdict the symptom
+// needs on the observed value: true for a missing tuple, false for an
+// unwanted one.
+TEST(ForestRegression, ConstantsAtInt64LimitsStayInRange) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  struct Case {
+    const char* op;
+    ndlog::CmpOp cmp;
+    int64_t w;
+    Symptom::Polarity polarity;
+    bool want_const;  // a constant edit exists and must be proposed
+  };
+  const Case cases[] = {
+      {">=", ndlog::CmpOp::Ge, kMax, Symptom::Polarity::Unwanted, false},
+      {">=", ndlog::CmpOp::Ge, kMax, Symptom::Polarity::Missing, false},
+      {">=", ndlog::CmpOp::Ge, kMin, Symptom::Polarity::Missing, true},
+      {"<=", ndlog::CmpOp::Le, kMin, Symptom::Polarity::Unwanted, false},
+      {"<", ndlog::CmpOp::Lt, kMax, Symptom::Polarity::Missing, false},
+      {">", ndlog::CmpOp::Gt, kMin, Symptom::Polarity::Missing, false},
+  };
+  for (const Case& c : cases) {
+    const bool missing = c.polarity == Symptom::Polarity::Missing;
+    const std::string where = std::string("W ") + c.op + " 5 at " +
+                              std::to_string(c.w) +
+                              (missing ? ", missing" : ", unwanted");
+    eval::Engine e(ndlog::parse_program(
+        std::string("table Base/2.\ntable Bad/2.\n"
+                    "r1 Bad(@X,W) :- Base(@X,W), W ") +
+        c.op + " 5.\n"));
+    e.insert(t("Base", {Value(1), Value(c.w)}));
+    Symptom sym;
+    sym.polarity = c.polarity;
+    sym.pattern.table = "Bad";
+    sym.pattern.fields = {{1, ndlog::CmpOp::Eq, Value(c.w)}};
+    ForestExplorer explorer(e, RepairSpaceConfig{});
+    size_t const_edits = 0;
+    for (const RepairCandidate& cand : explorer.explore(sym)) {
+      for (const Change& ch : cand.changes) {
+        if (ch.kind != ChangeKind::ChangeSelConst) continue;
+        ++const_edits;
+        EXPECT_EQ(ndlog::cmp_eval(c.cmp, Value(c.w), ch.new_value), missing)
+            << where << ": " << cand.description;
+      }
+    }
+    if (c.want_const) {
+      EXPECT_GT(const_edits, 0u) << where;
+    }
+  }
 }
 
 }  // namespace

@@ -700,59 +700,98 @@ Injection send(int64_t sw, int64_t dip) {
   return inj;
 }
 
-TEST(PathMemo, OnlySealedWorldsFillAndUseIt) {
+// A WorldBase over build_chain(n, hosts).
+std::shared_ptr<const WorldBase> chain_base(int64_t n,
+                                            const std::vector<Host>& hosts) {
+  Network net;
+  build_chain(net, n, hosts);
+  return std::make_shared<const WorldBase>(std::move(net));
+}
+
+// A self-built world over build_chain(n, hosts): the walking reference.
+Network walking_chain(int64_t n, const std::vector<Host>& hosts) {
+  Network net;
+  build_chain(net, n, hosts);
+  return net;
+}
+
+TEST(PathMemo, OnlyWorldsOnItsBaseFillAndUseIt) {
   const std::vector<Host> hosts = {{1, "A", 41, 0, 1, 3}, {2, "B", 42, 0, 4, 3}};
   const std::vector<Injection> work = {send(1, 42), send(4, 41), send(2, 42)};
+  const auto base = chain_base(4, hosts);
   PathMemo memo;
-  Network unsealed;
-  build_chain(unsealed, 4, hosts);
-  unsealed.record_batch(work, memo);
+  // A self-built world, or a world in tag mode, fills nothing.
+  Network self_built = walking_chain(4, hosts);
+  self_built.record_batch(work, memo);
   EXPECT_EQ(memo.size(), work.size());
   EXPECT_EQ(memo.entries(), 0u);
+  Network tagged(base);
+  tagged.set_tag_mode(true, 0b11);
+  tagged.record_batch(work, memo);
+  EXPECT_EQ(memo.entries(), 0u);
 
-  Network filler;
-  build_chain(filler, 4, hosts);
-  filler.seal();
+  Network filler(base);
   filler.record_batch(work, memo);
   EXPECT_EQ(memo.entries(), work.size());
   EXPECT_EQ(filler.packet_log_bytes(), work.size() * kPacketLogEntryBytes);
 
-  auto replay_both = [&](auto&& prepare) {
-    Network memo_world, walk_world;
-    for (Network* net : {&memo_world, &walk_world}) {
-      build_chain(*net, 4, hosts);
-      prepare(*net);
-    }
-    memo_world.replay_batch(work, memo);
+  // Replays `memo` in `world` and walks a self-built chain, both prepared
+  // by `prepare`; returns the world's memo hits and walks.
+  auto replay_both = [&](Network world, auto&& prepare) {
+    Network walk_world = walking_chain(4, hosts);
+    prepare(world);
+    prepare(walk_world);
+    world.replay_batch(work, memo);
     replay(walk_world, work);
-    memo_test::expect_same_world(memo_world, walk_world, 0, "chain");
-    return std::pair{memo_world.memo_hits(), memo_world.memo_walks()};
+    memo_test::expect_same_world(world, walk_world, 0, "chain");
+    return std::pair{world.memo_hits(), world.memo_walks()};
   };
-  EXPECT_EQ(replay_both([](Network& net) { net.seal(); }),
+  const auto nothing = [](Network&) {};
+  EXPECT_EQ(replay_both(Network(base), nothing),
             std::pair(work.size(), size_t{0}));
-  // Unsealed, or sealed with another switch count: the memo is not used.
-  EXPECT_EQ(replay_both([](Network&) {}), std::pair(size_t{0}, size_t{0}));
-  EXPECT_EQ(replay_both([](Network& net) {
-              net.add_switch(99);
-              net.seal();
-            }),
+  // Self-built, or on another base even if built alike: the memo is not
+  // used.
+  EXPECT_EQ(replay_both(walking_chain(4, hosts), nothing),
             std::pair(size_t{0}, size_t{0}));
-  // An install after seal marks its switch dirty at any priority, even one
-  // that ranks below every static rule; the packets through switch 1 walk.
-  EXPECT_EQ(replay_both([](Network& net) {
-              net.seal();
-              FlowEntry low;
-              low.priority = -5;
-              low.action = Action::drop();
-              net.install(1, low);
-            }),
+  EXPECT_EQ(replay_both(Network(chain_base(4, hosts)), nothing),
+            std::pair(size_t{0}, size_t{0}));
+  // An install marks its switch dirty at any priority, even one that ranks
+  // below every static rule; the packets through switch 1 walk.
+  EXPECT_EQ(replay_both(Network(base),
+                        [](Network& net) {
+                          FlowEntry low;
+                          low.priority = -5;
+                          low.action = Action::drop();
+                          net.install(1, low);
+                        }),
             std::pair(size_t{1}, size_t{2}));
-  // So does a topology change after seal.
-  EXPECT_EQ(replay_both([](Network& net) {
-              net.seal();
-              net.external(1, 7);
-            }),
-            std::pair(size_t{1}, size_t{2}));
+}
+
+// A memo is bound to the base it was filled on, not to a switch count:
+// base B has A's switches but its hosts sit elsewhere, so booking A's
+// paths in a world on B would book A's hops, not B's.
+TEST(PathMemo, AnotherBaseOfTheSameSizeWalks) {
+  const std::vector<Host> at_ends = {{1, "A", 41, 0, 1, 3},
+                                     {2, "B", 42, 0, 4, 3}};
+  const std::vector<Host> inside = {{1, "A", 41, 0, 2, 3},
+                                    {2, "B", 42, 0, 3, 3}};
+  const std::vector<Injection> work = {send(1, 42), send(4, 41), send(2, 42),
+                                       send(3, 41)};
+  const auto base_a = chain_base(4, at_ends);
+  const auto base_b = chain_base(4, inside);
+  ASSERT_EQ(base_a->net().switch_count(), base_b->net().switch_count());
+  PathMemo memo;
+  Network filler(base_a);
+  filler.record_batch(work, memo);
+  EXPECT_EQ(memo.entries(), work.size());
+
+  Network on_b(base_b);
+  on_b.replay_batch(work, memo);
+  Network walk_b = walking_chain(4, inside);
+  replay(walk_b, work);
+  memo_test::expect_same_world(on_b, walk_b, 0, "world on base B");
+  EXPECT_EQ(on_b.memo_hits() + on_b.memo_walks(), 0u);
+  EXPECT_NE(on_b.stats().hops, filler.stats().hops);
 }
 
 TEST(PathMemo, LongPathsAndLargeHostIdsAreNotMemoized) {
@@ -761,19 +800,15 @@ TEST(PathMemo, LongPathsAndLargeHostIdsAreNotMemoized) {
                                    {7, "B", 42, 0, 66, 3}};
   const std::vector<Injection> work = {send(1, 42), send(2, 41),
                                        send(60, 42)};
+  const auto base = chain_base(66, hosts);
   PathMemo memo;
-  Network filler;
-  build_chain(filler, 66, hosts);
-  filler.seal();
+  Network filler(base);
   filler.record_batch(work, memo);
   EXPECT_EQ(filler.stats().delivered, 3u);
   EXPECT_EQ(memo.entries(), 1u);  // only the 7-hop path to host 7
 
-  Network memo_world, walk_world;
-  for (Network* net : {&memo_world, &walk_world}) {
-    build_chain(*net, 66, hosts);
-    net->seal();
-  }
+  Network memo_world(base);
+  Network walk_world = walking_chain(66, hosts);
   memo_world.replay_batch(work, memo);
   replay(walk_world, work);
   memo_test::expect_same_world(memo_world, walk_world, 0, "long chain");
@@ -784,15 +819,13 @@ TEST(PathMemo, LongPathsAndLargeHostIdsAreNotMemoized) {
 TEST(PathMemo, HitBooksEveryActiveTag) {
   const std::vector<Host> hosts = {{1, "A", 41, 0, 1, 3}, {2, "B", 42, 0, 3, 3}};
   const std::vector<Injection> work = {send(1, 42), send(3, 41), send(2, 43)};
+  const auto base = chain_base(3, hosts);
   PathMemo memo;
-  Network filler;
-  build_chain(filler, 3, hosts);
-  filler.seal();
+  Network filler(base);
   filler.record_batch(work, memo);
-  Network memo_world, walk_world;
+  Network memo_world(base);
+  Network walk_world = walking_chain(3, hosts);
   for (Network* net : {&memo_world, &walk_world}) {
-    build_chain(*net, 3, hosts);
-    net->seal();
     net->set_tag_mode(true, 0b1011);
   }
   memo_world.replay_batch(work, memo);
@@ -903,55 +936,6 @@ std::vector<Injection> random_work(const Network& net,
   return work;
 }
 
-// Replaying through a memo filled by a world with other installs must
-// equal walking every packet: the per-tag statistics, the control log and
-// the clock. Over the seeds, some memoized packets must hit and some must
-// walk because a later install landed on their path.
-TEST(PathMemo, RandomNetworksWithMidStreamInstallsMatchWalk) {
-  size_t entries = 0;
-  size_t hits = 0;
-  size_t walks = 0;
-  for (uint64_t seed = 1; seed <= 100; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    PathMemo memo;
-    std::vector<Injection> work;
-    {
-      Network filler;
-      const std::vector<int64_t> ips = build_random_net(filler, seed);
-      filler.seal();
-      work = random_work(filler, ips, seed);
-      ChurnController ctrl(filler, seed * 3 + 1, ips);
-      filler.set_controller(&ctrl);
-      filler.record_batch(work, memo);
-    }
-    Rng rng(seed);
-    const bool tagged = rng.chance(0.5);
-    const eval::TagMask active = (rng.next() & 0xF) | 1;
-    Network memo_world, walk_world;
-    std::vector<std::unique_ptr<ChurnController>> ctrls;
-    for (Network* net : {&memo_world, &walk_world}) {
-      const std::vector<int64_t> ips = build_random_net(*net, seed);
-      net->seal();
-      ctrls.push_back(std::make_unique<ChurnController>(*net, seed * 3 + 2, ips));
-      net->set_controller(ctrls.back().get());
-      if (tagged) net->set_tag_mode(true, active);
-    }
-    memo_world.replay_batch(work, memo);
-    replay(walk_world, work);
-    memo_test::expect_same_world(memo_world, walk_world, tagged ? 4 : 0,
-                                 "random network");
-    EXPECT_EQ(walk_world.memo_hits() + walk_world.memo_walks(), 0u);
-    entries += memo.entries();
-    hits += memo_world.memo_hits();
-    walks += memo_world.memo_walks();
-  }
-  EXPECT_GT(entries, 0u);
-  EXPECT_GT(hits, 0u);
-  EXPECT_GT(walks, 0u) << "no install ever landed on a memoized path";
-}
-
-// --- world base (src/sdn/README.md, "World base") ----------------------------
-
 // Every rule of every switch of `net`, counted.
 size_t rule_count(const Network& net) {
   size_t n = 0;
@@ -960,13 +944,18 @@ size_t rule_count(const Network& net) {
 }
 
 // A world on a shared base must behave exactly like a self-built world
-// with the same static rules, whose installs land in the same table as
-// them: the same statistics per tag, hops, control log and clock, walked
-// or booked from a memo, in plain and tag mode. The worlds churn their
-// tables mid-stream (the memo property's generator and controller), and
-// none of it reaches the base.
-TEST(WorldBase, ForkedWorldsMatchSelfBuiltOnRandomNetworks) {
-  size_t forked_installs = 0;
+// with the same static rules that walks every packet, whose installs land
+// in the same table as them: the same statistics per tag, hops, control
+// log and clock, walked or booked from a memo filled by a world with
+// other installs, in plain and tag mode. The worlds churn their tables
+// mid-stream, and none of it reaches the base. Over the seeds, some
+// memoized packets must hit and some must walk because a later install
+// landed on their path.
+TEST(PathMemo, RandomNetworksWithMidStreamInstallsMatchWalk) {
+  size_t entries = 0;
+  size_t hits = 0;
+  size_t walks = 0;
+  size_t installs = 0;
   for (uint64_t seed = 1; seed <= 100; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Network static_net;
@@ -981,17 +970,17 @@ TEST(WorldBase, ForkedWorldsMatchSelfBuiltOnRandomNetworks) {
       filler.set_controller(&ctrl);
       filler.record_batch(work, memo);
     }
+    entries += memo.entries();
     const eval::TagMask active = (Rng(seed).next() & 0xF) | 1;
     for (const bool tagged : {false, true}) {
       for (const bool memoized : {false, true}) {
         const std::string where = std::string(tagged ? "tagged" : "plain") +
                                   (memoized ? " memoized" : " walked");
-        Network forked(base);
-        Network self_built;
-        build_random_net(self_built, seed);
-        self_built.seal();
+        Network world(base);
+        Network walk_world;
+        build_random_net(walk_world, seed);
         std::vector<std::unique_ptr<ChurnController>> ctrls;
-        for (Network* net : {&forked, &self_built}) {
+        for (Network* net : {&world, &walk_world}) {
           ctrls.push_back(
               std::make_unique<ChurnController>(*net, seed * 3 + 2, ips));
           net->set_controller(ctrls.back().get());
@@ -1007,32 +996,38 @@ TEST(WorldBase, ForkedWorldsMatchSelfBuiltOnRandomNetworks) {
           tie.priority = -1;
           tie.action = Action::drop();
           const int64_t sw = ids[tie_rng.below(ids.size())];
-          forked.install(sw, tie);
-          self_built.install(sw, tie);
+          world.install(sw, tie);
+          walk_world.install(sw, tie);
         }
         if (memoized) {
-          forked.replay_batch(work, memo);
-          self_built.replay_batch(work, memo);
+          world.replay_batch(work, memo);
         } else {
-          replay(forked, work);
-          replay(self_built, work);
+          replay(world, work);
         }
-        memo_test::expect_same_world(forked, self_built, tagged ? 4 : 0,
+        replay(walk_world, work);
+        memo_test::expect_same_world(world, walk_world, tagged ? 4 : 0,
                                      where);
-        EXPECT_EQ(forked.memo_hits(), self_built.memo_hits()) << where;
-        EXPECT_EQ(forked.memo_walks(), self_built.memo_walks()) << where;
-        EXPECT_EQ(rule_count(self_built),
-                  static_rules + self_built.stats().flow_mods)
+        EXPECT_EQ(walk_world.memo_hits() + walk_world.memo_walks(), 0u)
             << where;
-        forked_installs += forked.stats().flow_mods;
+        EXPECT_EQ(rule_count(walk_world),
+                  static_rules + walk_world.stats().flow_mods)
+            << where;
+        hits += world.memo_hits();
+        walks += world.memo_walks();
+        installs += world.stats().flow_mods;
       }
     }
     EXPECT_EQ(rule_count(base->net()), static_rules);
   }
-  EXPECT_GT(forked_installs, 0u);
+  EXPECT_GT(entries, 0u);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(walks, 0u) << "no install ever landed on a memoized path";
+  EXPECT_GT(installs, 0u);
 }
 
-// The post-seal topology contract for a world on a base: the topology is
+// --- world base (src/sdn/README.md, "World base") ----------------------------
+
+// The topology contract for a world on a base: the topology is
 // the base's, so every call that would change it throws before changing
 // anything, in the world or in the base. Installs stay in the world.
 TEST(WorldBase, ForkedWorldRejectsTopologyChangesAndKeepsInstallsLocal) {
@@ -1055,7 +1050,6 @@ TEST(WorldBase, ForkedWorldRejectsTopologyChangesAndKeepsInstallsLocal) {
   EXPECT_THROW(world.external(1, 7), std::logic_error);
   EXPECT_THROW(world.add_host({3, "C", 43, 0, 2, 5}), std::logic_error);
   EXPECT_THROW(world.find_switch(1), std::logic_error);
-  world.seal();
   EXPECT_EQ(world.switch_count(), 4u);
   EXPECT_EQ(world.hosts().size(), hosts.size());
   EXPECT_EQ(std::as_const(world).find_switch(1)->ports().size(),

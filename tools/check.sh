@@ -24,6 +24,8 @@
 # deterministic, not a throughput). Skip it with CHECK_BENCH=0; it is
 # skipped automatically when google-benchmark was not found at
 # configure time.
+# After the smoke, every examples/*.cpp binary runs once; a non-zero exit
+# or a crash fails the script.
 # Between the smoke and the bench smoke, the metrics gate reruns the Q1
 # pipeline with --metrics-out and validates the obs snapshot JSON
 # (parseable, core eval.engine.* counters, sdn.memo.hits and repair
@@ -54,7 +56,8 @@
 # directory with -fsanitize=address,undefined (CMake option MP_ASAN) and
 # runs the whole tier-1 gate under AddressSanitizer and UBSan (candidate
 # programs splice rule copies that share the base program's names and
-# expression trees; parsers and segment decoders read outside input).
+# expression trees; parsers and segment decoders read outside input),
+# then runs the examples in that build too.
 # It gates two tests whose failure mode only ASan can see:
 #   - storage_test's SegmentReader.HostileSectionsWithValidCrcs-
 #     EndThePrefixCleanly: CRC-valid segment sections whose entries and
@@ -77,6 +80,16 @@ set -euo pipefail
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${1:-$REPO_ROOT/build}"
 
+# Runs every example built in build directory $1 (one per examples/*.cpp).
+run_examples() {
+  local src name
+  for src in "$REPO_ROOT"/examples/*.cpp; do
+    name="example_$(basename "$src" .cpp)"
+    "$1/$name" >/dev/null
+    echo "$name: OK"
+  done
+}
+
 # Warning gate: the main build compiles with -Wall -Wextra (root
 # CMakeLists.txt) and treats every warning as an error.
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
@@ -90,6 +103,9 @@ cmake --build "$BUILD_DIR" -j
 
 echo "--- smoke (Q1 pipeline) ---"
 "$BUILD_DIR/smoke" Q1
+
+echo "--- examples ---"
+run_examples "$BUILD_DIR"
 
 # Metrics gate: the smoke run again with --metrics-out must produce a
 # parseable obs snapshot whose core instruments are present and non-zero
@@ -228,6 +244,8 @@ if [[ "${CHECK_ASAN:-0}" == "1" ]]; then
   cmake --build "$ASAN_DIR" -j
   (cd "$ASAN_DIR" && UBSAN_OPTIONS=print_stacktrace=1 \
      ctest -L tier1 --output-on-failure -j)
+  echo "--- examples (AddressSanitizer + UBSan) ---"
+  UBSAN_OPTIONS=print_stacktrace=1 run_examples "$ASAN_DIR"
 fi
 
 if [[ "${CHECK_FAULTS:-0}" == "1" ]]; then
