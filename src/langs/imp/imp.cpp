@@ -161,8 +161,7 @@ Program ImpChange::apply(const Program& p) const {
 }
 
 std::vector<ImpChange> generate_repairs(const Program& p,
-                                        const ImpSymptom& symptom,
-                                        size_t max_candidates) {
+                                        const ImpSymptom& symptom) {
   std::vector<ImpChange> out;
   // Manual install first (cheapest structural repair, as in Table 2's A).
   {
@@ -270,7 +269,8 @@ std::vector<ImpChange> generate_repairs(const Program& p,
   }
   std::sort(out.begin(), out.end(),
             [](const ImpChange& a, const ImpChange& b) { return a.cost < b.cost; });
-  if (out.size() > max_candidates) out.resize(max_candidates);
+  constexpr size_t kMaxCandidates = 16;  // the cheapest are kept
+  if (out.size() > kMaxCandidates) out.resize(kMaxCandidates);
   return out;
 }
 

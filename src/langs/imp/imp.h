@@ -122,7 +122,6 @@ struct ImpChange {
 // whose body could produce the wanted forwarding, propose minimal guard
 // edits (the imperative analogue of the meta-provenance expansion).
 std::vector<ImpChange> generate_repairs(const Program& p,
-                                        const ImpSymptom& symptom,
-                                        size_t max_candidates = 16);
+                                        const ImpSymptom& symptom);
 
 }  // namespace mp::imp

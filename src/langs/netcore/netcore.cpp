@@ -260,8 +260,7 @@ PolicyPtr NetcoreChange::apply(const PolicyPtr& p) const {
 }
 
 std::vector<NetcoreChange> generate_repairs(const PolicyPtr& p,
-                                            const NetcoreSymptom& symptom,
-                                            size_t max_candidates) {
+                                            const NetcoreSymptom& symptom) {
   std::vector<NetcoreChange> out;
   {
     NetcoreChange c;
@@ -302,7 +301,8 @@ std::vector<NetcoreChange> generate_repairs(const PolicyPtr& p,
             [](const NetcoreChange& a, const NetcoreChange& b) {
               return a.cost < b.cost;
             });
-  if (out.size() > max_candidates) out.resize(max_candidates);
+  constexpr size_t kMaxCandidates = 16;  // the cheapest are kept
+  if (out.size() > kMaxCandidates) out.resize(kMaxCandidates);
   return out;
 }
 

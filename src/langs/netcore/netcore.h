@@ -104,7 +104,6 @@ struct NetcoreChange {
 // Mutation enumeration guided by the symptom. Note the absence of
 // operator mutations: match() only supports equality.
 std::vector<NetcoreChange> generate_repairs(const PolicyPtr& p,
-                                            const NetcoreSymptom& symptom,
-                                            size_t max_candidates = 16);
+                                            const NetcoreSymptom& symptom);
 
 }  // namespace mp::netcore

@@ -17,25 +17,11 @@ using sdn::Field;
 
 // A language-agnostic run: a world on the scenario's static base (the
 // NDlog scenarios' builder, so all three languages see identical
-// networks) replaying the workload under the given controller factory.
+// networks) replaying the workload under one language's controller.
 struct LangRun {
   ReplayOutcome outcome;
   std::vector<int64_t> learned;
 };
-
-template <typename MakeController>
-LangRun run_workload(const std::shared_ptr<const sdn::WorldBase>& base,
-                     const std::vector<sdn::Injection>& work,
-                     MakeController make_controller) {
-  sdn::Network net(base);
-  auto controller = make_controller(net);
-  net.set_controller(controller.first.get());
-  sdn::replay(net, work);
-  LangRun out;
-  out.outcome = backtest::outcome_from_stats(net.stats());
-  out.learned = controller.second();
-  return out;
-}
 
 struct LangCase {
   imp::Program imp_program;
@@ -237,60 +223,22 @@ bool gate(const ReplayOutcome& out, const ReplayOutcome& base) {
   return backtest::side_effect_free(base, out, backtest::compare(base, out));
 }
 
-}  // namespace
-
-std::vector<LangCell> run_trema_scenarios() {
+// The Table 3 loop, shared by both languages. For each scenario whose case
+// `supported` accepts: build the static base and the workload, replay the
+// buggy program, then replay every candidate of `generate` and count those
+// that fix the symptom and pass the gate. `control(net, lc, cand)` returns
+// the language's controller for `net` (cand is null for the buggy run);
+// `describe(lc, cand)` names an accepted candidate.
+template <typename Generate, typename Control, typename Describe>
+std::vector<LangCell> run_scenarios(bool (*supported)(const LangCase&),
+                                    Generate generate, Control control,
+                                    Describe describe) {
   std::vector<LangCell> cells;
   for (const auto& s : scenario::all_scenarios()) {
-    LangCase lc = make_case(s);
+    const LangCase lc = make_case(s);
     LangCell cell;
     cell.scenario = s.id;
-
-    const auto world_base = scenario::build_base(s);
-    const auto work = s.make_workload(world_base->net());
-
-    auto run_with = [&](const imp::Program& prog,
-                        std::optional<sdn::FlowEntry> manual) {
-      return run_workload(world_base, work, [&](sdn::Network& net) {
-        if (manual) {
-          net.install(lc.imp_symptom.sw, *manual);
-        }
-        auto ctrl = std::make_unique<imp::ImpController>(net, prog);
-        auto* raw = ctrl.get();
-        return std::make_pair(
-            std::move(ctrl),
-            std::function<std::vector<int64_t>()>(
-                [raw] { return raw->learned(); }));
-      });
-    };
-
-    LangRun base = run_with(lc.imp_program, std::nullopt);
-    auto candidates = imp::generate_repairs(lc.imp_program, lc.imp_symptom);
-    cell.generated = candidates.size();
-    for (const auto& cand : candidates) {
-      LangRun run =
-          cand.kind == imp::ImpChangeKind::ManualInstall
-              ? run_with(lc.imp_program, cand.manual)
-              : run_with(cand.apply(lc.imp_program), std::nullopt);
-      const bool effective =
-          lc.fixed(run.outcome, base.outcome, run.learned);
-      if (effective && gate(run.outcome, base.outcome)) {
-        ++cell.passed;
-        cell.accepted_descriptions.push_back(cand.describe(lc.imp_program));
-      }
-    }
-    cells.push_back(std::move(cell));
-  }
-  return cells;
-}
-
-std::vector<LangCell> run_pyretic_scenarios() {
-  std::vector<LangCell> cells;
-  for (const auto& s : scenario::all_scenarios()) {
-    LangCase lc = make_case(s);
-    LangCell cell;
-    cell.scenario = s.id;
-    if (!lc.nc_supported) {
+    if (!supported(lc)) {
       cell.supported = false;
       cells.push_back(std::move(cell));
       continue;
@@ -298,58 +246,93 @@ std::vector<LangCell> run_pyretic_scenarios() {
 
     const auto world_base = scenario::build_base(s);
     const auto work = s.make_workload(world_base->net());
-
-    auto run_with = [&](const netcore::PolicyPtr& policy,
-                        std::vector<Field> fields,
-                        std::optional<sdn::FlowEntry> manual) {
-      return run_workload(world_base, work, [&](sdn::Network& net) {
-        if (manual) net.install(lc.nc_symptom.sw, *manual);
-        auto ctrl = std::make_unique<netcore::NetcoreController>(
-            net, policy, std::move(fields));
-        auto* raw = ctrl.get();
-        return std::make_pair(
-            std::move(ctrl),
-            std::function<std::vector<int64_t>()>(
-                [raw] { return raw->learned(); }));
-      });
+    const auto candidates = generate(lc, s);
+    using Candidate = typename decltype(candidates)::value_type;
+    auto run_with = [&](const Candidate* cand) {
+      sdn::Network net(world_base);
+      const auto controller = control(net, lc, cand);
+      net.set_controller(controller.get());
+      sdn::replay(net, work);
+      return LangRun{backtest::outcome_from_stats(net.stats()),
+                     controller->learned()};
     };
 
-    LangRun base = run_with(lc.nc_policy, lc.nc_match_fields, std::nullopt);
-    auto candidates = netcore::generate_repairs(lc.nc_policy, lc.nc_symptom);
-    // The wildcard-entry bug (Q5) is repaired at the runtime layer: also
-    // propose adding each absent match field.
-    if (s.id == "Q5") {
-      for (Field f : {Field::Sip, Field::Spt, Field::Smc}) {
-        netcore::NetcoreChange c;
-        c.kind = netcore::NetcoreChange::Kind::AddRuntimeMatchField;
-        c.new_field = f;
-        c.cost = 2.5;
-        candidates.push_back(std::move(c));
-      }
-    }
+    const LangRun base = run_with(nullptr);
     cell.generated = candidates.size();
     for (const auto& cand : candidates) {
-      LangRun run;
-      if (cand.kind == netcore::NetcoreChange::Kind::ManualInstall) {
-        run = run_with(lc.nc_policy, lc.nc_match_fields, cand.manual);
-      } else if (cand.kind ==
-                 netcore::NetcoreChange::Kind::AddRuntimeMatchField) {
-        auto fields = lc.nc_match_fields;
-        fields.push_back(cand.new_field);
-        run = run_with(lc.nc_policy, std::move(fields), std::nullopt);
-      } else {
-        run = run_with(cand.apply(lc.nc_policy), lc.nc_match_fields,
-                       std::nullopt);
-      }
-      const bool effective = lc.fixed(run.outcome, base.outcome, run.learned);
-      if (effective && gate(run.outcome, base.outcome)) {
+      const LangRun run = run_with(&cand);
+      if (lc.fixed(run.outcome, base.outcome, run.learned) &&
+          gate(run.outcome, base.outcome)) {
         ++cell.passed;
-        cell.accepted_descriptions.push_back(cand.describe(lc.nc_policy));
+        cell.accepted_descriptions.push_back(describe(lc, cand));
       }
     }
     cells.push_back(std::move(cell));
   }
   return cells;
+}
+
+}  // namespace
+
+std::vector<LangCell> run_trema_scenarios() {
+  return run_scenarios(
+      [](const LangCase&) { return true; },
+      [](const LangCase& lc, const scenario::Scenario&) {
+        return imp::generate_repairs(lc.imp_program, lc.imp_symptom);
+      },
+      [](sdn::Network& net, const LangCase& lc, const imp::ImpChange* cand) {
+        const bool manual =
+            cand != nullptr && cand->kind == imp::ImpChangeKind::ManualInstall;
+        if (manual) net.install(lc.imp_symptom.sw, cand->manual);
+        return std::make_unique<imp::ImpController>(
+            net, cand != nullptr && !manual ? cand->apply(lc.imp_program)
+                                            : lc.imp_program);
+      },
+      [](const LangCase& lc, const imp::ImpChange& cand) {
+        return cand.describe(lc.imp_program);
+      });
+}
+
+std::vector<LangCell> run_pyretic_scenarios() {
+  using netcore::NetcoreChange;
+  return run_scenarios(
+      [](const LangCase& lc) { return lc.nc_supported; },
+      [](const LangCase& lc, const scenario::Scenario& s) {
+        auto candidates = netcore::generate_repairs(lc.nc_policy, lc.nc_symptom);
+        // The wildcard-entry bug (Q5) is repaired at the runtime layer:
+        // also propose adding each absent match field.
+        if (s.id == "Q5") {
+          for (Field f : {Field::Sip, Field::Spt, Field::Smc}) {
+            NetcoreChange c;
+            c.kind = NetcoreChange::Kind::AddRuntimeMatchField;
+            c.new_field = f;
+            c.cost = 2.5;
+            candidates.push_back(std::move(c));
+          }
+        }
+        return candidates;
+      },
+      [](sdn::Network& net, const LangCase& lc, const NetcoreChange* cand) {
+        netcore::PolicyPtr policy = lc.nc_policy;
+        std::vector<Field> fields = lc.nc_match_fields;
+        if (cand != nullptr) {
+          switch (cand->kind) {
+            case NetcoreChange::Kind::ManualInstall:
+              net.install(lc.nc_symptom.sw, cand->manual);
+              break;
+            case NetcoreChange::Kind::AddRuntimeMatchField:
+              fields.push_back(cand->new_field);
+              break;
+            default:
+              policy = cand->apply(lc.nc_policy);
+          }
+        }
+        return std::make_unique<netcore::NetcoreController>(
+            net, std::move(policy), std::move(fields));
+      },
+      [](const LangCase& lc, const NetcoreChange& cand) {
+        return cand.describe(lc.nc_policy);
+      });
 }
 
 }  // namespace mp::langs

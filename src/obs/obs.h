@@ -62,13 +62,6 @@ class Gauge {
  public:
   void set(int64_t v) noexcept { v_.store(v, std::memory_order_relaxed); }
   void add(int64_t n) noexcept { v_.fetch_add(n, std::memory_order_relaxed); }
-  // Raise to `v` if above the current level (peak tracking).
-  void set_max(int64_t v) noexcept {
-    int64_t cur = v_.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
   int64_t value() const noexcept { return v_.load(std::memory_order_relaxed); }
 
  private:

@@ -38,10 +38,4 @@ std::string phase_name(PhaseId id) {
   return id < in.names.size() ? in.names[id] : std::string("?");
 }
 
-size_t phase_count() {
-  Interner& in = interner();
-  std::lock_guard<std::mutex> lock(in.mu);
-  return in.names.size();
-}
-
 }  // namespace mp::obs

@@ -26,6 +26,5 @@ using PhaseId = uint32_t;
 PhaseId phase_id(std::string_view name);
 // Name of an interned id ("?" for an id never interned).
 std::string phase_name(PhaseId id);
-size_t phase_count();
 
 }  // namespace mp::obs

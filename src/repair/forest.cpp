@@ -109,6 +109,11 @@ std::vector<RepairCandidate> ForestExplorer::explore(const Symptom& symptom,
                                                      PhaseClock* phases,
                                                      ExploreStats* stats) {
   static const obs::TracedPhase kPhaseExplore("repair.explore");
+  // Recursion into missing body tuples, candidates returned, and trees
+  // popped before the search gives up.
+  constexpr size_t kMaxDepth = 3;
+  constexpr size_t kMaxCandidates = 32;
+  constexpr size_t kMaxExpansions = 50'000;
   const obs::Scope scope(kPhaseExplore);
   phases_ = phases;
   stats_ = stats;
@@ -125,7 +130,7 @@ std::vector<RepairCandidate> ForestExplorer::explore(const Symptom& symptom,
   TreeState init;
   init.pending.push_back(Goal{symptom.pattern,
                               symptom.polarity == Symptom::Polarity::Missing,
-                              cfg_.max_depth});
+                              kMaxDepth});
   queue.push(std::move(init));
 
   std::vector<RepairCandidate> out;
@@ -135,8 +140,8 @@ std::vector<RepairCandidate> ForestExplorer::explore(const Symptom& symptom,
   // (one full validation) when the first program-touching tree completes.
   std::optional<CandidateChecker> checker;
 
-  while (!queue.empty() && expansions < cfg_.max_expansions &&
-         out.size() < cfg_.max_candidates) {
+  while (!queue.empty() && expansions < kMaxExpansions &&
+         out.size() < kMaxCandidates) {
     TreeState st = queue.top();
     queue.pop();
     if (st.cost > cfg_.max_cost) break;  // everything else is costlier
@@ -531,6 +536,8 @@ void ForestExplorer::expand_disappear(const TreeState& st, const Goal& goal,
 
 std::vector<ForestExplorer::JoinResult> ForestExplorer::enumerate_joins(
     const Rule& rule) {
+  // Join combinations returned; partial frames are capped at 4x this.
+  constexpr size_t kMaxJoinCombos = 96;
   const obs::Scope lookup(kPhaseHistory, phases_);
   std::vector<JoinResult> results;
   std::set<std::string> seen;
@@ -581,7 +588,7 @@ std::vector<ForestExplorer::JoinResult> ForestExplorer::enumerate_joins(
             nf.bound.push_back(ref);
             nf.unbound = f.unbound;
             next.push_back(std::move(nf));
-            return next.size() < cfg_.max_join_combos * 4;
+            return next.size() < kMaxJoinCombos * 4;
           });
       if (stats_ != nullptr) stats_->history_tuples_scanned += scanned;
       if (!bound_any) {
@@ -589,7 +596,7 @@ std::vector<ForestExplorer::JoinResult> ForestExplorer::enumerate_joins(
         nf.unbound.push_back(atom_idx);
         next.push_back(std::move(nf));
       }
-      if (next.size() >= cfg_.max_join_combos * 4) break;
+      if (next.size() >= kMaxJoinCombos * 4) break;
     }
     frontier = std::move(next);
   }
@@ -603,7 +610,7 @@ std::vector<ForestExplorer::JoinResult> ForestExplorer::enumerate_joins(
     jr.bound = std::move(f.bound);
     jr.unbound_atoms = std::move(f.unbound);
     results.push_back(std::move(jr));
-    if (results.size() >= cfg_.max_join_combos) break;
+    if (results.size() >= kMaxJoinCombos) break;
   }
   return results;
 }

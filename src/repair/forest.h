@@ -44,14 +44,10 @@ struct RepairSpaceConfig {
   // installing a flow entry").
   std::string insert_label = "Manually installing a flow entry";
 
-  size_t max_join_combos = 96;   // historical join enumeration cap
   size_t max_const_variants = 4; // constants proposed per failing selection
   size_t max_var_variants = 4;   // variable swaps proposed per site
-  size_t max_depth = 3;          // recursion into missing body tuples
   size_t max_head_perms = 4;     // head permutations for copy/retarget
   double max_cost = 12.0;        // cut-off cost (Section 3.5)
-  size_t max_candidates = 32;
-  size_t max_expansions = 50'000;
 };
 
 struct ExploreStats {

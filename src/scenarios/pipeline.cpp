@@ -7,50 +7,42 @@
 
 namespace mp::scenario {
 
-ScenarioRun::ScenarioRun(const Scenario& s,
-                         std::shared_ptr<const sdn::WorldBase> base,
-                         const ndlog::Program& program,
-                         eval::EngineOptions eopts)
-    : scenario_(s) {
+namespace {
+
+// Every world's base tuples, in the one order every world inserts them:
+// the config tuples in config_tuples order, each under config_mask(t), then
+// `insertions`. A config tuple whose mask is empty is withheld: no tag of
+// the world keeps it.
+template <typename ConfigMask>
+std::vector<BaseTuple> base_tuples(const Scenario& s, ConfigMask config_mask,
+                                   std::span<const BaseTuple> insertions) {
+  std::vector<BaseTuple> out;
+  out.reserve(s.config_tuples.size() + insertions.size());
+  for (const eval::Tuple& t : s.config_tuples) {
+    const eval::TagMask mask = config_mask(t);
+    if (mask != 0) out.emplace_back(t, mask);
+  }
+  out.insert(out.end(), insertions.begin(), insertions.end());
+  return out;
+}
+
+}  // namespace
+
+ScenarioRun::ScenarioRun(
+    const Scenario& s, std::shared_ptr<const sdn::WorldBase> base,
+    const ndlog::Program& program, eval::EngineOptions eopts,
+    const std::map<std::string, eval::TagMask>& rule_restrict,
+    eval::TagMask active, std::span<const BaseTuple> base_tuples) {
   net_ = std::make_unique<sdn::Network>(std::move(base));
   engine_ = std::make_unique<eval::Engine>(program, eopts);
   controller_ = std::make_unique<sdn::NdlogController>(*net_, *engine_,
                                                        s.make_bindings());
   net_->set_controller(controller_.get());
-}
-
-void ScenarioRun::insert_config(
-    const std::vector<std::pair<eval::Tuple, eval::TagMask>>& extra) {
-  if (!config_inserted_) {
-    config_inserted_ = true;
-    engine_->insert_batch(scenario_.config_tuples);
-  }
-  engine_->insert_batch(extra);
-}
-
-void ScenarioRun::set_rule_restrictions(
-    const std::map<std::string, eval::TagMask>& restrict_map) {
-  for (const auto& [rule, mask] : restrict_map) {
+  for (const auto& [rule, mask] : rule_restrict) {
     engine_->set_rule_restrict(rule, mask);
   }
-}
-
-void ScenarioRun::set_tag_mode(eval::TagMask active) {
-  net_->set_tag_mode(true, active);
-}
-
-void ScenarioRun::replay(const std::vector<sdn::Injection>& workload) {
-  sdn::replay(*net_, workload);
-}
-
-void ScenarioRun::record(const std::vector<sdn::Injection>& workload,
-                         sdn::PathMemo& memo) {
-  net_->record_batch(workload, memo);
-}
-
-void ScenarioRun::replay(const std::vector<sdn::Injection>& workload,
-                         const sdn::PathMemo& memo) {
-  net_->replay_batch(workload, memo);
+  if (eopts.tag_mode) net_->set_tag_mode(true, active);
+  engine_->insert_batch(base_tuples);
 }
 
 ScenarioHarness::ScenarioHarness(const Scenario& s)
@@ -59,11 +51,17 @@ ScenarioHarness::ScenarioHarness(const Scenario& s)
       workload_(s.make_workload(base_->net())),
       memo_(workload_.size()) {}
 
+ScenarioRun ScenarioHarness::recorded_world() const {
+  const std::vector<BaseTuple> tuples = base_tuples(
+      scenario_, [](const eval::Tuple&) { return eval::kAllTags; }, {});
+  return ScenarioRun(scenario_, base_, scenario_.program, {}, {},
+                     eval::kAllTags, tuples);
+}
+
 ScenarioRun& ScenarioHarness::buggy_run() {
   if (!buggy_) {
-    buggy_ = std::make_unique<ScenarioRun>(scenario_, base_, scenario_.program);
-    buggy_->insert_config();
-    buggy_->record(workload_, memo_);
+    buggy_ = std::make_unique<ScenarioRun>(recorded_world());
+    buggy_->net().record_batch(workload_, memo_);
   }
   return *buggy_;
 }
@@ -86,38 +84,73 @@ std::optional<ScenarioRun> ScenarioHarness::candidate_world(
     const repair::RepairCandidate& cand) const {
   auto program = repair::apply_candidate(scenario_.program, cand);
   if (!program) return std::nullopt;
-  // Provenance recording is off during backtests: we only need metrics.
-  eval::EngineOptions eopts;
-  eopts.record_provenance = false;
-  std::optional<ScenarioRun> run(std::in_place, scenario_, base_, *program,
-                                 eopts);
-
-  std::vector<std::pair<eval::Tuple, eval::TagMask>> inserts;
+  std::vector<BaseTuple> inserts;
   for (const eval::Tuple& t : repair::candidate_insertions(cand)) {
     inserts.emplace_back(t, eval::kAllTags);
   }
-  const auto deletions = repair::candidate_deletions(cand);
-  if (deletions.empty()) {
-    run->insert_config(inserts);
-    return run;
-  }
-  // Config insertion honouring deletions: withheld tuples never enter.
-  for (const eval::Tuple& t : scenario_.config_tuples) {
-    if (std::find(deletions.begin(), deletions.end(), t) == deletions.end())
-      inserts.emplace_back(t, eval::kAllTags);
-  }
-  run->engine().insert_batch(inserts);
-  return run;
+  const std::vector<eval::Tuple> deletions = repair::candidate_deletions(cand);
+  const std::vector<BaseTuple> tuples = base_tuples(
+      scenario_,
+      [&](const eval::Tuple& t) {
+        return std::find(deletions.begin(), deletions.end(), t) ==
+                       deletions.end()
+                   ? eval::kAllTags
+                   : eval::TagMask{0};
+      },
+      inserts);
+  // Provenance recording is off during backtests: we only need metrics.
+  eval::EngineOptions eopts;
+  eopts.record_provenance = false;
+  return ScenarioRun(scenario_, base_, *program, eopts, {}, eval::kAllTags,
+                     tuples);
+}
+
+ScenarioRun ScenarioHarness::joint_world(
+    const backtest::CombinedProgram& combined) const {
+  const std::vector<BaseTuple> tuples = base_tuples(
+      scenario_,
+      [&](const eval::Tuple& t) { return combined.config_mask(t); },
+      combined.insertions);
+  eval::EngineOptions eopts;
+  eopts.record_provenance = false;
+  eopts.tag_mode = true;
+  const eval::TagMask active =
+      combined.candidate_count >= eval::kMaxTags
+          ? eval::kAllTags
+          : (eval::TagMask{1} << combined.candidate_count) - 1;
+  return ScenarioRun(scenario_, base_, combined.program, eopts,
+                     combined.rule_restrict, active, tuples);
+}
+
+backtest::ReplayOutcome ScenarioHarness::score_tag(
+    ScenarioRun& run, const sdn::DeliveryStats& stats, bool valid,
+    eval::TagMask tag) {
+  const backtest::ReplayOutcome& base = baseline();
+  backtest::ReplayOutcome out = backtest::outcome_from_stats(stats);
+  out.valid = valid;
+  out.symptom_fixed =
+      valid && scenario_.symptom_fixed
+          ? scenario_.symptom_fixed(out, base, run.engine(), tag)
+          : false;
+  return out;
 }
 
 backtest::ReplayOutcome ScenarioHarness::score(ScenarioRun& run) {
-  const backtest::ReplayOutcome& base = baseline();
-  backtest::ReplayOutcome out = backtest::outcome_from_stats(run.net().stats());
-  out.symptom_fixed =
-      scenario_.symptom_fixed
-          ? scenario_.symptom_fixed(out, base, run.engine(), eval::kAllTags)
-          : false;
-  return out;
+  return score_tag(run, run.net().stats(), true, eval::kAllTags);
+}
+
+std::vector<backtest::ReplayOutcome> ScenarioHarness::score_joint(
+    ScenarioRun& run, const backtest::CombinedProgram& combined,
+    size_t candidates) {
+  std::vector<backtest::ReplayOutcome> outs(candidates);
+  for (size_t i = 0; i < candidates && i < combined.candidate_count; ++i) {
+    const bool valid =
+        std::find(combined.invalid.begin(), combined.invalid.end(), i) ==
+        combined.invalid.end();
+    outs[i] = score_tag(run, run.net().tag_stats(i), valid,
+                        eval::TagMask{1} << i);
+  }
+  return outs;
 }
 
 backtest::ReplayOutcome ScenarioHarness::replay(
@@ -130,53 +163,8 @@ backtest::ReplayOutcome ScenarioHarness::replay(
     out.valid = false;
     return out;
   }
-  run->replay(workload_, memo_);
+  run->net().replay_batch(workload_, memo_);
   return score(*run);
-}
-
-ScenarioRun ScenarioHarness::joint_world(
-    const backtest::CombinedProgram& combined) const {
-  eval::EngineOptions eopts;
-  eopts.record_provenance = false;
-  eopts.tag_mode = true;
-  ScenarioRun run(scenario_, base_, combined.program, eopts);
-  run.set_rule_restrictions(combined.rule_restrict);
-  const eval::TagMask active =
-      combined.candidate_count >= eval::kMaxTags
-          ? eval::kAllTags
-          : (eval::TagMask{1} << combined.candidate_count) - 1;
-  run.set_tag_mode(active);
-
-  // Config tuples with deletion masks, then candidate insertions.
-  std::vector<std::pair<eval::Tuple, eval::TagMask>> inserts;
-  for (const eval::Tuple& t : scenario_.config_tuples) {
-    inserts.emplace_back(t, combined.config_mask(t));
-  }
-  for (const auto& [t, mask] : combined.insertions) {
-    inserts.emplace_back(t, mask);
-  }
-  // Bypass the untagged config path: insert everything explicitly.
-  run.engine().insert_batch(inserts);
-  return run;
-}
-
-std::vector<backtest::ReplayOutcome> ScenarioHarness::score_joint(
-    ScenarioRun& run, const backtest::CombinedProgram& combined,
-    size_t candidates) {
-  const backtest::ReplayOutcome& base = baseline();
-  std::vector<backtest::ReplayOutcome> outs(candidates);
-  for (size_t i = 0; i < candidates && i < combined.candidate_count; ++i) {
-    backtest::ReplayOutcome& o = outs[i];
-    o = backtest::outcome_from_stats(run.net().tag_stats(i));
-    o.valid = std::find(combined.invalid.begin(), combined.invalid.end(), i) ==
-              combined.invalid.end();
-    const eval::TagMask bit = eval::TagMask{1} << i;
-    o.symptom_fixed =
-        o.valid && scenario_.symptom_fixed
-            ? scenario_.symptom_fixed(o, base, run.engine(), bit)
-            : false;
-  }
-  return outs;
 }
 
 std::vector<backtest::ReplayOutcome> ScenarioHarness::replay_joint(
@@ -186,7 +174,7 @@ std::vector<backtest::ReplayOutcome> ScenarioHarness::replay_joint(
   const backtest::CombinedProgram combined =
       backtest::build_backtest_program(scenario_.program, cands);
   ScenarioRun run = joint_world(combined);
-  run.replay(workload_, memo_);
+  run.net().replay_batch(workload_, memo_);
   return score_joint(run, combined, cands.size());
 }
 

@@ -5,7 +5,9 @@
 // debugger and is what the examples and benches call.
 #pragma once
 
+#include <map>
 #include <optional>
+#include <span>
 
 #include "backtest/backtester.h"
 #include "backtest/multiquery.h"
@@ -14,41 +16,34 @@
 
 namespace mp::scenario {
 
+// A base tuple and the tags it is inserted under.
+using BaseTuple = std::pair<eval::Tuple, eval::TagMask>;
+
 // One concrete simulation of a scenario under a given program: a world on
 // a static base of the scenario (build_base) with its own engine and
-// controller. Every controller install, config insertions' included, goes
-// to the world's dynamic layer and marks its switch dirty (sdn::WorldBase).
+// controller. A world is ready to replay once constructed: construction
+// builds the engine, restricts its rules to their tags, sets the network's
+// tag mode and inserts the base tuples, in that order. Only
+// ScenarioHarness's world builders construct one. Every controller
+// install, config insertions' included, goes to the world's dynamic layer
+// and marks its switch dirty (sdn::WorldBase).
 class ScenarioRun {
  public:
-  ScenarioRun(const Scenario& s, std::shared_ptr<const sdn::WorldBase> base,
-              const ndlog::Program& program, eval::EngineOptions eopts = {});
-
-  // Extra tagged base tuples (candidate insertions) + tagged config.
-  void insert_config(
-      const std::vector<std::pair<eval::Tuple, eval::TagMask>>& extra = {});
-  void set_rule_restrictions(
-      const std::map<std::string, eval::TagMask>& restrict);
-  void set_tag_mode(eval::TagMask active);
-  // Replays `workload`, walking every packet. This is the memo-free
-  // reference the memoized replays below must equal.
-  void replay(const std::vector<sdn::Injection>& workload);
-  // replay(workload) that also fills `memo` with the workload's static
-  // paths (the recorded incident).
-  void record(const std::vector<sdn::Injection>& workload, sdn::PathMemo& memo);
-  // replay(workload) that books memoized packets from `memo`, which is
-  // used only when a world on this world's base filled it.
-  void replay(const std::vector<sdn::Injection>& workload,
-              const sdn::PathMemo& memo);
-
   sdn::Network& net() { return *net_; }
   eval::Engine& engine() { return *engine_; }
 
  private:
-  const Scenario& scenario_;
+  friend class ScenarioHarness;
+  // `active` is the network's tag set; it is used only when
+  // eopts.tag_mode is on.
+  ScenarioRun(const Scenario& s, std::shared_ptr<const sdn::WorldBase> base,
+              const ndlog::Program& program, eval::EngineOptions eopts,
+              const std::map<std::string, eval::TagMask>& rule_restrict,
+              eval::TagMask active, std::span<const BaseTuple> base_tuples);
+
   std::unique_ptr<sdn::Network> net_;
   std::unique_ptr<eval::Engine> engine_;
   std::unique_ptr<sdn::NdlogController> controller_;
-  bool config_inserted_ = false;
 };
 
 // ReplayHarness over a scenario; caches the static base, the workload, the
@@ -76,12 +71,20 @@ class ScenarioHarness : public backtest::ReplayHarness {
   // on its pool.
   bool concurrent_replays() const override { return true; }
 
-  // The world replay(cand) scores, built and configured but not replayed;
-  // nullopt when the candidate's program does not apply.
+  // The three world builders. Each returns a world that is built and
+  // configured but not replayed. Its base tuples are the config tuples in
+  // config_tuples order, then the candidate insertions.
+  //
+  // The world the incident is recorded in: the scenario's program with
+  // provenance on and the config tuples.
+  ScenarioRun recorded_world() const;
+  // The world replay(cand) scores; a config tuple the candidate deletes is
+  // withheld. nullopt when the candidate's program does not apply.
   std::optional<ScenarioRun> candidate_world(
       const repair::RepairCandidate& cand) const;
   // The tag-mode world replay_joint scores for `combined`, one tag per
-  // candidate, built and configured but not replayed.
+  // candidate. Each config tuple is inserted under the tags that keep it
+  // (CombinedProgram::config_mask) and withheld when no tag does.
   ScenarioRun joint_world(const backtest::CombinedProgram& combined) const;
   // Scores a replayed candidate world as replay() does.
   backtest::ReplayOutcome score(ScenarioRun& run);
@@ -94,12 +97,18 @@ class ScenarioHarness : public backtest::ReplayHarness {
   const std::vector<sdn::Injection>& workload() const { return workload_; }
   // Filled by buggy_run().
   const sdn::PathMemo& memo() const { return memo_; }
-  // The recorded buggy run (history source for repair generation).
+  // The recorded buggy run (history source for repair generation):
+  // recorded_world() with the workload recorded into it and the memo.
   ScenarioRun& buggy_run();
 
  private:
   // The cached baseline, recorded on first use.
   const backtest::ReplayOutcome& baseline();
+  // One tag's outcome: read from `stats`, marked `valid`, and checked for
+  // the symptom under `tag` when valid.
+  backtest::ReplayOutcome score_tag(ScenarioRun& run,
+                                    const sdn::DeliveryStats& stats,
+                                    bool valid, eval::TagMask tag);
 
   const Scenario& scenario_;
   std::shared_ptr<const sdn::WorldBase> base_;

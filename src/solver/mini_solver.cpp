@@ -10,12 +10,21 @@ namespace mp::solver {
 
 namespace {
 
-constexpr int64_t kLoDefault = -1'000'000'000;
-constexpr int64_t kHiDefault = 1'000'000'000;
+// The interval every class domain starts from. The solver searches the
+// preferred window first and all of int64 only when the pool has no
+// solution there (MiniSolver::solve), so the window is a preference for
+// small values, not a constraint.
+struct Window {
+  int64_t lo;
+  int64_t hi;
+};
+constexpr Window kPreferred{-1'000'000'000, 1'000'000'000};
+constexpr Window kFull{std::numeric_limits<int64_t>::min(),
+                       std::numeric_limits<int64_t>::max()};
 
 struct ClassDomain {
-  int64_t lo = kLoDefault;
-  int64_t hi = kHiDefault;
+  int64_t lo = 0;
+  int64_t hi = 0;
   std::set<int64_t> excluded;
   std::optional<std::string> pinned_str;      // class must equal this string
   std::set<std::string> excluded_str;
@@ -46,6 +55,7 @@ class UnionFind {
 };
 
 struct Problem {
+  Window window;
   std::vector<std::string> vars;
   std::unordered_map<std::string, size_t> var_idx;
   UnionFind uf;
@@ -66,7 +76,14 @@ struct Problem {
     vars.push_back(name);
     return idx;
   }
-  ClassDomain& dom(size_t cls) { return domains[cls]; }
+  ClassDomain& dom(size_t cls) {
+    const auto [it, fresh] = domains.try_emplace(cls);
+    if (fresh) {
+      it->second.lo = window.lo;
+      it->second.hi = window.hi;
+    }
+    return it->second;
+  }
 };
 
 // v + d, or nullopt when that leaves int64: a bound that cannot be
@@ -129,8 +146,9 @@ bool apply_const_constraint(Problem& p, size_t cls, ndlog::CmpOp op,
   return d.lo <= d.hi || d.pinned_str.has_value();
 }
 
-std::optional<Problem> build(const ConstraintPool& pool) {
+std::optional<Problem> build(const ConstraintPool& pool, Window window) {
   Problem p;
+  p.window = window;
   // Pass 1: create vars and merge equalities.
   for (const auto& c : pool.constraints()) {
     if (c.lhs.is_var) p.var(c.lhs.var);
@@ -262,8 +280,9 @@ bool assign_classes(Problem& p, const std::vector<size_t>& classes, size_t at,
     }
   } else {
     // Prefer small-magnitude feasible integers (0 if unconstrained), then a
-    // few from the top of the interval so a<b chains can resolve. Neither
-    // walk steps past the interval, so a bound at an int64 limit is safe.
+    // few from the top of the interval, when it is below the window's, so
+    // a<b chains can resolve. Neither walk steps past the interval, so a
+    // bound at an int64 limit is safe.
     int64_t v = std::clamp<int64_t>(0, d.lo, d.hi);
     for (int tries = 0; tries < 64; ++tries) {
       while (v < d.hi && d.excluded.count(v)) ++v;
@@ -274,7 +293,7 @@ bool assign_classes(Problem& p, const std::vector<size_t>& classes, size_t at,
       if (v == d.hi) break;
       ++v;
     }
-    if (d.hi != d.lo && candidates.size() < 72 && d.hi < kHiDefault) {
+    if (d.hi != d.lo && candidates.size() < 72 && d.hi < p.window.hi) {
       int64_t w = d.hi;
       for (int tries = 0; tries < 8; ++tries) {
         while (w > d.lo && d.excluded.count(w)) --w;
@@ -308,12 +327,10 @@ bool assign_classes(Problem& p, const std::vector<size_t>& classes, size_t at,
   return false;
 }
 
-}  // namespace
-
-std::optional<Assignment> MiniSolver::solve(const ConstraintPool& pool,
-                                            SolveStats* stats) {
-  if (stats != nullptr) ++stats->calls;
-  auto built = build(pool);
+// solve() with every class domain starting at `window`.
+std::optional<Assignment> solve_in(const ConstraintPool& pool, Window window,
+                                   SolveStats* stats) {
+  auto built = build(pool, window);
   if (!built) return std::nullopt;
   Problem& p = *built;
   if (!propagate(p)) return std::nullopt;
@@ -334,8 +351,17 @@ std::optional<Assignment> MiniSolver::solve(const ConstraintPool& pool,
   }
   // Final sanity check against the original pool (catches Ne-within-class
   // subtleties that the class decomposition could miss).
-  if (!check(pool, out)) return std::nullopt;
+  if (!MiniSolver::check(pool, out)) return std::nullopt;
   return out;
+}
+
+}  // namespace
+
+std::optional<Assignment> MiniSolver::solve(const ConstraintPool& pool,
+                                            SolveStats* stats) {
+  if (stats != nullptr) ++stats->calls;
+  if (auto a = solve_in(pool, kPreferred, stats)) return a;
+  return solve_in(pool, kFull, stats);
 }
 
 std::optional<Assignment> MiniSolver::solve_negation(

@@ -11,6 +11,8 @@
 //   4. a bounded backtracking pass assigns concrete values (preferring
 //      the smallest feasible, so repairs like "6 < K -> K = 7" come out
 //      minimal, matching the paper's cheapest-change-first behaviour).
+//      Intervals start at [-1e9, 1e9]; only a pool with no solution there
+//      is solved again over all of int64 (e.g. K == 4294967295).
 //
 // solve_negation() finds an assignment that satisfies `keep` while
 // violating at least one constraint of `negate` - used when a positive

@@ -5,24 +5,6 @@
 
 namespace mp {
 
-double ks_statistic(std::vector<double> a, std::vector<double> b) {
-  if (a.empty() || b.empty()) return a.empty() == b.empty() ? 0.0 : 1.0;
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  const size_t n = a.size(), m = b.size();
-  size_t i = 0, j = 0;
-  double d = 0.0;
-  while (i < n && j < m) {
-    const double x = std::min(a[i], b[j]);
-    while (i < n && a[i] <= x) ++i;
-    while (j < m && b[j] <= x) ++j;
-    const double fa = static_cast<double>(i) / static_cast<double>(n);
-    const double fb = static_cast<double>(j) / static_cast<double>(m);
-    d = std::max(d, std::fabs(fa - fb));
-  }
-  return d;
-}
-
 double ks_critical(size_t n, size_t m, double alpha) {
   if (n == 0 || m == 0) return 1.0;
   // c(alpha) = sqrt(-ln(alpha/2) / 2); c(0.05) ~= 1.3581.
@@ -46,16 +28,6 @@ double ks_pvalue(double d, size_t n, size_t m) {
     if (std::fabs(term) < 1e-12) break;
   }
   return std::clamp(sum, 0.0, 1.0);
-}
-
-KsResult ks_test(const std::vector<double>& a, const std::vector<double>& b,
-                 double alpha) {
-  KsResult r;
-  r.statistic = ks_statistic(a, b);
-  r.critical = ks_critical(a.size(), b.size(), alpha);
-  r.pvalue = ks_pvalue(r.statistic, a.size(), b.size());
-  r.significant = r.statistic > r.critical;
-  return r;
 }
 
 void CountDistribution::add(const std::string& key, double amount) {
@@ -116,23 +88,6 @@ KsResult ks_test(const CountDistribution& a, const CountDistribution& b,
   r.pvalue = ks_pvalue(r.statistic, n, m);
   r.significant = r.statistic > r.critical;
   return r;
-}
-
-double mean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
-double percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  const double idx = (p / 100.0) * static_cast<double>(xs.size() - 1);
-  const size_t lo = static_cast<size_t>(idx);
-  const size_t hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
 }  // namespace mp

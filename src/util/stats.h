@@ -10,10 +10,6 @@
 
 namespace mp {
 
-// Two-sample KS statistic D = sup_x |F1(x) - F2(x)| over two empirical
-// samples. Samples need not be sorted or equal length.
-double ks_statistic(std::vector<double> a, std::vector<double> b);
-
 // Critical value for the two-sample KS test at significance alpha.
 // c(0.05) = 1.358; threshold = c * sqrt((n+m)/(n*m)).
 double ks_critical(size_t n, size_t m, double alpha = 0.05);
@@ -28,9 +24,6 @@ struct KsResult {
   double pvalue = 1.0;
   bool significant = false; // true => distributions differ => reject repair
 };
-
-KsResult ks_test(const std::vector<double>& a, const std::vector<double>& b,
-                 double alpha = 0.05);
 
 // Distribution of a counter keyed by host/name. Used for "traffic
 // distribution at end hosts" (Section 4.3).
@@ -57,9 +50,5 @@ class CountDistribution {
 // share of traffic between hosts yields a large D.
 KsResult ks_test(const CountDistribution& a, const CountDistribution& b,
                  double alpha = 0.05);
-
-// Simple summary helpers for benches.
-double mean(const std::vector<double>& xs);
-double percentile(std::vector<double> xs, double p);  // p in [0,100]
 
 }  // namespace mp

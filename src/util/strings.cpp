@@ -1,7 +1,5 @@
 #include "util/strings.h"
 
-#include <cstdio>
-
 namespace mp {
 
 std::vector<std::string> split(std::string_view s, char sep) {
@@ -16,17 +14,6 @@ std::vector<std::string> split(std::string_view s, char sep) {
   return out;
 }
 
-std::string_view trim(std::string_view s) {
-  size_t b = 0, e = s.size();
-  while (b < e && (s[b] == ' ' || s[b] == '\t' || s[b] == '\n' || s[b] == '\r')) ++b;
-  while (e > b && (s[e - 1] == ' ' || s[e - 1] == '\t' || s[e - 1] == '\n' || s[e - 1] == '\r')) --e;
-  return s.substr(b, e - b);
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
   for (size_t i = 0; i < parts.size(); ++i) {
@@ -36,20 +23,9 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-std::string lpad(std::string s, size_t width) {
-  if (s.size() < width) s.insert(0, width - s.size(), ' ');
-  return s;
-}
-
 std::string rpad(std::string s, size_t width) {
   if (s.size() < width) s.append(width - s.size(), ' ');
   return s;
-}
-
-std::string fmt_double(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
 }
 
 }  // namespace mp

@@ -8,12 +8,7 @@
 namespace mp {
 
 std::vector<std::string> split(std::string_view s, char sep);
-std::string_view trim(std::string_view s);
-bool starts_with(std::string_view s, std::string_view prefix);
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
-std::string lpad(std::string s, size_t width);
 std::string rpad(std::string s, size_t width);
-// printf-style float formatting without <format> (gcc 12 lacks std::format).
-std::string fmt_double(double v, int precision);
 
 }  // namespace mp

@@ -21,7 +21,6 @@ class Timer {
   double seconds() const {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
-  double millis() const { return seconds() * 1e3; }
 
  private:
   using clock = std::chrono::steady_clock;

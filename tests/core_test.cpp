@@ -48,14 +48,10 @@ TEST(Value, HashConsistency) {
   EXPECT_EQ(hash_row(r1), hash_row(r2));
 }
 
-TEST(Strings, SplitTrimJoinPad) {
+TEST(Strings, SplitJoinPad) {
   EXPECT_EQ(split("a,b,c", ',').size(), 3u);
-  EXPECT_EQ(trim("  x \n"), "x");
-  EXPECT_TRUE(starts_with("hello", "he"));
   EXPECT_EQ(join({"a", "b"}, "-"), "a-b");
-  EXPECT_EQ(lpad("7", 3), "  7");
   EXPECT_EQ(rpad("7", 3), "7  ");
-  EXPECT_EQ(fmt_double(1.23456, 2), "1.23");
 }
 
 TEST(Rng, Deterministic) {
@@ -88,15 +84,6 @@ TEST(Rng, ZipfIsSkewed) {
   EXPECT_GT(low, high * 2);
 }
 
-TEST(Stats, KsIdenticalSamplesIsZero) {
-  std::vector<double> a = {1, 2, 3, 4, 5};
-  EXPECT_DOUBLE_EQ(ks_statistic(a, a), 0.0);
-}
-
-TEST(Stats, KsDisjointSamplesIsOne) {
-  EXPECT_DOUBLE_EQ(ks_statistic({1, 2, 3}, {10, 11, 12}), 1.0);
-}
-
 TEST(Stats, KsCriticalShrinksWithSamples) {
   EXPECT_GT(ks_critical(10, 10), ks_critical(1000, 1000));
   EXPECT_NEAR(ks_critical(1000, 1000), 1.3581 * std::sqrt(2.0 / 1000), 1e-3);
@@ -126,12 +113,6 @@ TEST(Stats, DistributionSmallChangeInsignificant) {
   }
   nudged.add("new-host", 5);
   EXPECT_FALSE(ks_test(base, nudged).significant);
-}
-
-TEST(Stats, MeanAndPercentile) {
-  EXPECT_DOUBLE_EQ(mean({1, 2, 3}), 2.0);
-  EXPECT_DOUBLE_EQ(percentile({1, 2, 3, 4, 5}, 50), 3.0);
-  EXPECT_DOUBLE_EQ(percentile({1, 2, 3, 4, 5}, 100), 5.0);
 }
 
 // --- solver ---------------------------------------------------------------
@@ -262,6 +243,57 @@ TEST(Solver, BoundsAtInt64Limits) {
     negate.add(Term::constant(Value(x)), op, Term::variable("K"));
     EXPECT_FALSE(MiniSolver::solve_negation(keep, negate)) << x;
   }
+}
+
+// The solver searches [-1e9, 1e9] first and all of int64 only when the
+// pool has no solution there: values outside the window are found, and
+// pools solvable inside it keep their small values.
+TEST(Solver, WindowIsAPreferenceNotAConstraint) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  // K >= 1000000001, K == 4294967295 (a 32-bit IP as an int), and the
+  // limits themselves.
+  for (const auto& [op, x] :
+       {std::pair{CmpOp::Ge, int64_t{1'000'000'001}},
+        std::pair{CmpOp::Eq, int64_t{4'294'967'295}},
+        std::pair{CmpOp::Le, int64_t{-1'000'000'001}},
+        std::pair{CmpOp::Eq, kMax}, std::pair{CmpOp::Eq, kMin}}) {
+    ConstraintPool pool;
+    pool.add(Term::variable("K"), op, Term::constant(Value(x)));
+    const auto a = MiniSolver::solve(pool);
+    ASSERT_TRUE(a) << ndlog::to_string(op) << " " << x;
+    EXPECT_TRUE(ndlog::cmp_eval(op, a->at("K"), Value(x)));
+    EXPECT_EQ(a->at("K"), Value(x)) << "the value nearest 0";
+  }
+  // `<` chains that cross 1e9 upward and -1e9 downward.
+  for (const auto& [bound, start, op] :
+       {std::tuple{CmpOp::Ge, int64_t{999'999'999}, CmpOp::Lt},
+        std::tuple{CmpOp::Le, int64_t{-999'999'999}, CmpOp::Gt}}) {
+    ConstraintPool chain;
+    chain.add(Term::variable("a"), bound, Term::constant(Value(start)));
+    chain.add(Term::variable("a"), op, Term::variable("b"));
+    chain.add(Term::variable("b"), op, Term::variable("c"));
+    const auto a = MiniSolver::solve(chain);
+    ASSERT_TRUE(a) << start;
+    EXPECT_TRUE(MiniSolver::check(chain, *a)) << start;
+    const int64_t step = op == CmpOp::Lt ? 1 : -1;
+    EXPECT_EQ(a->at("c"), Value(start + 2 * step)) << start;
+  }
+  // The break path past the window: violate (K <= 4294967295).
+  ConstraintPool keep, negate;
+  negate.add(Term::variable("K"), CmpOp::Le,
+             Term::constant(Value(int64_t{4'294'967'295})));
+  const auto broken = MiniSolver::solve_negation(keep, negate);
+  ASSERT_TRUE(broken);
+  EXPECT_EQ(broken->at("K"), Value(int64_t{4'294'967'296}));
+  // Inside the window the picks are the small ones.
+  ConstraintPool small;
+  small.add(Term::variable("a"), CmpOp::Lt, Term::variable("b"));
+  small.add(Term::variable("b"), CmpOp::Gt, Term::constant(Value(6)));
+  const auto picked = MiniSolver::solve(small);
+  ASSERT_TRUE(picked);
+  EXPECT_EQ(picked->at("a"), Value(0));
+  EXPECT_EQ(picked->at("b"), Value(7));
 }
 
 // Property sweep: for every operator and constant, the solved value must

@@ -103,7 +103,7 @@ class WalkingHarness : public backtest::ReplayHarness {
       invalid.valid = false;
       return invalid;
     }
-    run->replay(h_.workload());
+    sdn::replay(run->net(), h_.workload());
     return h_.score(*run);
   }
   std::vector<backtest::ReplayOutcome> replay_joint(
@@ -112,7 +112,7 @@ class WalkingHarness : public backtest::ReplayHarness {
     const backtest::CombinedProgram combined =
         backtest::build_backtest_program(s_.program, cands);
     scenario::ScenarioRun run = h_.joint_world(combined);
-    run.replay(h_.workload());
+    sdn::replay(run.net(), h_.workload());
     return h_.score_joint(run, combined, cands.size());
   }
   bool concurrent_replays() const override { return true; }

@@ -3,6 +3,7 @@
 // through the full pipeline (generation + multi-query backtesting).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -513,11 +514,13 @@ TEST(Scenario, GroundTruthProgramsFixSymptoms) {
     auto base = harness.replay_baseline();
     EXPECT_FALSE(base.symptom_fixed);
     // Wrap the fixed program as a "candidate" via rule-by-rule diffs is
-    // complex; instead run it directly.
-    eval::EngineOptions eopts;
-    scenario::ScenarioRun run(s, harness.base(), s.fixed, eopts);
-    run.insert_config();
-    run.replay(harness.workload());
+    // complex; instead record the scenario with its program replaced by
+    // the fix.
+    scenario::Scenario cured = s;
+    cured.program = s.fixed;
+    const scenario::ScenarioHarness cured_harness(cured);
+    scenario::ScenarioRun run = cured_harness.recorded_world();
+    sdn::replay(run.net(), cured_harness.workload());
     auto out = backtest::outcome_from_stats(run.net().stats());
     EXPECT_TRUE(s.symptom_fixed(out, base, run.engine(), eval::kAllTags))
         << s.id << ": the ground-truth fix must cure the symptom";
@@ -542,6 +545,91 @@ TEST(Scenario, SequentialAndJointBacktestsAgree) {
   EXPECT_EQ(seq.dropped, joint[0].dropped);
   EXPECT_EQ(seq.symptom_fixed, joint[0].symptom_fixed);
   EXPECT_EQ(seq.per_host.counts(), joint[0].per_host.counts());
+}
+
+// Every world inserts its base tuples in one order: the config tuples, then
+// the candidate's insertions. Here Q1's WebLoadBalancer is keyed on
+// (controller, bucket) and its config holds a third row, (C,1,5), that
+// displaces (C,1,2). A candidate's worlds must then hold the same rows and
+// score alike sequentially and jointly:
+// - `move` deletes (C,2,3) and inserts (C,1,3), which displaces the config
+//   row for bucket 1 it keeps;
+// - `restore` deletes (C,1,5), which no tag of its joint world keeps, so
+//   the row is withheld there as in the sequential world and (C,1,2)
+//   survives.
+TEST(Scenario, SequentialAndJointWorldsInsertBaseTuplesAlike) {
+  scenario::Scenario s = scenario::q1_copy_paste({});
+  for (ndlog::TableDecl& t : s.program.tables) {
+    if (t.name == "WebLoadBalancer") t.keys = {0, 1};
+  }
+  auto lb = [](int64_t bucket, int64_t port) {
+    return eval::Tuple{"WebLoadBalancer",
+                       {Value::str("C"), Value(bucket), Value(port)}};
+  };
+  s.config_tuples = {lb(1, 2), lb(2, 3), lb(1, 5)};
+  auto change = [](ChangeKind kind, const eval::Tuple& t) {
+    Change c;
+    c.kind = kind;
+    c.tuple = t;
+    return c;
+  };
+  RepairCandidate move;
+  move.description = "move";
+  move.changes = {change(ChangeKind::DeleteBaseTuple, lb(2, 3)),
+                  change(ChangeKind::InsertBaseTuple, lb(1, 3))};
+  RepairCandidate restore;
+  restore.description = "restore";
+  restore.changes = {change(ChangeKind::DeleteBaseTuple, lb(1, 5))};
+  // The rows each candidate's worlds must hold.
+  const std::vector<std::pair<RepairCandidate, std::vector<eval::Tuple>>>
+      cases = {{move, {lb(1, 3)}}, {restore, {lb(1, 2), lb(2, 3)}}};
+
+  scenario::ScenarioHarness h(s);
+  h.replay_baseline();
+  for (const auto& [cand, rows] : cases) {
+    const std::string& where = cand.description;
+    std::optional<scenario::ScenarioRun> seq = h.candidate_world(cand);
+    ASSERT_TRUE(seq.has_value()) << where;
+    const backtest::CombinedProgram combined =
+        backtest::build_backtest_program(s.program, {cand});
+    scenario::ScenarioRun joint = h.joint_world(combined);
+    for (const eval::Tuple& t : {lb(1, 2), lb(2, 3), lb(1, 5), lb(1, 3)}) {
+      const bool held =
+          std::find(rows.begin(), rows.end(), t) != rows.end();
+      EXPECT_EQ(seq->engine().tags_of(t.location(), t.table, t.row) != 0,
+                held)
+          << where << " sequential " << t.to_string();
+      EXPECT_EQ(joint.engine().tags_of(t.location(), t.table, t.row) != 0,
+                held)
+          << where << " joint " << t.to_string();
+    }
+    seq->net().replay_batch(h.workload(), h.memo());
+    joint.net().replay_batch(h.workload(), h.memo());
+    // One candidate: the joint world's totals are its tag's. Tags count
+    // deliveries, drops, external exits and PacketIns.
+    const sdn::DeliveryStats& want = seq->net().stats();
+    memo_test::expect_same_stats(joint.net().stats(), want, where);
+    const sdn::DeliveryStats& tag = joint.net().tag_stats(0);
+    EXPECT_EQ(tag.delivered, want.delivered) << where;
+    EXPECT_EQ(tag.dropped, want.dropped) << where;
+    EXPECT_EQ(tag.external, want.external) << where;
+    EXPECT_EQ(tag.packet_ins, want.packet_ins) << where;
+    EXPECT_EQ(tag.per_host.counts(), want.per_host.counts()) << where;
+    EXPECT_EQ(tag.per_host_port.counts(), want.per_host_port.counts())
+        << where;
+    memo_test::expect_same_ctrl(joint.net().recorder(), seq->net().recorder(),
+                                where);
+
+    std::string reports[2];
+    for (const bool multiquery : {false, true}) {
+      backtest::BacktestConfig cfg;
+      cfg.use_multiquery = multiquery;
+      scenario::ScenarioHarness fresh(s);
+      reports[multiquery] = memo_test::report_text(
+          backtest::Backtester(cfg).run(fresh, {cand}));
+    }
+    EXPECT_EQ(reports[true], reports[false]) << where;
+  }
 }
 
 // --- delta candidate programs ----------------------------------------------
@@ -925,9 +1013,8 @@ TEST_P(PathMemoOracle, MatchesWalkingEveryPacket) {
   scenario::ScenarioHarness h(s);
 
   // The recorded world fills the memo while walking every packet.
-  scenario::ScenarioRun recorded(s, h.base(), s.program);
-  recorded.insert_config();
-  recorded.replay(h.workload());
+  scenario::ScenarioRun recorded = h.recorded_world();
+  sdn::replay(recorded.net(), h.workload());
   const sdn::Network& filled = h.buggy_run().net();
   memo_test::expect_same_world(filled, recorded.net(), 0, s.id + " recorded");
   EXPECT_EQ(filled.packet_log_bytes(),
@@ -951,8 +1038,8 @@ TEST_P(PathMemoOracle, MatchesWalkingEveryPacket) {
     std::optional<scenario::ScenarioRun> walk = h.candidate_world(cands[i]);
     ASSERT_EQ(memo.has_value(), walk.has_value()) << where;
     if (!memo) continue;
-    memo->replay(h.workload(), h.memo());
-    walk->replay(h.workload());
+    memo->net().replay_batch(h.workload(), h.memo());
+    sdn::replay(walk->net(), h.workload());
     memo_test::expect_same_world(memo->net(), walk->net(), 0, where);
     EXPECT_EQ(walk->net().memo_hits() + walk->net().memo_walks(), 0u);
     hits += memo->net().memo_hits();
@@ -963,8 +1050,8 @@ TEST_P(PathMemoOracle, MatchesWalkingEveryPacket) {
       backtest::build_backtest_program(s.program, cands);
   scenario::ScenarioRun joint_memo = h.joint_world(combined);
   scenario::ScenarioRun joint_walk = h.joint_world(combined);
-  joint_memo.replay(h.workload(), h.memo());
-  joint_walk.replay(h.workload());
+  joint_memo.net().replay_batch(h.workload(), h.memo());
+  sdn::replay(joint_walk.net(), h.workload());
   memo_test::expect_same_world(joint_memo.net(), joint_walk.net(),
                              combined.candidate_count, s.id + " joint");
   EXPECT_GT(joint_memo.net().memo_hits(), 0u) << s.id;
