@@ -70,7 +70,7 @@ BacktestReport Backtester::run(
   for (size_t i = 0; i < candidates.size(); ++i) {
     BacktestEntry e;
     e.candidate = std::move(candidates[i]);
-    e.outcome = outcomes[i];
+    e.outcome = std::move(outcomes[i]);
     e.effective = e.outcome.valid && e.outcome.symptom_fixed;
     e.ks = compare(baseline, e.outcome, cfg_.alpha);
     e.accepted = e.effective && side_effect_free(baseline, e.outcome, e.ks);

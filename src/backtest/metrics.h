@@ -1,7 +1,8 @@
-// Backtest metrics (Section 4.3): per-host traffic distributions act as
-// the "test suite". A candidate repair must (a) fix the symptom and
-// (b) leave the rest of the distribution statistically unchanged
-// (two-sample KS test at alpha = 0.05 against the pre-repair run).
+// Backtest metrics (Section 4.3): per-host traffic distributions, the
+// integer tallies of sdn::DeliveryStats, act as the "test suite". A
+// candidate repair must (a) fix the symptom and (b) leave the rest of the
+// distribution statistically unchanged (two-sample KS test at alpha =
+// 0.05 against the pre-repair run).
 #pragma once
 
 #include "sdn/network.h"
@@ -9,20 +10,17 @@
 
 namespace mp::backtest {
 
-struct ReplayOutcome {
-  CountDistribution per_host;       // host -> delivered packets
-  CountDistribution per_host_port;  // "host:dpt" -> delivered packets
+struct ReplayOutcome : sdn::DeliveryStats {
   bool symptom_fixed = false;
-  size_t delivered = 0;
-  size_t dropped = 0;
-  size_t packet_ins = 0;
   double seconds = 0.0;  // never set in src/; e2ebench's harness fills it
   bool valid = true;  // false if the candidate program failed to apply
 };
 
 ReplayOutcome outcome_from_stats(const sdn::DeliveryStats& stats);
 
-// KS comparison of two outcomes' per-host distributions.
+// KS comparison of two outcomes' per-host tallies in host-name order. An
+// outcome without tallies counts as no deliveries; tallies over host
+// numberings with different names throw std::invalid_argument.
 KsResult compare(const ReplayOutcome& baseline, const ReplayOutcome& repaired,
                  double alpha = 0.05);
 

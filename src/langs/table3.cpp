@@ -102,7 +102,7 @@ LangCase make_case(const scenario::Scenario& s) {
     c.nc_symptom = {3, 1, c.imp_symptom.packet, 2};
     c.fixed = [](const ReplayOutcome& out, const ReplayOutcome&,
                  const std::vector<int64_t>&) {
-      return out.per_host_port.get("H2:80") > 0;
+      return out.delivered("H2", 80) > 0;
     };
   } else if (s.id == "Q2") {
     c.imp_program.name = "dns acl (buggy threshold)";
@@ -130,7 +130,7 @@ LangCase make_case(const scenario::Scenario& s) {
     c.nc_symptom = {1, 1, c.imp_symptom.packet, 2};
     c.fixed = [](const ReplayOutcome& out, const ReplayOutcome& base,
                  const std::vector<int64_t>&) {
-      return out.per_host_port.get("H17:53") > base.per_host_port.get("H17:53");
+      return out.delivered("H17", 53) > base.delivered("H17", 53);
     };
   } else if (s.id == "Q3") {
     c.imp_program.name = "lb + stale firewall";
@@ -168,8 +168,7 @@ LangCase make_case(const scenario::Scenario& s) {
     c.nc_symptom = {3, 1, c.imp_symptom.packet, 1};
     c.fixed = [](const ReplayOutcome& out, const ReplayOutcome& base,
                  const std::vector<int64_t>&) {
-      return out.per_host_port.get("H20b:80") >
-             base.per_host_port.get("H20b:80");
+      return out.delivered("H20b", 80) > base.delivered("H20b", 80);
     };
   } else if (s.id == "Q4") {
     c.imp_program.name = "reactive forwarding without packet_out";
@@ -186,7 +185,7 @@ LangCase make_case(const scenario::Scenario& s) {
     c.nc_supported = false;  // the Pyretic runtime releases packets itself
     c.fixed = [](const ReplayOutcome& out, const ReplayOutcome& base,
                  const std::vector<int64_t>&) {
-      return out.per_host_port.get("H20:80") > base.per_host_port.get("H20:80");
+      return out.delivered("H20", 80) > base.delivered("H20", 80);
     };
   } else {  // Q5
     c.imp_program.name = "mac learning with too-coarse matches";

@@ -151,7 +151,7 @@ Scenario q1_copy_paste(const sdn::CampusOptions& campus) {
   s.symptom_fixed = [](const backtest::ReplayOutcome& out,
                        const backtest::ReplayOutcome&, const eval::Engine&,
                        eval::TagMask) {
-    return out.per_host_port.get("H2:80") > 0;
+    return out.delivered("H2", 80) > 0;
   };
   return s;
 }

@@ -108,7 +108,7 @@ Scenario q2_forwarding(const sdn::CampusOptions& campus) {
                        const eval::Engine&, eval::TagMask) {
     // H1's (sip 6) queries reach H17: deliveries rise above the baseline
     // level produced by clients 1..5 alone.
-    return out.per_host_port.get("H17:53") > base.per_host_port.get("H17:53");
+    return out.delivered("H17", 53) > base.delivered("H17", 53);
   };
   return s;
 }

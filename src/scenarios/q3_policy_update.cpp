@@ -104,7 +104,7 @@ Scenario q3_policy_update(const sdn::CampusOptions& campus) {
   s.symptom_fixed = [](const backtest::ReplayOutcome& out,
                        const backtest::ReplayOutcome& base,
                        const eval::Engine&, eval::TagMask) {
-    return out.per_host_port.get("H20b:80") > base.per_host_port.get("H20b:80");
+    return out.delivered("H20b", 80) > base.delivered("H20b", 80);
   };
   return s;
 }

@@ -110,7 +110,7 @@ Scenario q4_forgotten_packets(const sdn::CampusOptions& campus) {
                        const backtest::ReplayOutcome& base,
                        const eval::Engine&, eval::TagMask) {
     // Effective iff previously-lost first packets now arrive.
-    return out.per_host_port.get("H20:80") > base.per_host_port.get("H20:80");
+    return out.delivered("H20", 80) > base.delivered("H20", 80);
   };
   return s;
 }

@@ -35,6 +35,32 @@ void for_each_tag(eval::TagMask mask, Fn&& fn) {
 
 }  // namespace
 
+HostNames::HostNames(const std::vector<Host>& hosts) {
+  names_.reserve(hosts.size());
+  for (const Host& h : hosts) names_.push_back(h.name);
+  std::sort(names_.begin(), names_.end());
+  names_.erase(std::unique(names_.begin(), names_.end()), names_.end());
+  ids_.reserve(hosts.size());
+  for (const Host& h : hosts) ids_.try_emplace(h.id, number(h.name));
+}
+
+uint32_t HostNames::number(std::string_view name) const {
+  const auto it = std::lower_bound(names_.begin(), names_.end(), name);
+  return static_cast<uint32_t>(
+      it != names_.end() && *it == name ? it - names_.begin() : size());
+}
+
+uint64_t DeliveryStats::delivered(std::string_view host, int64_t dpt) const {
+  if (hosts == nullptr) return 0;
+  const uint32_t h = hosts->number(host);
+  // Hosts that share a name share a number, so a key may repeat.
+  uint64_t n = 0;
+  for (const PortTally& t : per_host_port) {
+    if (t.host == h && t.dpt == dpt) n += t.packets;
+  }
+  return n;
+}
+
 Network::Network(std::shared_ptr<const WorldBase> base)
     : base_(std::move(base)) {
   if (base_ == nullptr) throw std::invalid_argument("Network: null base");
@@ -43,6 +69,7 @@ Network::Network(std::shared_ptr<const WorldBase> base)
 WorldBase::WorldBase(Network net) : net_(std::move(net)) {
   if (net_.base() != nullptr)
     throw std::invalid_argument("WorldBase: the network is on a base");
+  net_.number_hosts();
   if (obs::enabled()) {
     static obs::Counter& builds =
         obs::Registry::global().counter("sdn.base.builds");
@@ -90,6 +117,10 @@ const Switch* Network::find_switch(int64_t id) const {
 }
 
 Host& Network::add_host(Host h) {
+  if (names_ != nullptr) {
+    throw std::logic_error(
+        "Network::add_host: the hosts were numbered at the first delivery");
+  }
   Switch& sw = add_switch(h.sw);
   sw.connect(h.port, PortPeer{PortPeer::Kind::Host, h.id, 0});
   hosts_.push_back(std::move(h));
@@ -99,12 +130,6 @@ Host& Network::add_host(Host h) {
 const Host* Network::host_by_ip(int64_t ip) const {
   for (const Host& h : hosts())
     if (h.ip == ip) return &h;
-  return nullptr;
-}
-
-const Host* Network::host_by_id(int64_t id) const {
-  for (const Host& h : hosts())
-    if (h.id == id) return &h;
   return nullptr;
 }
 
@@ -152,60 +177,53 @@ void Network::set_tag_mode(bool on, eval::TagMask active) {
   active_tags_ = active;
   if (!on) return;
   tag_stats_.resize(eval::kMaxTags);
-  pending_tags_.resize(eval::kMaxTags);
-  for_each_tag(active_tags_,
-               [&](size_t b) { pending_tags_[b].resize(keys_.size()); });
-}
-
-void Network::fold(std::vector<uint64_t>& pending, DeliveryStats& st) const {
-  for (size_t k = 0; k < pending.size(); ++k) {
-    uint64_t& n = pending[k];
-    if (n == 0) continue;
-    // Whole-number sums are exact in a double, so folding a tally at once
-    // equals adding 1.0 per delivery.
-    st.per_host.add(keys_[k].host, static_cast<double>(n));
-    st.per_host_port.add(keys_[k].host_port, static_cast<double>(n));
-    n = 0;
-  }
-}
-
-const DeliveryStats& Network::stats() const {
-  fold(pending_, stats_);
-  return stats_;
+  for_each_tag(active_tags_, [&](size_t b) { size_tallies(tag_stats_[b]); });
 }
 
 const DeliveryStats& Network::tag_stats(size_t tag_index) const {
   static const DeliveryStats kEmpty;
-  if (tag_index >= tag_stats_.size()) return kEmpty;
-  fold(pending_tags_[tag_index], tag_stats_[tag_index]);
-  return tag_stats_[tag_index];
+  return tag_index < tag_stats_.size() ? tag_stats_[tag_index] : kEmpty;
+}
+
+void Network::number_hosts() {
+  if (names_ != nullptr) return;
+  names_ = base_ != nullptr ? base_->net().names_
+                            : std::make_shared<const HostNames>(hosts_);
+}
+
+void Network::size_tallies(DeliveryStats& st) const {
+  if (names_ == nullptr) return;
+  st.hosts = names_;
+  st.per_host.resize(names_->size());
+  const std::vector<PortTally>& keys = stats_.per_host_port;
+  for (size_t k = st.per_host_port.size(); k < keys.size(); ++k) {
+    st.per_host_port.push_back({keys[k].host, keys[k].dpt, 0});
+  }
 }
 
 void Network::deliver(int64_t host, int64_t dpt, eval::TagMask tags) {
-  auto [it, fresh] = key_ids_.try_emplace({host, dpt},
-                                          static_cast<uint32_t>(keys_.size()));
-  if (fresh) {
-    const Host* h = host_by_id(host);
-    std::string name = h != nullptr ? h->name : "?";
-    keys_.push_back({name, name + ":" + std::to_string(dpt)});
-    pending_.push_back(0);
+  auto it = key_ids_.find({host, dpt});
+  if (it == key_ids_.end()) {
+    number_hosts();
+    stats_.per_host_port.push_back({names_->number_of_id(host), dpt, 0});
+    const auto key = static_cast<uint32_t>(stats_.per_host_port.size() - 1);
+    it = key_ids_.emplace(std::pair{host, dpt}, key).first;
+    size_tallies(stats_);
     if (tag_mode_) {
       for_each_tag(active_tags_,
-                   [&](size_t b) { pending_tags_[b].push_back(0); });
+                   [&](size_t b) { size_tallies(tag_stats_[b]); });
     }
   }
   const size_t k = it->second;
-  if (!tag_mode_) {
-    ++stats_.delivered;
-    ++pending_[k];
-    return;
-  }
-  const auto n = static_cast<size_t>(std::popcount(tags));
-  stats_.delivered += n;
-  pending_[k] += n;
+  const uint32_t h = stats_.per_host_port[k].host;
+  const uint64_t n = tag_mode_ ? std::popcount(tags) : 1;
+  stats_.per_host[h] += n;
+  stats_.per_host_port[k].packets += n;
+  if (!tag_mode_) return;
   for_each_tag(tags, [&](size_t b) {
-    ++tag_stats_[b].delivered;
-    ++pending_tags_[b][k];
+    DeliveryStats& st = tag_stats_[b];
+    ++st.per_host[h];
+    ++st.per_host_port[k].packets;
   });
 }
 
@@ -303,8 +321,9 @@ uint64_t Network::walk(int64_t sw, int64_t in_port, const Packet& p) {
   int64_t host = 0;
 
   // Accounts a terminal outcome for every tag in `tags`. Outside tag mode
-  // this is a single bump; in tag mode each candidate world gets its own
-  // statistics (so joint outcomes equal sequential ones exactly).
+  // this is a single bump; in tag mode each tag also gets its own tallies.
+  // (Joint outcomes still differ from sequential ones for some Q1
+  // candidates: ROADMAP.md, item 10.)
   auto drop = [&](eval::TagMask tags) {
     count(&DeliveryStats::dropped, tags);
     ++outcomes;

@@ -23,13 +23,14 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "sdn/recorder.h"
 #include "sdn/switch.h"
-#include "util/stats.h"
 
 namespace mp::sdn {
 
@@ -51,16 +52,52 @@ class ControllerIface {
                             eval::TagMask miss_tags) = 0;
 };
 
+// A topology's host numbering: its distinct host names in std::string byte
+// order, so equal names share a number. Immutable; worlds and outcomes
+// share one by shared_ptr. See src/sdn/README.md, "Delivery statistics".
+class HostNames {
+ public:
+  explicit HostNames(const std::vector<Host>& hosts);
+  size_t size() const { return names_.size(); }
+  const std::string& name(uint32_t number) const { return names_[number]; }
+  // The number of `name`, or size() when no host has it.
+  uint32_t number(std::string_view name) const;
+  // The number of the host with id `id` (the first one added, as ids may
+  // repeat); throws std::out_of_range when no host has it.
+  uint32_t number_of_id(int64_t id) const { return ids_.at(id); }
+  bool operator==(const HostNames& o) const { return names_ == o.names_; }
+
+ private:
+  std::vector<std::string> names_;
+  std::unordered_map<int64_t, uint32_t> ids_;
+};
+
+// Packets delivered to one (host number, dpt) key.
+struct PortTally {
+  uint32_t host = 0;
+  int64_t dpt = 0;
+  uint64_t packets = 0;
+};
+
 struct DeliveryStats {
-  CountDistribution per_host;          // host name -> packets delivered
-  CountDistribution per_host_port;     // "host:dpt" -> packets
-  size_t delivered = 0;
+  // The numbering per_host and per_host_port use; null, with both empty,
+  // until the network's first delivery.
+  std::shared_ptr<const HostNames> hosts;
+  std::vector<uint64_t> per_host;        // indexed by host number
+  std::vector<PortTally> per_host_port;  // in first-delivery order
   size_t dropped = 0;
   size_t external = 0;
   size_t packet_ins = 0;
   size_t flow_mods = 0;
   size_t packet_outs = 0;
   size_t hops = 0;
+
+  // Packets delivered in all, and to the host(s) named `host` on
+  // destination port `dpt`.
+  uint64_t delivered() const {
+    return std::accumulate(per_host.begin(), per_host.end(), uint64_t{0});
+  }
+  uint64_t delivered(std::string_view host, int64_t dpt) const;
 };
 
 class WorldBase;
@@ -100,9 +137,10 @@ class Network {
   Switch& add_switch(int64_t id);
   Switch* find_switch(int64_t id);
   const Switch* find_switch(int64_t id) const;
-  Host& add_host(Host h);  // also connects the switch port to the host
+  // Also connects the switch port to the host. Throws std::logic_error
+  // once the hosts are numbered (at the first delivery).
+  Host& add_host(Host h);
   const Host* host_by_ip(int64_t ip) const;
-  const Host* host_by_id(int64_t id) const;
   const std::vector<Host>& hosts() const { return topology().hosts_; }
   size_t switch_count() const { return topology().switches_.size(); }
   std::vector<int64_t> switch_ids() const;  // ascending
@@ -139,10 +177,10 @@ class Network {
   size_t memo_hits() const { return memo_hits_; }
   size_t memo_walks() const { return memo_walks_; }
 
-  // Delivery tallies are kept as integers per interned (host, dpt) key and
-  // folded into the CountDistributions when the stats are read.
-  const DeliveryStats& stats() const;
-  // Per-candidate statistics in tag mode (tag_index = bit position).
+  // Statistics over every world, and one candidate world's in tag mode
+  // (tag_index = bit position). Plain reads: deliveries are tallied as
+  // they happen.
+  const DeliveryStats& stats() const { return stats_; }
   const DeliveryStats& tag_stats(size_t tag_index) const;
   Recorder& recorder() { return recorder_; }
   const Recorder& recorder() const { return recorder_; }
@@ -153,12 +191,6 @@ class Network {
   size_t packet_log_bytes() const { return clock_ * kPacketLogEntryBytes; }
 
  private:
-  // A delivered (host id, dpt) pair with the stats keys it folds into,
-  // built once when the pair is first delivered.
-  struct DeliveryKey {
-    std::string host;       // per_host key
-    std::string host_port;  // per_host_port key ("host:dpt")
-  };
   struct PairHash {
     size_t operator()(const std::pair<int64_t, int64_t>& k) const {
       return std::hash<uint64_t>()(static_cast<uint64_t>(k.first) * 1000003 ^
@@ -180,8 +212,10 @@ class Network {
   // Terminal outcomes for every world in `tags`.
   void deliver(int64_t host, int64_t dpt, eval::TagMask tags);
   void count(size_t DeliveryStats::*counter, eval::TagMask tags);
-  // Moves the per-key tallies in `pending` into `st`.
-  void fold(std::vector<uint64_t>& pending, DeliveryStats& st) const;
+  // Fixes the host numbering, once: the base's, or one of hosts_.
+  void number_hosts();
+  // Gives `st` the numbering and stats_'s keys, with zero tallies.
+  void size_tallies(DeliveryStats& st) const;
 
   // Null for a self-built world, which keeps its topology and every rule
   // in switches_ and hosts_. A world on a base leaves both empty and keeps
@@ -192,14 +226,11 @@ class Network {
   std::map<int64_t, Switch> switches_;
   std::vector<Host> hosts_;
   ControllerIface* controller_ = nullptr;
-  std::vector<DeliveryKey> keys_;
+  std::shared_ptr<const HostNames> names_;  // set by number_hosts()
+  // Index into per_host_port of each delivered (host id, dpt) pair.
   std::unordered_map<std::pair<int64_t, int64_t>, uint32_t, PairHash> key_ids_;
-  // Deliveries per key not yet folded: the aggregate, and in tag mode one
-  // tally vector per active tag (indexed [tag][key]).
-  mutable std::vector<uint64_t> pending_;
-  mutable std::vector<std::vector<uint64_t>> pending_tags_;
-  mutable DeliveryStats stats_;
-  mutable std::vector<DeliveryStats> tag_stats_;  // kMaxTags in tag mode
+  DeliveryStats stats_;
+  std::vector<DeliveryStats> tag_stats_;  // kMaxTags in tag mode
   Recorder recorder_;
   uint64_t clock_ = 0;
   bool tag_mode_ = false;
@@ -218,6 +249,8 @@ class Network {
     eval::TagMask tags;
   };
   std::vector<PendingOut> pending_outs_;
+
+  friend class WorldBase;
 };
 
 // The static layer every world of a scenario shares: a self-built
@@ -227,8 +260,8 @@ class Network {
 // src/sdn/README.md, "World base".
 class WorldBase {
  public:
-  // Keeps `net`, a self-built network, as the static layer. Counts one
-  // sdn.base.builds.
+  // Keeps `net`, a self-built network, as the static layer and numbers
+  // its hosts. Counts one sdn.base.builds.
   explicit WorldBase(Network net);
   // The base's network, e.g. for workload synthesis. Its own tallies and
   // logs stay empty: worlds replay on the base, never in it.

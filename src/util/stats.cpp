@@ -30,60 +30,25 @@ double ks_pvalue(double d, size_t n, size_t m) {
   return std::clamp(sum, 0.0, 1.0);
 }
 
-void CountDistribution::add(const std::string& key, double amount) {
-  counts_[key] += amount;
-}
-
-double CountDistribution::total() const {
-  double t = 0.0;
-  for (const auto& [k, v] : counts_) t += v;
-  return t;
-}
-
-std::pair<std::vector<double>, std::vector<double>>
-CountDistribution::aligned_fractions(const CountDistribution& a,
-                                     const CountDistribution& b) {
-  const double ta = std::max(a.total(), 1.0);
-  const double tb = std::max(b.total(), 1.0);
-  std::vector<double> va, vb;
-  auto ia = a.counts_.begin();
-  auto ib = b.counts_.begin();
-  while (ia != a.counts_.end() || ib != b.counts_.end()) {
-    if (ib == b.counts_.end() || (ia != a.counts_.end() && ia->first < ib->first)) {
-      va.push_back(ia->second / ta);
-      vb.push_back(0.0);
-      ++ia;
-    } else if (ia == a.counts_.end() || ib->first < ia->first) {
-      va.push_back(0.0);
-      vb.push_back(ib->second / tb);
-      ++ib;
-    } else {
-      va.push_back(ia->second / ta);
-      vb.push_back(ib->second / tb);
-      ++ia;
-      ++ib;
-    }
-  }
-  return {std::move(va), std::move(vb)};
-}
-
-KsResult ks_test(const CountDistribution& a, const CountDistribution& b,
+KsResult ks_test(std::span<const uint64_t> a, std::span<const uint64_t> b,
                  double alpha) {
-  auto [va, vb] = CountDistribution::aligned_fractions(a, b);
-  // Two-sample KS over the per-host traffic distribution: hosts are the
-  // (ordered) categories, samples are delivered packets, and D is the
-  // maximum cumulative-share difference. Sample sizes are the packet
-  // counts, so the critical value reflects evidence volume.
-  KsResult r;
+  uint64_t na = 0, nb = 0;
+  for (const uint64_t x : a) na += x;
+  for (const uint64_t x : b) nb += x;
+  // Whole-number totals below 2^53 are exact in a double.
+  const double ta = std::max(static_cast<double>(na), 1.0);
+  const double tb = std::max(static_cast<double>(nb), 1.0);
   double cum_a = 0.0, cum_b = 0.0, d = 0.0;
-  for (size_t i = 0; i < va.size(); ++i) {
-    cum_a += va[i];
-    cum_b += vb[i];
+  for (size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+    // A category empty on both sides adds 0.0 to both sums and leaves D.
+    if (i < a.size()) cum_a += static_cast<double>(a[i]) / ta;
+    if (i < b.size()) cum_b += static_cast<double>(b[i]) / tb;
     d = std::max(d, std::fabs(cum_a - cum_b));
   }
+  KsResult r;
   r.statistic = d;
-  const size_t n = std::max<size_t>(1, static_cast<size_t>(a.total()));
-  const size_t m = std::max<size_t>(1, static_cast<size_t>(b.total()));
+  const size_t n = std::max<size_t>(1, na);
+  const size_t m = std::max<size_t>(1, nb);
   r.critical = ks_critical(n, m, alpha);
   r.pvalue = ks_pvalue(r.statistic, n, m);
   r.significant = r.statistic > r.critical;

@@ -1,12 +1,11 @@
-// Statistics used by the backtester: per-key count distributions and the
-// two-sample Kolmogorov-Smirnov test the paper uses (significance 0.05)
-// to reject repairs that distort the network-wide traffic distribution.
+// The two-sample Kolmogorov-Smirnov test the backtester uses (significance
+// 0.05) to reject repairs that distort the traffic distribution over end
+// hosts (backtest::compare), with delivered packets as samples.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
+#include <span>
 
 namespace mp {
 
@@ -25,30 +24,12 @@ struct KsResult {
   bool significant = false; // true => distributions differ => reject repair
 };
 
-// Distribution of a counter keyed by host/name. Used for "traffic
-// distribution at end hosts" (Section 4.3).
-class CountDistribution {
- public:
-  void add(const std::string& key, double amount = 1.0);
-  double total() const;
-  // Values aligned on the union of keys of *this and other (missing = 0),
-  // normalised to fractions of the total so KS compares shapes.
-  static std::pair<std::vector<double>, std::vector<double>> aligned_fractions(
-      const CountDistribution& a, const CountDistribution& b);
-  const std::map<std::string, double>& counts() const { return counts_; }
-  double get(const std::string& key) const {
-    auto it = counts_.find(key);
-    return it == counts_.end() ? 0.0 : it->second;
-  }
-
- private:
-  std::map<std::string, double> counts_;
-};
-
-// KS test between two keyed distributions: compares the per-key traffic
-// shares. This mirrors the paper's use: a repair that shifts a noticeable
-// share of traffic between hosts yields a large D.
-KsResult ks_test(const CountDistribution& a, const CountDistribution& b,
+// KS test between two count vectors over the same ordered categories (a
+// shorter vector counts 0 past its end). D is the largest difference of
+// the cumulative shares; the sample sizes are the totals, so the critical
+// value reflects evidence volume. This mirrors the paper's use: a repair
+// that shifts a noticeable share of traffic between hosts yields a large D.
+KsResult ks_test(std::span<const uint64_t> a, std::span<const uint64_t> b,
                  double alpha = 0.05);
 
 }  // namespace mp

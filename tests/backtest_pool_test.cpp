@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -23,17 +24,24 @@
 namespace mp {
 namespace {
 
+// An outcome with 100 packets delivered to one host.
+backtest::ReplayOutcome hundred_delivered() {
+  static const auto names = std::make_shared<const sdn::HostNames>(
+      std::vector<sdn::Host>{{1, "H", 0, 0, 0, 0}});
+  backtest::ReplayOutcome o;
+  o.hosts = names;
+  o.per_host = {100};
+  return o;
+}
+
 class CountingHarness : public backtest::ReplayHarness {
  public:
   backtest::ReplayOutcome replay_baseline() override {
-    backtest::ReplayOutcome o;
-    o.delivered = 100;
-    return o;
+    return hundred_delivered();
   }
   backtest::ReplayOutcome replay(const repair::RepairCandidate& c) override {
     replays.fetch_add(1);
-    backtest::ReplayOutcome o;
-    o.delivered = 100;
+    backtest::ReplayOutcome o = hundred_delivered();
     o.symptom_fixed = c.cost < 2.0;  // outcome depends only on the candidate
     return o;
   }
@@ -98,7 +106,7 @@ TEST(BacktesterPool, ScenarioBacktestsOnThePoolMatchSequential) {
     EXPECT_EQ(b.effective, a.effective);
     EXPECT_EQ(b.accepted, a.accepted);
     EXPECT_EQ(b.ks.statistic, a.ks.statistic);
-    EXPECT_EQ(b.outcome.delivered, a.outcome.delivered);
+    EXPECT_EQ(b.outcome.delivered(), a.outcome.delivered());
   }
 }
 

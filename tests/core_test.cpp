@@ -95,23 +95,18 @@ TEST(Stats, KsPValueMonotone) {
 }
 
 TEST(Stats, DistributionGateDetectsShift) {
-  CountDistribution base, same, shifted;
-  for (int i = 0; i < 50; ++i) {
-    base.add("h" + std::to_string(i), 100);
-    same.add("h" + std::to_string(i), 100);
-    shifted.add("h" + std::to_string(i), i == 0 ? 400 : 100);
-  }
+  const std::vector<uint64_t> base(50, 100), same(50, 100);
+  std::vector<uint64_t> shifted(50, 100);
+  shifted[0] = 400;
   EXPECT_FALSE(ks_test(base, same).significant);
   EXPECT_TRUE(ks_test(base, shifted).significant);
 }
 
 TEST(Stats, DistributionSmallChangeInsignificant) {
-  CountDistribution base, nudged;
-  for (int i = 0; i < 50; ++i) {
-    base.add("h" + std::to_string(i), 200);
-    nudged.add("h" + std::to_string(i), 200);
-  }
-  nudged.add("new-host", 5);
+  // A new host past the last one: the shorter side counts 0 there.
+  const std::vector<uint64_t> base(50, 200);
+  std::vector<uint64_t> nudged(51, 200);
+  nudged[50] = 5;
   EXPECT_FALSE(ks_test(base, nudged).significant);
 }
 

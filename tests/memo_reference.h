@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backtest/backtester.h"
@@ -18,19 +21,52 @@
 
 namespace mp::memo_test {
 
-// Every counter, per_host and per_host_port.
+// The per-host tallies of `st` over `hosts` numbers (a world that has not
+// delivered yet holds none).
+inline std::vector<uint64_t> host_tallies(const sdn::DeliveryStats& st,
+                                          size_t hosts) {
+  std::vector<uint64_t> out = st.per_host;
+  out.resize(std::max(hosts, out.size()), 0);
+  return out;
+}
+
+// The nonzero (host number, dpt) tallies of `st`, whatever the order in
+// which its world first delivered to them.
+inline std::map<std::pair<uint32_t, int64_t>, uint64_t> port_tallies(
+    const sdn::DeliveryStats& st) {
+  std::map<std::pair<uint32_t, int64_t>, uint64_t> out;
+  for (const sdn::PortTally& t : st.per_host_port) {
+    if (t.packets != 0) out[{t.host, t.dpt}] += t.packets;
+  }
+  return out;
+}
+
+// Equal host numberings (by name, so a self-built world compares with a
+// world on a base), then equal per-host and per-(host, dpt) tallies.
+inline void expect_same_tallies(const sdn::DeliveryStats& got,
+                                const sdn::DeliveryStats& want,
+                                const std::string& where) {
+  if (got.hosts != nullptr && want.hosts != nullptr) {
+    EXPECT_TRUE(*got.hosts == *want.hosts)
+        << where << ": host numberings differ";
+  }
+  const size_t hosts = std::max(got.per_host.size(), want.per_host.size());
+  EXPECT_EQ(host_tallies(got, hosts), host_tallies(want, hosts)) << where;
+  EXPECT_EQ(port_tallies(got), port_tallies(want)) << where;
+}
+
+// Every counter and every delivery tally.
 inline void expect_same_stats(const sdn::DeliveryStats& got,
                               const sdn::DeliveryStats& want,
                               const std::string& where) {
-  EXPECT_EQ(got.delivered, want.delivered) << where;
+  EXPECT_EQ(got.delivered(), want.delivered()) << where;
   EXPECT_EQ(got.dropped, want.dropped) << where;
   EXPECT_EQ(got.external, want.external) << where;
   EXPECT_EQ(got.packet_ins, want.packet_ins) << where;
   EXPECT_EQ(got.flow_mods, want.flow_mods) << where;
   EXPECT_EQ(got.packet_outs, want.packet_outs) << where;
   EXPECT_EQ(got.hops, want.hops) << where;
-  EXPECT_EQ(got.per_host.counts(), want.per_host.counts()) << where;
-  EXPECT_EQ(got.per_host_port.counts(), want.per_host_port.counts()) << where;
+  expect_same_tallies(got, want, where);
 }
 
 // The control log: every PacketIn, FlowMod and PacketOut with its switch
@@ -68,18 +104,28 @@ inline std::string report_text(const backtest::BacktestReport& report) {
   for (const backtest::BacktestEntry& e : report.entries) {
     const backtest::ReplayOutcome& o = e.outcome;
     std::snprintf(buf, sizeof buf,
-                  "%s cost=%a valid=%d fixed=%d del=%zu drop=%zu pin=%zu "
+                  "%s cost=%a valid=%d fixed=%d del=%llu drop=%zu pin=%zu "
                   "ks=%a crit=%a p=%a eff=%d acc=%d\n",
                   e.candidate.description.c_str(), e.candidate.cost, o.valid,
-                  o.symptom_fixed, o.delivered, o.dropped, o.packet_ins,
+                  o.symptom_fixed,
+                  static_cast<unsigned long long>(o.delivered()), o.dropped,
+                  o.packet_ins,
                   e.ks.statistic, e.ks.critical, e.ks.pvalue, e.effective,
                   e.accepted);
     out += buf;
-    for (const auto* dist : {&o.per_host, &o.per_host_port}) {
-      for (const auto& [key, n] : dist->counts()) {
-        std::snprintf(buf, sizeof buf, "  %s=%a\n", key.c_str(), n);
-        out += buf;
-      }
+    for (size_t h = 0; h < o.per_host.size(); ++h) {
+      if (o.per_host[h] == 0) continue;
+      std::snprintf(buf, sizeof buf, "  %s=%llu\n",
+                    o.hosts->name(static_cast<uint32_t>(h)).c_str(),
+                    static_cast<unsigned long long>(o.per_host[h]));
+      out += buf;
+    }
+    for (const auto& [key, n] : port_tallies(o)) {
+      std::snprintf(buf, sizeof buf, "  %s:%lld=%llu\n",
+                    o.hosts->name(key.first).c_str(),
+                    static_cast<long long>(key.second),
+                    static_cast<unsigned long long>(n));
+      out += buf;
     }
   }
   std::snprintf(buf, sizeof buf, "effective=%zu accepted=%zu\n",

@@ -541,10 +541,10 @@ TEST(Scenario, SequentialAndJointBacktestsAgree) {
   auto seq = h.replay(fix);
   auto joint = h.replay_joint({fix});
   ASSERT_EQ(joint.size(), 1u);
-  EXPECT_EQ(seq.delivered, joint[0].delivered);
+  EXPECT_EQ(seq.delivered(), joint[0].delivered());
   EXPECT_EQ(seq.dropped, joint[0].dropped);
   EXPECT_EQ(seq.symptom_fixed, joint[0].symptom_fixed);
-  EXPECT_EQ(seq.per_host.counts(), joint[0].per_host.counts());
+  memo_test::expect_same_tallies(seq, joint[0], "r7 fix");
 }
 
 // Every world inserts its base tuples in one order: the config tuples, then
@@ -610,13 +610,11 @@ TEST(Scenario, SequentialAndJointWorldsInsertBaseTuplesAlike) {
     const sdn::DeliveryStats& want = seq->net().stats();
     memo_test::expect_same_stats(joint.net().stats(), want, where);
     const sdn::DeliveryStats& tag = joint.net().tag_stats(0);
-    EXPECT_EQ(tag.delivered, want.delivered) << where;
+    EXPECT_EQ(tag.delivered(), want.delivered()) << where;
     EXPECT_EQ(tag.dropped, want.dropped) << where;
     EXPECT_EQ(tag.external, want.external) << where;
     EXPECT_EQ(tag.packet_ins, want.packet_ins) << where;
-    EXPECT_EQ(tag.per_host.counts(), want.per_host.counts()) << where;
-    EXPECT_EQ(tag.per_host_port.counts(), want.per_host_port.counts())
-        << where;
+    memo_test::expect_same_tallies(tag, want, where);
     memo_test::expect_same_ctrl(joint.net().recorder(), seq->net().recorder(),
                                 where);
 
@@ -1111,7 +1109,9 @@ TEST(ImpParser, ParsedProgramExecutes) {
   sdn::Packet p;
   p.dpt = 80;
   net.inject(1, 1, p);
-  EXPECT_EQ(net.stats().per_host.get("H"), 1.0);
+  const sdn::DeliveryStats& st = net.stats();
+  EXPECT_EQ(st.per_host[st.hosts->number("H")], 1u);
+  EXPECT_EQ(st.delivered("H", 80), 1u);
 }
 
 TEST(ImpParser, RejectsBadSyntax) {

@@ -1,9 +1,11 @@
 // Tests for the SDN simulator substrate and the backtest machinery.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "backtest/backtester.h"
 #include "backtest/multiquery.h"
@@ -83,8 +85,12 @@ TEST(Network, DeliversAlongStaticRoutes) {
   Packet p;
   p.dip = 42;
   net.inject(1, 9, p);
-  EXPECT_EQ(net.stats().delivered, 1u);
-  EXPECT_EQ(net.stats().per_host.get("H"), 1.0);
+  EXPECT_EQ(net.stats().delivered(), 1u);
+  const DeliveryStats& st = net.stats();
+  EXPECT_EQ(st.per_host[st.hosts->number("H")], 1u);
+  EXPECT_EQ(st.delivered("H", 0), 1u);
+  EXPECT_EQ(st.delivered("H", 80), 0u);
+  EXPECT_EQ(st.delivered("nobody", 0), 0u);
 }
 
 TEST(Network, MissWithoutControllerDrops) {
@@ -129,7 +135,7 @@ TEST(Network, ReactiveInstallAndRelease) {
   net.inject(1, 1, p);  // miss -> install + release -> delivered
   net.inject(1, 1, p);  // hits the entry
   EXPECT_EQ(ctrl.calls, 1);
-  EXPECT_EQ(net.stats().delivered, 2u);
+  EXPECT_EQ(net.stats().delivered(), 2u);
   EXPECT_EQ(net.stats().packet_ins, 1u);
   EXPECT_EQ(net.stats().flow_mods, 1u);
 }
@@ -145,7 +151,7 @@ TEST(Network, ForgottenPacketOutDropsFirstPacket) {
   net.inject(1, 1, p);
   net.inject(1, 1, p);
   EXPECT_EQ(net.stats().dropped, 1u);    // the buffered first packet
-  EXPECT_EQ(net.stats().delivered, 1u);  // the second one
+  EXPECT_EQ(net.stats().delivered(), 1u);  // the second one
 }
 
 namespace {
@@ -165,7 +171,7 @@ class ReleaseOnlyController : public ControllerIface {
 };
 
 void expect_conserved(const DeliveryStats& st, size_t injected) {
-  EXPECT_EQ(st.delivered + st.dropped + st.external, injected);
+  EXPECT_EQ(st.delivered() + st.dropped + st.external, injected);
 }
 }  // namespace
 
@@ -211,7 +217,7 @@ TEST(Network, WaveCapAccountsInFlightTagsAsDropped) {
     const size_t tags = tag_mode ? 3 : 1;
     expect_conserved(net.stats(), 5 * tags);
     EXPECT_EQ(net.stats().dropped, 3 * tags);
-    EXPECT_EQ(net.stats().delivered, 2 * tags);
+    EXPECT_EQ(net.stats().delivered(), 2 * tags);
     if (tag_mode) {
       for (size_t b = 0; b < 3; ++b) {
         expect_conserved(net.tag_stats(b), 5);
@@ -252,51 +258,101 @@ struct TaggedCampus {
   }
 };
 
-void expect_same_stats(const DeliveryStats& a, const DeliveryStats& b) {
-  EXPECT_EQ(a.per_host.counts(), b.per_host.counts());
-  EXPECT_EQ(a.per_host_port.counts(), b.per_host_port.counts());
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_EQ(a.external, b.external);
-  EXPECT_EQ(a.packet_ins, b.packet_ins);
-  EXPECT_EQ(a.hops, b.hops);
+void expect_same_stats(const DeliveryStats& a, const DeliveryStats& b,
+                       const std::string& where) {
+  memo_test::expect_same_tallies(a, b, where);
+  EXPECT_EQ(a.delivered(), b.delivered()) << where;
+  EXPECT_EQ(a.dropped, b.dropped) << where;
+  EXPECT_EQ(a.external, b.external) << where;
+  EXPECT_EQ(a.packet_ins, b.packet_ins) << where;
+  EXPECT_EQ(a.hops, b.hops) << where;
 }
 }  // namespace
 
-TEST(Network, StatsFoldOnReadIsIdempotent) {
+// Deliveries are tallied as they happen, once per world: reading the
+// statistics mid-replay changes nothing, and in tag mode the aggregate is
+// the sum over the active tags, per host and per (host, dpt).
+TEST(Network, TagTalliesSumToTheAggregateAndReadsChangeNothing) {
   TaggedCampus once, often;
   replay(once.net, once.work);
   for (size_t i = 0; i < often.work.size(); ++i) {
     const Injection& inj = often.work[i];
     often.net.inject(inj.sw, inj.port, inj.packet);
     if (i % 97 == 0) {
-      often.net.stats();
-      for (size_t b = 0; b < 3; ++b) often.net.tag_stats(b);
+      // Copies, as outcome_from_stats takes them mid-run.
+      const DeliveryStats mid = often.net.stats();
+      EXPECT_EQ(mid.delivered() + mid.dropped + mid.external, 3 * (i + 1));
+      for (size_t b = 0; b < 3; ++b) {
+        const DeliveryStats tag = often.net.tag_stats(b);
+        EXPECT_EQ(tag.delivered() + tag.dropped + tag.external, i + 1);
+      }
     }
   }
   const DeliveryStats& agg = once.net.stats();
-  EXPECT_GT(agg.delivered, 0u);
+  ASSERT_NE(agg.hosts, nullptr);
+  EXPECT_GT(agg.delivered(), 0u);
   EXPECT_GT(agg.dropped, 0u);
-  expect_same_stats(agg, often.net.stats());
-  CountDistribution hosts, ports;
+  expect_same_stats(agg, often.net.stats(), "aggregate");
+  std::vector<uint64_t> hosts(agg.hosts->size(), 0);
+  std::map<std::pair<uint32_t, int64_t>, uint64_t> ports;
   size_t delivered = 0, dropped = 0, external = 0;
   for (size_t b = 0; b < 3; ++b) {
     const DeliveryStats& st = once.net.tag_stats(b);
-    expect_same_stats(st, often.net.tag_stats(b));
-    for (const auto& [k, v] : st.per_host.counts()) hosts.add(k, v);
-    for (const auto& [k, v] : st.per_host_port.counts()) ports.add(k, v);
-    delivered += st.delivered;
+    expect_same_stats(st, often.net.tag_stats(b), "tag " + std::to_string(b));
+    // Every tag tallies over the world's numbering and keys.
+    EXPECT_EQ(st.hosts, agg.hosts);
+    ASSERT_EQ(st.per_host.size(), hosts.size());
+    ASSERT_EQ(st.per_host_port.size(), agg.per_host_port.size());
+    for (size_t h = 0; h < hosts.size(); ++h) hosts[h] += st.per_host[h];
+    for (const auto& [key, n] : memo_test::port_tallies(st)) ports[key] += n;
+    delivered += st.delivered();
     dropped += st.dropped;
     external += st.external;
   }
-  // The aggregate is the sum over the candidate worlds.
-  EXPECT_EQ(agg.per_host.counts(), hosts.counts());
-  EXPECT_EQ(agg.per_host_port.counts(), ports.counts());
-  EXPECT_EQ(agg.delivered, delivered);
+  EXPECT_EQ(agg.per_host, hosts);
+  EXPECT_EQ(memo_test::port_tallies(agg), ports);
+  EXPECT_EQ(agg.delivered(), delivered);
   EXPECT_EQ(agg.dropped, dropped);
   EXPECT_EQ(agg.external, external);
-  EXPECT_NE(once.net.tag_stats(0).per_host.counts(),
-            once.net.tag_stats(1).per_host.counts());
+  EXPECT_NE(once.net.tag_stats(0).per_host, once.net.tag_stats(1).per_host);
+  // A tag that is not active tallies nothing.
+  EXPECT_TRUE(once.net.tag_stats(3).per_host.empty());
+}
+
+// A self-built network numbers its hosts at its first delivery, by
+// distinct name in byte order; from then on add_host throws.
+TEST(Network, HostsAreNumberedByNameAtTheFirstDelivery) {
+  Network net;
+  net.add_switch(1);
+  net.add_host({7, "b", 41, 0, 1, 3});
+  net.add_host({8, "B", 42, 0, 1, 4});
+  net.add_host({9, "a", 43, 0, 1, 5});
+  net.add_host({10, "b", 44, 0, 1, 6});  // shares b's number
+  FlowEntry e;
+  e.match = {{Field::Dip, Value(44)}};
+  e.action = Action::output(6);
+  net.find_switch(1)->table().add(e);
+  EXPECT_EQ(net.stats().hosts, nullptr);
+  net.add_host({11, "c", 45, 0, 1, 7});  // no delivery yet: allowed
+  Packet p;
+  p.dip = 44;
+  p.dpt = 80;
+  net.inject(1, 9, p);
+  const DeliveryStats& st = net.stats();
+  ASSERT_NE(st.hosts, nullptr);
+  ASSERT_EQ(st.hosts->size(), 4u);
+  EXPECT_EQ(st.hosts->name(0), "B");
+  EXPECT_EQ(st.hosts->name(1), "a");
+  EXPECT_EQ(st.hosts->name(2), "b");
+  EXPECT_EQ(st.hosts->name(3), "c");
+  EXPECT_EQ(st.hosts->number_of_id(7), 2u);
+  EXPECT_EQ(st.hosts->number_of_id(10), 2u);
+  EXPECT_EQ(st.hosts->number("zz"), 4u);
+  EXPECT_EQ(st.per_host, (std::vector<uint64_t>{0, 0, 1, 0}));
+  EXPECT_EQ(st.delivered("b", 80), 1u);
+  EXPECT_THROW(net.add_host({12, "d", 46, 0, 1, 8}), std::logic_error);
+  EXPECT_EQ(net.hosts().size(), 5u);
+  EXPECT_EQ(net.find_switch(1)->peer(8), nullptr);
 }
 
 TEST(Topology, BuildsRequestedSize) {
@@ -334,7 +390,7 @@ TEST(Topology, AllHostPairsAreRoutable) {
       ++pairs;
     }
   }
-  EXPECT_EQ(net.stats().delivered, pairs);
+  EXPECT_EQ(net.stats().delivered(), pairs);
   EXPECT_EQ(net.stats().dropped, 0u);
 }
 
@@ -439,25 +495,39 @@ namespace {
 // effects, "loud" fixes it but shifts traffic, "dud" does nothing.
 class FakeHarness : public backtest::ReplayHarness {
  public:
+  FakeHarness() {
+    std::vector<Host> hosts;
+    for (int i = 0; i < 20; ++i) {
+      hosts.push_back({i, "h" + std::to_string(i), 0, 0, 0, 0});
+    }
+    hosts.push_back({20, "victim", 0, 0, 0, 0});
+    names_ = std::make_shared<const HostNames>(hosts);
+  }
   backtest::ReplayOutcome replay_baseline() override {
     backtest::ReplayOutcome o;
+    o.hosts = names_;
+    o.per_host.assign(names_->size(), 0);
     for (int i = 0; i < 20; ++i) {
-      o.per_host.add("h" + std::to_string(i), 500);
+      o.per_host[names_->number("h" + std::to_string(i))] = 500;
     }
     o.packet_ins = 10;
     return o;
   }
   backtest::ReplayOutcome replay(const repair::RepairCandidate& c) override {
     backtest::ReplayOutcome o = replay_baseline();
+    const uint32_t victim = names_->number("victim");
     if (c.description == "good") {
       o.symptom_fixed = true;
-      o.per_host.add("victim", 20);
+      o.per_host[victim] += 20;
     } else if (c.description == "loud") {
       o.symptom_fixed = true;
-      o.per_host.add("victim", 4000);
+      o.per_host[victim] += 4000;
     }
     return o;
   }
+
+ private:
+  std::shared_ptr<const HostNames> names_;
 };
 }  // namespace
 
@@ -804,7 +874,7 @@ TEST(PathMemo, LongPathsAndLargeHostIdsAreNotMemoized) {
   PathMemo memo;
   Network filler(base);
   filler.record_batch(work, memo);
-  EXPECT_EQ(filler.stats().delivered, 3u);
+  EXPECT_EQ(filler.stats().delivered(), 3u);
   EXPECT_EQ(memo.entries(), 1u);  // only the 7-hop path to host 7
 
   Network memo_world(base);
@@ -834,8 +904,8 @@ TEST(PathMemo, HitBooksEveryActiveTag) {
   // The unrouted dip misses at S2, so its walk is not memoized.
   EXPECT_EQ(memo.entries(), 2u);
   EXPECT_EQ(memo_world.memo_hits(), 2u);
-  EXPECT_EQ(memo_world.stats().delivered, 2u * 3u);
-  EXPECT_EQ(memo_world.tag_stats(2).delivered, 0u);
+  EXPECT_EQ(memo_world.stats().delivered(), 2u * 3u);
+  EXPECT_EQ(memo_world.tag_stats(2).delivered(), 0u);
 }
 
 // A random network for the memo property: up to 47 switches (dense ids
@@ -1071,7 +1141,7 @@ TEST(WorldBase, ForkedWorldRejectsTopologyChangesAndKeepsInstallsLocal) {
   diverted.replay_batch(work, memo);
   EXPECT_EQ(diverted.memo_walks(), work.size());
   EXPECT_EQ(diverted.stats().dropped, 2u);  // the packets through switch 1
-  EXPECT_EQ(diverted.stats().delivered, 1u);
+  EXPECT_EQ(diverted.stats().delivered(), 1u);
   EXPECT_EQ(rule_count(base->net()), static_rules);
   Network fresh(base);
   replay(fresh, work);

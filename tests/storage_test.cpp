@@ -12,14 +12,22 @@
 //     buffering, fsync policy knob,
 //   - hostile input: hand-built sections with valid CRCs but malformed
 //     entries or name records end the valid prefix cleanly, never read
-//     out of bounds (run under CHECK_ASAN=1).
+//     out of bounds (run under CHECK_ASAN=1),
+//   - seeded corruption sweep: bit flips and rewritten length and count
+//     fields (CRCs recomputed) in a real segment's file header, chunk
+//     headers, entries and name records end in a clean rejection or a
+//     truncated valid prefix, in the reader and in recovery (run under
+//     CHECK_ASAN=1).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "backtest/replay.h"
@@ -30,6 +38,7 @@
 #include "storage/segment.h"
 #include "storage/segment_store.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace mp::storage {
 namespace {
@@ -767,6 +776,245 @@ TEST(SegmentReader, HostileSectionsWithValidCrcsEndThePrefixCleanly) {
     }
     expect_clean_stop(SegmentReader(path));
   }
+}
+
+
+// --- seeded corruption sweep ----------------------------------------------
+
+// Where one part of a segment image lies: the file header, a chunk header,
+// or one entry or name record inside a chunk payload (`chunk` is the
+// offset of its chunk's header).
+struct Region {
+  enum Kind { kFileHeader, kChunkHeader, kEntry, kNameRecord } kind;
+  size_t begin;
+  size_t end;
+  size_t chunk;
+};
+
+// Maps every part of a well-formed segment image.
+std::vector<Region> map_regions(const std::vector<uint8_t>& img) {
+  std::vector<Region> out = {{Region::kFileHeader, 0, kFileHeaderBytes, 0}};
+  size_t pos = kFileHeaderBytes;
+  while (pos + kChunkHeaderBytes <= img.size()) {
+    const uint8_t* h = img.data() + pos;
+    const uint8_t kind = h[4];
+    const size_t len = ckpt::get_u32(h + 20);
+    out.push_back({Region::kChunkHeader, pos, pos + kChunkHeaderBytes, pos});
+    const uint8_t* p = h + kChunkHeaderBytes;
+    const uint8_t* end = p + len;
+    while (p < end) {
+      const uint8_t* at = p;
+      if (kind == kChunkEntries) {
+        p += ckpt::kHeaderBytes + ckpt::get_u32(p + ckpt::kPayloadLenOffset);
+      } else if (p[0] == ckpt::kNameNode) {
+        p += 3;
+        EXPECT_TRUE(ckpt::get_value(p, end, nullptr));
+      } else {
+        p += 5 + ckpt::get_u16(p + 3);
+      }
+      out.push_back({kind == kChunkEntries ? Region::kEntry
+                                           : Region::kNameRecord,
+                     static_cast<size_t>(at - img.data()),
+                     static_cast<size_t>(p - img.data()), pos});
+    }
+    pos += kChunkHeaderBytes + len;
+  }
+  EXPECT_EQ(pos, img.size());
+  return out;
+}
+
+// Writes the low `bytes` bytes of `v` little-endian at `at`.
+void poke(std::vector<uint8_t>& img, size_t at, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    img[at + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+// Recomputes the CRCs of the chunk whose header is at `chunk`: the
+// payload CRC when its claimed payload fits the image, then the header
+// CRC, so only the decoder's own checks can reject the chunk.
+void reframe(std::vector<uint8_t>& img, size_t chunk) {
+  const uint8_t* h = img.data() + chunk;
+  const uint32_t len = ckpt::get_u32(h + 20);
+  if (img.size() - chunk - kChunkHeaderBytes >= len) {
+    poke(img, chunk + 24, crc32(h + kChunkHeaderBytes, len), 4);
+  }
+  poke(img, chunk + 28, crc32(h, kChunkHeaderBytes - 4), 4);
+}
+
+// A length or count read as `old`, rewritten: to zero, one, off by one,
+// doubled, all ones, or random.
+uint64_t bent(Rng& rng, uint64_t old, int bytes) {
+  const uint64_t ones = bytes == 8 ? ~uint64_t{0}
+                                   : (uint64_t{1} << (8 * bytes)) - 1;
+  switch (rng.below(7)) {
+    case 0: return 0;
+    case 1: return 1;
+    case 2: return (old - 1) & ones;
+    case 3: return (old + 1) & ones;
+    case 4: return (old * 2) & ones;
+    case 5: return ones;
+    default: return rng.next() & ones;
+  }
+}
+
+// One seeded corruption of `img` inside `r`: a flipped bit (left to the
+// CRCs or, half the time, reframed past them), or a rewritten length or
+// count field with recomputed CRCs. Returns the first byte it changed.
+size_t corrupt(std::vector<uint8_t>& img, const Region& r, Rng& rng) {
+  if (rng.chance(0.5)) {
+    const size_t at = r.begin + rng.below(r.end - r.begin);
+    img[at] ^= static_cast<uint8_t>(1u << rng.below(8));
+    if (r.kind != Region::kFileHeader && rng.chance(0.5)) reframe(img, r.chunk);
+    return at;
+  }
+  size_t at = r.begin;
+  int bytes = 0;
+  switch (r.kind) {
+    case Region::kFileHeader:  // the version or the first event id
+      std::tie(at, bytes) = rng.chance(0.5) ? std::pair{r.begin + 6, 2}
+                                            : std::pair{r.begin + 8, 8};
+      break;
+    case Region::kChunkHeader:  // count or payload_len
+      std::tie(at, bytes) = rng.chance(0.5) ? std::pair{r.begin + 16, 4}
+                                            : std::pair{r.begin + 20, 4};
+      break;
+    case Region::kEntry: {  // ncauses, nvals or payload_len
+      const uint64_t pick = rng.below(3);
+      std::tie(at, bytes) =
+          pick == 0   ? std::pair{r.begin + ckpt::kNCausesOffset, 1}
+          : pick == 1 ? std::pair{r.begin + ckpt::kNValsOffset, 2}
+                      : std::pair{r.begin + ckpt::kPayloadLenOffset, 4};
+      break;
+    }
+    case Region::kNameRecord:  // the id, or a name's or value's length
+      if (rng.chance(0.5)) {
+        std::tie(at, bytes) = std::pair{r.begin + 1, 2};
+      } else if (img[r.begin] != ckpt::kNameNode) {
+        std::tie(at, bytes) = std::pair{r.begin + 3, 2};
+      } else {
+        // A string node value's length follows its tag; an int's tag.
+        std::tie(at, bytes) = img[r.begin + 3] == 1
+                                  ? std::pair{r.begin + 4, 2}
+                                  : std::pair{r.begin + 3, 1};
+      }
+      break;
+  }
+  uint64_t old = 0;
+  for (int i = 0; i < bytes; ++i) {
+    old |= uint64_t{img[at + static_cast<size_t>(i)]} << (8 * i);
+  }
+  poke(img, at, bent(rng, old, bytes), bytes);
+  if (r.kind != Region::kFileHeader) reframe(img, r.chunk);
+  return at;
+}
+
+// Seeded corruptions of a real multi-section segment (Q1's trace): flipped
+// bits, and length and count fields rewritten under recomputed CRCs, in
+// the file header, chunk headers, entries and name records. Each case must
+// end in a clean rejection or a truncated valid prefix: the sections
+// wholly before the first changed byte decode as written, for_each visits
+// exactly events(), and recovery keeps exactly the reader's prefix with an
+// OK status. CHECK_ASAN=1 runs it under ASan, where an out-of-bounds read
+// fails the case.
+TEST(SegmentReader, SeededCorruptionSweepEndsCleanly) {
+  const scenario::Scenario s = scenario::q1_copy_paste({});
+  const std::string src = fresh_dir("corrupt_src");
+  {
+    eval::EngineOptions opt;
+    opt.segment_dir = src;
+    eval::Engine e(s.program, opt);
+    const std::vector<eval::Tuple> trace = scenario::engine_trace(s, 240);
+    run_with_sections(e, trace, trace.size() / 6 + 1);
+  }
+  std::vector<uint8_t> image;
+  {
+    std::ifstream in(src + "/seg-000000.mpseg", std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // The written sections: where each ends, and its events' lines.
+  const SegmentReader whole(image.data(), image.size(), 0);
+  ASSERT_TRUE(whole.ok());
+  ASSERT_EQ(whole.valid_bytes(), image.size());
+  std::vector<std::string> want;
+  whole.for_each([&](const eval::EventView& ev) {
+    want.push_back(testutil::record_line(ev));
+    return true;
+  });
+  std::vector<Region> by_kind[4];
+  std::vector<std::pair<size_t, size_t>> section_ends;  // (end, events)
+  size_t events = 0;
+  for (const Region& r : map_regions(image)) {
+    by_kind[r.kind].push_back(r);
+    if (r.kind != Region::kChunkHeader || image[r.begin + 4] != kChunkEntries)
+      continue;
+    events += ckpt::get_u32(image.data() + r.begin + 16);
+    section_ends.emplace_back(
+        r.end + ckpt::get_u32(image.data() + r.begin + 20), events);
+  }
+  ASSERT_GE(section_ends.size(), 4u);
+  ASSERT_EQ(section_ends.back().second, want.size());
+
+  constexpr uint64_t kCases = 600;
+  size_t kinds[4] = {}, rejected = 0, cut = 0;
+  const std::string dir = fresh_dir("corrupt");
+  for (uint64_t seed = 1; seed <= kCases; ++seed) {
+    Rng rng(seed);
+    // A kind first, so the one file header is swept as often as the many
+    // entries.
+    const auto& of_kind = by_kind[rng.below(4)];
+    const Region& r = of_kind[rng.below(of_kind.size())];
+    ++kinds[r.kind];
+    std::vector<uint8_t> img = image;
+    const size_t changed = corrupt(img, r, rng);
+    const std::string where = "seed " + std::to_string(seed);
+    size_t intact = 0;  // events of the sections wholly before `changed`
+    for (const auto& [end, events] : section_ends) {
+      if (end <= changed) intact = events;
+    }
+
+    // Exactly-sized heap copy: a read past it is an ASan error.
+    const std::vector<uint8_t> mem(img.begin(), img.end());
+    const SegmentReader reader(mem.data(), mem.size(), 0);
+    std::vector<std::string> got;
+    const size_t visited = reader.for_each([&](const eval::EventView& ev) {
+      got.push_back(testutil::record_line(ev));
+      return true;
+    });
+    ASSERT_EQ(visited, reader.events()) << where;
+    ASSERT_LE(reader.valid_bytes(), img.size()) << where;
+    if (!reader.ok()) {
+      ASSERT_EQ(reader.events(), 0u) << where;
+      ASSERT_EQ(reader.valid_bytes(), 0u) << where;
+      ++rejected;
+    } else {
+      ASSERT_GE(got.size(), intact) << where;
+      for (size_t i = 0; i < intact; ++i) ASSERT_EQ(got[i], want[i]) << where;
+      cut += reader.valid_bytes() < img.size();
+    }
+
+    // The same bytes as the store's only segment: recovery keeps exactly
+    // the reader's prefix.
+    const std::string seg = dir + "/seg-000000.mpseg";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    {
+      std::ofstream out(seg, std::ios::binary);
+      out.write(reinterpret_cast<const char*>(img.data()),
+                static_cast<std::streamsize>(img.size()));
+    }
+    SegmentStore store(dir);
+    ASSERT_TRUE(store.status().ok()) << where << ": " << store.status().message();
+    const size_t kept =
+        reader.ok() && reader.first_id() == 0 ? reader.events() : 0;
+    ASSERT_EQ(store.recovered_events(), kept) << where;
+    const std::vector<std::string> replayed = testutil::store_lines(store);
+    ASSERT_EQ(replayed.size(), kept) << where;
+    for (size_t i = 0; i < kept; ++i) ASSERT_EQ(replayed[i], got[i]) << where;
+  }
+  // Every region kind was hit, and the sweep saw rejections and cuts.
+  for (const size_t n : kinds) EXPECT_GT(n, 0u);
+  EXPECT_GT(rejected + cut, kCases / 4);
 }
 
 }  // namespace

@@ -58,11 +58,17 @@
 # programs splice rule copies that share the base program's names and
 # expression trees; parsers and segment decoders read outside input),
 # then runs the examples in that build too.
-# It gates two tests whose failure mode only ASan can see:
+# It gates three tests whose failure mode only ASan can see:
 #   - storage_test's SegmentReader.HostileSectionsWithValidCrcs-
 #     EndThePrefixCleanly: CRC-valid segment sections whose entries and
 #     name records lie about their lengths and counts must end the valid
 #     prefix without an out-of-bounds read;
+#   - storage_test's SegmentReader.SeededCorruptionSweepEndsCleanly: 600
+#     seeded bit flips and rewritten length and count fields (CRCs
+#     recomputed) across a real segment's file header, chunk headers,
+#     entries and name records must end in a clean rejection or a
+#     truncated valid prefix, in the reader and in recovery, without an
+#     out-of-bounds read;
 #   - history_test's EventLogCheckpoint.DecodedCausesSurviveInterleaved-
 #     Decodes, the nested-walk test: an outer EventLog::for_each_event
 #     view holds its causes span across a complete inner walk, and a span
@@ -97,9 +103,13 @@ cmake --build "$BUILD_DIR" -j
 
 (cd "$BUILD_DIR" && ctest -L tier1 --output-on-failure -j)
 
-# The equivalence harness gates every change on its own label too, so a
-# relabelling mistake in CMake can never silently drop it from the gate.
+# The equivalence harness and the KS oracle pins (the backtester's integer
+# KS against the string-keyed reference, tests/ks_oracle.h) gate every
+# change on their own labels too, so a relabelling mistake in CMake can
+# never silently drop them from the gate (--no-tests=error: a label that
+# matches nothing fails).
 (cd "$BUILD_DIR" && ctest -L differential --output-on-failure -j)
+(cd "$BUILD_DIR" && ctest -L oracle --no-tests=error --output-on-failure -j)
 
 echo "--- smoke (Q1 pipeline) ---"
 "$BUILD_DIR/smoke" Q1
