@@ -54,6 +54,8 @@ struct Change {
   std::vector<size_t> head_perm;       // argument permutation for retarget
   std::string copy_name;               // name of the copied rule
 
+  bool operator==(const Change&) const = default;
+
   // Human-readable description in the paper's style, e.g.
   //   "Changing Swi==2 in r7 to Swi==3".
   std::string describe(const ndlog::Program& p) const;

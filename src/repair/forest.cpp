@@ -1,11 +1,13 @@
-#include "repair/forest.h"
-
+// RepairGenerator::generate and the meta-provenance forest it explores
+// (generator.h). ForestExplorer is private to this file: one explorer per
+// generate() call, writing into that call's GenerationReport.
 #include <algorithm>
 #include <optional>
 #include <queue>
 #include <set>
 
 #include "obs/span.h"
+#include "repair/generator.h"
 
 namespace mp::repair {
 
@@ -37,6 +39,17 @@ bool unify_atom(const ndlog::Atom& atom, const Row& row, Env& env) {
     } else {
       return false;
     }
+  }
+  return true;
+}
+
+// Evaluates the rule's assignments over `env` in order, binding each
+// target (symbolic re-execution); false if one does not evaluate.
+bool bind_assigns(const Rule& rule, Env& env) {
+  for (const auto& asg : rule.assigns) {
+    Value v;
+    if (!eval_expr(*asg.expr, env, v)) return false;
+    env[asg.var] = std::move(v);
   }
   return true;
 }
@@ -99,15 +112,118 @@ std::optional<Value> offset(int64_t v, int64_t d) {
   return Value(r);
 }
 
-}  // namespace
+// An edit of site `index` (selection or assignment ordinal) of `rule`.
+Change site_change(ChangeKind kind, const Rule& rule, size_t index) {
+  Change c;
+  c.kind = kind;
+  c.rule = rule.name;
+  c.index = index;
+  return c;
+}
 
-ForestExplorer::ForestExplorer(const eval::Engine& engine,
-                               RepairSpaceConfig config, const CostModel& costs)
-    : engine_(engine), cfg_(std::move(config)), costs_(costs) {}
+// Whether both changes edit one selection, or one assignment, of one rule.
+bool same_site(const Change& a, const Change& b) {
+  auto site = [](ChangeKind k) {
+    switch (k) {
+      case ChangeKind::ChangeSelConst:
+      case ChangeKind::ChangeSelOp:
+      case ChangeKind::ChangeSelVar:
+      case ChangeKind::DeleteSel: return 1;
+      case ChangeKind::ChangeAssignConst:
+      case ChangeKind::ChangeAssignVar: return 2;
+      default: return 0;
+    }
+  };
+  return site(a.kind) != 0 && site(a.kind) == site(b.kind) &&
+         a.rule == b.rule && a.index == b.index;
+}
 
-std::vector<RepairCandidate> ForestExplorer::explore(const Symptom& symptom,
-                                                     PhaseClock* phases,
-                                                     ExploreStats* stats) {
+// Every other comparison operator under which selection `sel_idx` over
+// the operand values (lv, rv) holds (`hold`) or fails (!`hold`).
+void push_op_swaps(const Rule& rule, size_t sel_idx, const Value& lv,
+                   const Value& rv, bool hold, std::vector<Change>& out) {
+  for (CmpOp op : ndlog::all_cmp_ops()) {
+    if (op == rule.sels[sel_idx].op || ndlog::cmp_eval(op, lv, rv) != hold) {
+      continue;
+    }
+    Change c = site_change(ChangeKind::ChangeSelOp, rule, sel_idx);
+    c.new_op = op;
+    out.push_back(std::move(c));
+  }
+}
+
+class ForestExplorer {
+ public:
+  ForestExplorer(const eval::Engine& engine, const RepairSpaceConfig& config,
+                 const CostModel& costs, GenerationReport& report)
+      : engine_(engine), cfg_(config), costs_(costs), report_(report) {}
+
+  // Explores the forest; fills the report's candidates in cost order.
+  void explore(const Symptom& symptom);
+
+ private:
+  struct Goal {
+    prov::TuplePattern pattern;
+    bool make_appear = true;
+    size_t depth = 0;
+  };
+  struct TreeState {
+    std::vector<Goal> pending;
+    std::vector<Change> changes;
+    double cost = 0.0;
+  };
+
+  void expand(const TreeState& st, std::vector<TreeState>& out);
+  void expand_appear(const TreeState& st, const Goal& goal,
+                     std::vector<TreeState>& out);
+  void expand_disappear(const TreeState& st, const Goal& goal,
+                        std::vector<TreeState>& out);
+
+  // The one place child trees are built: one child of `st` per
+  // combination of one option from each group (Section 3.3), in product
+  // order and capped; each child also takes on `subgoals`.
+  void fork(const TreeState& st,
+            const std::vector<std::vector<Change>>& option_groups,
+            std::vector<TreeState>& out, std::vector<Goal> subgoals = {});
+
+  // Join enumeration over historical tuples; returns consistent variable
+  // environments (deduplicated on the variables that matter).
+  struct JoinResult {
+    eval::Env env;
+    std::vector<size_t> unbound_atoms;    // body atoms with no history match
+  };
+  std::vector<JoinResult> enumerate_joins(const ndlog::Rule& rule);
+
+  // Repair options for one failing selection under `env`; each option is a
+  // single Change.
+  std::vector<Change> selection_fix_options(const ndlog::Rule& rule,
+                                            size_t sel_idx,
+                                            const eval::Env& env);
+  // Options to make a selection *fail* under `env` (positive symptoms).
+  std::vector<Change> selection_break_options(const ndlog::Rule& rule,
+                                              size_t sel_idx,
+                                              const eval::Env& env);
+  // Options to fix a head-field mismatch (assignment rewrites).
+  std::vector<Change> head_fix_options(const ndlog::Rule& rule,
+                                       const std::string& head_var,
+                                       const Value& needed,
+                                       const eval::Env& env);
+
+  std::vector<Change> manual_insert_options(const Goal& goal);
+  std::vector<Change> retarget_options(const Goal& goal);
+
+  // Historical values observed for a variable's column, deterministic
+  // order, capped.
+  std::vector<Value> domain_of_var(const ndlog::Rule& rule,
+                                   const std::string& var);
+
+  const eval::Engine& engine_;
+  const RepairSpaceConfig& cfg_;
+  const CostModel& costs_;
+  GenerationReport& report_;
+};
+
+void ForestExplorer::explore(const Symptom& symptom) {
   static const obs::TracedPhase kPhaseExplore("repair.explore");
   // Recursion into missing body tuples, candidates returned, and trees
   // popped before the search gives up.
@@ -115,8 +231,6 @@ std::vector<RepairCandidate> ForestExplorer::explore(const Symptom& symptom,
   constexpr size_t kMaxCandidates = 32;
   constexpr size_t kMaxExpansions = 50'000;
   const obs::Scope scope(kPhaseExplore);
-  phases_ = phases;
-  stats_ = stats;
 
   // Min-priority queue over (cost, pending-goal count): the paper pops the
   // cheapest tree, breaking ties toward fewer unexpanded vertexes.
@@ -133,7 +247,7 @@ std::vector<RepairCandidate> ForestExplorer::explore(const Symptom& symptom,
                               kMaxDepth});
   queue.push(std::move(init));
 
-  std::vector<RepairCandidate> out;
+  std::vector<RepairCandidate>& out = report_.candidates;
   std::set<std::string> seen;
   size_t expansions = 0;
   // Validates completed trees as deltas over the engine's program; built
@@ -151,7 +265,7 @@ std::vector<RepairCandidate> ForestExplorer::explore(const Symptom& symptom,
       RepairCandidate cand;
       bool valid = false;
       {
-        const obs::Scope patching(kPhasePatch, phases_);
+        const obs::Scope patching(kPhasePatch, &report_.phases);
         cand.changes = st.changes;
         cand.cost = st.cost;
         cand.description = cand.describe(engine_.program());
@@ -172,21 +286,18 @@ std::vector<RepairCandidate> ForestExplorer::explore(const Symptom& symptom,
           }
         }
       }
-      if (valid) {
-        if (stats_ != nullptr) ++stats_->trees_completed;
-        out.push_back(std::move(cand));
-      }
+      if (valid) out.push_back(std::move(cand));
       continue;
     }
 
     ++expansions;
-    if (stats_ != nullptr) ++stats_->goals_expanded;
+    ++report_.stats.goals_expanded;
     std::vector<TreeState> children;
     expand(st, children);
     for (TreeState& child : children) {
       child.cost += costs_.expansion_epsilon;
       if (child.cost <= cfg_.max_cost) queue.push(std::move(child));
-      if (stats_ != nullptr) ++stats_->trees_forked;
+      ++report_.stats.trees_forked;
     }
   }
 
@@ -195,7 +306,6 @@ std::vector<RepairCandidate> ForestExplorer::explore(const Symptom& symptom,
               if (a.cost != b.cost) return a.cost < b.cost;
               return a.description < b.description;
             });
-  return out;
 }
 
 void ForestExplorer::expand(const TreeState& st, std::vector<TreeState>& out) {
@@ -209,6 +319,51 @@ void ForestExplorer::expand(const TreeState& st, std::vector<TreeState>& out) {
   }
 }
 
+// Each combination must satisfy every group at once: for an unwanted
+// tuple, one option per derivation kills them all. Equal changes in a
+// combination merge (the same edit may serve several groups). A
+// combination that gives one selection or assignment two different edits
+// is dropped: applied together they compose into an edit that none of its
+// options proposed, and that may serve none of the groups.
+void ForestExplorer::fork(const TreeState& st,
+                          const std::vector<std::vector<Change>>& option_groups,
+                          std::vector<TreeState>& out,
+                          std::vector<Goal> subgoals) {
+  constexpr size_t kMaxForks = 64;
+  std::vector<std::vector<Change>> combos{{}};
+  for (const auto& group : option_groups) {
+    std::vector<std::vector<Change>> next;
+    for (const auto& prefix : combos) {
+      for (const Change& opt : group) {
+        if (next.size() >= kMaxForks) break;
+        bool dup = false;
+        bool clash = false;
+        for (const Change& prev : prefix) {
+          if (prev == opt) {
+            dup = true;
+          } else if (same_site(prev, opt)) {
+            clash = true;
+          }
+        }
+        if (clash) continue;
+        auto combo = prefix;
+        if (!dup) combo.push_back(opt);
+        next.push_back(std::move(combo));
+      }
+    }
+    combos = std::move(next);
+  }
+  for (auto& combo : combos) {
+    TreeState child = st;
+    for (Change& c : combo) {
+      child.cost += costs_.cost(c, engine_.program());
+      child.changes.push_back(std::move(c));
+    }
+    child.pending.insert(child.pending.end(), subgoals.begin(), subgoals.end());
+    out.push_back(std::move(child));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Negative symptoms: make a matching tuple appear (Section 4.1).
 // ---------------------------------------------------------------------------
@@ -216,12 +371,7 @@ void ForestExplorer::expand(const TreeState& st, std::vector<TreeState>& out) {
 void ForestExplorer::expand_appear(const TreeState& st, const Goal& goal,
                                    std::vector<TreeState>& out) {
   // Option 1: manual base-tuple injection.
-  for (Change& c : manual_insert_options(goal)) {
-    TreeState child = st;
-    child.cost += costs_.cost(c, engine_.program());
-    child.changes.push_back(std::move(c));
-    out.push_back(std::move(child));
-  }
+  for (Change& c : manual_insert_options(goal)) fork(st, {{std::move(c)}}, out);
 
   // Option 2: make some rule with a matching head fire.
   bool any_rule = false;
@@ -235,7 +385,7 @@ void ForestExplorer::expand_appear(const TreeState& st, const Goal& goal,
         // to subgoals (the tree's constraint pool is approximated by
         // propagating the head pattern through shared variables).
         if (goal.depth == 0) continue;
-        TreeState child = st;
+        std::vector<Goal> subgoals;
         bool ok = true;
         for (size_t atom_idx : jr.unbound_atoms) {
           const ndlog::Atom& atom = rule.body[atom_idx];
@@ -267,25 +417,16 @@ void ForestExplorer::expand_appear(const TreeState& st, const Goal& goal,
             ok = false;
             break;
           }
-          child.pending.push_back(Goal{std::move(sub), true, goal.depth - 1});
+          subgoals.push_back(Goal{std::move(sub), true, goal.depth - 1});
         }
-        if (ok) out.push_back(std::move(child));
+        if (ok) fork(st, {}, out, std::move(subgoals));
         continue;
       }
 
       // Fully bound join: evaluate assignments, then check the head
       // against the pattern and find the failing selections.
       Env env = jr.env;
-      bool env_ok = true;
-      for (const auto& asg : rule.assigns) {
-        Value v;
-        if (!eval_expr(*asg.expr, env, v)) {
-          env_ok = false;
-          break;
-        }
-        env[asg.var] = std::move(v);
-      }
-      if (!env_ok) continue;
+      if (!bind_assigns(rule, env)) continue;
 
       // Head mismatches that Eq-constraints could fix via assignments.
       std::vector<std::pair<std::string, Value>> needed_fixes;
@@ -348,42 +489,14 @@ void ForestExplorer::expand_appear(const TreeState& st, const Goal& goal,
           option_groups.push_back(std::move(opts));
         }
       }
-      if (!possible || option_groups.empty()) continue;
-
-      // Iterative cartesian product, capped to keep forks bounded.
-      std::vector<std::vector<Change>> combos{{}};
-      for (const auto& group : option_groups) {
-        std::vector<std::vector<Change>> next;
-        for (const auto& prefix : combos) {
-          for (const Change& opt : group) {
-            if (next.size() >= 64) break;
-            auto combo = prefix;
-            combo.push_back(opt);
-            next.push_back(std::move(combo));
-          }
-        }
-        combos = std::move(next);
-      }
-      for (auto& combo : combos) {
-        TreeState child = st;
-        for (Change& c : combo) {
-          child.cost += costs_.cost(c, engine_.program());
-          child.changes.push_back(std::move(c));
-        }
-        out.push_back(std::move(child));
-      }
+      if (possible) fork(st, option_groups, out);
     }
   }
 
   // Option 3: no rule derives this table at all -- synthesize one by
   // retargeting an existing rule's head (the paper's Q4 repairs).
   if (!any_rule) {
-    for (Change& c : retarget_options(goal)) {
-      TreeState child = st;
-      child.cost += costs_.cost(c, engine_.program());
-      child.changes.push_back(std::move(c));
-      out.push_back(std::move(child));
-    }
+    for (Change& c : retarget_options(goal)) fork(st, {{std::move(c)}}, out);
   }
 }
 
@@ -402,8 +515,8 @@ void ForestExplorer::expand_disappear(const TreeState& st, const Goal& goal,
   // interned handles; Tuples materialize only inside emitted Changes.
   std::vector<eval::TupleRef> matching;
   {
-    const obs::Scope lookup(kPhaseHistory, phases_);
-    const size_t scanned =
+    const obs::Scope lookup(kPhaseHistory, &report_.phases);
+    report_.stats.history_tuples_scanned +=
         engine_.history().probe(goal.pattern, [&](eval::TupleRef ref) {
           const Row& row = log.row_of(ref);
           if (!row.empty() &&
@@ -412,7 +525,6 @@ void ForestExplorer::expand_disappear(const TreeState& st, const Goal& goal,
           }
           return matching.size() < 4;  // each match forks its own subtree
         });
-    if (stats_ != nullptr) stats_->history_tuples_scanned += scanned;
   }
 
   for (const eval::TupleRef target : matching) {
@@ -422,10 +534,7 @@ void ForestExplorer::expand_disappear(const TreeState& st, const Goal& goal,
       Change c;
       c.kind = ChangeKind::DeleteBaseTuple;
       c.tuple = log.materialize(target);
-      TreeState child = st;
-      child.cost += costs_.cost(c, engine_.program());
-      child.changes.push_back(std::move(c));
-      out.push_back(std::move(child));
+      fork(st, {{std::move(c)}}, out);
       continue;
     }
 
@@ -446,27 +555,12 @@ void ForestExplorer::expand_disappear(const TreeState& st, const Goal& goal,
       const std::span<const eval::TupleRef> body = log.body_of(rec);
       Env env;
       bool env_ok = body.size() == rule->body.size();
-      if (env_ok) {
-        for (size_t i = 0; i < body.size(); ++i) {
-          if (body[i] == eval::kNoTupleRef ||
-              log.table_name(body[i]) != rule->body[i].table ||
-              !unify_atom(rule->body[i], log.row_of(body[i]), env)) {
-            env_ok = false;
-            break;
-          }
-        }
+      for (size_t i = 0; env_ok && i < body.size(); ++i) {
+        env_ok = body[i] != eval::kNoTupleRef &&
+                 log.table_name(body[i]) == rule->body[i].table &&
+                 unify_atom(rule->body[i], log.row_of(body[i]), env);
       }
-      if (env_ok) {
-        for (const auto& asg : rule->assigns) {
-          Value v;
-          if (!eval_expr(*asg.expr, env, v)) {
-            env_ok = false;
-            break;
-          }
-          env[asg.var] = std::move(v);
-        }
-      }
-      if (env_ok) {
+      if (env_ok && bind_assigns(*rule, env)) {
         for (size_t i = 0; i < rule->sels.size(); ++i) {
           for (Change& c : selection_break_options(*rule, i, env)) {
             opts.push_back(std::move(c));
@@ -485,48 +579,13 @@ void ForestExplorer::expand_disappear(const TreeState& st, const Goal& goal,
         }
       }
       // Last resort: delete the whole rule.
-      {
-        Change c;
-        c.kind = ChangeKind::DeleteRule;
-        c.rule = rule_name;
-        opts.push_back(std::move(c));
-      }
-      if (!opts.empty()) per_deriv.push_back(std::move(opts));
+      Change del;
+      del.kind = ChangeKind::DeleteRule;
+      del.rule = rule_name;
+      opts.push_back(std::move(del));
+      per_deriv.push_back(std::move(opts));
     }
-    if (per_deriv.empty()) continue;
-
-    std::vector<std::vector<Change>> combos{{}};
-    for (const auto& group : per_deriv) {
-      std::vector<std::vector<Change>> next;
-      for (const auto& prefix : combos) {
-        for (const Change& opt : group) {
-          if (next.size() >= 64) break;
-          // The same change may kill several derivations; dedupe in-place.
-          bool dup = false;
-          for (const Change& prev : prefix) {
-            if (prev.kind == opt.kind && prev.rule == opt.rule &&
-                prev.index == opt.index && prev.side == opt.side &&
-                prev.new_value == opt.new_value && prev.tuple == opt.tuple) {
-              dup = true;
-              break;
-            }
-          }
-          auto combo = prefix;
-          if (!dup) combo.push_back(opt);
-          next.push_back(std::move(combo));
-        }
-      }
-      combos = std::move(next);
-    }
-    for (auto& combo : combos) {
-      if (combo.empty()) continue;
-      TreeState child = st;
-      for (Change& c : combo) {
-        child.cost += costs_.cost(c, engine_.program());
-        child.changes.push_back(std::move(c));
-      }
-      out.push_back(std::move(child));
-    }
+    if (!per_deriv.empty()) fork(st, per_deriv, out);
   }
 }
 
@@ -538,22 +597,17 @@ std::vector<ForestExplorer::JoinResult> ForestExplorer::enumerate_joins(
     const Rule& rule) {
   // Join combinations returned; partial frames are capped at 4x this.
   constexpr size_t kMaxJoinCombos = 96;
-  const obs::Scope lookup(kPhaseHistory, phases_);
+  const obs::Scope lookup(kPhaseHistory, &report_.phases);
   std::vector<JoinResult> results;
   std::set<std::string> seen;
   const std::vector<std::string> rel_vars = relevant_vars(rule);
 
-  struct Frame {
-    Env env;
-    std::vector<eval::TupleRef> bound;
-    std::vector<size_t> unbound;
-  };
-  std::vector<Frame> frontier{Frame{}};
+  std::vector<JoinResult> frontier{JoinResult{}};
 
   for (size_t atom_idx = 0; atom_idx < rule.body.size(); ++atom_idx) {
     const ndlog::Atom& atom = rule.body[atom_idx];
-    std::vector<Frame> next;
-    for (Frame& f : frontier) {
+    std::vector<JoinResult> next;
+    for (JoinResult& f : frontier) {
       bool bound_any = false;
       // Pattern from the atom's constants plus variables already bound by
       // sibling atoms: every bound column becomes an Eq constraint, so the
@@ -575,25 +629,19 @@ std::vector<ForestExplorer::JoinResult> ForestExplorer::enumerate_joins(
           }
         }
       }
-      const size_t scanned =
+      report_.stats.history_tuples_scanned +=
           engine_.history().probe(pat, [&](eval::TupleRef ref) {
             Env env = f.env;
             if (!unify_atom(atom, engine_.history().row_of(ref), env)) {
               return true;
             }
             bound_any = true;
-            Frame nf;
-            nf.env = std::move(env);
-            nf.bound = f.bound;
-            nf.bound.push_back(ref);
-            nf.unbound = f.unbound;
-            next.push_back(std::move(nf));
+            next.push_back(JoinResult{std::move(env), f.unbound_atoms});
             return next.size() < kMaxJoinCombos * 4;
           });
-      if (stats_ != nullptr) stats_->history_tuples_scanned += scanned;
       if (!bound_any) {
-        Frame nf = f;
-        nf.unbound.push_back(atom_idx);
+        JoinResult nf = f;
+        nf.unbound_atoms.push_back(atom_idx);
         next.push_back(std::move(nf));
       }
       if (next.size() >= kMaxJoinCombos * 4) break;
@@ -601,15 +649,11 @@ std::vector<ForestExplorer::JoinResult> ForestExplorer::enumerate_joins(
     frontier = std::move(next);
   }
 
-  for (Frame& f : frontier) {
+  for (JoinResult& f : frontier) {
     std::string sig = env_signature(f.env, rel_vars);
-    for (size_t u : f.unbound) sig += "!" + std::to_string(u);
+    for (size_t u : f.unbound_atoms) sig += "!" + std::to_string(u);
     if (!seen.insert(sig).second) continue;
-    JoinResult jr;
-    jr.env = std::move(f.env);
-    jr.bound = std::move(f.bound);
-    jr.unbound_atoms = std::move(f.unbound);
-    results.push_back(std::move(jr));
+    results.push_back(std::move(f));
     if (results.size() >= kMaxJoinCombos) break;
   }
   return results;
@@ -637,13 +681,12 @@ std::vector<Change> ForestExplorer::selection_fix_options(const Rule& rule,
     std::vector<Value> candidates;
     if (x.is_int()) {
       {
-        const obs::Scope solving(kPhaseSolve, phases_);
+        const obs::Scope solving(kPhaseSolve, &report_.phases);
         // Nearest satisfying constant, via the mini solver
         // (SATASSIGNMENT).
         solver::ConstraintPool pool;
         pool.add(solver::Term::constant(x), op, solver::Term::variable("K"));
-        if (auto a = solver::MiniSolver::solve(
-                pool, stats_ != nullptr ? &stats_->solver : nullptr)) {
+        if (auto a = solver::MiniSolver::solve(pool, &report_.stats.solver)) {
           push_unique(candidates, a->at("K"), cfg_.max_const_variants);
         }
       }
@@ -661,22 +704,20 @@ std::vector<Change> ForestExplorer::selection_fix_options(const Rule& rule,
       if (direct) push_unique(candidates, *direct, cfg_.max_const_variants);
       // Domain variants: historical values of the value-side variable
       // suggest looser constants (the paper's Sip<16 / Sip<99 flavours).
-      if (sel.lhs->is_var() || sel.rhs->is_var()) {
-        const ndlog::ExprPtr& vside = cside == 0 ? sel.rhs : sel.lhs;
-        if (vside->is_var()) {
-          for (const Value& v : domain_of_var(rule, vside->var_name())) {
-            if (!v.is_int()) continue;
-            std::optional<Value> cand;
-            switch (op) {
-              case CmpOp::Lt: cand = offset(v.as_int(), 1); break;
-              case CmpOp::Le: cand = Value(v.as_int()); break;
-              case CmpOp::Gt: cand = offset(v.as_int(), -1); break;
-              case CmpOp::Ge: cand = Value(v.as_int()); break;
-              default: continue;
-            }
-            if (cand && ndlog::cmp_eval(op, x, *cand)) {
-              push_unique(candidates, *cand, cfg_.max_const_variants);
-            }
+      const ndlog::ExprPtr& vside = cside == 0 ? sel.rhs : sel.lhs;
+      if (vside->is_var()) {
+        for (const Value& v : domain_of_var(rule, vside->var_name())) {
+          if (!v.is_int()) continue;
+          std::optional<Value> cand;
+          switch (op) {
+            case CmpOp::Lt: cand = offset(v.as_int(), 1); break;
+            case CmpOp::Le: cand = Value(v.as_int()); break;
+            case CmpOp::Gt: cand = offset(v.as_int(), -1); break;
+            case CmpOp::Ge: cand = Value(v.as_int()); break;
+            default: continue;
+          }
+          if (cand && ndlog::cmp_eval(op, x, *cand)) {
+            push_unique(candidates, *cand, cfg_.max_const_variants);
           }
         }
       }
@@ -686,10 +727,7 @@ std::vector<Change> ForestExplorer::selection_fix_options(const Rule& rule,
     }
     for (const Value& cand : candidates) {
       if (cand == c0) continue;
-      Change c;
-      c.kind = ChangeKind::ChangeSelConst;
-      c.rule = rule.name;
-      c.index = sel_idx;
+      Change c = site_change(ChangeKind::ChangeSelConst, rule, sel_idx);
       c.side = static_cast<size_t>(cside);
       c.new_value = cand;
       out.push_back(std::move(c));
@@ -697,25 +735,10 @@ std::vector<Change> ForestExplorer::selection_fix_options(const Rule& rule,
   }
 
   // (b) Swap the comparison operator.
-  for (CmpOp op : ndlog::all_cmp_ops()) {
-    if (op == sel.op) continue;
-    if (!ndlog::cmp_eval(op, lv, rv)) continue;
-    Change c;
-    c.kind = ChangeKind::ChangeSelOp;
-    c.rule = rule.name;
-    c.index = sel_idx;
-    c.new_op = op;
-    out.push_back(std::move(c));
-  }
+  push_op_swaps(rule, sel_idx, lv, rv, /*hold=*/true, out);
 
   // (c) Delete the selection predicate.
-  {
-    Change c;
-    c.kind = ChangeKind::DeleteSel;
-    c.rule = rule.name;
-    c.index = sel_idx;
-    out.push_back(std::move(c));
-  }
+  out.push_back(site_change(ChangeKind::DeleteSel, rule, sel_idx));
 
   // (d) Substitute the variable operand with another in-scope variable.
   // Variants that do not satisfy this join are generated too (the paper's
@@ -727,10 +750,7 @@ std::vector<Change> ForestExplorer::selection_fix_options(const Rule& rule,
       for (const auto& [var, val] : env) {
         if (var == vside->var_name()) continue;
         if (emitted >= cfg_.max_var_variants) break;
-        Change c;
-        c.kind = ChangeKind::ChangeSelVar;
-        c.rule = rule.name;
-        c.index = sel_idx;
+        Change c = site_change(ChangeKind::ChangeSelVar, rule, sel_idx);
         c.side = cside == 0 ? 1 : 0;
         c.new_value = Value::str(var);
         out.push_back(std::move(c));
@@ -755,18 +775,15 @@ std::vector<Change> ForestExplorer::selection_break_options(const Rule& rule,
     const Value& c0 = cside == 0 ? sel.lhs->cval() : sel.rhs->cval();
     const CmpOp op = oriented_op(sel, cside);
     if (x.is_int()) {
-      const obs::Scope solving(kPhaseSolve, phases_);
+      const obs::Scope solving(kPhaseSolve, &report_.phases);
       // UNSATASSIGNMENT: violate (x op K) while keeping nothing else.
       solver::ConstraintPool keep, negate;
       negate.add(solver::Term::constant(x), op, solver::Term::variable("K"));
-      if (auto a = solver::MiniSolver::solve_negation(
-              keep, negate, stats_ != nullptr ? &stats_->solver : nullptr)) {
+      if (auto a = solver::MiniSolver::solve_negation(keep, negate,
+                                                      &report_.stats.solver)) {
         const Value cand = a->at("K");
         if (!(cand == c0)) {
-          Change c;
-          c.kind = ChangeKind::ChangeSelConst;
-          c.rule = rule.name;
-          c.index = sel_idx;
+          Change c = site_change(ChangeKind::ChangeSelConst, rule, sel_idx);
           c.side = static_cast<size_t>(cside);
           c.new_value = cand;
           out.push_back(std::move(c));
@@ -774,16 +791,7 @@ std::vector<Change> ForestExplorer::selection_break_options(const Rule& rule,
       }
     }
   }
-  for (CmpOp op : ndlog::all_cmp_ops()) {
-    if (op == sel.op) continue;
-    if (ndlog::cmp_eval(op, lv, rv)) continue;  // must now be false
-    Change c;
-    c.kind = ChangeKind::ChangeSelOp;
-    c.rule = rule.name;
-    c.index = sel_idx;
-    c.new_op = op;
-    out.push_back(std::move(c));
-  }
+  push_op_swaps(rule, sel_idx, lv, rv, /*hold=*/false, out);
   return out;
 }
 
@@ -792,12 +800,22 @@ std::vector<Change> ForestExplorer::head_fix_options(const Rule& rule,
                                                      const Value& needed,
                                                      const Env& env) {
   std::vector<Change> out;
-  // Plausibility order for variable substitutions: variables whose current
-  // value equals the needed one first, then variables whose name resembles
-  // the assignment target (programmers mistype similar names; Q5's
-  // Sip2 := * should propose Sip before Dip), then the rest.
-  auto ordered_vars = [&](const std::string& target,
-                          const std::string& skip) {
+  for (size_t a = 0; a < rule.assigns.size(); ++a) {
+    if (rule.assigns[a].var != head_var) continue;
+    const ndlog::ExprPtr& expr = rule.assigns[a].expr;
+    // Replace the assigned constant (covers the wildcard `*` case)...
+    if (expr->is_const() && !(expr->cval() == needed)) {
+      Change c = site_change(ChangeKind::ChangeAssignConst, rule, a);
+      c.new_value = needed;
+      out.push_back(std::move(c));
+    }
+    if (!expr->is_const() && !expr->is_var()) return out;
+    // ...or assign from a variable instead, other than the one assigned
+    // now. Plausibility order: variables whose current value equals the
+    // needed one first, then variables whose name resembles the
+    // assignment target (programmers mistype similar names; Q5's
+    // Sip2 := * should propose Sip before Dip), then the rest. Mismatching
+    // variants are generated too and die in backtesting.
     auto lcp = [](const std::string& x, const std::string& y) {
       size_t i = 0;
       while (i < x.size() && i < y.size() && x[i] == y[i]) ++i;
@@ -807,58 +825,20 @@ std::vector<Change> ForestExplorer::head_fix_options(const Rule& rule,
     std::sort(ordered.begin(), ordered.end());
     std::stable_sort(ordered.begin(), ordered.end(),
                      [&](const auto& p1, const auto& p2) {
-                       return lcp(p1.first, target) > lcp(p2.first, target);
+                       return lcp(p1.first, head_var) > lcp(p2.first, head_var);
                      });
     std::stable_sort(ordered.begin(), ordered.end(),
                      [&](const auto& p1, const auto& p2) {
                        return (p1.second == needed) > (p2.second == needed);
                      });
-    std::vector<std::string> names;
+    size_t emitted = 0;
     for (const auto& [var, val] : ordered) {
-      if (var != skip) names.push_back(var);
-    }
-    return names;
-  };
-  for (size_t a = 0; a < rule.assigns.size(); ++a) {
-    if (rule.assigns[a].var != head_var) continue;
-    const ndlog::ExprPtr& expr = rule.assigns[a].expr;
-    if (expr->is_const()) {
-      // Replace the assigned constant (covers the wildcard `*` case).
-      if (!(expr->cval() == needed)) {
-        Change c;
-        c.kind = ChangeKind::ChangeAssignConst;
-        c.rule = rule.name;
-        c.index = a;
-        c.new_value = needed;
-        out.push_back(std::move(c));
-      }
-      // ...or assign from a variable instead. The most plausible variant
-      // (matching value / similar name, Q5's Sip2 := Sip) comes first;
-      // mismatching variants are generated too and die in backtesting.
-      size_t emitted = 0;
-      for (const std::string& var : ordered_vars(head_var, "")) {
-        if (emitted >= cfg_.max_var_variants) break;
-        Change c;
-        c.kind = ChangeKind::ChangeAssignVar;
-        c.rule = rule.name;
-        c.index = a;
-        c.new_value = Value::str(var);
-        out.push_back(std::move(c));
-        ++emitted;
-      }
-    } else if (expr->is_var()) {
-      // Assigned from the wrong variable: swap to alternatives.
-      size_t emitted = 0;
-      for (const std::string& var : ordered_vars(head_var, expr->var_name())) {
-        if (emitted >= cfg_.max_var_variants) break;
-        Change c;
-        c.kind = ChangeKind::ChangeAssignVar;
-        c.rule = rule.name;
-        c.index = a;
-        c.new_value = Value::str(var);
-        out.push_back(std::move(c));
-        ++emitted;
-      }
+      if (expr->is_var() && var == expr->var_name()) continue;
+      if (emitted >= cfg_.max_var_variants) break;
+      Change c = site_change(ChangeKind::ChangeAssignVar, rule, a);
+      c.new_value = Value::str(var);
+      out.push_back(std::move(c));
+      ++emitted;
     }
     return out;
   }
@@ -880,20 +860,19 @@ std::vector<Change> ForestExplorer::manual_insert_options(const Goal& goal) {
   // from a historical row when available.
   std::optional<solver::Assignment> assignment;
   {
-    const obs::Scope solving(kPhaseSolve, phases_);
+    const obs::Scope solving(kPhaseSolve, &report_.phases);
     solver::ConstraintPool pool;
     for (const auto& fc : goal.pattern.fields) {
       pool.add(solver::Term::variable("c" + std::to_string(fc.col)), fc.op,
                solver::Term::constant(fc.value));
     }
-    assignment = solver::MiniSolver::solve(
-        pool, stats_ != nullptr ? &stats_->solver : nullptr);
+    assignment = solver::MiniSolver::solve(pool, &report_.stats.solver);
   }
   if (!assignment) return out;
 
   Row row(decl->arity, Value(0));
   {
-    const obs::Scope lookup(kPhaseHistory, phases_);
+    const obs::Scope lookup(kPhaseHistory, &report_.phases);
     const auto& hist = engine_.history().rows(goal.pattern.table);
     if (!hist.empty() &&
         engine_.history().row_of(hist.front()).size() == decl->arity) {
@@ -957,7 +936,7 @@ std::vector<Value> ForestExplorer::domain_of_var(const Rule& rule,
                                                  const std::string& var) {
   std::vector<Value> out;
   {
-    const obs::Scope lookup(kPhaseHistory, phases_);
+    const obs::Scope lookup(kPhaseHistory, &report_.phases);
     for (const auto& atom : rule.body) {
       for (size_t i = 0; i < atom.args.size(); ++i) {
         if (!atom.args[i]->is_var() || atom.args[i]->var_name() != var) {
@@ -967,13 +946,12 @@ std::vector<Value> ForestExplorer::domain_of_var(const Rule& rule,
         // ordered fallback scan over this table's recorded history.
         prov::TuplePattern any;
         any.table = atom.table;
-        const size_t scanned =
+        report_.stats.history_tuples_scanned +=
             engine_.history().probe(any, [&](eval::TupleRef ref) {
               const Row& row = engine_.history().row_of(ref);
               if (i < row.size()) push_unique(out, row[i], 64);
               return true;
             });
-        if (stats_ != nullptr) stats_->history_tuples_scanned += scanned;
       }
     }
   }
@@ -982,6 +960,21 @@ std::vector<Value> ForestExplorer::domain_of_var(const Rule& rule,
   std::sort(out.begin(), out.end(),
             [](const Value& a, const Value& b) { return b < a; });
   return out;
+}
+
+}  // namespace
+
+GenerationReport RepairGenerator::generate(const Symptom& symptom) const {
+  static const obs::TracedPhase kPhaseGenerate("repair.generate");
+  const obs::Scope scope(kPhaseGenerate);
+  GenerationReport report;
+  ForestExplorer(engine_, config_, costs_, report).explore(symptom);
+  // Anything not booked to a named phase is patch generation (tree
+  // bookkeeping, option assembly).
+  const double booked = report.phases.total();
+  const double rest = scope.seconds() - booked;
+  if (rest > 0) report.phases.add(kPhasePatch, rest);
+  return report;
 }
 
 }  // namespace mp::repair

@@ -193,7 +193,6 @@ PipelineResult run_pipeline(const Scenario& s, const PipelineOptions& opt) {
     repair::GenerationReport rep = generator.generate(symptom);
     result.generation.phases.merge(rep.phases);
     result.generation.stats.trees_forked += rep.stats.trees_forked;
-    result.generation.stats.trees_completed += rep.stats.trees_completed;
     result.generation.stats.goals_expanded += rep.stats.goals_expanded;
     result.generation.stats.history_tuples_scanned +=
         rep.stats.history_tuples_scanned;

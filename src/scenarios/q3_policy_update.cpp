@@ -59,26 +59,7 @@ Scenario q3_policy_update(const sdn::CampusOptions& campus) {
     sdn::install_host_routes(net, {20, 21}, {1, 2, 3, 4});
   };
 
-  s.make_bindings = [] {
-    sdn::ControllerBindings b;
-    b.encode_packet_in = [](int64_t sw, int64_t, const sdn::Packet& p) {
-      return eval::Tuple{
-          "PacketIn", {Value::str("C"), Value(sw), Value(p.dpt), Value(p.sip)}};
-    };
-    b.decode_flow = [](const eval::Tuple& t) -> std::optional<sdn::InstallSpec> {
-      if (t.row.size() != 4 || !t.row[0].is_int()) return std::nullopt;
-      sdn::InstallSpec spec;
-      spec.sw = t.row[0].as_int();
-      spec.entry.match = {{sdn::Field::Dpt, t.row[1]},
-                          {sdn::Field::Sip, t.row[2]}};
-      spec.entry.priority = 0;
-      const int64_t prt = t.row[3].is_int() ? t.row[3].as_int() : -1;
-      spec.entry.action =
-          prt < 0 ? sdn::Action::drop() : sdn::Action::output(prt);
-      return spec;
-    };
-    return b;
-  };
+  s.make_bindings = [] { return flow_bindings(sdn::Field::Sip); };
 
   s.make_workload = [](const sdn::Network& net) {
     std::vector<sdn::Injection> work;

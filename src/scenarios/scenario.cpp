@@ -4,6 +4,28 @@
 
 namespace mp::scenario {
 
+sdn::ControllerBindings flow_bindings(sdn::Field third) {
+  sdn::ControllerBindings b;
+  b.encode_packet_in = [third](int64_t sw, int64_t in_port,
+                               const sdn::Packet& p) {
+    return eval::Tuple{"PacketIn",
+                       {Value::str("C"), Value(sw), Value(p.dpt),
+                        Value(sdn::field_of(p, in_port, third))}};
+  };
+  b.decode_flow =
+      [third](const eval::Tuple& t) -> std::optional<sdn::InstallSpec> {
+    if (t.row.size() != 4 || !t.row[0].is_int()) return std::nullopt;
+    sdn::InstallSpec spec;
+    spec.sw = t.row[0].as_int();
+    spec.entry.match = {{sdn::Field::Dpt, t.row[1]}, {third, t.row[2]}};
+    spec.entry.priority = 0;
+    const int64_t prt = t.row[3].is_int() ? t.row[3].as_int() : -1;
+    spec.entry.action = prt < 0 ? sdn::Action::drop() : sdn::Action::output(prt);
+    return spec;
+  };
+  return b;
+}
+
 std::shared_ptr<const sdn::WorldBase> build_base(const Scenario& s) {
   sdn::Network net;
   const sdn::Campus campus = sdn::build_campus(net, s.campus);

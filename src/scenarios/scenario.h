@@ -55,6 +55,13 @@ Scenario q5_mac_learning(const sdn::CampusOptions& campus = {});
 
 std::vector<Scenario> all_scenarios(const sdn::CampusOptions& campus = {});
 
+// The controller codec Q1-Q4 share. A flow-table miss becomes
+// PacketIn(@"C", Swi, Dpt, F), where F is the packet's `third` field
+// (Bucket for Q1, Sip for Q2-Q4). A FlowTable(@Swi, Dpt, F, Prt) row
+// installs a priority-0 entry on switch Swi matching (Dpt, `third` = F)
+// that outputs on Prt, or drops when Prt is negative or not an integer.
+sdn::ControllerBindings flow_bindings(sdn::Field third);
+
 // The scenario's static world: build_campus plus wire_app, kept as a
 // WorldBase. Workload synthesis reads it, and every ScenarioRun world runs
 // on a base built here (a ScenarioHarness's worlds all on the one it

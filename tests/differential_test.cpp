@@ -5,7 +5,7 @@
 // node, same event-log length, same derivation count and same rule-firing
 // count. A log spilled to segment files must replay
 // (backtest::replay_base_stream) into the identical engine, on which the
-// repair explorer's output is byte-identical to the directly-run engine's.
+// repair generator's output is byte-identical to the directly-run engine's.
 // The tuple stream is the scenario's real workload (config tuples + the
 // PacketIn encoding of every recorded injection), so this exercises each
 // scenario's actual rules, joins and cross-node derivations — the safety
@@ -24,7 +24,6 @@
 #include "e2ebench/workloads.h"
 #include "obs/obs.h"
 #include "storage/segment_store.h"
-#include "repair/forest.h"
 #include "scenarios/scenario.h"
 #include "test_util.h"
 

@@ -7,8 +7,8 @@
 //     accounting in the serialized format within 2x of the paper's
 //     ~120 B/entry), compaction without a usable sink moving nothing, and
 //     a segment reload into a differently-interned catalog,
-//   - repair regression: the explorer's output (repair sets + costs) is
-//     byte-identical whether history lookups hit the secondary indexes or
+//   - repair regression: the repair generator's output (repair sets +
+//     costs) is byte-identical whether history lookups hit the secondary indexes or
 //     the ordered scan they replaced.
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include "eval/engine.h"
 #include "eval/history.h"
 #include "ndlog/parser.h"
-#include "repair/forest.h"
 #include "scenarios/scenario.h"
 #include "sdn/topology.h"
 #include "storage/segment.h"
@@ -438,7 +437,7 @@ TEST(RepairRegression, ExplorerOutputIdenticalIndexedVsScan) {
     index_probes += engine.history().index_probes();
     full_scans += engine.history().full_scans();
     // Forced-scan history is exactly the legacy linear filtering the
-    // refactor replaced; the explorer must not be able to tell.
+    // refactor replaced; the repair generator must not be able to tell.
     engine.history().attach(&engine.catalog(), &engine.log().pool(), false);
     const auto scanned = explore_all(s, engine);
     engine.history().attach(&engine.catalog(), &engine.log().pool(), true);

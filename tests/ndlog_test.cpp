@@ -1,9 +1,19 @@
-// Unit tests for the NDlog frontend: lexer, parser, printer, validation.
+// Unit tests for the NDlog frontend: lexer, parser, printer, validation;
+// and a seeded hostile-input sweep over the NDlog, Imp and NetCore parsers.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "eval/engine.h"
+#include "langs/imp/parser.h"
+#include "langs/netcore/parser.h"
 #include "ndlog/lexer.h"
 #include "ndlog/parser.h"
 #include "ndlog/validate.h"
+#include "scenarios/scenario.h"
+#include "util/rng.h"
 
 namespace mp::ndlog {
 namespace {
@@ -196,6 +206,113 @@ TEST(Ast, ProgramFindersAndPrinting) {
   EXPECT_EQ(p.line_count(), 3u);
   Program p2 = parse_program(p.to_string());
   EXPECT_EQ(p.to_string(), p2.to_string());
+}
+
+// --- hostile input ---------------------------------------------------------
+
+// `src` with 1-4 seeded byte mutations: substitutions (with a byte of the
+// languages' punctuation or any byte), insertions, deletions, truncations
+// and 20-digit literals, which overflow int64 in either sign.
+std::string mutate(const std::string& src, Rng& rng) {
+  static const std::string kBytes = "()[]{}<>=!:;.,@\"*+-/&|#_ \n0123456789aZ";
+  std::string out = src;
+  const size_t n = 1 + rng.below(4);
+  for (size_t k = 0; k < n; ++k) {
+    const size_t at = rng.below(out.size() + 1);
+    auto byte = [&] {
+      return rng.chance(0.7) ? kBytes[rng.below(kBytes.size())]
+                             : static_cast<char>(rng.below(256));
+    };
+    switch (rng.below(5)) {
+      case 0:  // substitution
+        if (at < out.size()) out[at] = byte();
+        break;
+      case 1:  // insertion
+        out.insert(at, 1, byte());
+        break;
+      case 2:  // deletion of a short run
+        if (at < out.size()) out.erase(at, 1 + rng.below(8));
+        break;
+      case 3:  // truncation
+        out.resize(at);
+        break;
+      default:  // 20-digit literal
+        out.insert(at, rng.chance(0.5) ? "99999999999999999999"
+                                       : "-18446744073709551616");
+        break;
+    }
+  }
+  return out;
+}
+
+// Runs `parse` on `cases` mutations of each seed source. Every case must
+// parse or throw the language's parse error; anything else (another
+// exception type, or under ASan/UBSan an out-of-bounds read or an
+// overflow) fails. Returns how many cases parsed.
+template <typename Error>
+size_t sweep(const char* lang, const std::vector<std::string>& seeds,
+             size_t cases, uint64_t seed,
+             const std::function<void(const std::string&)>& parse) {
+  Rng rng(seed);
+  size_t parsed = 0;
+  for (size_t i = 0; i < cases; ++i) {
+    const std::string input = mutate(seeds[i % seeds.size()], rng);
+    try {
+      parse(input);
+      ++parsed;
+    } catch (const Error&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << lang << " case " << i << " threw " << e.what()
+                    << " instead of its parse error on:\n" << input;
+    }
+  }
+  return parsed;
+}
+
+TEST(HostileInput, SeededByteMutationsParseOrThrowParseError) {
+  constexpr size_t kCases = 10000;  // per language
+  std::vector<std::string> ndlog_seeds = {
+      "table A/3 keys(0,1).\nevent B/3.\n"
+      "r1 A(@X,P,Q) :- B(@X,P,V), P == 2, V != -3, Q := (P + 7) * V / 2.\n",
+      "table S/2.\nr1 S(@X,\"s\") :- S(@X,Y), Y >= 5, Z := *.\n"};
+  for (const scenario::Scenario& s : scenario::all_scenarios()) {
+    ndlog_seeds.push_back(s.program.to_string());
+  }
+  size_t engines = 0;
+  const size_t ndlog_parsed = sweep<ParseError>(
+      "NDlog", ndlog_seeds, kCases, 8, [&](const std::string& src) {
+        Program p = parse_program(src);
+        if (!is_valid(p) || p.tables.empty()) return;
+        // What validates must run: build an engine and take one insert.
+        const TableDecl& t = p.tables.front();
+        eval::Engine e(std::move(p));
+        e.insert(eval::Tuple{t.name, Row(t.arity, Value(1))});
+        ++engines;
+      });
+  const size_t imp_parsed = sweep<imp::ImpParseError>(
+      "Imp",
+      {"# load balancer\n"
+       "def packet_in(sw, pkt) {\n"
+       "  if (sw == 1 && pkt.dpt == 80 && pkt.bucket == 1) {\n"
+       "    install(match(dpt, bucket), out(2));\n  }\n"
+       "  if (sw != 2 && pkt.sip < 6) { install(match(dpt), out(-1),"
+       " no_packet_out); }\n}\n"},
+      kCases, 9, [](const std::string& src) { imp::parse_program(src); });
+  const size_t netcore_parsed = sweep<netcore::NetcoreParseError>(
+      "NetCore",
+      {"# Q1-style policy\n"
+       "match(switch=1)[ match(dpt=80)[ match(bucket=1)[fwd(2)]\n"
+       "                               | match(bucket=2)[fwd(3)] ]\n"
+       "               | match(dpt=53)[fwd(3)] ]\n"
+       "| match(switch=2)[ match(dpt=80)[fwd(1)] ] | drop\n",
+       "match(dpt=80)[fwd(1)] >> modify(dip=9)[fwd(2)]"},
+      kCases, 10, [](const std::string& src) { netcore::parse_policy(src); });
+  // The sweep reaches past the parsers' front doors: some mutants parse,
+  // and some NDlog mutants validate and run.
+  EXPECT_GT(ndlog_parsed, 0u);
+  EXPECT_GT(engines, 0u);
+  EXPECT_GT(imp_parsed, 0u);
+  EXPECT_GT(netcore_parsed, 0u);
 }
 
 }  // namespace

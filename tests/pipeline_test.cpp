@@ -1,11 +1,13 @@
-// End-to-end tests: the change algebra, the forest explorer on small
+// End-to-end tests: the change algebra, the repair generator on small
 // programs, the language frontends, and the five paper scenarios run
 // through the full pipeline (generation + multi-query backtesting).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -135,7 +137,7 @@ TEST(CostModel, OrdersPlausibility) {
   EXPECT_LT(m.cost(del, p), m.cost(rule_del, p));
 }
 
-// --- forest explorer on a micro program --------------------------------
+// --- repair generator on a micro program --------------------------------
 
 TEST(Forest, MissingTupleYieldsConstOpDeleteRepairs) {
   eval::Engine e(ndlog::parse_program(
@@ -145,8 +147,7 @@ TEST(Forest, MissingTupleYieldsConstOpDeleteRepairs) {
   sym.pattern.table = "A";
   sym.pattern.fields = {{1, ndlog::CmpOp::Eq, Value(7)}};
   repair::RepairSpaceConfig cfg;
-  repair::ForestExplorer explorer(e, cfg);
-  auto cands = explorer.explore(sym);
+  auto cands = repair::RepairGenerator(e, cfg).generate(sym).candidates;
   ASSERT_FALSE(cands.empty());
   bool has_const = false, has_op = false, has_del = false;
   for (const auto& c : cands) {
@@ -182,8 +183,7 @@ TEST(Forest, UnwantedTupleYieldsBreakingRepairs) {
   sym.pattern.table = "A";
   sym.pattern.fields = {{1, ndlog::CmpOp::Eq, Value(7)}};
   repair::RepairSpaceConfig cfg;
-  repair::ForestExplorer explorer(e, cfg);
-  auto cands = explorer.explore(sym);
+  auto cands = repair::RepairGenerator(e, cfg).generate(sym).candidates;
   ASSERT_FALSE(cands.empty());
   bool kills = false;
   for (const auto& c : cands) {
@@ -210,8 +210,7 @@ TEST(Forest, RecursesThroughMissingBodyTuples) {
   sym.pattern.table = "A";
   sym.pattern.fields = {{1, ndlog::CmpOp::Eq, Value(7)}};
   repair::RepairSpaceConfig cfg;
-  repair::ForestExplorer explorer(e, cfg);
-  auto cands = explorer.explore(sym);
+  auto cands = repair::RepairGenerator(e, cfg).generate(sym).candidates;
   bool touches_r2 = false;
   for (const auto& c : cands) {
     for (const auto& ch : c.changes) {
@@ -545,6 +544,57 @@ TEST(Scenario, SequentialAndJointBacktestsAgree) {
   EXPECT_EQ(seq.dropped, joint[0].dropped);
   EXPECT_EQ(seq.symptom_fixed, joint[0].symptom_fixed);
   memo_test::expect_same_tallies(seq, joint[0], "r7 fix");
+
+  // Every backtested candidate of the five scenarios, scored sequentially
+  // and jointly: per-host, per-(host, dpt) and dropped tallies, the KS bits
+  // and the flags. Exactly three Q1 candidates differ today (ROADMAP item
+  // 10): the joint world delivers to H1:80 packets that their sequential
+  // worlds drop. The joint world's combined program derives two
+  // same-priority FlowTable rows on switch 2 in the opposite order from the
+  // candidate's own program, and FlowTable::outranks breaks the tie by
+  // install order. This pin moves to "none" with that fix.
+  auto ks_bits = [](const KsResult& k) {
+    return std::vector<uint64_t>{std::bit_cast<uint64_t>(k.statistic),
+                                 std::bit_cast<uint64_t>(k.critical),
+                                 std::bit_cast<uint64_t>(k.pvalue),
+                                 static_cast<uint64_t>(k.significant)};
+  };
+  std::set<std::string> differ;
+  size_t backtested = 0;
+  for (const scenario::Scenario& sc : scenario::all_scenarios()) {
+    scenario::PipelineOptions opt;
+    opt.multiquery = false;
+    const scenario::PipelineResult sequential = scenario::run_pipeline(sc, opt);
+    opt.multiquery = true;
+    const scenario::PipelineResult jointly = scenario::run_pipeline(sc, opt);
+    const auto& a = sequential.backtest.entries;
+    const auto& b = jointly.backtest.entries;
+    ASSERT_EQ(a.size(), b.size()) << sc.id;
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].candidate.description, b[i].candidate.description)
+          << sc.id;
+      const size_t hosts = std::max(a[i].outcome.per_host.size(),
+                                    b[i].outcome.per_host.size());
+      const bool same =
+          memo_test::host_tallies(a[i].outcome, hosts) ==
+              memo_test::host_tallies(b[i].outcome, hosts) &&
+          memo_test::port_tallies(a[i].outcome) ==
+              memo_test::port_tallies(b[i].outcome) &&
+          a[i].outcome.dropped == b[i].outcome.dropped &&
+          ks_bits(a[i].ks) == ks_bits(b[i].ks) &&
+          a[i].outcome.valid == b[i].outcome.valid &&
+          a[i].outcome.symptom_fixed == b[i].outcome.symptom_fixed &&
+          a[i].effective == b[i].effective && a[i].accepted == b[i].accepted;
+      if (!same) differ.insert(sc.id + ": " + a[i].candidate.description);
+      ++backtested;
+    }
+  }
+  EXPECT_GT(backtested, 5u * 8u);
+  const std::set<std::string> known = {
+      "Q1: Changing Swi == 1 in r1 to Swi != 1",
+      "Q1: Changing Swi == 1 in r1 to Swi > 1",
+      "Q1: Changing Swi == 1 in r1 to Swi >= 1"};
+  EXPECT_EQ(differ, known) << "of " << backtested << " backtested candidates";
 }
 
 // Every world inserts its base tuples in one order: the config tuples, then

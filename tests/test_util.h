@@ -11,7 +11,7 @@
 
 #include "eval/engine.h"
 #include "eval/event_log.h"
-#include "repair/forest.h"
+#include "repair/generator.h"
 #include "scenarios/scenario.h"
 #include "storage/segment_store.h"
 
@@ -27,16 +27,17 @@ inline eval::EngineOptions with_segments(const std::string& name,
   return opt;
 }
 
-// The repair explorer's output for every symptom of a scenario, one line
+// The repair generator's output for every symptom of a scenario, one line
 // per candidate (cost + description + change count), so any drift in the
 // repair sets, their costs or their order fails a byte comparison. Both
 // the differential and history suites assert on this canonical form.
 inline std::vector<std::string> explore_all(const scenario::Scenario& s,
                                             const eval::Engine& engine) {
   std::vector<std::string> out;
+  const repair::RepairGenerator generator(engine, s.space);
   for (const repair::Symptom& sym : s.symptoms) {
-    repair::ForestExplorer explorer(engine, s.space);
-    for (const repair::RepairCandidate& c : explorer.explore(sym)) {
+    for (const repair::RepairCandidate& c :
+         generator.generate(sym).candidates) {
       out.push_back(std::to_string(c.cost) + " | " + c.description +
                     " | changes=" + std::to_string(c.changes.size()));
     }

@@ -58,7 +58,7 @@
 # programs splice rule copies that share the base program's names and
 # expression trees; parsers and segment decoders read outside input),
 # then runs the examples in that build too.
-# It gates three tests whose failure mode only ASan can see:
+# It gates four tests whose failure mode only ASan can see:
 #   - storage_test's SegmentReader.HostileSectionsWithValidCrcs-
 #     EndThePrefixCleanly: CRC-valid segment sections whose entries and
 #     name records lie about their lengths and counts must end the valid
@@ -72,7 +72,14 @@
 #   - history_test's EventLogCheckpoint.DecodedCausesSurviveInterleaved-
 #     Decodes, the nested-walk test: an outer EventLog::for_each_event
 #     view holds its causes span across a complete inner walk, and a span
-#     left dangling by that inner walk is a heap-use-after-free.
+#     left dangling by that inner walk is a heap-use-after-free;
+#   - ndlog_test's HostileInput.SeededByteMutationsParseOrThrowParseError:
+#     10,000 seeded byte mutations per language (substitutions,
+#     insertions, deletions, truncations, 20-digit literals) of NDlog, Imp
+#     and NetCore sources must each parse or throw that language's parse
+#     error, and every NDlog mutant that validates must build an Engine
+#     and take one insert, without an out-of-bounds read or a signed
+#     overflow.
 #   CHECK_ASAN=1 tools/check.sh
 # With CHECK_FAULTS=1 the script additionally configures a side build
 # directory with -DMP_FAULTS=ON (failpoints compiled in, src/fault) and
@@ -103,9 +110,10 @@ cmake --build "$BUILD_DIR" -j
 
 (cd "$BUILD_DIR" && ctest -L tier1 --output-on-failure -j)
 
-# The equivalence harness and the KS oracle pins (the backtester's integer
-# KS against the string-keyed reference, tests/ks_oracle.h) gate every
-# change on their own labels too, so a relabelling mistake in CMake can
+# The equivalence harness, the KS oracle pins (the backtester's integer
+# KS against the string-keyed reference, tests/ks_oracle.h) and the repair
+# generator pin (tests/repair_forest_test.cpp) gate every change on their
+# own labels too, so a relabelling mistake in CMake can
 # never silently drop them from the gate (--no-tests=error: a label that
 # matches nothing fails).
 (cd "$BUILD_DIR" && ctest -L differential --output-on-failure -j)
